@@ -3,17 +3,25 @@
 //
 // A free block is the pair (size, addr). Best-fit selection — smallest sufficient size, then
 // lowest address — used to walk one flat ordered set over *all* free blocks; under training
-// workloads thousands of cached blocks share a few dozen distinct sizes (§2.3, Fig. 3), so that
-// tree is deep and the lower_bound/insert walks dominated the whole simulator's hot path.
+// workloads thousands of cached blocks share few sizes, so that tree was deep and the
+// lower_bound/insert walks dominated the whole simulator's hot path.
 //
-// BestFitIndex buckets free blocks by size: an ordered map keyed by size whose values are
-// address vectors sorted descending, so the best (lowest) address of a bucket is an O(1)
-// pop_back. The size map itself is a flat sorted vector (the same few dozen sizes recur for the
-// whole run, so new-size insertions are rare and binary search over contiguous memory beats a
-// node-based tree), buckets are kept alive when they empty — steady-state inserts/pops are
-// allocation-free — and lower_bound walks to the first *non-empty* bucket. The block each
-// PopBestFit picks is bit-identical to what lower_bound on the flat (size, addr) set it
-// replaces would have picked.
+// BestFitIndex buckets free blocks by size: a flat sorted size vector (binary search over
+// contiguous memory) parallel to per-size address vectors sorted descending, so the best
+// (lowest) address of a bucket is an O(1) pop_back. Buckets are kept alive when they empty, so
+// a recurring size revives its bucket allocation-free, and lower_bound walks to the first
+// *non-empty* bucket.
+//
+// Request sizes are few (a few dozen rounded sizes recur, §2.3 Fig. 3); free-block sizes are
+// not: every split leaves a remainder of a new size, and coalescing makes more — 24,002 distinct
+// free-block sizes on the perfbench cluster-day workload, 3,506 on train-fig8. Kept alive
+// forever, those empties turned every pop into a walk over hundreds of dead buckets. So empty
+// buckets are dropped in one stable pass as soon as they outnumber the live ones and exceed a
+// floor of kMinCompactEmpties: the size array never holds more than
+// 2 × non-empty + kMinCompactEmpties buckets, and each pass is paid for by the pops and erases
+// that emptied its buckets (amortized O(1)). Compaction removes empty buckets only, so the
+// block each PopBestFit picks is bit-identical to what lower_bound on the flat (size, addr) set
+// it replaces would have picked.
 
 #ifndef SRC_ALLOCATORS_FREE_INDEX_H_
 #define SRC_ALLOCATORS_FREE_INDEX_H_
@@ -39,6 +47,9 @@ class BestFitIndex {
     // freed straight back after a PopBestFit took the bucket's minimum — its address is below
     // everything still in the bucket, so it belongs at the tail with no search at all.
     if (b.empty() || addr < b.back()) {
+      if (b.empty()) {
+        --empty_buckets_;  // a kept-alive (or newborn) bucket revives
+      }
       b.push_back(addr);
       ++count_;
       return;
@@ -65,6 +76,9 @@ class BestFitIndex {
                   << "free index: erase of unknown block (" << size << ", " << addr << ")");
     b.erase(it);
     --count_;
+    if (b.empty()) {
+      OnBucketEmptied();
+    }
   }
 
   // Removes and returns the best fit for `min_size`: the lowest-addressed block of the smallest
@@ -75,10 +89,13 @@ class BestFitIndex {
       if (b.empty()) {
         continue;  // kept-alive empty bucket
       }
-      const uint64_t addr = b.back();
+      const std::pair<uint64_t, uint64_t> best{sizes_[pos], b.back()};
       b.pop_back();
       --count_;
-      return std::pair<uint64_t, uint64_t>{sizes_[pos], addr};
+      if (b.empty()) {
+        OnBucketEmptied();
+      }
+      return best;
     }
     return std::nullopt;
   }
@@ -108,11 +125,38 @@ class BestFitIndex {
  private:
   using Bucket = std::vector<uint64_t>;  // addresses, sorted descending (best fit at back)
 
-  // Index of the first size >= `size` in the flat sorted size array. The same few dozen sizes
-  // recur for the whole run, so an exact-match position cache short-circuits most searches.
-  // The cache is self-validating: sizes_ is sorted and unique, so whenever
-  // sizes_[hot_pos_] == size holds, hot_pos_ IS the lower bound — even after insertions have
-  // shifted positions since the cache was written.
+  // Compaction floor: fewer kept-alive empties than this are never worth a pass.
+  static constexpr size_t kMinCompactEmpties = 64;
+
+  // Drops every empty bucket once empties outnumber both the live buckets and the floor. The
+  // pass is stable, so sizes_ stays sorted and every surviving bucket keeps its contents.
+  void OnBucketEmptied() {
+    ++empty_buckets_;
+    const size_t live = sizes_.size() - empty_buckets_;
+    if (empty_buckets_ <= std::max(live, kMinCompactEmpties)) {
+      return;
+    }
+    size_t out = 0;
+    for (size_t pos = 0; pos < sizes_.size(); ++pos) {
+      if (buckets_[pos].empty()) {
+        continue;
+      }
+      if (out != pos) {
+        sizes_[out] = sizes_[pos];
+        buckets_[out] = std::move(buckets_[pos]);
+      }
+      ++out;
+    }
+    sizes_.resize(out);
+    buckets_.resize(out);
+    empty_buckets_ = 0;
+  }
+
+  // Index of the first size >= `size` in the flat sorted size array. The same few dozen request
+  // sizes recur for the whole run, so an exact-match position cache short-circuits most
+  // searches. The cache is self-validating: sizes_ is sorted and unique, so whenever
+  // sizes_[hot_pos_] == size holds, hot_pos_ IS the lower bound — even after insertions or a
+  // compaction have shifted positions since the cache was written.
   size_t LowerBound(uint64_t size) const {
     if (hot_pos_ < sizes_.size() && sizes_[hot_pos_] == size) {
       return hot_pos_;
@@ -130,7 +174,9 @@ class BestFitIndex {
     if (pos < sizes_.size() && sizes_[pos] == size) {
       return buckets_[pos];
     }
-    // New distinct size: rare after warm-up (a few dozen sizes recur, §2.3 Fig. 3).
+    // New distinct size: rare for request sizes, common for split remainders (see top). The
+    // bucket is born empty and counted as such until Insert fills it.
+    ++empty_buckets_;
     sizes_.insert(sizes_.begin() + static_cast<ptrdiff_t>(pos), size);
     buckets_.insert(buckets_.begin() + static_cast<ptrdiff_t>(pos), Bucket{});
     return buckets_[pos];
@@ -139,6 +185,7 @@ class BestFitIndex {
   std::vector<uint64_t> sizes_;  // sorted ascending; parallel to buckets_
   std::vector<Bucket> buckets_;
   size_t count_ = 0;
+  size_t empty_buckets_ = 0;  // kept-alive empties among buckets_
   mutable size_t hot_pos_ = 0;  // last exact-match LowerBound hit (see LowerBound)
 };
 

@@ -434,6 +434,8 @@ class ShardedClusterSim {
     d.last_util_time = t;
   }
 
+  // Sampled for every device in every decision window: both readers are O(1) or read only the
+  // arena index's top size class, never a walk over all free ranges.
   static double CurrentFrag(const DeviceState& d) {
     const uint64_t free_total = d.device->classic_free_total();
     if (free_total == 0) {

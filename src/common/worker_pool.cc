@@ -32,30 +32,29 @@ WorkerPool::~WorkerPool() {
   }
 }
 
-void WorkerPool::WorkOn() {
-  const std::function<void(size_t)>* fn = fn_;
-  const size_t n = batch_size_;
+void WorkerPool::WorkOn(const std::function<void(size_t)>& fn, size_t n) {
   size_t done_here = 0;
   for (;;) {
     const size_t i = next_index_.fetch_add(1, std::memory_order_relaxed);
     if (i >= n) {
       break;
     }
-    (*fn)(i);
+    fn(i);
     ++done_here;
   }
-  if (done_here > 0) {
-    std::lock_guard<std::mutex> lock(mu_);
-    completed_ += done_here;
-    if (completed_ == n) {
-      done_cv_.notify_all();
-    }
+  std::lock_guard<std::mutex> lock(mu_);
+  completed_ += done_here;
+  --active_;
+  if (completed_ == n && active_ == 0) {
+    done_cv_.notify_all();
   }
 }
 
 void WorkerPool::ThreadMain() {
   uint64_t seen_batch = 0;
   for (;;) {
+    const std::function<void(size_t)>* fn = nullptr;
+    size_t n = 0;
     {
       std::unique_lock<std::mutex> lock(mu_);
       work_cv_.wait(lock, [&] { return shutdown_ || batch_id_ != seen_batch; });
@@ -63,8 +62,16 @@ void WorkerPool::ThreadMain() {
         return;
       }
       seen_batch = batch_id_;
+      if (fn_ == nullptr) {
+        continue;  // woke after that batch already finished
+      }
+      // Joining under the lock pins the batch: ParallelFor cannot return, clear fn_ or reset
+      // next_index_ for the next batch until this thread has left it.
+      fn = fn_;
+      n = batch_size_;
+      ++active_;
     }
-    WorkOn();
+    WorkOn(*fn, n);
   }
 }
 
@@ -83,13 +90,14 @@ void WorkerPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
     fn_ = &fn;
     batch_size_ = n;
     completed_ = 0;
+    active_ = 1;  // the caller
     next_index_.store(0, std::memory_order_relaxed);
     ++batch_id_;
   }
   work_cv_.notify_all();
-  WorkOn();  // the caller pulls indices too
+  WorkOn(fn, n);  // the caller pulls indices too
   std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [&] { return completed_ == batch_size_; });
+  done_cv_.wait(lock, [&] { return completed_ == n && active_ == 0; });
   fn_ = nullptr;
 }
 

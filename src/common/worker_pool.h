@@ -43,7 +43,8 @@ class WorkerPool {
 
  private:
   void ThreadMain();
-  void WorkOn();  // pull indices until the current batch drains
+  // Pulls indices of the current batch until it drains, then leaves it (active_).
+  void WorkOn(const std::function<void(size_t)>& fn, size_t n);
 
   const int workers_;
   std::vector<std::thread> threads_;
@@ -56,6 +57,7 @@ class WorkerPool {
   uint64_t batch_id_ = 0;             // bumped per ParallelFor so threads see a fresh batch
   std::atomic<size_t> next_index_{0};
   size_t completed_ = 0;              // guarded by mu_
+  int active_ = 0;                    // threads inside the current batch; guarded by mu_
   bool shutdown_ = false;
 };
 

@@ -39,12 +39,12 @@ std::optional<DevPtr> SimDevice::DevMalloc(uint64_t size) {
   if (physical_used() + aligned > capacity_) {
     return std::nullopt;
   }
-  auto fit = classic_free_.FirstFit(aligned);
+  // The lowest-addressed free region that fits: the first-fit placement cudaMalloc models.
+  const std::optional<DevPtr> fit = classic_free_.TakeFirstFit(aligned);
   if (!fit.has_value()) {
     return std::nullopt;  // address space fragmented (rare: arena == capacity)
   }
-  const DevPtr addr = fit->lo;
-  classic_free_.Erase(addr, addr + aligned);
+  const DevPtr addr = *fit;
   classic_allocs_.emplace(addr, aligned);
   classic_used_ += aligned;
   UpdatePeak();

@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "src/common/units.h"
-#include "src/interval/interval_set.h"
+#include "src/interval/first_fit_index.h"
 
 namespace stalloc {
 
@@ -112,9 +112,11 @@ class SimDevice {
   // Free-space telemetry of the classic arena, for cluster-level fragmentation metrics:
   // total free address space and the largest single contiguous free region. VMM-based
   // allocators leave the classic arena untouched (their fragmentation is internal to handles),
-  // so these report the arena as fully free under expandable-segments/GMLake tenants.
-  uint64_t classic_free_total() const { return classic_free_.TotalLength(); }
-  uint64_t classic_largest_free() const { return classic_free_.MaxIntervalLength(); }
+  // so these report the arena as fully free under expandable-segments/GMLake tenants. Both are
+  // cheap enough to sample every scheduling window: the total is kept running, and the largest
+  // region is read from the arena index's top size class only.
+  uint64_t classic_free_total() const { return classic_free_.total(); }
+  uint64_t classic_largest_free() const { return classic_free_.largest(); }
   uint64_t physical_peak() const { return physical_peak_; }
   uint64_t classic_used() const { return classic_used_; }
   uint64_t handle_used() const { return handle_used_; }
@@ -142,8 +144,8 @@ class SimDevice {
   DeviceCostModel cost_;
   DeviceApiCounters counters_;
 
-  // Classic allocator state: free intervals of the classic arena.
-  IntervalSet classic_free_;
+  // Classic allocator state: free ranges of the classic arena, first-fit indexed.
+  FirstFitIndex classic_free_;
   std::map<DevPtr, uint64_t> classic_allocs_;  // addr -> size
   uint64_t classic_used_ = 0;
 

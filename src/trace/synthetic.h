@@ -22,9 +22,11 @@
 namespace stalloc {
 
 // A deterministic cache storm: one malloc or free per tick, steered toward ~1.5k
-// concurrently-live blocks, sizes drawn from a fixed palette of a few dozen recurring values
-// (the size-distribution shape of §2.3, Fig. 3). Random-order frees keep the caching-style free
-// lists deep — the path the size-bucketed BestFitIndex replaced the flat ordered-set search on.
+// concurrently-live blocks, request sizes drawn from a fixed palette of a few dozen recurring
+// values (the size-distribution shape of §2.3, Fig. 3). Random-order frees keep the caching-style
+// free lists deep — the path the size-bucketed BestFitIndex replaced the flat ordered-set search
+// on. Only the requests recur: the free blocks that splits and coalescing leave behind take many
+// more distinct sizes (see src/allocators/free_index.h).
 //
 // The generator must stay byte-stable across revisions: recorded perf baselines and the
 // pinned-placement regression tests are only comparable on identical traces.

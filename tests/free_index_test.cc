@@ -7,11 +7,15 @@
 //     insert/erase/pop interleavings, asserting identical decisions op by op;
 //   * pinned placement: Ma/Mr of the refactored caching/expandable/GMLake allocators over a
 //     recorded storm trace and a training trace must equal values recorded from the pre-refactor
-//     (seed) allocators.
+//     (seed) allocators, and the address-level placement digests of `native` and `paged-kv`
+//     must equal those recorded before SimDevice's arena was indexed.
 
 #include <cstdint>
+#include <map>
+#include <memory>
 #include <optional>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -21,9 +25,11 @@
 #include "src/allocators/expandable_segments.h"
 #include "src/allocators/free_index.h"
 #include "src/allocators/gmlake.h"
+#include "src/allocators/registry.h"
 #include "src/common/units.h"
 #include "src/driver/replay.h"
 #include "src/gpu/sim_device.h"
+#include "src/replay/replay_engine.h"
 #include "src/trace/synthetic.h"
 #include "src/trainsim/model_config.h"
 #include "src/trainsim/workload.h"
@@ -35,9 +41,13 @@ namespace {
 // lower_bound. The index under test must reproduce its decisions exactly.
 class FlatReference {
  public:
-  void Insert(uint64_t size, uint64_t addr) { set_.emplace(size, addr); }
+  void Insert(uint64_t size, uint64_t addr) {
+    set_.emplace(size, addr);
+    ++per_size_[size];
+  }
   void Erase(uint64_t size, uint64_t addr) {
     ASSERT_EQ(set_.erase({size, addr}), 1u) << "reference erase of unknown block";
+    Forget(size);
   }
   std::optional<std::pair<uint64_t, uint64_t>> PopBestFit(uint64_t min_size) {
     auto it = set_.lower_bound({min_size, 0});
@@ -46,6 +56,7 @@ class FlatReference {
     }
     auto best = *it;
     set_.erase(it);
+    Forget(best.first);
     return best;
   }
   std::optional<std::pair<uint64_t, uint64_t>> BestFit(uint64_t min_size) const {
@@ -53,10 +64,18 @@ class FlatReference {
     return it == set_.end() ? std::nullopt : std::optional<std::pair<uint64_t, uint64_t>>(*it);
   }
   size_t size() const { return set_.size(); }
+  size_t distinct_sizes() const { return per_size_.size(); }
   uint64_t largest_size() const { return set_.empty() ? 0 : set_.rbegin()->first; }
 
  private:
+  void Forget(uint64_t size) {
+    if (--per_size_[size] == 0) {
+      per_size_.erase(size);
+    }
+  }
+
   std::set<std::pair<uint64_t, uint64_t>> set_;
+  std::map<uint64_t, size_t> per_size_;  // live blocks per distinct size
 };
 
 TEST(BestFitIndex, EmptyIndexFindsNothing) {
@@ -214,6 +233,79 @@ TEST(BestFitIndex, FuzzMatchesFlatSetReference) {
   }
 }
 
+// Free-block sizes, unlike request sizes, do not recur: every best-fit split leaves a remainder
+// of a fresh size. Thousands of distinct 512-multiple sizes with split-remainder churn make
+// buckets empty far faster than the 32-size palette above, so the empty-bucket compaction runs
+// over and over; every decision must still match the flat set, and the size array must stay
+// within the compaction bound (2 x non-empty + 64 buckets) after every op.
+TEST(BestFitIndex, ManyDistinctSizesCompactWithinBoundAndMatchReference) {
+  BestFitIndex index;
+  FlatReference ref;
+  uint64_t rng = 2002;
+  auto rnd = [&rng]() {
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    return rng;
+  };
+  constexpr uint64_t kMaxUnits = 8192;  // sizes up to 4 MiB in 512-byte units
+  constexpr uint64_t kStride = 8 * MiB;  // fresh blocks never overlap, so addresses are unique
+  std::vector<std::pair<uint64_t, uint64_t>> live;
+  uint64_t next_base = 1;
+  size_t compactions = 0;
+  for (int op = 0; op < 40000; ++op) {
+    const size_t buckets_before = index.num_size_buckets();
+    const uint64_t dice = rnd() % 100;
+    // Steer toward a few hundred live blocks so empties regularly outnumber live buckets.
+    const bool grow = live.size() < 300;
+    if (live.empty() || dice < (grow ? 55u : 35u)) {
+      const uint64_t size = 512 * (1 + rnd() % kMaxUnits);
+      const uint64_t addr = (next_base++) * kStride;
+      index.Insert(size, addr);
+      ref.Insert(size, addr);
+      live.emplace_back(size, addr);
+    } else if (dice < 50) {
+      const size_t pick = rnd() % live.size();
+      const auto [size, addr] = live[pick];
+      live[pick] = live.back();
+      live.pop_back();
+      index.Erase(size, addr);
+      ref.Erase(size, addr);
+    } else if (dice < 90) {
+      // Pop a best fit and free the split remainder back, as the caching allocator does.
+      const uint64_t want = 512 * (1 + rnd() % kMaxUnits);
+      auto got = index.PopBestFit(want);
+      auto expect = ref.PopBestFit(want);
+      ASSERT_EQ(got, expect) << "op " << op << " want " << want;
+      if (got.has_value()) {
+        for (size_t i = 0; i < live.size(); ++i) {
+          if (live[i] == *got) {
+            live[i] = live.back();
+            live.pop_back();
+            break;
+          }
+        }
+        if (got->first > want) {
+          const uint64_t rest = got->first - want;
+          index.Insert(rest, got->second + want);
+          ref.Insert(rest, got->second + want);
+          live.emplace_back(rest, got->second + want);
+        }
+      }
+    } else {
+      const uint64_t want = 1 + rnd() % (kMaxUnits * 512);
+      ASSERT_EQ(index.BestFit(want), ref.BestFit(want)) << "op " << op;
+    }
+    if (index.num_size_buckets() + 1 < buckets_before) {
+      ++compactions;
+    }
+    ASSERT_EQ(index.size(), ref.size());
+    ASSERT_EQ(index.largest_size(), ref.largest_size());
+    ASSERT_LE(index.num_size_buckets(), 2 * ref.distinct_sizes() + 64) << "op " << op;
+  }
+  EXPECT_GE(compactions, 10u);
+}
+
 // --- pinned placement: the refactored allocators vs. the seed allocators ---
 
 struct GoldenRun {
@@ -272,6 +364,32 @@ TEST(PinnedPlacement, TrainingTraceMatchesSeedAllocators) {
     GMLakeAllocator alloc(&dev);
     ExpectPinnedPlacement(train, &alloc, {7108921600ull, 7992246272ull});
   }
+}
+
+// Ma/Mr cannot pin the kinds that hand device addresses straight through: `native` returns
+// SimDevice::DevMalloc's first-fit address for every request and `paged-kv` carves its slabs out
+// of the same arena, so their Mr is address-blind. Pin their full placement sequence instead —
+// every (event, address, size) folded into a PlacementDigestObserver digest — recorded from the
+// linear IntervalSet::FirstFit arena that the indexed first-fit arena replaced.
+uint64_t PlacementDigest(const Trace& trace, const std::string& kind) {
+  SimDevice dev(64ull * GiB);
+  std::unique_ptr<Allocator> alloc = AllocatorRegistry::Global().Create(kind, &dev);
+  PlacementDigestObserver digest;
+  EXPECT_FALSE(ReplayTrace(trace, alloc.get(), &digest).oom) << kind;
+  return digest.digest();
+}
+
+TEST(PinnedPlacement, NativeAndPagedKvAddressDigests) {
+  const Trace storm = BuildStormTrace(10000, 42);
+  TrainConfig config;
+  config.parallel.pp = 2;
+  config.num_microbatches = 4;
+  config.micro_batch_size = 4;
+  const Trace train = WorkloadBuilder(Gpt2_345M(), config).Build(2);
+  EXPECT_EQ(PlacementDigest(storm, "native"), 0xac7310b4caf2ca95ull);
+  EXPECT_EQ(PlacementDigest(storm, "paged-kv"), 0xdb98a3cd0da53261ull);
+  EXPECT_EQ(PlacementDigest(train, "native"), 0xce4dfc4b016e7e92ull);
+  EXPECT_EQ(PlacementDigest(train, "paged-kv"), 0xe520557d0358578aull);
 }
 
 // Placement must also be run-to-run deterministic: two fresh replays of the same storm hand out

@@ -1,10 +1,16 @@
 #include "src/gpu/sim_device.h"
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
+#include <optional>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/common/rng.h"
 #include "src/common/units.h"
+#include "src/interval/interval_set.h"
 
 namespace stalloc {
 namespace {
@@ -156,6 +162,127 @@ TEST(SimDevice, ClassicAndVmmShareCapacity) {
   EXPECT_FALSE(dev.MemCreate(6 * MiB).has_value());
   dev.DevFree(*a);
   EXPECT_TRUE(dev.MemCreate(6 * MiB).has_value());
+}
+
+// The classic arena as it was before it was indexed: one IntervalSet of free ranges searched by
+// its linear FirstFit, the shared physical budget check, and the address -> size ledger. The
+// indexed arena must reproduce every decision of this reference.
+class LinearArenaReference {
+ public:
+  LinearArenaReference(uint64_t base, uint64_t capacity) : capacity_(capacity) {
+    free_.Insert(base, base + capacity);
+  }
+
+  std::optional<uint64_t> Malloc(uint64_t size) {
+    if (size == 0) {
+      return std::nullopt;
+    }
+    const uint64_t aligned = AlignUp(size, SimDevice::kMallocAlign);
+    if (used_ + aligned > capacity_) {
+      return std::nullopt;
+    }
+    const std::optional<Interval> fit = free_.FirstFit(aligned);
+    if (!fit.has_value()) {
+      return std::nullopt;
+    }
+    free_.Erase(fit->lo, fit->lo + aligned);
+    allocs_.emplace(fit->lo, aligned);
+    used_ += aligned;
+    return fit->lo;
+  }
+
+  DeviceStatus Free(uint64_t ptr) {
+    auto it = allocs_.find(ptr);
+    if (it == allocs_.end()) {
+      return DeviceStatus::kInvalidArgument;
+    }
+    free_.Insert(ptr, ptr + it->second);
+    used_ -= it->second;
+    allocs_.erase(it);
+    return DeviceStatus::kOk;
+  }
+
+  uint64_t used() const { return used_; }
+  const IntervalSet& free_ranges() const { return free_; }
+
+ private:
+  uint64_t capacity_;
+  uint64_t used_ = 0;
+  IntervalSet free_;
+  std::map<uint64_t, uint64_t> allocs_;
+};
+
+// Random DevMalloc/DevFree against the linear reference: sizes straddling power-of-two class
+// boundaries, exact fits of existing holes, frees that coalesce on both sides, invalid frees,
+// and fill phases that fragment the arena all the way to OOM. After every op the returned
+// address or status, the free total and the largest free region must match.
+TEST(SimDevice, IndexedArenaMatchesLinearFirstFitReference) {
+  constexpr uint64_t kCapacity = 64 * MiB;
+  const uint64_t base = *SimDevice(kCapacity).DevMalloc(1);  // first fit of an empty arena
+  SimDevice dev(kCapacity);
+  LinearArenaReference ref(base, kCapacity);
+  Rng rng(77);
+  std::vector<uint64_t> live;
+  bool filling = true;
+  int physical_ooms = 0, fragmented_ooms = 0, exact_fits = 0, two_sided_merges = 0;
+
+  for (int op = 0; op < 30000; ++op) {
+    const uint64_t dice = rng.NextBelow(100);
+    if (filling ? dice < 80 : dice < 15) {
+      uint64_t size = 0;
+      const std::vector<Interval> holes = ref.free_ranges().ToVector();
+      if (dice < 40) {
+        // Around a class boundary 2^k: one size class below, on, or above it.
+        const uint64_t pow = uint64_t{1} << rng.NextInRange(9, 24);
+        const uint64_t deltas[] = {0, 1, 511, 512, pow - 512, pow - 1};
+        const uint64_t d = deltas[rng.NextBelow(6)];
+        size = rng.NextBelow(2) == 0 ? pow + d : pow - std::min(d, pow - 1);
+      } else if (dice < 60 && !holes.empty()) {
+        size = holes[rng.NextBelow(holes.size())].length();  // an exact fit
+        ++exact_fits;
+      } else {
+        size = rng.NextInRange(1, 2 * MiB);
+      }
+      const std::optional<uint64_t> want = ref.Malloc(size);
+      const std::optional<DevPtr> got = dev.DevMalloc(size);
+      ASSERT_EQ(got, want) << "op " << op << " size " << size;
+      if (want.has_value()) {
+        live.push_back(*want);
+      } else {
+        const uint64_t aligned = AlignUp(size, SimDevice::kMallocAlign);
+        (ref.used() + aligned > kCapacity ? physical_ooms : fragmented_ooms)++;
+        filling = false;  // drain, then fill again
+      }
+    } else if (dice < 97 && !live.empty()) {
+      const size_t pick = rng.NextBelow(live.size());
+      const uint64_t ptr = live[pick];
+      live[pick] = live.back();
+      live.pop_back();
+      const size_t ranges_before = ref.free_ranges().interval_count();
+      ASSERT_EQ(dev.DevFree(ptr), ref.Free(ptr)) << "op " << op;
+      if (ref.free_ranges().interval_count() + 1 == ranges_before) {
+        ++two_sided_merges;
+      }
+      if (ref.used() < kCapacity / 3) {
+        filling = true;
+      }
+    } else {
+      // Never a live allocation: a misaligned interior pointer, or the end of the arena.
+      uint64_t ptr = base + kCapacity;
+      if (!live.empty()) {
+        ptr = live[rng.NextBelow(live.size())] + rng.NextInRange(1, 511);
+      }
+      ASSERT_EQ(dev.DevFree(ptr), ref.Free(ptr)) << "op " << op;
+    }
+    ASSERT_EQ(dev.classic_free_total(), ref.free_ranges().TotalLength()) << "op " << op;
+    ASSERT_EQ(dev.classic_largest_free(), ref.free_ranges().MaxIntervalLength()) << "op " << op;
+    ASSERT_EQ(dev.classic_used(), ref.used()) << "op " << op;
+  }
+  // The walk must actually have reached every path it claims to cover.
+  EXPECT_GT(physical_ooms, 0);
+  EXPECT_GT(fragmented_ooms, 0);
+  EXPECT_GT(exact_fits, 0);
+  EXPECT_GT(two_sided_merges, 0);
 }
 
 }  // namespace
