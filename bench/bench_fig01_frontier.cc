@@ -48,13 +48,13 @@ int main() {
     opt.capacity_bytes = usable;
     // Aggregate across the boundary ranks by job semantics: the job OOMs/thrashes if any rank
     // does, and its memory footprint is the worst rank's reservation.
-    auto run_job = [&](AllocatorKind kind) {
+    auto run_job = [&](std::string_view allocator) {
       ExperimentResult job;
       bool first = true;
       for (int rank : BoundaryRanks(c.parallel)) {
         c.rank = rank;
         WorkloadBuilder wb(Llama2_7B(), c);
-        ExperimentResult r = RunExperiment(wb, kind, opt);
+        ExperimentResult r = RunExperiment(wb, allocator, opt);
         if (first) {
           job = r;
           first = false;
@@ -68,8 +68,8 @@ int main() {
       }
       return job;
     };
-    ExperimentResult torch = run_job(AllocatorKind::kCaching);
-    ExperimentResult st = run_job(AllocatorKind::kSTAlloc);
+    ExperimentResult torch = run_job("torch-caching");
+    ExperimentResult st = run_job("stalloc");
     ThroughputEstimate est = EstimateThroughput(Llama2_7B(), c, GpuSpec::A800());
     // "thrashes": the run completed, but only by repeatedly releasing cached segments and
     // re-allocating them with native API calls — thousands of synchronizing cudaMalloc/cudaFree

@@ -72,8 +72,8 @@ int main(int argc, char** argv) {
   ReportSink sink("fig08_allocators", json_path);
   sink.Meta("capacity_bytes", kA800Capacity);
   Json allocator_names = Json::Array();
-  for (AllocatorKind kind : PaperAllocators()) {
-    allocator_names.Add(AllocatorKindName(kind));
+  for (const std::string& allocator : PaperAllocators()) {
+    allocator_names.Add(allocator);
   }
   sink.Meta("allocators", std::move(allocator_names));
   Json setups_json = Json::Array();
@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
     // (VPP) still completes under the caching allocator — the paper's selection rule.
     TrainConfig probe = ApplyConfigTag(base, "V");
     const uint64_t mb =
-        MaxFeasibleMicrobatch(model, probe, AllocatorKind::kCaching, kA800Capacity, max_mb);
+        MaxFeasibleMicrobatch(model, probe, "torch-caching", kA800Capacity, max_mb);
     if (mb == 0) {
       // The probe starts at mb=1, so this means even the smallest microbatch OOMs.
       std::fprintf(stderr,
@@ -118,13 +118,13 @@ int main(int argc, char** argv) {
       spec.options.capacity_bytes = kA800Capacity;
       Json results_json = Json::Array();
       std::vector<std::string> row = {tag};
-      for (AllocatorKind kind : PaperAllocators()) {
+      for (const std::string& allocator : PaperAllocators()) {
         // Worst boundary rank (first stage: deepest 1F1B stack; last: vocab-sized logits).
         RunRecord worst;
         bool first = true;
         for (int rank : BoundaryRanks(spec.train.parallel)) {
           spec.train.rank = rank;
-          RunRecord r = session.RunOne(spec, AllocatorKindName(kind));
+          RunRecord r = session.RunOne(spec, allocator);
           if (first || WorseOutcome(!r.ok(), r.memory_efficiency, !worst.ok(),
                                     worst.memory_efficiency)) {
             worst = std::move(r);

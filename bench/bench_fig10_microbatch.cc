@@ -27,10 +27,10 @@ int main() {
     TrainConfig c = base;
     c.micro_batch_size = mb;
     std::vector<std::string> row = {StrFormat("%llu", static_cast<unsigned long long>(mb))};
-    for (AllocatorKind kind : PaperAllocators()) {
+    for (const std::string& allocator : PaperAllocators()) {
       ExperimentOptions opt;
       opt.capacity_bytes = kA800Capacity;
-      row.push_back(EffCell(RunWorstRank(Llama2_7B(), c, kind, opt)));
+      row.push_back(EffCell(RunWorstRank(Llama2_7B(), c, allocator, opt)));
     }
     table.AddRow(row);
   }

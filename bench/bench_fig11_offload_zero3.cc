@@ -24,10 +24,10 @@ int main() {
     c.opt.zero = ZeroStage::kStage3;
     c.opt.offload = true;
     std::vector<std::string> row = {StrFormat("%llu", static_cast<unsigned long long>(batch))};
-    for (AllocatorKind kind : PaperAllocators()) {
+    for (const std::string& allocator : PaperAllocators()) {
       ExperimentOptions opt;
       opt.capacity_bytes = kA800Capacity;
-      row.push_back(EffCell(RunWorstRank(Gpt2_345M(), c, kind, opt)));
+      row.push_back(EffCell(RunWorstRank(Gpt2_345M(), c, allocator, opt)));
     }
     table.AddRow(row);
   }

@@ -13,11 +13,10 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "bench/bench_util.h"
-#include "src/allocators/expandable_segments.h"
-#include "src/allocators/gmlake.h"
 #include "src/core/planner.h"
 #include "src/core/profiler.h"
 #include "src/driver/replay.h"
@@ -30,7 +29,7 @@ using namespace stalloc;
 // Replays two iterations and returns the device API cost of the second (steady-state) one.
 // Returns a negative value on OOM.
 double SteadyStateApiCostUs(const ModelConfig& model, const TrainConfig& config,
-                            AllocatorKind kind, uint64_t capacity, uint64_t frag_limit,
+                            std::string_view allocator, uint64_t capacity, uint64_t frag_limit,
                             double vmm_sync_penalty_us) {
   WorkloadBuilder workload(model, config);
   DeviceCostModel cost;
@@ -40,27 +39,22 @@ double SteadyStateApiCostUs(const ModelConfig& model, const TrainConfig& config,
   SimDevice device(capacity, cost);
   std::unique_ptr<Allocator> alloc;
   std::unique_ptr<STAllocAllocator> stalloc_alloc;
-  if (kind == AllocatorKind::kSTAlloc) {
+  if (RequiresPlan(allocator)) {
     ProfileResult profile = ProfileWorkload(workload, capacity, /*iteration_seed=*/1);
     if (!profile.feasible) {
       return -1.0;
     }
     SynthesisResult synthesis = SynthesizePlan(profile.trace);
     stalloc_alloc = std::make_unique<STAllocAllocator>(&device, std::move(synthesis.plan),
-                                                       std::move(synthesis.dyn_space));
+                                                       std::move(synthesis.dyn_space),
+                                                       STAllocConfigFor(allocator));
     if (!stalloc_alloc->Init()) {
       return -1.0;
     }
-  } else if (kind == AllocatorKind::kCaching) {
-    alloc = std::make_unique<CachingAllocator>(&device);
-  } else if (kind == AllocatorKind::kExpandable) {
-    alloc = std::make_unique<ExpandableSegmentsAllocator>(&device);
   } else {
-    GMLakeConfig gc;
-    if (frag_limit != 0) {
-      gc.frag_limit = frag_limit;
-    }
-    alloc = std::make_unique<GMLakeAllocator>(&device, gc);
+    AllocatorOptions options;
+    options.gmlake_frag_limit = frag_limit;  // 0 keeps GMLake's default; other kinds ignore it
+    alloc = AllocatorRegistry::Global().Create(allocator, &device, options);
   }
   Allocator* active = stalloc_alloc ? stalloc_alloc.get() : alloc.get();
 
@@ -94,8 +88,7 @@ void PrintThroughputTable(const char* title, double pressure_factor) {
     base.num_microbatches = 8;
     base.opt.recompute = RecomputeMode::kFull;
     base.opt.zero = ZeroStage::kStage1;
-    const uint64_t mb =
-        MaxFeasibleMicrobatch(c.model, base, AllocatorKind::kCaching, kA800Capacity);
+    const uint64_t mb = MaxFeasibleMicrobatch(c.model, base, "torch-caching", kA800Capacity);
     base.micro_batch_size = std::max<uint64_t>(1, mb);
 
     // Under the pressure scenario, shrink the device to sit just above STAlloc's reservation
@@ -106,7 +99,7 @@ void PrintThroughputTable(const char* title, double pressure_factor) {
       ExperimentOptions opt;
       opt.capacity_bytes = kA800Capacity;
       WorkloadBuilder wb(c.model, base);
-      ExperimentResult st = RunExperiment(wb, AllocatorKind::kSTAlloc, opt);
+      ExperimentResult st = RunExperiment(wb, "stalloc", opt);
       capacity = static_cast<uint64_t>(static_cast<double>(st.reserved_peak) * pressure_factor);
       penalty_us = 5000;  // conservative vs the ~30 ms/op the paper measures
     }
@@ -114,13 +107,13 @@ void PrintThroughputTable(const char* title, double pressure_factor) {
     // Baseline: the caching allocator with ample memory (the paper's "identical configuration"
     // normalization).
     const double base_cost =
-        SteadyStateApiCostUs(c.model, base, AllocatorKind::kCaching, kA800Capacity, 0, 0);
+        SteadyStateApiCostUs(c.model, base, "torch-caching", kA800Capacity, 0, 0);
     const double torch =
         EstimateThroughput(c.model, base, GpuSpec::A800(), base_cost).model_tflops;
 
-    auto tput = [&](AllocatorKind kind, uint64_t frag_limit) {
+    auto tput = [&](std::string_view allocator, uint64_t frag_limit) {
       const double cost =
-          SteadyStateApiCostUs(c.model, base, kind, capacity, frag_limit, penalty_us);
+          SteadyStateApiCostUs(c.model, base, allocator, capacity, frag_limit, penalty_us);
       if (cost < 0) {
         return -1.0;
       }
@@ -129,11 +122,9 @@ void PrintThroughputTable(const char* title, double pressure_factor) {
     auto cell = [&](double t) {
       return t < 0 ? std::string("OOM") : StrFormat("%.1f%%", t / torch * 100.0);
     };
-    table.AddRow({c.name, cell(tput(AllocatorKind::kCaching, 0)),
-                  cell(tput(AllocatorKind::kGMLake, 0)),
-                  cell(tput(AllocatorKind::kExpandable, 0)),
-                  cell(tput(AllocatorKind::kSTAlloc, 0)),
-                  cell(tput(AllocatorKind::kGMLake, 64 * MiB))});
+    table.AddRow({c.name, cell(tput("torch-caching", 0)), cell(tput("gmlake", 0)),
+                  cell(tput("torch-expandable", 0)), cell(tput("stalloc", 0)),
+                  cell(tput("gmlake", 64 * MiB))});
   }
   table.Print();
   std::printf("\n");

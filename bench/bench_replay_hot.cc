@@ -129,10 +129,8 @@ HotResult RunEntry(const AllocatorRegistry::Entry& entry, const Trace* trace,
     SimDevice device(kCapacity);
     std::unique_ptr<Allocator> alloc;
     if (entry.requires_plan) {
-      STAllocConfig config;
-      config.enable_dynamic_reuse = entry.kind == AllocatorKind::kSTAlloc;
       auto st = std::make_unique<STAllocAllocator>(&device, synthesis.plan, synthesis.dyn_space,
-                                                   config);
+                                                   STAllocConfigFor(entry.name));
       if (!st->Init()) {
         out.oom = true;
         return out;

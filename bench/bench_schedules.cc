@@ -40,8 +40,8 @@ int main() {
     const uint64_t peak = PeakAllocated(wb.Build(1));
     ExperimentOptions opt;
     opt.capacity_bytes = kA800Capacity;
-    ExperimentResult torch = RunExperiment(wb, AllocatorKind::kCaching, opt);
-    ExperimentResult st = RunExperiment(wb, AllocatorKind::kSTAlloc, opt);
+    ExperimentResult torch = RunExperiment(wb, "torch-caching", opt);
+    ExperimentResult st = RunExperiment(wb, "stalloc", opt);
     table.AddRow({v.name, FormatBytes(peak), EffCell(torch), EffCell(st)});
   }
   table.Print();

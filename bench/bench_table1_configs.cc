@@ -38,8 +38,8 @@ int main() {
   // Pick the microbatch at the feasibility edge of the *original* config: theoretically fits
   // (native profiling succeeds) but leaves little headroom for fragmentation. Linear search
   // lands exactly at the edge.
-  const uint64_t mb = MaxFeasibleMicrobatch(model, original, AllocatorKind::kNative,
-                                            kH200Capacity, /*max_mb=*/64, /*linear=*/true);
+  const uint64_t mb = MaxFeasibleMicrobatch(model, original, "native", kH200Capacity,
+                                            /*max_mb=*/64, /*linear=*/true);
   const Row rows[] = {{"Original (VPP, TP=2)", original},
                       {"Disable VPP", no_vpp},
                       {"Recomputation", recompute},
@@ -53,13 +53,13 @@ int main() {
     c.micro_batch_size = std::max<uint64_t>(1, mb);
     ExperimentOptions opt;
     opt.capacity_bytes = kH200Capacity;
-    auto mark = [&](AllocatorKind kind) {
-      ExperimentResult r = RunWorstRank(model, c, kind, opt);
+    auto mark = [&](std::string_view allocator) {
+      ExperimentResult r = RunWorstRank(model, c, allocator, opt);
       return std::string(r.oom || r.infeasible ? "OOM" : "ok");
     };
     ThroughputEstimate est = EstimateThroughput(model, c, GpuSpec::H200());
-    table.AddRow({row.name, mark(AllocatorKind::kCaching), mark(AllocatorKind::kExpandable),
-                  mark(AllocatorKind::kSTAlloc), StrFormat("%.1f", est.model_tflops)});
+    table.AddRow({row.name, mark("torch-caching"), mark("torch-expandable"), mark("stalloc"),
+                  StrFormat("%.1f", est.model_tflops)});
   }
   table.Print();
   return 0;

@@ -41,14 +41,14 @@ int main(int argc, char** argv) {
               trace.size());
 
   TextTable table({"allocator", "result", "efficiency", "reserved", "fragmentation"});
-  for (AllocatorKind kind : {AllocatorKind::kCaching, AllocatorKind::kExpandable,
-                             AllocatorKind::kGMLake, AllocatorKind::kSTAlloc}) {
-    ExperimentResult r = RunExperiment(workload, kind);
+  // Allocators are chosen by their registry names (see --list-allocs on stalloc_run).
+  for (const std::string allocator : {"torch-caching", "torch-expandable", "gmlake", "stalloc"}) {
+    ExperimentResult r = RunExperiment(workload, allocator);
     const char* status = r.infeasible ? "infeasible" : (r.oom ? "OOM" : "ok");
-    table.AddRow({AllocatorKindName(kind), status,
+    table.AddRow({allocator, status,
                   StrFormat("%.1f%%", r.memory_efficiency * 100.0),
                   FormatBytes(r.reserved_peak), FormatBytes(r.fragmentation_bytes)});
-    if (kind == AllocatorKind::kSTAlloc && !r.oom && !r.infeasible) {
+    if (allocator == "stalloc" && !r.oom && !r.infeasible) {
       std::printf("STAlloc plan: %s\n", r.plan_stats.ToString().c_str());
     }
   }

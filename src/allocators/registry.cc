@@ -16,19 +16,19 @@
 namespace stalloc {
 
 AllocatorRegistry::AllocatorRegistry() {
-  Register({"native", AllocatorKind::kNative, /*requires_plan=*/false,
+  Register({"native", /*requires_plan=*/false,
             [](SimDevice* device, const AllocatorOptions&) -> std::unique_ptr<Allocator> {
               return std::make_unique<NativeAllocator>(device);
             }});
-  Register({"torch-caching", AllocatorKind::kCaching, /*requires_plan=*/false,
+  Register({"torch-caching", /*requires_plan=*/false,
             [](SimDevice* device, const AllocatorOptions&) -> std::unique_ptr<Allocator> {
               return std::make_unique<CachingAllocator>(device);
             }});
-  Register({"torch-expandable", AllocatorKind::kExpandable, /*requires_plan=*/false,
+  Register({"torch-expandable", /*requires_plan=*/false,
             [](SimDevice* device, const AllocatorOptions&) -> std::unique_ptr<Allocator> {
               return std::make_unique<ExpandableSegmentsAllocator>(device);
             }});
-  Register({"gmlake", AllocatorKind::kGMLake, /*requires_plan=*/false,
+  Register({"gmlake", /*requires_plan=*/false,
             [](SimDevice* device, const AllocatorOptions& options) -> std::unique_ptr<Allocator> {
               GMLakeConfig config;
               if (options.gmlake_frag_limit != 0) {
@@ -37,9 +37,9 @@ AllocatorRegistry::AllocatorRegistry() {
               return std::make_unique<GMLakeAllocator>(device, config);
             },
             "gmlake.frag_limit=<bytes>"});
-  Register({"stalloc", AllocatorKind::kSTAlloc, /*requires_plan=*/true, nullptr});
-  Register({"stalloc-noreuse", AllocatorKind::kSTAllocNoReuse, /*requires_plan=*/true, nullptr});
-  Register({"paged-kv", AllocatorKind::kPagedKV, /*requires_plan=*/false,
+  Register({"stalloc", /*requires_plan=*/true, nullptr});
+  Register({"stalloc-noreuse", /*requires_plan=*/true, nullptr});
+  Register({"paged-kv", /*requires_plan=*/false,
             [](SimDevice* device, const AllocatorOptions& options) -> std::unique_ptr<Allocator> {
               PagedKVConfig config;
               if (options.paged_block_bytes != 0) {
@@ -48,7 +48,7 @@ AllocatorRegistry::AllocatorRegistry() {
               return std::make_unique<PagedKVAllocator>(device, config);
             },
             "paged.block_bytes=<bytes>"});
-  Register({"vmm", AllocatorKind::kVmm, /*requires_plan=*/false,
+  Register({"vmm", /*requires_plan=*/false,
             [](SimDevice* device, const AllocatorOptions& options) -> std::unique_ptr<Allocator> {
               VmmConfig config;
               if (options.vmm_granularity != 0) {
@@ -57,9 +57,6 @@ AllocatorRegistry::AllocatorRegistry() {
               return std::make_unique<VmmAllocator>(device, config);
             },
             "vmm.granularity=<bytes, pow2 >= 64KiB>"});
-  // A new enum value not registered above must fail here, not be silently unlistable.
-  STALLOC_CHECK_EQ(entries_.size(), static_cast<size_t>(AllocatorKind::kCount),
-                   << "built-in registry out of sync with AllocatorKind");
 }
 
 AllocatorRegistry& AllocatorRegistry::Global() {
@@ -80,18 +77,6 @@ void AllocatorRegistry::Register(Entry entry) {
 const AllocatorRegistry::Entry* AllocatorRegistry::Find(std::string_view name) const {
   for (const Entry& entry : entries_) {
     if (entry.name == name) {
-      return &entry;
-    }
-  }
-  return nullptr;
-}
-
-const AllocatorRegistry::Entry* AllocatorRegistry::Find(AllocatorKind kind) const {
-  if (kind == AllocatorKind::kCount) {
-    return nullptr;  // the sentinel never resolves, even if external kinds carry it as their tag
-  }
-  for (const Entry& entry : entries_) {
-    if (entry.kind == kind) {
       return &entry;
     }
   }
@@ -160,32 +145,6 @@ bool ParseAllocatorOption(std::string_view option, AllocatorOptions* options,
     *error = "unknown allocator option '" + std::string(key) + "'";
   }
   return false;
-}
-
-const char* AllocatorKindName(AllocatorKind kind) {
-  const AllocatorRegistry::Entry* entry = AllocatorRegistry::Global().Find(kind);
-  return entry == nullptr ? "?" : entry->name.c_str();
-}
-
-std::optional<AllocatorKind> ParseAllocatorKind(std::string_view name) {
-  const AllocatorRegistry::Entry* entry = AllocatorRegistry::Global().Find(name);
-  if (entry == nullptr || entry->kind == AllocatorKind::kCount) {
-    return std::nullopt;
-  }
-  return entry->kind;
-}
-
-std::vector<AllocatorKind> AllAllocatorKinds() {
-  // Derived from the registry (enum kinds only, registration = enum order), so the exhaustive
-  // listing has the same single source of truth as names and construction. The registry
-  // constructor's size check guarantees every enum value is registered.
-  std::vector<AllocatorKind> kinds;
-  for (const AllocatorRegistry::Entry& entry : AllocatorRegistry::Global().entries()) {
-    if (entry.kind != AllocatorKind::kCount) {
-      kinds.push_back(entry.kind);
-    }
-  }
-  return kinds;
 }
 
 }  // namespace stalloc

@@ -4,8 +4,9 @@
 // "gmlake", "stalloc", ...). The registry maps name -> factory over a typed AllocatorOptions
 // bag, so drivers, benches and tools never hard-code a construction switch: a new allocator
 // kind registers here once and is immediately listable (--list-allocs), parseable (--alloc)
-// and runnable everywhere. The AllocatorKind enum remains the cheap in-tree currency — a thin
-// compat shim whose names and exhaustive listing are themselves derived from the registry.
+// and runnable everywhere. The name is the only allocator identity: drivers, results, fleet
+// configs and JSON records all carry it, and an externally registered kind runs through every
+// driver exactly like a built-in one.
 //
 // The STAlloc kinds have registry entries (they must be nameable and listable) but no factory:
 // their construction runs through the offline profile + plan-synthesis pipeline
@@ -19,7 +20,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,18 +29,6 @@
 namespace stalloc {
 
 class SimDevice;
-
-enum class AllocatorKind : uint8_t {
-  kNative,        // direct cudaMalloc/cudaFree (profiling mode)
-  kCaching,       // PyTorch caching allocator
-  kExpandable,    // PyTorch expandable_segments
-  kGMLake,        // GMLake virtual-memory stitching
-  kSTAlloc,       // full STAlloc
-  kSTAllocNoReuse,  // STAlloc without dynamic reuse (Fig. 13 ablation)
-  kPagedKV,       // vLLM-style fixed-size block pool (serving-native baseline)
-  kVmm,           // two-level VMM allocator with remap-based compaction (src/vmm/)
-  kCount,         // sentinel — keeps AllAllocatorKinds() verifiably exhaustive
-};
 
 // Per-allocator construction overrides, forwarded to every factory. Each allocator reads only
 // its own fields; zero means "use the allocator's default".
@@ -69,11 +57,10 @@ class AllocatorRegistry {
       std::function<std::unique_ptr<Allocator>(SimDevice*, const AllocatorOptions&)>;
 
   struct Entry {
-    std::string name;                         // stable CLI / JSON name
-    AllocatorKind kind = AllocatorKind::kCount;  // compat enum tag (kCount for external kinds)
-    bool requires_plan = false;               // needs the offline profile+plan pipeline
-    Factory factory;                          // null iff requires_plan
-    std::string options_help;                 // --alloc-opt keys this kind reads ("" = none)
+    std::string name;            // stable CLI / JSON name
+    bool requires_plan = false;  // needs the offline profile+plan pipeline
+    Factory factory;             // null iff requires_plan
+    std::string options_help;    // --alloc-opt keys this kind reads ("" = none)
   };
 
   // A fresh registry pre-populated with the built-in kinds. Tests construct their own; everyone
@@ -88,40 +75,26 @@ class AllocatorRegistry {
 
   // nullptr when the name is unknown.
   const Entry* Find(std::string_view name) const;
-  // nullptr when no entry carries this enum tag.
-  const Entry* Find(AllocatorKind kind) const;
 
   // Constructs the named allocator over `device`. nullptr when the name is unknown or the
   // entry requires the offline plan pipeline.
   std::unique_ptr<Allocator> Create(std::string_view name, SimDevice* device,
                                     const AllocatorOptions& options = AllocatorOptions{}) const;
 
-  // Every registered name, in registration (enum) order. With `include_plan_kinds` false the
+  // Every registered name, in registration order. With `include_plan_kinds` false the
   // STAlloc kinds are filtered out (the shapes a shared fleet device can front).
   std::vector<std::string> Names(bool include_plan_kinds = true) const;
 
-  // Every entry, in registration order (AllAllocatorKinds and listings iterate this).
+  // Every entry, in registration order. The built-in order is stable: a kind's position here
+  // is what ClusterResult::Digest() mixes in for it.
   const std::deque<Entry>& entries() const { return entries_; }
 
   size_t size() const { return entries_.size(); }
 
  private:
-  // deque: Register() must not move existing entries — AllocatorKindName() hands out pointers
-  // into them.
+  // deque: Register() must not move existing entries — Find() hands out pointers into them.
   std::deque<Entry> entries_;
 };
-
-// --- compat shims over the registry (the enum remains the cheap in-tree currency) ---
-
-// Stable display/CLI name of `kind` ("?" for kCount). Backed by the registry entry.
-const char* AllocatorKindName(AllocatorKind kind);
-
-// Name -> kind round trip; nullopt for unknown names and for registered kinds that carry no
-// enum tag.
-std::optional<AllocatorKind> ParseAllocatorKind(std::string_view name);
-
-// Every kind, in enum order — keeps benches/tests in sync when kinds are added.
-std::vector<AllocatorKind> AllAllocatorKinds();
 
 }  // namespace stalloc
 

@@ -8,7 +8,7 @@ namespace stalloc {
 
 Json ToJson(const ExperimentResult& result) {
   Json j = Json::Object();
-  j.Set("allocator", AllocatorKindName(result.kind));
+  j.Set("allocator", result.allocator);
   j.Set("oom", result.oom);
   j.Set("infeasible", result.infeasible);
   j.Set("memory_efficiency", result.memory_efficiency);
@@ -149,7 +149,7 @@ Json ToJson(const DeviceMetrics& metrics) {
 Json ToJson(const ClusterResult& result) {
   Json j = Json::Object();
   j.Set("policy", SchedulerPolicyName(result.policy));
-  j.Set("allocator", AllocatorKindName(result.allocator));
+  j.Set("allocator", result.allocator);
   j.Set("jobs", result.num_jobs);
   j.Set("admitted", result.admitted);
   j.Set("completed", result.completed);

@@ -243,12 +243,6 @@ bool Session::Validate(const ExperimentSpec& spec, std::string* error) {
     if (entry == nullptr) {
       return fail("unknown allocator '" + name + "' (see --list-allocs)");
     }
-    if (entry->kind == AllocatorKind::kCount) {
-      // The drivers dispatch on the enum; externally registered kinds without a tag are
-      // creatable via the registry but not yet runnable through Session.
-      return fail("allocator '" + name +
-                  "' carries no AllocatorKind tag; Session dispatch requires one");
-    }
     if (spec.axis == WorkloadAxis::kCluster && entry->requires_plan) {
       return fail("allocator '" + name +
                   "' needs a per-job plan and cannot front a shared cluster device (it enters "
@@ -322,13 +316,11 @@ std::vector<RunRecord> Session::Run(const ExperimentSpec& spec) {
 
 RunRecord Session::RunOne(const ExperimentSpec& spec, const std::string& allocator, int repeat) {
   // Validate against the allocator actually run — it need not be in spec.allocators, and the
-  // per-allocator checks (known name, enum tag, plan-kind-on-cluster) must cover it.
+  // per-allocator checks (known name, plan-kind-on-cluster) must cover it.
   ExperimentSpec checked = spec;
   checked.allocators = {allocator};
   std::string error;
   STALLOC_CHECK(Validate(checked, &error), << "invalid spec: " << error);
-  const std::optional<AllocatorKind> kind = ParseAllocatorKind(allocator);
-  STALLOC_CHECK(kind.has_value(), << "unknown allocator '" << allocator << "'");
 
   if (spec.axis == WorkloadAxis::kCluster) {
     // spec.model is the one model knob: it overrides the workload config's own field so the
@@ -361,22 +353,22 @@ RunRecord Session::RunOne(const ExperimentSpec& spec, const std::string& allocat
   switch (spec.axis) {
     case WorkloadAxis::kTrainRank: {
       if (replay_view_ != nullptr) {
-        FillFromExperiment(RunTraceReplay(*replay_view_, *kind, options), &rec);
+        FillFromExperiment(RunTraceReplay(*replay_view_, allocator, options), &rec);
         break;
       }
       if (replay_trace_ != nullptr) {
-        FillFromExperiment(RunTraceReplay(*replay_trace_, *kind, options), &rec);
+        FillFromExperiment(RunTraceReplay(*replay_trace_, allocator, options), &rec);
         break;
       }
       STALLOC_CHECK(spec.trace_file.empty(),
                     << "spec.trace_file is set but no trace was preloaded; tools must open the "
                        "file and call SetReplayTrace before running");
       WorkloadBuilder workload(ModelByName(spec.model), spec.EffectiveTrain());
-      FillFromExperiment(RunExperiment(workload, *kind, options), &rec);
+      FillFromExperiment(RunExperiment(workload, allocator, options), &rec);
       break;
     }
     case WorkloadAxis::kTrainJob:
-      FillFromJob(RunJob(ModelByName(spec.model), spec.EffectiveTrain(), *kind, options), &rec);
+      FillFromJob(RunJob(ModelByName(spec.model), spec.EffectiveTrain(), allocator, options), &rec);
       break;
     case WorkloadAxis::kServing: {
       ServeScenario scenario = ScenarioByName(spec.scenario);
@@ -386,7 +378,7 @@ RunRecord Session::RunOne(const ExperimentSpec& spec, const std::string& allocat
       ServeOptions serve_options;
       serve_options.base = options;
       serve_options.engine = spec.engine;
-      FillFromServe(RunServeExperiment(ModelByName(spec.model), scenario, *kind, serve_options),
+      FillFromServe(RunServeExperiment(ModelByName(spec.model), scenario, allocator, serve_options),
                     &rec);
       break;
     }
@@ -416,8 +408,6 @@ RunRecord Session::RunClusterJobs(const ExperimentSpec& spec, const std::string&
   checked.allocators = {allocator};
   std::string error;
   STALLOC_CHECK(Validate(checked, &error), << "invalid spec: " << error);
-  const std::optional<AllocatorKind> kind = ParseAllocatorKind(allocator);
-  STALLOC_CHECK(kind.has_value(), << "unknown allocator '" << allocator << "'");
 
   Stopwatch total;
   telemetry::ScopedSpan span(telemetry::kCatSession,
@@ -436,11 +426,11 @@ RunRecord Session::RunClusterJobs(const ExperimentSpec& spec, const std::string&
   FleetConfig fleet;
   fleet.device_capacities.assign(static_cast<size_t>(spec.devices),
                                  spec.options.capacity_bytes);
-  fleet.allocator = *kind;
+  fleet.allocator = allocator;
   fleet.policy = SchedulerPolicyByName(spec.policy);
   fleet.max_oom_retries = spec.oom_retries;
   fleet.profile_seed = spec.options.profile_seed;
-  fleet.allocator_options = spec.options;  // only the AllocatorOptions overrides are read
+  fleet.allocator_options = spec.options.allocator_options;
   fleet.workers = spec.workers;
 
   FillFromCluster(RunCluster(fleet, jobs), &rec);

@@ -12,16 +12,6 @@
 
 namespace stalloc {
 
-std::vector<AllocatorKind> ClusterAllocatorKinds() {
-  std::vector<AllocatorKind> kinds;
-  for (AllocatorKind kind : AllAllocatorKinds()) {
-    if (kind != AllocatorKind::kSTAlloc && kind != AllocatorKind::kSTAllocNoReuse) {
-      kinds.push_back(kind);
-    }
-  }
-  return kinds;
-}
-
 const char* JobStatusName(JobStatus status) {
   switch (status) {
     case JobStatus::kQueued:
@@ -42,7 +32,7 @@ std::string ClusterResult::Summary() const {
   return StrFormat(
       "policy=%s alloc=%s jobs=%llu completed=%llu rejected(up=%llu oom=%llu) starved=%llu "
       "ooms=%llu util=%.1f%% slo=%.2f wait_p50=%.0f p99=%.0f",
-      SchedulerPolicyName(policy), AllocatorKindName(allocator),
+      SchedulerPolicyName(policy), allocator.c_str(),
       static_cast<unsigned long long>(num_jobs), static_cast<unsigned long long>(completed),
       static_cast<unsigned long long>(rejected_upfront),
       static_cast<unsigned long long>(rejected_oom), static_cast<unsigned long long>(starved),
@@ -86,7 +76,14 @@ class ResultHasher {
 std::string ClusterResult::Digest() const {
   ResultHasher h;
   h.Mix(static_cast<uint64_t>(policy));
-  h.Mix(static_cast<uint64_t>(allocator));
+  // The allocator enters as its registry position: built-in kinds register in a fixed order,
+  // so their positions (and the pinned digests) are stable.
+  const auto& entries = AllocatorRegistry::Global().entries();
+  uint64_t position = 0;
+  while (position < entries.size() && entries[position].name != allocator) {
+    ++position;
+  }
+  h.Mix(position);
   h.Mix(num_jobs);
   h.Mix(admitted);
   h.Mix(completed);

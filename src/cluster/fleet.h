@@ -1,7 +1,7 @@
 // Fleet: an event-driven multi-GPU cluster simulator over the shared Trace/Allocator interfaces.
 //
 // A Fleet owns N SimDevices (heterogeneous capacities allowed), each fronted by one long-lived
-// baseline allocator of the configured AllocatorKind — the whole simulated day flows through it,
+// baseline allocator of the configured registry kind — the whole simulated day flows through it,
 // so fragmentation accumulates across tenants exactly as it would on a real shared GPU. A
 // Scheduler (src/cluster/scheduler.h) admits jobs from a ClusterWorkload queue; each admitted
 // job becomes one tenant gang of the unified replay engine (src/replay/replay_engine.h) — one
@@ -16,7 +16,8 @@
 // STAlloc itself cannot be the *device* allocator here: its static plan is synthesized per job
 // trace, not per device, and a shared pool across unrelated tenants has no plan to follow.
 // STAlloc instead enters this layer through the plan-aware scheduler, which admits on the
-// planner's predicted per-rank reservation. Use ClusterAllocatorKinds() for the valid kinds.
+// planner's predicted per-rank reservation. AllocatorRegistry::Names(/*include_plan_kinds=*/
+// false) lists the kinds that can front a fleet device.
 
 #ifndef SRC_CLUSTER_FLEET_H_
 #define SRC_CLUSTER_FLEET_H_
@@ -34,14 +35,13 @@ namespace stalloc {
 
 struct FleetConfig {
   std::vector<uint64_t> device_capacities;  // one SimDevice per entry
-  AllocatorKind allocator = AllocatorKind::kCaching;  // must be in ClusterAllocatorKinds()
+  std::string allocator = "torch-caching";  // a registry kind without requires_plan
   SchedulerPolicy policy = SchedulerPolicy::kFirstFit;
   int max_oom_retries = 1;        // requeues after a runtime OOM before rejecting
   uint64_t profile_seed = 1001;   // plan-aware profiling seed (differs from job run seeds)
   GpuSpec gpu = GpuSpec::A800();  // feeds the serving SLO latency model
   double slo_slack_factor = 3.0;  // SLO bound = slack * ideal request latency
-  // Per-allocator overrides (gmlake_frag_limit, paged_block_bytes); capacity/seeds unused.
-  ExperimentOptions allocator_options;
+  AllocatorOptions allocator_options;  // per-allocator overrides for every device allocator
 
   // Parallel execution. Results are bit-identical for every workers/shards/assignment choice
   // (see sharded_fleet.cc); these knobs only trade wall-clock time.
@@ -51,10 +51,6 @@ struct FleetConfig {
   // Mainly for the determinism stress tests.
   std::vector<int> shard_assignment;
 };
-
-// Allocator kinds that can front a shared fleet device (every baseline kind; the STAlloc kinds
-// need a per-job offline plan and are excluded — see the header comment).
-std::vector<AllocatorKind> ClusterAllocatorKinds();
 
 enum class JobStatus : uint8_t {
   kQueued,           // still waiting when the simulation drained (should not normally happen)
@@ -98,7 +94,7 @@ struct DeviceMetrics {
 
 struct ClusterResult {
   SchedulerPolicy policy = SchedulerPolicy::kFirstFit;
-  AllocatorKind allocator = AllocatorKind::kCaching;
+  std::string allocator = "torch-caching";  // registry name
   uint64_t num_jobs = 0;
   uint64_t admitted = 0;          // jobs admitted at least once
   uint64_t completed = 0;

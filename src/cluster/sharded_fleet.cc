@@ -168,12 +168,12 @@ class ShardedClusterSim {
     for (size_t i = 0; i < num_devices; ++i) {
       DeviceState d;
       d.device = std::make_unique<SimDevice>(config.device_capacities[i]);
-      d.alloc =
-          MakeBaselineAllocator(config.allocator, d.device.get(), config.allocator_options);
+      d.alloc = AllocatorRegistry::Global().Create(config.allocator, d.device.get(),
+                                                   config.allocator_options);
       STALLOC_CHECK(d.alloc != nullptr,
-                    << "allocator kind '" << AllocatorKindName(config.allocator)
-                    << "' cannot front a shared fleet device (STAlloc kinds need a per-job "
-                       "plan; see ClusterAllocatorKinds())");
+                    << "allocator '" << config.allocator
+                    << "' cannot front a shared fleet device (unknown, or a plan kind that needs "
+                       "a per-job plan)");
       // Per-device heap-map label. Set here — the single construction point for serial and
       // sharded runs alike — so the label set is identical across worker counts and the
       // drained heap timeline stays bit-identical.

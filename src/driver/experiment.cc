@@ -24,15 +24,21 @@ std::string ExperimentResult::Summary() const {
                    static_cast<unsigned long long>(device_release_calls));
 }
 
-std::unique_ptr<Allocator> MakeBaselineAllocator(AllocatorKind kind, SimDevice* device,
-                                                 const ExperimentOptions& options) {
-  // Thin compat shim: construction lives in the registry (nullptr for the STAlloc kinds, which
-  // need the offline profile+plan pipeline, and for the kCount sentinel).
-  return AllocatorRegistry::Global().Create(AllocatorKindName(kind), device, options);
+bool RequiresPlan(std::string_view allocator) {
+  const AllocatorRegistry::Entry* entry = AllocatorRegistry::Global().Find(allocator);
+  STALLOC_CHECK(entry != nullptr, << "unknown allocator '" << allocator << "'");
+  return entry->requires_plan;
+}
+
+STAllocConfig STAllocConfigFor(std::string_view allocator) {
+  STAllocConfig config;
+  config.enable_dynamic_reuse = allocator != "stalloc-noreuse";
+  return config;
 }
 
 std::unique_ptr<STAllocAllocator> MakeSTAllocFromProfile(const ProfileResult& profile,
-                                                         AllocatorKind kind, SimDevice* device,
+                                                         std::string_view allocator,
+                                                         SimDevice* device,
                                                          ExperimentResult* result) {
   result->profile_wall_ms = profile.wall_ms;
   if (!profile.feasible) {
@@ -42,10 +48,9 @@ std::unique_ptr<STAllocAllocator> MakeSTAllocFromProfile(const ProfileResult& pr
   SynthesisResult synthesis = SynthesizePlan(profile.trace);
   result->plan_stats = synthesis.stats;
 
-  STAllocConfig config;
-  config.enable_dynamic_reuse = kind == AllocatorKind::kSTAlloc;
-  auto alloc = std::make_unique<STAllocAllocator>(
-      device, std::move(synthesis.plan), std::move(synthesis.dyn_space), config);
+  auto alloc = std::make_unique<STAllocAllocator>(device, std::move(synthesis.plan),
+                                                  std::move(synthesis.dyn_space),
+                                                  STAllocConfigFor(allocator));
   if (!alloc->Init()) {
     result->oom = true;
     return nullptr;
@@ -70,7 +75,7 @@ void FinishExperimentResult(const ReplayResult& replay, const Allocator& active,
   if (stalloc_alloc != nullptr) {
     result->breakdown = stalloc_alloc->breakdown();
   }
-  if (result->oom && result->kind == AllocatorKind::kNative) {
+  if (result->oom && result->allocator == "native") {
     result->infeasible = true;
   }
 }
@@ -78,14 +83,15 @@ void FinishExperimentResult(const ReplayResult& replay, const Allocator& active,
 namespace {
 
 ExperimentResult RunTraceReplayImpl(const Trace* trace, const TraceView* view,
-                                    AllocatorKind kind, const ExperimentOptions& options) {
+                                    std::string_view allocator,
+                                    const ExperimentOptions& options) {
   ExperimentResult result;
-  result.kind = kind;
+  result.allocator = allocator;
   SimDevice device(options.capacity_bytes);
 
   std::unique_ptr<Allocator> alloc;
   std::unique_ptr<STAllocAllocator> stalloc_alloc;
-  if (kind == AllocatorKind::kSTAlloc || kind == AllocatorKind::kSTAllocNoReuse) {
+  if (RequiresPlan(allocator)) {
     // The trace is its own profile. Lifespan classification (and therefore the whole plan)
     // keys on phase structure; a phaseless op stream cannot be planned.
     Trace materialized = view != nullptr ? view->Materialize() : *trace;
@@ -94,16 +100,16 @@ ExperimentResult RunTraceReplayImpl(const Trace* trace, const TraceView* view,
       return result;
     }
     ProfileResult profile = ProfileTrace(std::move(materialized), options.capacity_bytes);
-    stalloc_alloc = MakeSTAllocFromProfile(profile, kind, &device, &result);
+    stalloc_alloc = MakeSTAllocFromProfile(profile, allocator, &device, &result);
     if (stalloc_alloc == nullptr) {
       return result;
     }
   } else {
-    alloc = MakeBaselineAllocator(kind, &device, options);
+    alloc = AllocatorRegistry::Global().Create(allocator, &device, options.allocator_options);
   }
 
   Allocator* active = stalloc_alloc ? stalloc_alloc.get() : alloc.get();
-  STALLOC_CHECK(active != nullptr, << "no allocator for kind " << AllocatorKindName(kind));
+  STALLOC_CHECK(active != nullptr, << "no allocator for '" << allocator << "'");
   ReplayResult replay =
       view != nullptr ? ReplayTrace(*view, active) : ReplayTrace(*trace, active);
   FinishExperimentResult(replay, *active, device, stalloc_alloc.get(), &result);
@@ -112,20 +118,20 @@ ExperimentResult RunTraceReplayImpl(const Trace* trace, const TraceView* view,
 
 }  // namespace
 
-ExperimentResult RunTraceReplay(const Trace& trace, AllocatorKind kind,
+ExperimentResult RunTraceReplay(const Trace& trace, std::string_view allocator,
                                 const ExperimentOptions& options) {
-  return RunTraceReplayImpl(&trace, nullptr, kind, options);
+  return RunTraceReplayImpl(&trace, nullptr, allocator, options);
 }
 
-ExperimentResult RunTraceReplay(const TraceView& view, AllocatorKind kind,
+ExperimentResult RunTraceReplay(const TraceView& view, std::string_view allocator,
                                 const ExperimentOptions& options) {
-  return RunTraceReplayImpl(nullptr, &view, kind, options);
+  return RunTraceReplayImpl(nullptr, &view, allocator, options);
 }
 
-ExperimentResult RunExperiment(const WorkloadBuilder& workload, AllocatorKind kind,
+ExperimentResult RunExperiment(const WorkloadBuilder& workload, std::string_view allocator,
                                const ExperimentOptions& options) {
   ExperimentResult result;
-  result.kind = kind;
+  result.allocator = allocator;
 
   const Trace run_trace = workload.Build(options.run_seed);
   SimDevice device(options.capacity_bytes);
@@ -133,20 +139,20 @@ ExperimentResult RunExperiment(const WorkloadBuilder& workload, AllocatorKind ki
   std::unique_ptr<Allocator> alloc;
   std::unique_ptr<STAllocAllocator> stalloc_alloc;
 
-  if (kind == AllocatorKind::kSTAlloc || kind == AllocatorKind::kSTAllocNoReuse) {
+  if (RequiresPlan(allocator)) {
     // Offline stage: profile (different seed) + plan synthesis.
     ProfileResult profile =
         ProfileWorkload(workload, options.capacity_bytes, options.profile_seed);
-    stalloc_alloc = MakeSTAllocFromProfile(profile, kind, &device, &result);
+    stalloc_alloc = MakeSTAllocFromProfile(profile, allocator, &device, &result);
     if (stalloc_alloc == nullptr) {
       return result;
     }
   } else {
-    alloc = MakeBaselineAllocator(kind, &device, options);
+    alloc = AllocatorRegistry::Global().Create(allocator, &device, options.allocator_options);
   }
 
   Allocator* active = stalloc_alloc ? stalloc_alloc.get() : alloc.get();
-  STALLOC_CHECK(active != nullptr, << "no allocator for kind " << AllocatorKindName(kind));
+  STALLOC_CHECK(active != nullptr, << "no allocator for '" << allocator << "'");
   ReplayResult replay = ReplayTrace(run_trace, active);
   FinishExperimentResult(replay, *active, device, stalloc_alloc.get(), &result);
   return result;

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/allocators/registry.h"
@@ -23,20 +24,18 @@
 
 namespace stalloc {
 
-// AllocatorKind, AllocatorKindName, ParseAllocatorKind and AllAllocatorKinds live in
-// src/allocators/registry.h — the registry is the single source of truth for allocator names
-// and construction; this header re-exports them for every existing include site.
+// Allocators are named by their AllocatorRegistry name (src/allocators/registry.h) throughout:
+// every driver below takes one, and the plan kinds are routed by the entry's requires_plan.
 
-// The per-allocator construction overrides are inherited from AllocatorOptions, so an
-// ExperimentOptions value passes directly to AllocatorRegistry::Create.
-struct ExperimentOptions : AllocatorOptions {
+struct ExperimentOptions {
   uint64_t capacity_bytes = 80ull * 1024 * 1024 * 1024;  // A800-80G default
   uint64_t profile_seed = 1001;
   uint64_t run_seed = 2002;
+  AllocatorOptions allocator_options;  // passed to AllocatorRegistry::Create
 };
 
 struct ExperimentResult {
-  AllocatorKind kind = AllocatorKind::kCaching;
+  std::string allocator;            // registry name
   bool oom = false;                // replay hit an unrecoverable allocation failure
   bool infeasible = false;         // theoretical demand exceeds capacity (native OOM)
   uint64_t allocated_peak = 0;     // Ma
@@ -62,7 +61,7 @@ struct ExperimentResult {
 };
 
 // Runs one (workload, allocator) experiment.
-ExperimentResult RunExperiment(const WorkloadBuilder& workload, AllocatorKind kind,
+ExperimentResult RunExperiment(const WorkloadBuilder& workload, std::string_view allocator,
                                const ExperimentOptions& options = ExperimentOptions{});
 
 // Replays an externally captured trace (profiled from a real job, converted, or synthesized at
@@ -73,23 +72,26 @@ ExperimentResult RunExperiment(const WorkloadBuilder& workload, AllocatorKind ki
 //
 // The TraceView overload replays straight from the mmap'd columnar file; only the plan kinds
 // materialize (for synthesis), and the replay itself still runs off the view.
-ExperimentResult RunTraceReplay(const Trace& trace, AllocatorKind kind,
+ExperimentResult RunTraceReplay(const Trace& trace, std::string_view allocator,
                                 const ExperimentOptions& options = ExperimentOptions{});
-ExperimentResult RunTraceReplay(const TraceView& view, AllocatorKind kind,
+ExperimentResult RunTraceReplay(const TraceView& view, std::string_view allocator,
                                 const ExperimentOptions& options = ExperimentOptions{});
 
-// Constructs a baseline (non-STAlloc) allocator of `kind` over `device`, honouring the
-// per-allocator overrides in `options`. Returns nullptr for the STAlloc kinds, which need the
-// offline profile+plan pipeline. Shared by the training and serving experiment drivers.
-std::unique_ptr<Allocator> MakeBaselineAllocator(AllocatorKind kind, SimDevice* device,
-                                                 const ExperimentOptions& options);
+// Whether the named allocator runs through the offline profile+plan pipeline (its registry
+// entry's requires_plan). Unknown names abort.
+bool RequiresPlan(std::string_view allocator);
+
+// The runtime configuration of the named plan kind: "stalloc-noreuse" is the Fig. 13 ablation
+// without dynamic reuse; every other plan kind runs full STAlloc.
+STAllocConfig STAllocConfigFor(std::string_view allocator);
 
 // Offline STAlloc stage shared by the training and serving pipelines: takes a profiled
 // iteration, synthesizes the plan and returns an initialized runtime allocator. Returns nullptr
 // with result->infeasible (profile exceeds capacity) or result->oom (pool reservation failed)
 // set; also fills result->profile_wall_ms and result->plan_stats.
 std::unique_ptr<STAllocAllocator> MakeSTAllocFromProfile(const ProfileResult& profile,
-                                                         AllocatorKind kind, SimDevice* device,
+                                                         std::string_view allocator,
+                                                         SimDevice* device,
                                                          ExperimentResult* result);
 
 // Populates the replay-outcome fields of `result` (peaks, efficiency, fragmentation, device API

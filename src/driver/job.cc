@@ -23,13 +23,13 @@ std::string JobResult::Summary() const {
                    static_cast<unsigned long long>(max_release_calls));
 }
 
-JobResult RunJob(const ModelConfig& model, TrainConfig config, AllocatorKind kind,
+JobResult RunJob(const ModelConfig& model, TrainConfig config, std::string_view allocator,
                  const ExperimentOptions& options) {
   JobResult job;
   for (int rank = 0; rank < config.parallel.pp; ++rank) {
     config.rank = rank;
     WorkloadBuilder workload(model, config);
-    ExperimentResult r = RunExperiment(workload, kind, options);
+    ExperimentResult r = RunExperiment(workload, allocator, options);
     job.oom |= r.oom;
     job.infeasible |= r.infeasible;
     job.worst_efficiency = std::min(job.worst_efficiency, r.memory_efficiency);

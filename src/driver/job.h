@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/driver/experiment.h"
@@ -27,8 +28,8 @@ struct JobResult {
   std::string Summary() const;
 };
 
-// Runs (model, config) under `kind` on all pp ranks. `config.rank` is ignored.
-JobResult RunJob(const ModelConfig& model, TrainConfig config, AllocatorKind kind,
+// Runs (model, config) under `allocator` on all pp ranks. `config.rank` is ignored.
+JobResult RunJob(const ModelConfig& model, TrainConfig config, std::string_view allocator,
                  const ExperimentOptions& options = ExperimentOptions{});
 
 }  // namespace stalloc

@@ -23,14 +23,15 @@ std::string ServeExperimentResult::Summary() const {
 }
 
 ServeExperimentResult RunServeExperiment(const ModelConfig& model, const ServeScenario& scenario,
-                                         AllocatorKind kind, const ServeOptions& options) {
+                                         std::string_view allocator,
+                                         const ServeOptions& options) {
   ServeExperimentResult result;
-  result.replay.kind = kind;
+  result.replay.allocator = allocator;
 
   // Size the paged pool to the workload's natural page unless the caller pinned it.
   ExperimentOptions exp = options.base;
-  if (exp.paged_block_bytes == 0) {
-    exp.paged_block_bytes = KvBlockBytes(model, options.engine);
+  if (exp.allocator_options.paged_block_bytes == 0) {
+    exp.allocator_options.paged_block_bytes = KvBlockBytes(model, options.engine);
   }
 
   ServeTraceResult run = BuildServeTrace(model, scenario, options.engine, exp.run_seed);
@@ -41,7 +42,7 @@ ServeExperimentResult RunServeExperiment(const ModelConfig& model, const ServeSc
   std::unique_ptr<Allocator> alloc;
   std::unique_ptr<STAllocAllocator> stalloc_alloc;
 
-  if (kind == AllocatorKind::kSTAlloc || kind == AllocatorKind::kSTAllocNoReuse) {
+  if (RequiresPlan(allocator)) {
     // Offline stage over a different serving day: same scenario, different seed — arrivals,
     // lengths and preemptions all differ, unlike training's repeating iterations.
     // wall_ms covers trace generation + replay, matching ProfileWorkload's Tprofile semantics.
@@ -50,16 +51,16 @@ ServeExperimentResult RunServeExperiment(const ModelConfig& model, const ServeSc
         BuildServeTrace(model, scenario, options.engine, exp.profile_seed);
     ProfileResult profile = ProfileTrace(std::move(profile_day.trace), exp.capacity_bytes);
     profile.wall_ms = profile_timer.ElapsedMillis();
-    stalloc_alloc = MakeSTAllocFromProfile(profile, kind, &device, &result.replay);
+    stalloc_alloc = MakeSTAllocFromProfile(profile, allocator, &device, &result.replay);
     if (stalloc_alloc == nullptr) {
       return result;
     }
   } else {
-    alloc = MakeBaselineAllocator(kind, &device, exp);
+    alloc = AllocatorRegistry::Global().Create(allocator, &device, exp.allocator_options);
   }
 
   Allocator* active = stalloc_alloc ? stalloc_alloc.get() : alloc.get();
-  STALLOC_CHECK(active != nullptr, << "no allocator for kind " << AllocatorKindName(kind));
+  STALLOC_CHECK(active != nullptr, << "no allocator for '" << allocator << "'");
   ReplayResult replay = ReplayTrace(run.trace, active);
   FinishExperimentResult(replay, *active, device, stalloc_alloc.get(), &result.replay);
   return result;

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "src/driver/experiment.h"
 #include "src/servesim/engine.h"
@@ -36,7 +37,7 @@ struct ServeExperimentResult {
 
 // Runs one (model, scenario, allocator) serving experiment.
 ServeExperimentResult RunServeExperiment(const ModelConfig& model, const ServeScenario& scenario,
-                                         AllocatorKind kind,
+                                         std::string_view allocator,
                                          const ServeOptions& options = ServeOptions{});
 
 }  // namespace stalloc

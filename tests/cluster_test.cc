@@ -135,18 +135,18 @@ ClusterWorkloadConfig MixedWorkload() {
   return config;
 }
 
-FleetConfig SmallFleet(SchedulerPolicy policy, AllocatorKind kind) {
+FleetConfig SmallFleet(SchedulerPolicy policy, const std::string& allocator) {
   FleetConfig fleet;
   fleet.device_capacities = {16 * GiB, 16 * GiB};
   fleet.policy = policy;
-  fleet.allocator = kind;
+  fleet.allocator = allocator;
   return fleet;
 }
 
 TEST(Fleet, MixedDayCompletesOnEveryPolicy) {
   const auto jobs = GenerateClusterWorkload(MixedWorkload(), 21);
   for (SchedulerPolicy policy : AllSchedulerPolicies()) {
-    ClusterResult r = RunCluster(SmallFleet(policy, AllocatorKind::kCaching), jobs);
+    ClusterResult r = RunCluster(SmallFleet(policy, "torch-caching"), jobs);
     EXPECT_EQ(r.num_jobs, jobs.size()) << SchedulerPolicyName(policy);
     EXPECT_EQ(r.completed, jobs.size()) << SchedulerPolicyName(policy);
     EXPECT_EQ(r.oom_events, 0u) << SchedulerPolicyName(policy);
@@ -171,7 +171,7 @@ TEST(Fleet, MixedDayCompletesOnEveryPolicy) {
 
 TEST(Fleet, DeterministicForFixedInputs) {
   const auto jobs = GenerateClusterWorkload(MixedWorkload(), 9);
-  const FleetConfig fleet = SmallFleet(SchedulerPolicy::kBestFit, AllocatorKind::kCaching);
+  const FleetConfig fleet = SmallFleet(SchedulerPolicy::kBestFit, "torch-caching");
   ClusterResult a = RunCluster(fleet, jobs);
   ClusterResult b = RunCluster(fleet, jobs);
   EXPECT_EQ(a.Summary(), b.Summary());
@@ -184,18 +184,18 @@ TEST(Fleet, DeterministicForFixedInputs) {
   }
 }
 
-TEST(Fleet, RunsOnEveryClusterAllocatorKind) {
+TEST(Fleet, RunsOnEveryFleetAllocator) {
   ClusterWorkloadConfig wl = MixedWorkload();
   wl.num_jobs = 3;
   const auto jobs = GenerateClusterWorkload(wl, 4);
-  const auto kinds = ClusterAllocatorKinds();
+  const auto kinds = AllocatorRegistry::Global().Names(/*include_plan_kinds=*/false);
   EXPECT_GE(kinds.size(), 3u);
-  for (AllocatorKind kind : kinds) {
-    EXPECT_NE(kind, AllocatorKind::kSTAlloc);
-    EXPECT_NE(kind, AllocatorKind::kSTAllocNoReuse);
+  for (const std::string& kind : kinds) {
+    EXPECT_NE(kind, "stalloc");
+    EXPECT_NE(kind, "stalloc-noreuse");
     ClusterResult r = RunCluster(SmallFleet(SchedulerPolicy::kFirstFit, kind), jobs);
     EXPECT_EQ(r.completed + r.rejected_oom + r.rejected_upfront + r.starved, jobs.size())
-        << AllocatorKindName(kind);
+        << kind;
   }
 }
 
@@ -220,7 +220,7 @@ ClusterJob OversizedTrainingJob() {
 
 TEST(Fleet, PlanAwareRejectsUpfrontWhatFirstFitAdmitsIntoOom) {
   const std::vector<ClusterJob> jobs = {OversizedTrainingJob()};
-  FleetConfig fleet = SmallFleet(SchedulerPolicy::kFirstFit, AllocatorKind::kCaching);
+  FleetConfig fleet = SmallFleet(SchedulerPolicy::kFirstFit, "torch-caching");
   fleet.device_capacities = {12 * GiB, 12 * GiB};
   fleet.max_oom_retries = 1;
 
@@ -252,7 +252,7 @@ TEST(Fleet, RequeueSucceedsWhenMemoryFreesUp) {
   b.id = 1;
   b.submit_time = 2;
   b.seed = 6;
-  FleetConfig fleet = SmallFleet(SchedulerPolicy::kFirstFit, AllocatorKind::kCaching);
+  FleetConfig fleet = SmallFleet(SchedulerPolicy::kFirstFit, "torch-caching");
   fleet.device_capacities = {9 * GiB};  // one device: jobs must serialize
   ClusterResult r = RunCluster(fleet, {a, b});
   EXPECT_EQ(r.completed, 2u);
@@ -295,7 +295,7 @@ TEST(Fleet, RequeueAfterPartialPlacementUnwindsBothDevices) {
   later.train = ApplyConfigTag(small, "N");
   later.iterations = 1;
 
-  FleetConfig fleet = SmallFleet(SchedulerPolicy::kFirstFit, AllocatorKind::kCaching);
+  FleetConfig fleet = SmallFleet(SchedulerPolicy::kFirstFit, "torch-caching");
   fleet.device_capacities = {16 * GiB, 5 * GiB};
   fleet.max_oom_retries = 1;
   ClusterResult r = RunCluster(fleet, {pipelined, later});
@@ -329,7 +329,7 @@ TEST(Fleet, TooManyRanksForTheFleetIsRejectedUpfront) {
   job.train.num_microbatches = 2;
   job.train.parallel.pp = 3;
   ClusterResult r =
-      RunCluster(SmallFleet(SchedulerPolicy::kFirstFit, AllocatorKind::kCaching), {job});
+      RunCluster(SmallFleet(SchedulerPolicy::kFirstFit, "torch-caching"), {job});
   EXPECT_EQ(r.rejected_upfront, 1u);
   EXPECT_EQ(r.jobs[0].status, JobStatus::kRejectedUpfront);
 }
@@ -345,7 +345,7 @@ TEST(Fleet, ServingSloDegradesToZeroForFailedInstances) {
   serve.scenario.num_requests = 8;
   serve.engine.kv_budget_bytes = 64 * GiB;  // naive estimate can never fit: rejected up front
   ClusterResult r =
-      RunCluster(SmallFleet(SchedulerPolicy::kFirstFit, AllocatorKind::kCaching), {serve});
+      RunCluster(SmallFleet(SchedulerPolicy::kFirstFit, "torch-caching"), {serve});
   EXPECT_EQ(r.serving_jobs, 1u);
   EXPECT_EQ(r.rejected_upfront, 1u);
   EXPECT_EQ(r.serve_slo_attainment, 0.0);

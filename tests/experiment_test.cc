@@ -22,8 +22,8 @@ WorkloadBuilder SmallWorkload(const char* model, const char* tag) {
 
 TEST(Experiment, StallocBeatsCachingOnEfficiency) {
   WorkloadBuilder wb = SmallWorkload("gpt2", "VR");
-  ExperimentResult caching = RunExperiment(wb, AllocatorKind::kCaching);
-  ExperimentResult stalloc = RunExperiment(wb, AllocatorKind::kSTAlloc);
+  ExperimentResult caching = RunExperiment(wb, "torch-caching");
+  ExperimentResult stalloc = RunExperiment(wb, "stalloc");
   ASSERT_FALSE(caching.oom);
   ASSERT_FALSE(stalloc.oom);
   EXPECT_GT(stalloc.memory_efficiency, caching.memory_efficiency);
@@ -34,7 +34,7 @@ TEST(Experiment, StallocEfficiencyAbove95OnDenseModels) {
   // §9.2: ">95% (up to 100%) memory efficiency in all cases" for dense models.
   for (const char* tag : {"N", "R", "V", "VR", "ZR", "ZOR"}) {
     WorkloadBuilder wb = SmallWorkload("gpt2", tag);
-    ExperimentResult r = RunExperiment(wb, AllocatorKind::kSTAlloc);
+    ExperimentResult r = RunExperiment(wb, "stalloc");
     ASSERT_FALSE(r.oom) << tag;
     EXPECT_GT(r.memory_efficiency, 0.95) << "config " << tag;
   }
@@ -44,9 +44,9 @@ TEST(Experiment, NativeAllocatorDefinesFeasibility) {
   WorkloadBuilder wb = SmallWorkload("gpt2", "N");
   ExperimentOptions opt;
   opt.capacity_bytes = 1 * GiB;  // too small for the workload
-  ExperimentResult native = RunExperiment(wb, AllocatorKind::kNative, opt);
+  ExperimentResult native = RunExperiment(wb, "native", opt);
   EXPECT_TRUE(native.infeasible);
-  ExperimentResult st = RunExperiment(wb, AllocatorKind::kSTAlloc, opt);
+  ExperimentResult st = RunExperiment(wb, "stalloc", opt);
   EXPECT_TRUE(st.infeasible) << "STAlloc profiling must detect theoretical infeasibility";
 }
 
@@ -54,16 +54,16 @@ TEST(Experiment, FragmentationCanCauseOomWhereStallocFits) {
   // Size the device between STAlloc's reserved peak and the caching allocator's: the caching
   // run must OOM while STAlloc completes — the Table 1 effect.
   WorkloadBuilder wb = SmallWorkload("gpt2", "VR");
-  ExperimentResult caching_big = RunExperiment(wb, AllocatorKind::kCaching);
-  ExperimentResult stalloc_big = RunExperiment(wb, AllocatorKind::kSTAlloc);
+  ExperimentResult caching_big = RunExperiment(wb, "torch-caching");
+  ExperimentResult stalloc_big = RunExperiment(wb, "stalloc");
   ASSERT_FALSE(caching_big.oom);
   ASSERT_FALSE(stalloc_big.oom);
   ASSERT_LT(stalloc_big.reserved_peak, caching_big.reserved_peak);
 
   ExperimentOptions tight;
   tight.capacity_bytes = (stalloc_big.reserved_peak + caching_big.reserved_peak) / 2;
-  ExperimentResult caching_tight = RunExperiment(wb, AllocatorKind::kCaching, tight);
-  ExperimentResult stalloc_tight = RunExperiment(wb, AllocatorKind::kSTAlloc, tight);
+  ExperimentResult caching_tight = RunExperiment(wb, "torch-caching", tight);
+  ExperimentResult stalloc_tight = RunExperiment(wb, "stalloc", tight);
   EXPECT_FALSE(stalloc_tight.oom);
   EXPECT_FALSE(stalloc_tight.infeasible);
   // The caching allocator either OOMs or survives by thrashing: repeatedly releasing cached
@@ -82,9 +82,9 @@ TEST(Experiment, MoeBreakdownMatchesFig13Ordering) {
   WorkloadBuilder wb = SmallWorkload("qwen1.5-moe", "R");
   ExperimentOptions opt;
   opt.capacity_bytes = 256ull * GiB;
-  ExperimentResult caching = RunExperiment(wb, AllocatorKind::kCaching, opt);
-  ExperimentResult no_reuse = RunExperiment(wb, AllocatorKind::kSTAllocNoReuse, opt);
-  ExperimentResult full = RunExperiment(wb, AllocatorKind::kSTAlloc, opt);
+  ExperimentResult caching = RunExperiment(wb, "torch-caching", opt);
+  ExperimentResult no_reuse = RunExperiment(wb, "stalloc-noreuse", opt);
+  ExperimentResult full = RunExperiment(wb, "stalloc", opt);
   ASSERT_FALSE(caching.oom || no_reuse.oom || full.oom);
   EXPECT_GE(no_reuse.memory_efficiency, caching.memory_efficiency - 0.02);
   EXPECT_GE(full.memory_efficiency, no_reuse.memory_efficiency - 1e-9);
@@ -94,8 +94,8 @@ TEST(Experiment, MoeBreakdownMatchesFig13Ordering) {
 TEST(Experiment, StallocApiCostIsTiny) {
   // §8: one native allocation for the pool; no device API traffic on the hot path.
   WorkloadBuilder wb = SmallWorkload("gpt2", "R");
-  ExperimentResult st = RunExperiment(wb, AllocatorKind::kSTAlloc);
-  ExperimentResult es = RunExperiment(wb, AllocatorKind::kExpandable);
+  ExperimentResult st = RunExperiment(wb, "stalloc");
+  ExperimentResult es = RunExperiment(wb, "torch-expandable");
   ASSERT_FALSE(st.oom || es.oom);
   EXPECT_LT(st.device_api_calls, 64u);
   EXPECT_GT(es.device_api_calls, st.device_api_calls);

@@ -342,7 +342,7 @@ TEST_F(HeapMapTest, ClusterTimelineBitIdenticalAcrossWorkerCounts) {
   FleetConfig fleet;
   fleet.device_capacities = {16 * GiB, 16 * GiB};
   fleet.policy = SchedulerPolicy::kFirstFit;
-  fleet.allocator = AllocatorKind::kCaching;
+  fleet.allocator = "torch-caching";
 
   telemetry::SetEnabled(true);
   HeapMapRecorder::Global().Arm(HeapMapConfig{});

@@ -22,7 +22,7 @@ TrainConfig SmallConfig() {
 }
 
 TEST(Job, RunsEveryPipelineRank) {
-  JobResult job = RunJob(Gpt2_345M(), SmallConfig(), AllocatorKind::kCaching);
+  JobResult job = RunJob(Gpt2_345M(), SmallConfig(), "torch-caching");
   ASSERT_EQ(job.ranks.size(), 2u);
   EXPECT_FALSE(job.oom);
   EXPECT_GT(job.max_reserved, 0u);
@@ -31,7 +31,7 @@ TEST(Job, RunsEveryPipelineRank) {
 }
 
 TEST(Job, WorstMetricsAggregate) {
-  JobResult job = RunJob(Gpt2_345M(), SmallConfig(), AllocatorKind::kCaching);
+  JobResult job = RunJob(Gpt2_345M(), SmallConfig(), "torch-caching");
   double min_eff = 1.0;
   uint64_t max_mr = 0;
   uint64_t total = 0;
@@ -49,21 +49,21 @@ TEST(Job, WorstMetricsAggregate) {
 TEST(Job, OomOnAnyRankMarksJob) {
   ExperimentOptions opt;
   opt.capacity_bytes = 1 * GiB;  // too small
-  JobResult job = RunJob(Gpt2_345M(), SmallConfig(), AllocatorKind::kCaching, opt);
+  JobResult job = RunJob(Gpt2_345M(), SmallConfig(), "torch-caching", opt);
   EXPECT_TRUE(job.oom);
   EXPECT_NE(job.Summary().find("OOM"), std::string::npos);
 }
 
 TEST(Job, StallocBeatsCachingJobWide) {
-  JobResult torch = RunJob(Gpt2_345M(), SmallConfig(), AllocatorKind::kCaching);
-  JobResult st = RunJob(Gpt2_345M(), SmallConfig(), AllocatorKind::kSTAlloc);
+  JobResult torch = RunJob(Gpt2_345M(), SmallConfig(), "torch-caching");
+  JobResult st = RunJob(Gpt2_345M(), SmallConfig(), "stalloc");
   ASSERT_FALSE(torch.oom || st.oom);
   EXPECT_GE(st.worst_efficiency, torch.worst_efficiency);
   EXPECT_LE(st.total_reserved, torch.total_reserved);
 }
 
 TEST(Job, SummaryFormats) {
-  JobResult job = RunJob(Gpt2_345M(), SmallConfig(), AllocatorKind::kSTAlloc);
+  JobResult job = RunJob(Gpt2_345M(), SmallConfig(), "stalloc");
   const std::string s = job.Summary();
   EXPECT_NE(s.find("worst E="), std::string::npos);
   EXPECT_NE(s.find("rank"), std::string::npos);

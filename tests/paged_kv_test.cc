@@ -135,14 +135,14 @@ TEST(PagedKV, StatsTrackInternalFragmentation) {
 }
 
 TEST(PagedKV, RunsTheTrainingHarnessToo) {
-  // kPagedKV is a first-class AllocatorKind: the training experiment path must complete (large
+  // paged-kv is a first-class registry kind: the training experiment path must complete (large
   // tensors all take the passthrough).
   TrainConfig config;
   config.parallel.pp = 2;
   config.num_microbatches = 2;
   config.micro_batch_size = 2;
   WorkloadBuilder wb(ModelByName("gpt2"), config);
-  ExperimentResult r = RunExperiment(wb, AllocatorKind::kPagedKV);
+  ExperimentResult r = RunExperiment(wb, "paged-kv");
   EXPECT_FALSE(r.oom);
   EXPECT_GT(r.memory_efficiency, 0.5);
 }

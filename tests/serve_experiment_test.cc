@@ -31,11 +31,11 @@ TEST(ServeExperiment, AllKindsCompleteOnEveryPreset) {
   const ModelConfig model = ModelByName("gpt2");
   for (const std::string& name : ScenarioNames()) {
     const ServeScenario scenario = SmallScenario(name.c_str());
-    for (AllocatorKind kind : AllAllocatorKinds()) {
+    for (const std::string& kind : AllocatorRegistry::Global().Names()) {
       ServeExperimentResult r = RunServeExperiment(model, scenario, kind, SmallOptions());
-      EXPECT_FALSE(r.replay.oom) << name << "/" << AllocatorKindName(kind);
-      EXPECT_FALSE(r.replay.infeasible) << name << "/" << AllocatorKindName(kind);
-      EXPECT_GT(r.replay.memory_efficiency, 0.5) << name << "/" << AllocatorKindName(kind);
+      EXPECT_FALSE(r.replay.oom) << name << "/" << kind;
+      EXPECT_FALSE(r.replay.infeasible) << name << "/" << kind;
+      EXPECT_GT(r.replay.memory_efficiency, 0.5) << name << "/" << kind;
       EXPECT_GT(r.trace_events, 0u);
       EXPECT_EQ(r.serve.completed + r.serve.rejected, r.serve.num_requests);
     }
@@ -45,7 +45,7 @@ TEST(ServeExperiment, AllKindsCompleteOnEveryPreset) {
 TEST(ServeExperiment, DeterministicAcrossRuns) {
   const ModelConfig model = ModelByName("gpt2");
   const ServeScenario scenario = SmallScenario("chat");
-  for (AllocatorKind kind : {AllocatorKind::kCaching, AllocatorKind::kPagedKV}) {
+  for (const char* kind : {"torch-caching", "paged-kv"}) {
     ServeExperimentResult a = RunServeExperiment(model, scenario, kind, SmallOptions());
     ServeExperimentResult b = RunServeExperiment(model, scenario, kind, SmallOptions());
     EXPECT_EQ(a.replay.reserved_peak, b.replay.reserved_peak);
@@ -61,9 +61,9 @@ TEST(ServeExperiment, PagedKvBeatsCachingOnKvHeavyServing) {
   const ModelConfig model = ModelByName("gpt2");
   const ServeScenario scenario = SmallScenario("rag-long");
   ServeExperimentResult paged =
-      RunServeExperiment(model, scenario, AllocatorKind::kPagedKV, SmallOptions());
+      RunServeExperiment(model, scenario, "paged-kv", SmallOptions());
   ServeExperimentResult caching =
-      RunServeExperiment(model, scenario, AllocatorKind::kCaching, SmallOptions());
+      RunServeExperiment(model, scenario, "torch-caching", SmallOptions());
   ASSERT_FALSE(paged.replay.oom || caching.replay.oom);
   EXPECT_GE(paged.replay.memory_efficiency, caching.replay.memory_efficiency);
 }
@@ -73,7 +73,7 @@ TEST(ServeExperiment, StallocFallsBackGracefullyOnServing) {
   // the dynamic/fallback path — STAlloc must complete, with visible fallback traffic.
   const ModelConfig model = ModelByName("gpt2");
   ServeExperimentResult r =
-      RunServeExperiment(model, SmallScenario("chat"), AllocatorKind::kSTAlloc, SmallOptions());
+      RunServeExperiment(model, SmallScenario("chat"), "stalloc", SmallOptions());
   ASSERT_FALSE(r.replay.oom);
   const STAllocBreakdown& b = r.replay.breakdown;
   EXPECT_GT(b.dynamic_reuse_hits + b.dynamic_fallbacks, 0u)
@@ -87,10 +87,10 @@ TEST(ServeExperiment, NativeDefinesServingFeasibility) {
   ServeOptions tight = SmallOptions();
   tight.base.capacity_bytes = 1 * GiB;  // weights alone are ~700 MiB; KV does not fit
   ServeExperimentResult native =
-      RunServeExperiment(model, SmallScenario("chat"), AllocatorKind::kNative, tight);
+      RunServeExperiment(model, SmallScenario("chat"), "native", tight);
   EXPECT_TRUE(native.replay.infeasible);
   ServeExperimentResult st =
-      RunServeExperiment(model, SmallScenario("chat"), AllocatorKind::kSTAlloc, tight);
+      RunServeExperiment(model, SmallScenario("chat"), "stalloc", tight);
   EXPECT_TRUE(st.replay.infeasible) << "STAlloc profiling must detect serving infeasibility";
 }
 
@@ -99,7 +99,7 @@ TEST(ServeExperiment, PreemptionMetricsSurfaceInSummary) {
   ServeOptions opt = SmallOptions();
   opt.engine.kv_budget_bytes = 1 * GiB;
   ServeExperimentResult r = RunServeExperiment(model, ScenarioByName("batch-offline"),
-                                               AllocatorKind::kCaching, opt);
+                                               "torch-caching", opt);
   ASSERT_FALSE(r.replay.oom);
   EXPECT_GT(r.serve.preemptions, 0u);
   const std::string summary = r.Summary();
@@ -114,11 +114,11 @@ TEST(ServeExperiment, PagedBlockSizeDefaultsToWorkloadKvBlock) {
   ServeOptions opt = SmallOptions();
   // Deliberately mis-sized pool pages: a 4x larger page wastes 3/4 of every KV block.
   ServeOptions missized = opt;
-  missized.base.paged_block_bytes = 4 * KvBlockBytes(model, opt.engine);
+  missized.base.allocator_options.paged_block_bytes = 4 * KvBlockBytes(model, opt.engine);
   ServeExperimentResult fit = RunServeExperiment(model, SmallScenario("batch-offline"),
-                                                 AllocatorKind::kPagedKV, opt);
+                                                 "paged-kv", opt);
   ServeExperimentResult waste = RunServeExperiment(model, SmallScenario("batch-offline"),
-                                                   AllocatorKind::kPagedKV, missized);
+                                                   "paged-kv", missized);
   ASSERT_FALSE(fit.replay.oom || waste.replay.oom);
   EXPECT_GT(fit.replay.memory_efficiency, waste.replay.memory_efficiency)
       << "page-granularity mismatch must cost internal fragmentation";

@@ -39,7 +39,7 @@ ExperimentOptions SmallOptions() {
 }
 
 void ExpectBitIdentical(const ExperimentResult& a, const ExperimentResult& b) {
-  EXPECT_EQ(a.kind, b.kind);
+  EXPECT_EQ(a.allocator, b.allocator);
   EXPECT_EQ(a.oom, b.oom);
   EXPECT_EQ(a.infeasible, b.infeasible);
   EXPECT_EQ(a.allocated_peak, b.allocated_peak);
@@ -64,7 +64,7 @@ TEST(Session, TrainRankMatchesRunExperimentBitForBit) {
     RunRecord rec = session.RunOne(spec, alloc);
 
     WorkloadBuilder workload(ModelByName("gpt2"), spec.train);
-    ExperimentResult direct = RunExperiment(workload, *ParseAllocatorKind(alloc), spec.options);
+    ExperimentResult direct = RunExperiment(workload, alloc, spec.options);
 
     ASSERT_TRUE(rec.train_rank.has_value()) << alloc;
     ExpectBitIdentical(*rec.train_rank, direct);
@@ -89,7 +89,7 @@ TEST(Session, ConfigTagMatchesApplyConfigTag) {
   RunRecord rec = session.RunOne(spec, "torch-caching");
 
   WorkloadBuilder workload(ModelByName("gpt2"), ApplyConfigTag(SmallTrain(), "R"));
-  ExperimentResult direct = RunExperiment(workload, AllocatorKind::kCaching, spec.options);
+  ExperimentResult direct = RunExperiment(workload, "torch-caching", spec.options);
   ASSERT_TRUE(rec.train_rank.has_value());
   ExpectBitIdentical(*rec.train_rank, direct);
 }
@@ -104,7 +104,7 @@ TEST(Session, TrainJobMatchesRunJobBitForBit) {
   Session session;
   RunRecord rec = session.RunOne(spec, "torch-caching");
 
-  JobResult direct = RunJob(ModelByName("gpt2"), spec.train, AllocatorKind::kCaching,
+  JobResult direct = RunJob(ModelByName("gpt2"), spec.train, "torch-caching",
                             spec.options);
   ASSERT_TRUE(rec.job.has_value());
   ASSERT_EQ(rec.job->ranks.size(), direct.ranks.size());
@@ -134,8 +134,8 @@ TEST(Session, ServingMatchesRunServeExperimentBitForBit) {
     ServeOptions serve_options;
     serve_options.base = spec.options;
     serve_options.engine = spec.engine;
-    ServeExperimentResult direct = RunServeExperiment(ModelByName("gpt2"), scenario,
-                                                      *ParseAllocatorKind(alloc), serve_options);
+    ServeExperimentResult direct =
+        RunServeExperiment(ModelByName("gpt2"), scenario, alloc, serve_options);
 
     ASSERT_TRUE(rec.serve.has_value()) << alloc;
     ExpectBitIdentical(rec.serve->replay, direct.replay);
@@ -162,7 +162,7 @@ TEST(Session, ClusterMatchesRunClusterBitForBit) {
   FleetConfig fleet;
   fleet.device_capacities = {16ull * GiB, 16ull * GiB};
   fleet.policy = SchedulerPolicy::kFirstFit;
-  fleet.allocator = AllocatorKind::kCaching;
+  fleet.allocator = "torch-caching";
   const std::vector<ClusterJob> jobs = GenerateClusterWorkload(spec.cluster, 7);
   ClusterResult direct = RunCluster(fleet, jobs);
 
@@ -206,7 +206,7 @@ TEST(Session, RepeatBumpsRunSeedOnly) {
   ExperimentOptions bumped = spec.options;
   bumped.run_seed += 1;
   WorkloadBuilder workload(ModelByName("qwen1.5-moe"), spec.train);
-  ExperimentResult direct = RunExperiment(workload, AllocatorKind::kCaching, bumped);
+  ExperimentResult direct = RunExperiment(workload, "torch-caching", bumped);
   ASSERT_TRUE(r1.train_rank.has_value());
   ExpectBitIdentical(*r1.train_rank, direct);
 }
@@ -292,19 +292,50 @@ TEST(Session, ValidateRejectsBadSpecs) {
 
 // Registers an extra kind into the Global() registry; declared after every test whose
 // expectations could observe it (none here enumerate the registry, but keep it late anyway).
-TEST(Session, ValidateRejectsKindlessExternalAllocators) {
-  AllocatorRegistry::Global().Register(
-      {"session-test-notag", AllocatorKind::kCount, /*requires_plan=*/false,
-       [](SimDevice* device, const AllocatorOptions& options) {
-         return AllocatorRegistry::Global().Create("torch-caching", device, options);
-       }});
-  std::string error;
-  ExperimentSpec spec;
-  spec.allocators = {"session-test-notag"};
-  // Creatable through the registry, but not runnable through Session dispatch — Validate must
-  // say so gracefully instead of RunOne aborting mid-run.
-  EXPECT_FALSE(Session::Validate(spec, &error));
-  EXPECT_NE(error.find("AllocatorKind"), std::string::npos);
+TEST(Session, ExternalAllocatorsRunThroughEveryDriver) {
+  const char* kExternal = "session-test-caching";
+  if (AllocatorRegistry::Global().Find(kExternal) == nullptr) {  // --gtest_repeat safe
+    AllocatorRegistry::Global().Register(
+        {kExternal, /*requires_plan=*/false,
+         [](SimDevice* device, const AllocatorOptions& options) {
+           return AllocatorRegistry::Global().Create("torch-caching", device, options);
+         }});
+  }
+  Session session;
+
+  // Rank axis: the wrapper replays exactly as the kind it wraps.
+  ExperimentSpec rank;
+  rank.axis = WorkloadAxis::kTrainRank;
+  rank.model = "gpt2";
+  rank.train = SmallTrain();
+  rank.options = SmallOptions();
+  const RunRecord ext_rank = session.RunOne(rank, kExternal);
+  const RunRecord ref_rank = session.RunOne(rank, "torch-caching");
+  ASSERT_EQ(ext_rank.status, RunStatus::kOk);
+  ASSERT_TRUE(ext_rank.train_rank.has_value());
+  EXPECT_EQ(ext_rank.train_rank->allocator, kExternal);
+  EXPECT_EQ(ext_rank.allocated_peak, ref_rank.allocated_peak);
+  EXPECT_EQ(ext_rank.reserved_peak, ref_rank.reserved_peak);
+
+  // Cluster axis: every fleet device is fronted by the external kind.
+  ExperimentSpec day;
+  day.axis = WorkloadAxis::kCluster;
+  day.devices = 2;
+  day.options.capacity_bytes = 16ull * GiB;
+  day.cluster.num_jobs = 4;
+  day.cluster.serve_requests = 16;
+  const std::vector<ClusterJob> jobs = GenerateClusterWorkload(day.cluster, 7);
+  const RunRecord ext_day = session.RunClusterJobs(day, kExternal, jobs);
+  const RunRecord ref_day = session.RunClusterJobs(day, "torch-caching", jobs);
+  ASSERT_TRUE(ext_day.cluster.has_value());
+  ASSERT_TRUE(ref_day.cluster.has_value());
+  EXPECT_EQ(ext_day.cluster->allocator, kExternal);
+  EXPECT_GT(ext_day.cluster->completed, 0u);
+  EXPECT_EQ(ext_day.reserved_peak, ref_day.reserved_peak);
+  ASSERT_EQ(ext_day.cluster->devices.size(), ref_day.cluster->devices.size());
+  for (size_t d = 0; d < ref_day.cluster->devices.size(); ++d) {
+    EXPECT_EQ(ext_day.cluster->devices[d].peak_used, ref_day.cluster->devices[d].peak_used);
+  }
 }
 
 TEST(Session, AxisNameRoundTrip) {

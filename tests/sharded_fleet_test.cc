@@ -43,7 +43,7 @@ FleetConfig Fleet(SchedulerPolicy policy, std::vector<uint64_t> capacities, int 
   FleetConfig fleet;
   fleet.device_capacities = std::move(capacities);
   fleet.policy = policy;
-  fleet.allocator = AllocatorKind::kCaching;
+  fleet.allocator = "torch-caching";
   fleet.workers = workers;
   return fleet;
 }

@@ -239,7 +239,7 @@ TEST_F(TelemetryTest, TracingLeavesClusterDigestBitIdentical) {
   FleetConfig fleet;
   fleet.device_capacities = {16 * GiB, 16 * GiB};
   fleet.policy = SchedulerPolicy::kFirstFit;
-  fleet.allocator = AllocatorKind::kCaching;
+  fleet.allocator = "torch-caching";
 
   fleet.workers = 0;
   const std::string off_digest = RunCluster(fleet, jobs).Digest();

@@ -165,7 +165,7 @@ TEST(ThreadSafety, ConcurrentRunClusterInvocationsAgree) {
   FleetConfig fleet;
   fleet.device_capacities = {16 * GiB, 16 * GiB};
   fleet.policy = SchedulerPolicy::kFirstFit;
-  fleet.allocator = AllocatorKind::kCaching;
+  fleet.allocator = "torch-caching";
   fleet.workers = 2;
 
   constexpr int kRacers = 4;

@@ -19,6 +19,7 @@
 #include "src/core/planner.h"
 #include "src/core/profiler.h"
 #include "src/core/stalloc_allocator.h"
+#include "src/driver/experiment.h"
 #include "src/driver/replay.h"
 #include "src/gpu/sim_device.h"
 #include "src/replay/replay_engine.h"
@@ -55,7 +56,7 @@ Trace TrainTrace() {
   return WorkloadBuilder(ModelByName("gpt2"), config).Build(3);
 }
 
-TEST(TraceViewReplayTest, ViewDecisionsMatchOwnedForEveryAllocatorKind) {
+TEST(TraceViewReplayTest, ViewDecisionsMatchOwnedForEveryAllocator) {
   const Trace trace = TrainTrace();
   const std::string path = ::testing::TempDir() + "/trace_view_parity.stlc";
   ASSERT_TRUE(WriteTraceV2File(trace, path));
@@ -73,8 +74,7 @@ TEST(TraceViewReplayTest, ViewDecisionsMatchOwnedForEveryAllocatorKind) {
       ProfileResult profile = ProfileTrace(trace, kCapacity);
       ASSERT_TRUE(profile.feasible) << name;
       SynthesisResult synthesis = SynthesizePlan(profile.trace);
-      STAllocConfig config;
-      config.enable_dynamic_reuse = entry.kind == AllocatorKind::kSTAlloc;
+      const STAllocConfig config = STAllocConfigFor(name);
       SimDevice owned_device(kCapacity);
       STAllocAllocator owned_alloc(&owned_device, synthesis.plan, synthesis.dyn_space, config);
       ASSERT_TRUE(owned_alloc.Init()) << name;

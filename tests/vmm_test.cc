@@ -235,7 +235,7 @@ TEST(VmmAllocator, FleetDigestBitIdenticalAcrossWorkerCounts) {
   FleetConfig fleet;
   fleet.device_capacities = {16 * GiB, 16 * GiB, 16 * GiB};
   fleet.policy = SchedulerPolicy::kFirstFit;
-  fleet.allocator = AllocatorKind::kVmm;
+  fleet.allocator = "vmm";
   fleet.workers = 0;
   const ClusterResult serial = RunCluster(fleet, jobs);
   EXPECT_EQ(serial.completed, jobs.size());

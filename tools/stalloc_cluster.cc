@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
           ? capacities
           : std::vector<uint64_t>(static_cast<size_t>(num_devices), capacities.front());
   fleet.policy = SchedulerPolicyByName(policy_name);
-  fleet.allocator = alloc_entry->kind;
+  fleet.allocator = alloc_name;
   fleet.max_oom_retries = retries;
 
   ReportSink sink("stalloc_cluster", json_path);
@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
     sink.Printf(" [%s]", FormatBytes(c).c_str());
   }
   sink.Printf(", policy=%s, allocator=%s, %zu jobs (seed %llu)\n\n",
-              SchedulerPolicyName(fleet.policy), AllocatorKindName(fleet.allocator), jobs.size(),
+              SchedulerPolicyName(fleet.policy), fleet.allocator.c_str(), jobs.size(),
               static_cast<unsigned long long>(seed));
 
   const ClusterResult result = RunCluster(fleet, jobs);

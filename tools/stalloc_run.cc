@@ -96,10 +96,6 @@ int main(int argc, char** argv) {
   flags.Add("--run-seed", &spec.options.run_seed, "N", "run-trace seed (repeat r adds r)");
   flags.Add("--profile-seed", &spec.options.profile_seed, "N", "STAlloc profiling seed");
   flags.Add("--repeats", &spec.repeats, "N", "repeats per allocator; repeat r uses run-seed+r");
-  flags.AddBytes("--gmlake-frag-limit", &spec.options.gmlake_frag_limit, "BYTES",
-                 "GMLake stitching threshold override");
-  flags.AddBytes("--paged-block", &spec.options.paged_block_bytes, "BYTES",
-                 "paged-KV pool page size override");
   std::vector<std::string> alloc_opts;
   flags.AddList("--alloc-opt", &alloc_opts, "KEY=VAL[,...]",
                 "allocator construction options (e.g. vmm.granularity=2MiB; keys per "
@@ -231,7 +227,7 @@ int main(int argc, char** argv) {
   }
   for (const std::string& opt : alloc_opts) {
     std::string opt_error;
-    if (!ParseAllocatorOption(opt, &spec.options, &opt_error)) {
+    if (!ParseAllocatorOption(opt, &spec.options.allocator_options, &opt_error)) {
       std::fprintf(stderr, "--alloc-opt: %s\n", opt_error.c_str());
       return 2;
     }
