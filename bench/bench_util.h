@@ -74,8 +74,7 @@ inline bool WorseOutcome(bool candidate_failed, double candidate_efficiency, boo
 // Runs (model, config) under `allocator` on every boundary rank and returns the worst outcome:
 // training OOMs if any rank OOMs, and the per-job memory efficiency is set by the worst GPU.
 inline ExperimentResult RunWorstRank(const ModelConfig& model, TrainConfig config,
-                                     std::string_view allocator,
-                                     const ExperimentOptions& opt) {
+                                     std::string_view allocator, const ExperimentOptions& opt) {
   ExperimentResult worst;
   bool first = true;
   for (int rank : BoundaryRanks(config.parallel)) {
