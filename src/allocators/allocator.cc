@@ -22,12 +22,11 @@ constexpr uint64_t kCounterSampleMask = (1u << 8) - 1;
 }  // namespace
 
 std::optional<uint64_t> AllocatorBase::Malloc(uint64_t size, const RequestContext& ctx) {
-  // Latency measurement is armed while anyone listens — a stats hook or process telemetry. Two
-  // clock reads per op are measurable noise on the replay hot path and dead weight otherwise.
+  // Latency measurement is armed only with process telemetry on. Two clock reads per op are
+  // measurable noise on the replay hot path and dead weight otherwise.
   Stopwatch timer{Stopwatch::Unstarted{}};
   const bool telemetry_on = telemetry::Enabled();
-  const bool timed = hook_ != nullptr || telemetry_on;
-  if (timed) {
+  if (telemetry_on) {
     timer.Reset();
   }
   ++stats_.num_mallocs;
@@ -35,9 +34,6 @@ std::optional<uint64_t> AllocatorBase::Malloc(uint64_t size, const RequestContex
     ++stats_.num_oom;
     if (telemetry_on) {
       RecordTelemetryOom(size);
-    }
-    if (hook_ != nullptr) {
-      hook_->OnOom(size, Snapshot());
     }
     return std::nullopt;
   }
@@ -47,9 +43,6 @@ std::optional<uint64_t> AllocatorBase::Malloc(uint64_t size, const RequestContex
     NotePressure();
     if (telemetry_on) {
       RecordTelemetryOom(size);
-    }
-    if (hook_ != nullptr) {
-      hook_->OnOom(size, Snapshot());
     }
     return std::nullopt;
   }
@@ -76,20 +69,12 @@ std::optional<uint64_t> AllocatorBase::Malloc(uint64_t size, const RequestContex
   NotePressure();
   // Heap-map capture: one relaxed armed() load when telemetry is on but no heap map was
   // requested; compiled out entirely when STALLOC_TELEMETRY is off (telemetry_on is constant
-  // false). Runs before the hook so a hook-driven abort still leaves the snapshot recorded.
-  if (telemetry_on &&
-      (heap_ != nullptr || telemetry::HeapMapRecorder::Global().armed())) {
-    MaybeHeapMapMalloc(*addr, ctx);
-  }
-  if (timed) {
-    const double us = timer.ElapsedSeconds() * 1e6;
-    stats_.malloc_latency_us += us;
-    if (telemetry_on) {
-      RecordTelemetryOp(telemetry::FlightOp::Kind::kMalloc, size, us);
+  // false).
+  if (telemetry_on) {
+    if (heap_ != nullptr || telemetry::HeapMapRecorder::Global().armed()) {
+      MaybeHeapMapMalloc(*addr, ctx);
     }
-    if (hook_ != nullptr) {
-      hook_->OnMalloc(size, us, Snapshot());
-    }
+    RecordTelemetryOp(telemetry::FlightOp::Kind::kMalloc, size, timer.ElapsedSeconds() * 1e6);
   }
   return addr;
 }
@@ -97,8 +82,7 @@ std::optional<uint64_t> AllocatorBase::Malloc(uint64_t size, const RequestContex
 bool AllocatorBase::Free(uint64_t addr) {
   Stopwatch timer{Stopwatch::Unstarted{}};
   const bool telemetry_on = telemetry::Enabled();
-  const bool timed = hook_ != nullptr || telemetry_on;
-  if (timed) {
+  if (telemetry_on) {
     timer.Reset();
   }
   auto it = live_.find(addr);
@@ -121,18 +105,11 @@ bool AllocatorBase::Free(uint64_t addr) {
   stats_.live_blocks = live_.size();
   DoFree(addr, size);
   NotePressure();
-  if (telemetry_on && heap_ != nullptr) {
-    MaybeHeapMapFree(addr);
-  }
-  if (timed) {
-    const double us = timer.ElapsedSeconds() * 1e6;
-    stats_.free_latency_us += us;
-    if (telemetry_on) {
-      RecordTelemetryOp(telemetry::FlightOp::Kind::kFree, size, us);
+  if (telemetry_on) {
+    if (heap_ != nullptr) {
+      MaybeHeapMapFree(addr);
     }
-    if (hook_ != nullptr) {
-      hook_->OnFree(size, us, Snapshot());
-    }
+    RecordTelemetryOp(telemetry::FlightOp::Kind::kFree, size, timer.ElapsedSeconds() * 1e6);
   }
   return true;
 }

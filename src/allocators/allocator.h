@@ -46,11 +46,6 @@ struct AllocatorStats {
   // re-implement counter code:
   uint64_t bytes_allocated_total = 0;  // cumulative requested bytes over successful mallocs
   uint64_t bytes_freed_total = 0;      // cumulative requested bytes returned via Free
-  // Host wall time spent inside Malloc/Free, accumulated while per-op timing is armed — i.e.
-  // while a stats hook is installed OR telemetry is enabled (timing stays off the hot path
-  // when nobody listens).
-  double malloc_latency_us = 0;
-  double free_latency_us = 0;
 
   // E = Ma / Mr (§2.2, Eq. 1). 1.0 when nothing was reserved.
   double MemoryEfficiency() const {
@@ -64,31 +59,6 @@ struct AllocatorStats {
   uint64_t FragmentationBytes() const {
     return reserved_peak > allocated_peak ? reserved_peak - allocated_peak : 0;
   }
-};
-
-// A fragmentation snapshot: the allocator's occupancy at one instant, cheap enough to sample
-// per-op. Produced by AllocatorBase for stats hooks (timeline observers, frag-over-time curves).
-struct AllocatorSnapshot {
-  uint64_t op_index = 0;   // num_mallocs + num_frees at sample time
-  uint64_t allocated = 0;  // live requested bytes
-  uint64_t reserved = 0;   // reserved bytes right now
-
-  double Fragmentation() const {
-    return reserved == 0 ? 0.0
-                         : 1.0 - static_cast<double>(allocated) / static_cast<double>(reserved);
-  }
-};
-
-// Observer of one allocator's per-op instrumentation. Install with
-// AllocatorBase::SetStatsHook; while installed, Malloc/Free also measure per-op wall latency
-// (reported here and accumulated into AllocatorStats). The snapshot argument reflects the state
-// *after* the operation.
-class AllocatorStatsHook {
- public:
-  virtual ~AllocatorStatsHook() = default;
-  virtual void OnMalloc(uint64_t size, double latency_us, const AllocatorSnapshot& after) = 0;
-  virtual void OnFree(uint64_t size, double latency_us, const AllocatorSnapshot& after) = 0;
-  virtual void OnOom(uint64_t /*size*/, const AllocatorSnapshot& /*at*/) {}
 };
 
 class Allocator {
@@ -139,14 +109,6 @@ class AllocatorBase : public Allocator {
   bool Free(uint64_t addr) final;
   const AllocatorStats& stats() const final { return stats_; }
 
-  // Installs (or clears, with nullptr) the per-op instrumentation hook. At most one hook is
-  // active. The hook is one telemetry sink among several: per-op latency measurement is armed
-  // while a hook is installed OR process telemetry is enabled, and latency histograms flow
-  // into the telemetry MetricsRegistry either way, so `--metrics` output does not depend on
-  // whether a snapshot hook happens to be attached.
-  void SetStatsHook(AllocatorStatsHook* hook) { hook_ = hook; }
-  AllocatorStatsHook* stats_hook() const { return hook_; }
-
   // Live requested size for a given address (0 if unknown). For tests.
   uint64_t LiveSize(uint64_t addr) const;
 
@@ -175,15 +137,9 @@ class AllocatorBase : public Allocator {
   void NotePressure();
 
  private:
-  AllocatorSnapshot Snapshot() const {
-    AllocatorSnapshot s;
-    s.op_index = stats_.num_mallocs + stats_.num_frees;
-    s.allocated = stats_.allocated_current;
-    s.reserved = ReservedBytes();
-    return s;
-  }
-
-  // Telemetry emission (all behind telemetry::Enabled(); see src/telemetry/). The flight ring
+  // Telemetry emission (all behind telemetry::Enabled(); see src/telemetry/) — the one per-op
+  // instrumentation path: latency lands in the alloc.malloc_latency_us / alloc.free_latency_us
+  // histograms, and with STALLOC_TELEMETRY=OFF the timing compiles out entirely. The flight ring
   // records the last N ops for the OOM flight recorder; it is created lazily on the first
   // telemetry-enabled op so disabled runs never pay for it.
   void RecordTelemetryOp(telemetry::FlightOp::Kind kind, uint64_t size, double latency_us);
@@ -221,7 +177,6 @@ class AllocatorBase : public Allocator {
                                bool urgent);
 
   AllocatorStats stats_;
-  AllocatorStatsHook* hook_ = nullptr;
   std::unique_ptr<telemetry::FlightRing> flight_;
   std::unique_ptr<HeapMapState> heap_;
   bool heap_suppressed_ = false;

@@ -1,6 +1,7 @@
 // Trace serialization: CSV export/import so profiled traces can be inspected with external tools
 // and plans can be synthesized out-of-process (the paper ships the Plan Synthesizer as a
-// standalone tool, §8).
+// standalone tool, §8). The one binary format is the columnar v2 ("STLC") in
+// src/trace/trace_v2.h; CSV is the human-readable one.
 //
 // All readers return status instead of aborting: production traces come from disk, and a
 // truncated copy or a stray editor save must surface as a tool error (exit 2), not a crash.
@@ -38,18 +39,10 @@ bool WriteTraceCsvFile(const Trace& trace, const std::string& path);
 bool ReadTraceCsv(std::istream& is, Trace* out, TraceIoError* err);
 bool ReadTraceCsvFile(const std::string& path, Trace* out, TraceIoError* err);
 
-// Binary v1: a fixed-width little-endian row encoding — parsed in one pass without text
-// conversion. Layout: magic "STLB", version u32, then length-prefixed sections for phases,
-// layers and events. The columnar v2 format (magic "STLC") lives in src/trace/trace_v2.h and
-// supports zero-copy mmap replay via TraceView.
-void WriteTraceBinary(const Trace& trace, std::ostream& os);
-bool WriteTraceBinaryFile(const Trace& trace, const std::string& path);
-bool ReadTraceBinary(std::istream& is, Trace* out, TraceIoError* err);
-bool ReadTraceBinaryFile(const std::string& path, Trace* out, TraceIoError* err);
-
-// Reads a trace of any supported format, sniffing the leading magic: "STLB" → binary v1,
-// "STLC" → columnar v2 (fully materialized — use TraceView directly for streaming replay),
-// anything else → CSV.
+// Reads a trace of either supported format, sniffing the leading magic: "STLC" → columnar v2
+// (fully materialized — use TraceView directly for streaming replay), anything else → CSV.
+// Any other binary file, such as an old "STLB" row-binary trace, fails the CSV header check and
+// returns an error.
 bool ReadTraceAnyFile(const std::string& path, Trace* out, TraceIoError* err);
 
 }  // namespace stalloc

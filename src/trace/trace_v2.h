@@ -1,10 +1,10 @@
 // Columnar binary trace format (v2) + mmap-streamed replay access.
 //
-// v1 formats (CSV / "STLB" row binary) fully materialize a std::vector<MemoryEvent> before
-// replay, which caps realistic scale around ~100k ops. Production STAlloc profiles are
-// multi-GB day-long traces; v2 lays the trace out column-major so the replay hot loop touches
-// exactly the bytes it needs, straight out of an mmap'd file, with zero per-event heap
-// allocation:
+// This is the repository's one binary trace format. CSV (src/trace/trace_io.h) fully
+// materializes a std::vector<MemoryEvent> before replay, which caps realistic scale around
+// ~100k ops. Production STAlloc profiles are multi-GB day-long traces; v2 lays the trace out
+// column-major so the replay hot loop touches exactly the bytes it needs, straight out of an
+// mmap'd file, with zero per-event heap allocation:
 //
 //   header   magic "STLC", version, num_events, end_time, footer offset
 //   columns  per-field contiguous arrays, each section 64-byte aligned:
@@ -204,7 +204,7 @@ class TraceView {
   MemoryEvent Event(uint64_t id) const;
 
   // Builds an owned Trace with identical event ids — the bridge to code that still needs a
-  // materialized trace (plan synthesis, v1 writers).
+  // materialized trace (plan synthesis, the CSV writer).
   Trace Materialize() const;
 
  private:

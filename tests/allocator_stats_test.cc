@@ -1,13 +1,11 @@
 // Coverage for the instrumented Allocator interface (src/allocators/allocator.h): the built-in
-// AllocatorStats counters (bytes moved, per-op latency) and the AllocatorStatsHook per-op
-// observer — the instrumentation every driver now reads instead of keeping its own counters.
+// AllocatorStats counters (bytes moved, live blocks, peaks) every driver reads instead of
+// keeping its own. Per-op latency is telemetry's job (tests/telemetry_test.cc).
 
 #include <cstdint>
-#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "src/allocators/caching_allocator.h"
 #include "src/allocators/native_allocator.h"
 #include "src/common/units.h"
 #include "src/gpu/sim_device.h"
@@ -15,27 +13,7 @@
 namespace stalloc {
 namespace {
 
-class RecordingHook : public AllocatorStatsHook {
- public:
-  struct Op {
-    char kind;  // 'm', 'f', 'o'
-    uint64_t size;
-    double latency_us;
-    AllocatorSnapshot after;
-  };
-  void OnMalloc(uint64_t size, double latency_us, const AllocatorSnapshot& after) override {
-    ops.push_back({'m', size, latency_us, after});
-  }
-  void OnFree(uint64_t size, double latency_us, const AllocatorSnapshot& after) override {
-    ops.push_back({'f', size, latency_us, after});
-  }
-  void OnOom(uint64_t size, const AllocatorSnapshot& at) override {
-    ops.push_back({'o', size, 0, at});
-  }
-  std::vector<Op> ops;
-};
-
-TEST(AllocatorStats, BytesMovedAccumulateWithoutAHook) {
+TEST(AllocatorStats, BytesMovedAccumulate) {
   SimDevice dev(1 * GiB);
   NativeAllocator alloc(&dev);
   auto a = alloc.Malloc(10 * MiB);
@@ -48,59 +26,6 @@ TEST(AllocatorStats, BytesMovedAccumulateWithoutAHook) {
   EXPECT_EQ(s.bytes_freed_total, 10 * MiB);
   EXPECT_EQ(s.allocated_current, 6 * MiB);
   EXPECT_EQ(s.live_blocks, 1u);
-  // Latency measurement stays off while nobody listens.
-  EXPECT_EQ(s.malloc_latency_us, 0.0);
-  EXPECT_EQ(s.free_latency_us, 0.0);
-}
-
-TEST(AllocatorStats, HookSeesEveryOpWithConsistentSnapshots) {
-  SimDevice dev(1 * GiB);
-  CachingAllocator alloc(&dev);
-  RecordingHook hook;
-  alloc.SetStatsHook(&hook);
-
-  auto a = alloc.Malloc(8 * MiB);
-  auto b = alloc.Malloc(3 * MiB);
-  ASSERT_TRUE(a.has_value() && b.has_value());
-  alloc.Free(*a);
-  alloc.Free(*b);
-
-  ASSERT_EQ(hook.ops.size(), 4u);
-  EXPECT_EQ(hook.ops[0].kind, 'm');
-  EXPECT_EQ(hook.ops[0].size, 8 * MiB);
-  EXPECT_EQ(hook.ops[0].after.allocated, 8 * MiB);
-  EXPECT_EQ(hook.ops[1].after.allocated, 11 * MiB);
-  EXPECT_EQ(hook.ops[2].kind, 'f');
-  EXPECT_EQ(hook.ops[2].after.allocated, 3 * MiB);
-  EXPECT_EQ(hook.ops[3].after.allocated, 0u);
-  for (size_t i = 0; i < hook.ops.size(); ++i) {
-    EXPECT_GE(hook.ops[i].latency_us, 0.0) << i;
-    EXPECT_EQ(hook.ops[i].after.op_index, i + 1) << i;
-    EXPECT_GE(hook.ops[i].after.reserved, hook.ops[i].after.allocated) << i;
-    EXPECT_GE(hook.ops[i].after.Fragmentation(), 0.0) << i;
-  }
-  // While the hook is installed, per-op wall time accumulates into the shared stats.
-  EXPECT_GT(alloc.stats().malloc_latency_us, 0.0);
-  EXPECT_GT(alloc.stats().free_latency_us, 0.0);
-}
-
-TEST(AllocatorStats, HookObservesOomAndClearingStopsDelivery) {
-  SimDevice dev(16 * MiB);
-  NativeAllocator alloc(&dev);
-  RecordingHook hook;
-  alloc.SetStatsHook(&hook);
-
-  EXPECT_FALSE(alloc.Malloc(64 * MiB).has_value());
-  ASSERT_EQ(hook.ops.size(), 1u);
-  EXPECT_EQ(hook.ops[0].kind, 'o');
-  EXPECT_EQ(hook.ops[0].size, 64 * MiB);
-  EXPECT_EQ(alloc.stats().num_oom, 1u);
-
-  alloc.SetStatsHook(nullptr);
-  auto a = alloc.Malloc(1 * MiB);
-  ASSERT_TRUE(a.has_value());
-  alloc.Free(*a);
-  EXPECT_EQ(hook.ops.size(), 1u);  // no further deliveries after the hook is cleared
 }
 
 TEST(AllocatorStats, EfficiencyAndFragmentationDeriveFromPeaks) {

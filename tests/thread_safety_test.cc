@@ -1,10 +1,10 @@
 // Thread-safety coverage for the sharded fleet's concurrency model. The invariant is
-// shard-confinement, not locking: each worker thread owns its shard's devices, allocators and
-// stats hooks outright between scheduler boundaries, so AllocatorBase's unguarded counters and
-// AllocatorStatsHook callbacks are safe exactly because no two threads ever touch the same
-// allocator. These tests drive that model hard — per-shard replay over a WorkerPool, full
-// RunCluster calls racing each other — and are the payload of the STALLOC_SANITIZE=thread CI
-// job: any cross-thread leak in the shard partitioning shows up as a TSan report here.
+// shard-confinement, not locking: each worker thread owns its shard's devices, allocators,
+// replay engine and observer outright between scheduler boundaries, so AllocatorBase's
+// unguarded counters and ReplayObserver callbacks are safe exactly because no two threads ever
+// touch the same shard. These tests drive that model hard — per-shard replay over a WorkerPool,
+// full RunCluster calls racing each other — and are the payload of the STALLOC_SANITIZE=thread
+// CI job: any cross-thread leak in the shard partitioning shows up as a TSan report here.
 
 #include <atomic>
 #include <cstdint>
@@ -38,18 +38,21 @@ Trace MakeChurnTrace(int blocks, uint64_t size) {
   return trace;
 }
 
-// Counts hook callbacks and cross-checks them against AllocatorStats afterwards.
-class CountingHook final : public AllocatorStatsHook {
+// Counts replay-observer callbacks and cross-checks them against AllocatorStats afterwards.
+class CountingObserver final : public ReplayObserver {
  public:
-  void OnMalloc(uint64_t size, double, const AllocatorSnapshot&) override {
+  void AfterMalloc(ReplayEngine&, const ReplayOpView& op, uint64_t) override {
     ++mallocs;
-    malloc_bytes += size;
+    malloc_bytes += op.event->size;
   }
-  void OnFree(uint64_t size, double, const AllocatorSnapshot&) override {
+  void AfterFree(ReplayEngine&, const ReplayOpView& op, uint64_t) override {
     ++frees;
-    free_bytes += size;
+    free_bytes += op.event->size;
   }
-  void OnOom(uint64_t, const AllocatorSnapshot&) override { ++ooms; }
+  OomAction OnOom(ReplayEngine&, const ReplayOpView&) override {
+    ++ooms;
+    return OomAction::kAbortRun;
+  }
 
   uint64_t mallocs = 0, frees = 0, ooms = 0;
   uint64_t malloc_bytes = 0, free_bytes = 0;
@@ -60,33 +63,33 @@ struct ShardFixture {
   explicit ShardFixture(uint64_t capacity) : device(capacity), alloc(&device) {}
   SimDevice device;
   CachingAllocator alloc;
-  CountingHook hook;
+  CountingObserver observer;
   Trace trace;
   ReplayEngineResult result;
+
+  void Replay() {
+    ReplayEngine engine(&observer);
+    ReplaySource src;
+    src.trace = &trace;
+    src.alloc = &alloc;
+    engine.AddSource(src);
+    result = engine.Run();
+  }
 };
 
-// The production access pattern: N shards replayed concurrently over a WorkerPool, each with a
-// stats hook installed. Everything is shard-local; stats and hook counters must come out exact.
-TEST(ThreadSafety, StatsAndHooksUnderConcurrentPerShardReplay) {
+// The production access pattern: N shards replayed concurrently over a WorkerPool, each with its
+// own replay observer. Everything is shard-local; stats and observer counts must come out exact.
+TEST(ThreadSafety, StatsAndObserversUnderConcurrentPerShardReplay) {
   constexpr int kShards = 8;
   constexpr int kBlocks = 400;
   std::vector<std::unique_ptr<ShardFixture>> shards;
   for (int s = 0; s < kShards; ++s) {
     shards.push_back(std::make_unique<ShardFixture>(1 * GiB));
     shards.back()->trace = MakeChurnTrace(kBlocks, (1 + s) * MiB);
-    shards.back()->alloc.SetStatsHook(&shards.back()->hook);
   }
 
   WorkerPool pool(4);
-  pool.ParallelFor(shards.size(), [&](size_t s) {
-    ShardFixture& shard = *shards[s];
-    ReplayEngine engine(nullptr);
-    ReplaySource src;
-    src.trace = &shard.trace;
-    src.alloc = &shard.alloc;
-    engine.AddSource(src);
-    shard.result = engine.Run();
-  });
+  pool.ParallelFor(shards.size(), [&](size_t s) { shards[s]->Replay(); });
 
   for (int s = 0; s < kShards; ++s) {
     const ShardFixture& shard = *shards[s];
@@ -95,39 +98,29 @@ TEST(ThreadSafety, StatsAndHooksUnderConcurrentPerShardReplay) {
     EXPECT_EQ(stats.num_mallocs, static_cast<uint64_t>(kBlocks)) << s;
     EXPECT_EQ(stats.num_frees, static_cast<uint64_t>(kBlocks)) << s;
     EXPECT_EQ(stats.allocated_current, 0u) << s;
-    // The hook saw exactly what the stats counted — same thread, same shard, no races.
-    EXPECT_EQ(shard.hook.mallocs, stats.num_mallocs) << s;
-    EXPECT_EQ(shard.hook.frees, stats.num_frees) << s;
-    EXPECT_EQ(shard.hook.malloc_bytes, stats.bytes_allocated_total) << s;
-    EXPECT_EQ(shard.hook.free_bytes, stats.bytes_freed_total) << s;
-    EXPECT_GT(stats.malloc_latency_us, 0.0) << s;  // latency armed while the hook is installed
+    // The observer saw exactly what the stats counted — same thread, same shard, no races.
+    EXPECT_EQ(shard.observer.mallocs, stats.num_mallocs) << s;
+    EXPECT_EQ(shard.observer.frees, stats.num_frees) << s;
+    EXPECT_EQ(shard.observer.malloc_bytes, stats.bytes_allocated_total) << s;
+    EXPECT_EQ(shard.observer.free_bytes, stats.bytes_freed_total) << s;
   }
 }
 
 // OOM callbacks stay shard-confined too: every shard's allocator is driven into failure
-// concurrently and each hook must count only its own shard's failed mallocs.
+// concurrently and each observer must count only its own shard's failed mallocs.
 TEST(ThreadSafety, OomCallbacksStayShardConfined) {
   constexpr int kShards = 6;
   std::vector<std::unique_ptr<ShardFixture>> shards;
   for (int s = 0; s < kShards; ++s) {
     shards.push_back(std::make_unique<ShardFixture>(8 * MiB));  // far too small for the trace
     shards.back()->trace = MakeChurnTrace(64, 1 * MiB);
-    shards.back()->alloc.SetStatsHook(&shards.back()->hook);
   }
   WorkerPool pool(3);
-  pool.ParallelFor(shards.size(), [&](size_t s) {
-    ShardFixture& shard = *shards[s];
-    ReplayEngine engine(nullptr);
-    ReplaySource src;
-    src.trace = &shard.trace;
-    src.alloc = &shard.alloc;
-    engine.AddSource(src);
-    shard.result = engine.Run();
-  });
+  pool.ParallelFor(shards.size(), [&](size_t s) { shards[s]->Replay(); });
   for (int s = 0; s < kShards; ++s) {
     EXPECT_TRUE(shards[s]->result.oom) << s;
-    EXPECT_EQ(shards[s]->hook.ooms, shards[s]->alloc.stats().num_oom) << s;
-    EXPECT_GT(shards[s]->hook.ooms, 0u) << s;
+    EXPECT_EQ(shards[s]->observer.ooms, shards[s]->alloc.stats().num_oom) << s;
+    EXPECT_GT(shards[s]->observer.ooms, 0u) << s;
   }
 }
 

@@ -1,6 +1,7 @@
-// Round-trip coverage for src/trace/trace_io.*: CSV and binary serialization must be lossless,
-// and a write -> read -> re-write cycle must reproduce the first serialization byte-for-byte
-// (the determinism contract external plan-synthesis tooling relies on, §8).
+// Round-trip coverage for src/trace/trace_io.* and the columnar v2 format: CSV and v2
+// serialization must be lossless, and a write -> read -> re-write cycle must reproduce the first
+// serialization byte-for-byte (the determinism contract external plan-synthesis tooling relies
+// on, §8).
 
 #include "src/trace/trace_io.h"
 
@@ -88,6 +89,18 @@ void ExpectTracesEqual(const Trace& a, const Trace& b) {
   }
 }
 
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  std::ostringstream os;
+  os << is.rdbuf();
+  return os.str();
+}
+
+void WriteFileBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
 TEST(TraceIo, CsvRoundTripIsByteIdentical) {
   for (const Trace& original : {TinyTrace(), TrainingTrace(), ServingTrace()}) {
     const std::string first = CsvOf(original);
@@ -100,52 +113,8 @@ TEST(TraceIo, CsvRoundTripIsByteIdentical) {
   }
 }
 
-TEST(TraceIo, BinaryRoundTripIsLossless) {
-  for (const Trace& original : {TinyTrace(), TrainingTrace(), ServingTrace()}) {
-    std::ostringstream os;
-    WriteTraceBinary(original, os);
-    std::istringstream is(os.str());
-    Trace reread;
-    TraceIoError err;
-    ASSERT_TRUE(ReadTraceBinary(is, &reread, &err)) << err.ToString();
-    ExpectTracesEqual(original, reread);
-    // Binary -> binary is byte-identical too.
-    std::ostringstream os2;
-    WriteTraceBinary(reread, os2);
-    EXPECT_EQ(os.str(), os2.str());
-  }
-}
-
-TEST(TraceIo, CsvAndBinaryAgree) {
-  const Trace original = TrainingTrace();
-  std::ostringstream bin;
-  WriteTraceBinary(original, bin);
-  std::istringstream bin_is(bin.str());
-  Trace from_binary;
-  TraceIoError err;
-  ASSERT_TRUE(ReadTraceBinary(bin_is, &from_binary, &err)) << err.ToString();
-  EXPECT_EQ(CsvOf(original), CsvOf(from_binary));
-}
-
-TEST(TraceIo, FileRoundTrip) {
-  const Trace original = TinyTrace();
-  const std::string csv_path = ::testing::TempDir() + "/trace_io_test.csv";
-  const std::string bin_path = ::testing::TempDir() + "/trace_io_test.bin";
-  ASSERT_TRUE(WriteTraceCsvFile(original, csv_path));
-  ASSERT_TRUE(WriteTraceBinaryFile(original, bin_path));
-  Trace from_csv, from_bin;
-  TraceIoError err;
-  ASSERT_TRUE(ReadTraceCsvFile(csv_path, &from_csv, &err)) << err.ToString();
-  ASSERT_TRUE(ReadTraceBinaryFile(bin_path, &from_bin, &err)) << err.ToString();
-  ExpectTracesEqual(original, from_csv);
-  ExpectTracesEqual(original, from_bin);
-  std::remove(csv_path.c_str());
-  std::remove(bin_path.c_str());
-}
-
 TEST(TraceIo, WriteToUnwritablePathFails) {
   EXPECT_FALSE(WriteTraceCsvFile(TinyTrace(), "/nonexistent-dir/trace.csv"));
-  EXPECT_FALSE(WriteTraceBinaryFile(TinyTrace(), "/nonexistent-dir/trace.bin"));
   EXPECT_FALSE(WriteTraceV2File(TinyTrace(), "/nonexistent-dir/trace.stlc"));
 }
 
@@ -153,7 +122,6 @@ TEST(TraceIo, ReadersReportMissingFiles) {
   Trace out;
   TraceIoError err;
   EXPECT_FALSE(ReadTraceCsvFile("/nonexistent-dir/trace.csv", &out, &err));
-  EXPECT_FALSE(ReadTraceBinaryFile("/nonexistent-dir/trace.bin", &out, &err));
   EXPECT_FALSE(ReadTraceAnyFile("/nonexistent-dir/trace.any", &out, &err));
   TraceView view;
   EXPECT_FALSE(view.Open("/nonexistent-dir/trace.stlc", &err));
@@ -182,32 +150,52 @@ TEST(TraceIo, CsvRejectsNonPositiveLifespan) {
   EXPECT_NE(err.message.find("lifespan"), std::string::npos) << err.message;
 }
 
-TEST(TraceIo, BinaryRejectsTruncationWithByteOffset) {
-  std::ostringstream os;
-  WriteTraceBinary(TinyTrace(), os);
-  const std::string full = os.str();
-  std::istringstream is(full.substr(0, full.size() - 7));
+TEST(TraceIo, CsvAndV2Agree) {
+  const Trace original = TrainingTrace();
+  const std::string path = ::testing::TempDir() + "/trace_io_agree.stlc";
+  ASSERT_TRUE(WriteTraceV2File(original, path));
+  TraceView view;
+  TraceIoError err;
+  ASSERT_TRUE(view.Open(path, &err)) << err.ToString();
+  EXPECT_EQ(CsvOf(original), CsvOf(view.Materialize()));
+  std::remove(path.c_str());
+}
+
+TEST(TraceIo, FileRoundTrip) {
+  const Trace original = TinyTrace();
+  const std::string csv_path = ::testing::TempDir() + "/trace_io_test.csv";
+  const std::string v2_path = ::testing::TempDir() + "/trace_io_test.stlc";
+  ASSERT_TRUE(WriteTraceCsvFile(original, csv_path));
+  ASSERT_TRUE(WriteTraceV2File(original, v2_path));
+  Trace from_csv;
+  TraceIoError err;
+  ASSERT_TRUE(ReadTraceCsvFile(csv_path, &from_csv, &err)) << err.ToString();
+  TraceView view;
+  ASSERT_TRUE(view.Open(v2_path, &err)) << err.ToString();
+  ExpectTracesEqual(original, from_csv);
+  ExpectTracesEqual(original, view.Materialize());
+  std::remove(csv_path.c_str());
+  std::remove(v2_path.c_str());
+}
+
+// An old "STLB" row-binary trace falls through to the CSV reader, whose header check turns it
+// into an ordinary error — never an abort.
+TEST(TraceIo, LegacyV1FileIsRejectedNotAborted) {
+  const std::string path = ::testing::TempDir() + "/trace_io_legacy.bin";
+  std::string v1("STLB\x01\0\0\0", 8);     // magic + version 1
+  v1.append("\x04\0\0\0tiny", 8);          // name
+  v1.append(std::string(4 + 4 + 8, '\0'));  // no phases, no layers, no events
+  WriteFileBytes(path, v1);
   Trace out;
   TraceIoError err;
-  ASSERT_FALSE(ReadTraceBinary(is, &out, &err));
-  EXPECT_NE(err.message.find("truncated"), std::string::npos) << err.message;
-  EXPECT_GT(err.byte_offset, 0u);
-  EXPECT_LE(err.byte_offset, full.size());
+  EXPECT_FALSE(ReadTraceAnyFile(path, &out, &err));
+  EXPECT_NE(err.message.find("unexpected trace CSV header: STLB"), std::string::npos)
+      << err.message;
+  EXPECT_EQ(err.byte_offset, 0u);
+  std::remove(path.c_str());
 }
 
 // --- columnar v2 ---
-
-std::string ReadFileBytes(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  std::ostringstream os;
-  os << is.rdbuf();
-  return os.str();
-}
-
-void WriteFileBytes(const std::string& path, const std::string& bytes) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
 
 TEST(TraceV2, BulkRoundTripMaterializesIdentically) {
   for (const Trace& original : {TinyTrace(), TrainingTrace(), ServingTrace()}) {
@@ -394,19 +382,16 @@ TEST(TraceV2, RejectsCorruptedColumns) {
 TEST(TraceV2, ReadTraceAnyFileSniffsAllFormats) {
   const Trace original = TinyTrace();
   const std::string csv_path = ::testing::TempDir() + "/trace_any.csv";
-  const std::string bin_path = ::testing::TempDir() + "/trace_any.bin";
   const std::string v2_path = ::testing::TempDir() + "/trace_any.stlc";
   ASSERT_TRUE(WriteTraceCsvFile(original, csv_path));
-  ASSERT_TRUE(WriteTraceBinaryFile(original, bin_path));
   ASSERT_TRUE(WriteTraceV2File(original, v2_path));
-  for (const std::string& path : {csv_path, bin_path, v2_path}) {
+  for (const std::string& path : {csv_path, v2_path}) {
     Trace out;
     TraceIoError err;
     ASSERT_TRUE(ReadTraceAnyFile(path, &out, &err)) << path << ": " << err.ToString();
     ExpectTracesEqual(original, out);
   }
   std::remove(csv_path.c_str());
-  std::remove(bin_path.c_str());
   std::remove(v2_path.c_str());
 }
 

@@ -161,66 +161,6 @@ TEST(TraceIo, CsvRoundtrip) {
   EXPECT_EQ(back.layer(0).end, t.layer(0).end);
 }
 
-TEST(TraceIo, BinaryRoundtrip) {
-  Trace t = MakeSimpleTrace();
-  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  WriteTraceBinary(t, ss);
-  Trace back;
-  TraceIoError err;
-  ASSERT_TRUE(ReadTraceBinary(ss, &back, &err)) << err.ToString();
-  ASSERT_EQ(back.size(), t.size());
-  EXPECT_EQ(back.name(), t.name());
-  ASSERT_EQ(back.phases().size(), t.phases().size());
-  ASSERT_EQ(back.layers().size(), t.layers().size());
-  for (size_t i = 0; i < t.size(); ++i) {
-    const auto& a = t.event(i);
-    const auto& b = back.event(i);
-    EXPECT_EQ(a.size, b.size);
-    EXPECT_EQ(a.ts, b.ts);
-    EXPECT_EQ(a.te, b.te);
-    EXPECT_EQ(a.ps, b.ps);
-    EXPECT_EQ(a.pe, b.pe);
-    EXPECT_EQ(a.dyn, b.dyn);
-    EXPECT_EQ(a.ls, b.ls);
-    EXPECT_EQ(a.le, b.le);
-    EXPECT_EQ(a.stream, b.stream);
-  }
-  EXPECT_EQ(back.layer(1).name, t.layer(1).name);
-  EXPECT_EQ(back.phase(1).start, t.phase(1).start);
-}
-
-TEST(TraceIo, BinaryRejectsGarbage) {
-  std::stringstream ss;
-  ss << "definitely not a trace";
-  Trace back;
-  TraceIoError err;
-  EXPECT_FALSE(ReadTraceBinary(ss, &back, &err));
-  EXPECT_EQ(err.message, "not a binary stalloc trace");
-}
-
-TEST(TraceIo, BinaryRoundtripAtScale) {
-  Trace t;
-  PhaseId p = t.AddPhase({PhaseKind::kForward, 0, 0, 0, 100000});
-  for (uint64_t i = 0; i < 4000; ++i) {
-    MemoryEvent e;
-    e.size = 1024 + i;
-    e.ts = i * 2;
-    e.te = i * 2 + 1;
-    e.ps = p;
-    e.pe = p;
-    t.AddEvent(e);
-  }
-  std::stringstream bin(std::ios::in | std::ios::out | std::ios::binary);
-  WriteTraceBinary(t, bin);
-  Trace back;
-  TraceIoError err;
-  ASSERT_TRUE(ReadTraceBinary(bin, &back, &err)) << err.ToString();
-  ASSERT_EQ(back.size(), t.size());
-  EXPECT_EQ(back.event(3999).size, t.event(3999).size);
-  // Fixed-width encoding: exactly 42 bytes per event after the header sections.
-  EXPECT_EQ(bin.str().size() % 42, (bin.str().size() - 42 * 4000) % 42);
-}
-
 TEST(PhaseInfo, ToStringFormat) {
   PhaseInfo p{PhaseKind::kForward, 3, 1, 0, 0};
   EXPECT_EQ(p.ToString(), "fwd/mb3/c1");

@@ -29,8 +29,8 @@ int main(int argc, char** argv) {
 
   FlagParser flags("stalloc_plan",
                    "Synthesize the Static Allocation Plan from a profiled trace.");
-  flags.AddPositional(&trace_path, "TRACE", "profiled trace (CSV, binary v1 or columnar v2; "
-                                            "format auto-detected)");
+  flags.AddPositional(&trace_path, "TRACE", "profiled trace (CSV or columnar v2; format "
+                                            "auto-detected)");
   flags.Add("--out", &out, "FILE", "write the synthesized plan CSV");
   flags.Add("--svg", &svg, "FILE", "render the plan timeline to SVG");
   flags.Add("--json", &json_path, "FILE", "machine-readable plan stats ('-' = stdout)");

@@ -111,8 +111,8 @@ int main(int argc, char** argv) {
   flags.Add("--microbatches", &spec.train.num_microbatches, "N", "microbatches per iteration");
   flags.Add("--rank", &spec.train.rank, "N", "simulated pipeline rank (rank axis)");
   flags.Add("--trace-file", &spec.trace_file, "FILE",
-            "replay this trace file instead of the simulated workload (rank axis only; CSV, "
-            "binary v1 or columnar v2 — v2 replays straight from the mmap'd file)");
+            "replay this trace file instead of the simulated workload (rank axis only; CSV "
+            "or columnar v2 — v2 replays straight from the mmap'd file)");
   // Serving shape.
   flags.Add("--scenario", &spec.scenario, "NAME", "serving preset (see --list-scenarios)");
   flags.Add("--requests", &spec.serve_requests, "N", "override the scenario's request count");

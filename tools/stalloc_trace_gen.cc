@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
   uint64_t capacity = 0;  // 0 = no feasibility report
   uint64_t ops = 0;
   std::string mix_name = "storm";
-  std::string out_format;
+  std::string format = "csv";
   bool list_models = false;
 
   FlagParser flags("stalloc_trace_gen",
@@ -75,9 +75,8 @@ int main(int argc, char** argv) {
   flags.Add("--ops", &ops, "N",
             "synthetic trace with N malloc/free ops instead of a simulated workload");
   flags.Add("--mix", &mix_name, "NAME", "synthetic mix: storm | train | serve");
-  flags.Add("--out", &out, "FILE", "trace output (.bin = binary v1, else CSV)");
-  flags.Add("--out-format", &out_format, "FMT",
-            "csv | bin | v2 (columnar, mmap-replayable); default by extension");
+  flags.Add("--out", &out, "FILE", "trace output");
+  flags.Add("--out-format", &format, "FMT", "csv (default) | v2 (columnar, mmap-replayable)");
   flags.Add("--json", &json_path, "FILE",
             "machine-readable trace stats + capacity verdict ('-' = stdout)");
   flags.AddFlag("--list-models", &list_models, "list model presets and exit");
@@ -124,12 +123,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown mix '%s' (storm | train | serve)\n", mix_name.c_str());
     return 2;
   }
-  std::string format = out_format;
-  if (format.empty()) {
-    format = out.size() > 4 && out.substr(out.size() - 4) == ".bin" ? "bin" : "csv";
-  }
-  if (format != "csv" && format != "bin" && format != "v2") {
-    std::fprintf(stderr, "unknown --out-format '%s' (csv | bin | v2)\n", format.c_str());
+  if (format != "csv" && format != "v2") {
+    std::fprintf(stderr, "unknown --out-format '%s' (csv | v2)\n", format.c_str());
     return 2;
   }
 
@@ -194,9 +189,8 @@ int main(int argc, char** argv) {
     WorkloadBuilder workload(ModelByName(model_name), config);
     trace = workload.Build(seed);
   }
-  const bool ok = format == "v2"    ? WriteTraceV2File(trace, out)
-                  : format == "bin" ? WriteTraceBinaryFile(trace, out)
-                                    : WriteTraceCsvFile(trace, out);
+  const bool ok =
+      format == "v2" ? WriteTraceV2File(trace, out) : WriteTraceCsvFile(trace, out);
   if (!ok) {
     std::fprintf(stderr, "cannot write %s\n", out.c_str());
     return 1;
