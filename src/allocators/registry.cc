@@ -19,15 +19,18 @@ AllocatorRegistry::AllocatorRegistry() {
   Register({"native", /*requires_plan=*/false,
             [](SimDevice* device, const AllocatorOptions&) -> std::unique_ptr<Allocator> {
               return std::make_unique<NativeAllocator>(device);
-            }});
+            },
+            /*options_help=*/""});
   Register({"torch-caching", /*requires_plan=*/false,
             [](SimDevice* device, const AllocatorOptions&) -> std::unique_ptr<Allocator> {
               return std::make_unique<CachingAllocator>(device);
-            }});
+            },
+            /*options_help=*/""});
   Register({"torch-expandable", /*requires_plan=*/false,
             [](SimDevice* device, const AllocatorOptions&) -> std::unique_ptr<Allocator> {
               return std::make_unique<ExpandableSegmentsAllocator>(device);
-            }});
+            },
+            /*options_help=*/""});
   Register({"gmlake", /*requires_plan=*/false,
             [](SimDevice* device, const AllocatorOptions& options) -> std::unique_ptr<Allocator> {
               GMLakeConfig config;
@@ -37,8 +40,8 @@ AllocatorRegistry::AllocatorRegistry() {
               return std::make_unique<GMLakeAllocator>(device, config);
             },
             "gmlake.frag_limit=<bytes>"});
-  Register({"stalloc", /*requires_plan=*/true, nullptr});
-  Register({"stalloc-noreuse", /*requires_plan=*/true, nullptr});
+  Register({"stalloc", /*requires_plan=*/true, nullptr, /*options_help=*/""});
+  Register({"stalloc-noreuse", /*requires_plan=*/true, nullptr, /*options_help=*/""});
   Register({"paged-kv", /*requires_plan=*/false,
             [](SimDevice* device, const AllocatorOptions& options) -> std::unique_ptr<Allocator> {
               PagedKVConfig config;

@@ -28,10 +28,12 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -121,6 +123,94 @@ double Percentile(std::vector<double> values, double p) {
   return values[std::min(rank, values.size() - 1)];
 }
 
+// Exact identity of an admission estimate's input: an injective byte encoding of every field
+// the estimate reads, so two keys are equal iff their inputs are — no hash is trusted.
+// Scalars are copied raw (doubles by bit pattern); strings and lists are length-prefixed.
+class EstimateKey {
+ public:
+  template <typename T>
+  void Add(T value) {
+    static_assert(std::is_arithmetic_v<T> || std::is_enum_v<T>);
+    bytes_.append(reinterpret_cast<const char*>(&value), sizeof(T));
+  }
+  void Add(const std::string& s) {
+    Add(s.size());
+    bytes_ += s;
+  }
+  void Add(const std::vector<LengthBucket>& buckets) {
+    Add(buckets.size());
+    for (const auto& [lo, hi, weight] : buckets) {
+      Add(lo);
+      Add(hi);
+      Add(weight);
+    }
+  }
+  std::string Take() { return std::move(bytes_); }
+
+ private:
+  std::string bytes_;
+};
+
+// The structured bindings below stop compiling when TrainConfig, ServeScenario or EngineConfig
+// gains a field, so a new field must be keyed (or deliberately skipped) before two jobs that
+// differ in it can share an estimate.
+//
+// Training: the whole TrainConfig except its rank and seed, which are replaced by the rank
+// being estimated (`train.rank` is ignored) and the seed the estimate builds its trace with.
+// The job's run seed is never read.
+std::string TrainingEstimateKey(const ClusterJob& job, int rank, uint64_t estimate_seed) {
+  [[maybe_unused]] const auto& [parallel, opt, micro_batch_size, num_microbatches, job_rank,
+                                config_seed] = job.train;
+  const auto& [tp, pp, dp, ep, vpp_chunks] = parallel;
+  const auto& [recompute, zero, offload, schedule] = opt;
+  EstimateKey key;
+  key.Add(ClusterJobType::kTraining);
+  key.Add(job.model);
+  for (int v : {tp, pp, dp, ep, vpp_chunks}) {
+    key.Add(v);
+  }
+  key.Add(recompute);
+  key.Add(zero);
+  key.Add(offload);
+  key.Add(schedule);
+  key.Add(micro_batch_size);
+  key.Add(num_microbatches);
+  key.Add(rank);
+  key.Add(estimate_seed);
+  return key.Take();
+}
+
+// Serving: the model, every scenario field and every engine field.
+std::string ServingEstimateKey(const ClusterJob& job) {
+  const auto& [name, arrival, num_requests, mean_interarrival_steps, burst_factor,
+               burst_on_steps, burst_off_steps, prompt_dist, output_dist] = job.scenario;
+  const auto& [kv_block_tokens, max_batch, kv_budget_bytes, max_steps, emit_weights] =
+      job.engine;
+  EstimateKey key;
+  key.Add(ClusterJobType::kServing);
+  key.Add(job.model);
+  key.Add(name);
+  key.Add(arrival);
+  key.Add(num_requests);
+  for (double v : {mean_interarrival_steps, burst_factor, burst_on_steps, burst_off_steps}) {
+    key.Add(v);
+  }
+  key.Add(prompt_dist);
+  key.Add(output_dist);
+  key.Add(kv_block_tokens);
+  key.Add(max_batch);
+  key.Add(kv_budget_bytes);
+  key.Add(max_steps);
+  key.Add(emit_weights);
+  return key.Take();
+}
+
+// The day's admission estimates, one per distinct input: slots[job][rank] indexes values.
+struct AdmissionEstimates {
+  std::vector<std::vector<size_t>> slots;
+  std::vector<uint64_t> values;
+};
+
 class ShardedClusterSim;
 
 // Per-shard replay observer. During windows it runs on the shard's worker thread and touches
@@ -209,10 +299,12 @@ class ShardedClusterSim {
     run_span.Arg("jobs", static_cast<unsigned long long>(jobs_.size()));
     run_span.Arg("devices", static_cast<unsigned long long>(devices_.size()));
     run_span.Arg("shards", static_cast<unsigned long long>(shards_.size()));
-    // Trace synthesis and admission estimates are pure per-job functions — the single biggest
-    // CPU cost at fleet scale — so they fan out over the same pool as the windows. The
-    // results are identical whether built here or lazily at submission.
-    pool_.ParallelFor(jobs_.size(), [this](size_t i) { BuildJobInputs(i); });
+    // Trace synthesis and admission estimates are pure functions of the job — the single
+    // biggest CPU cost at fleet scale — so they fan out over the same pool as the windows.
+    // The results are identical whether built here or lazily at submission.
+    const AdmissionEstimates estimates = ComputeAdmissionEstimates();
+    pool_.ParallelFor(jobs_.size(),
+                      [this, &estimates](size_t i) { BuildJobInputs(i, estimates); });
 
     size_t next_arrival = 0;
     while (true) {
@@ -456,34 +548,82 @@ class ShardedClusterSim {
 
   // --- job lifecycle ---
 
-  // Builds the job's traces and per-policy admission estimates. Pure per-job work, safe to run
-  // in parallel across jobs.
-  void BuildJobInputs(size_t idx) {
+  // An estimate is a pure function of the job's shape: every rank shares the policy's profile
+  // seed, and the naive training estimate reads only the config's own seed. So the day's
+  // (job, rank) inputs are deduped serially into slots in first-appearance order — identical
+  // for every worker count — and each distinct slot is computed once over the pool.
+  AdmissionEstimates ComputeAdmissionEstimates() {
+    telemetry::ScopedSpan span(telemetry::kCatFleet, "admission estimates");
+    const bool plan_aware = config_.policy == SchedulerPolicy::kPlanAware;
+    AdmissionEstimates out;
+    out.slots.resize(jobs_.size());
+    std::vector<std::pair<const ClusterJob*, int>> inputs;  // (job, rank) per slot
+    std::map<std::string, size_t> slot_of;
+    size_t estimates = 0;
+    for (size_t idx = 0; idx < jobs_.size(); ++idx) {
+      const ClusterJob& spec = *jobs_[idx].spec;
+      for (int rank = 0; rank < spec.ranks(); ++rank) {
+        std::string key =
+            spec.type == ClusterJobType::kTraining
+                ? TrainingEstimateKey(spec, rank,
+                                      plan_aware ? config_.profile_seed : spec.train.seed)
+                : ServingEstimateKey(spec);
+        const auto [it, inserted] = slot_of.emplace(std::move(key), inputs.size());
+        if (inserted) {
+          inputs.emplace_back(&spec, rank);
+        }
+        out.slots[idx].push_back(it->second);
+        ++estimates;
+      }
+    }
+    out.values.resize(inputs.size());
+    pool_.ParallelFor(inputs.size(), [this, &inputs, &out](size_t s) {
+      out.values[s] = ComputeEstimate(*inputs[s].first, inputs[s].second);
+    });
+    span.Arg("estimates", static_cast<unsigned long long>(estimates));
+    span.Arg("distinct", static_cast<unsigned long long>(inputs.size()));
+    return out;
+  }
+
+  // One rank's admission estimate under the fleet's policy.
+  uint64_t ComputeEstimate(const ClusterJob& spec, int rank) const {
+    const ModelConfig model = ModelByName(spec.model);
+    const bool plan_aware = config_.policy == SchedulerPolicy::kPlanAware;
+    if (spec.type == ClusterJobType::kTraining) {
+      if (!plan_aware) {
+        return NaiveTrainingEstimate(model, spec.train, rank);
+      }
+      TrainConfig per_rank = spec.train;
+      per_rank.rank = rank;
+      return PlanPredictedReservation(
+          WorkloadBuilder(model, per_rank).Build(config_.profile_seed));
+    }
+    if (!plan_aware) {
+      return NaiveServingEstimate(model, spec.engine);
+    }
+    return PlanPredictedReservation(
+        BuildServeTrace(model, spec.scenario, spec.engine, config_.profile_seed).trace);
+  }
+
+  // Builds the job's run traces and copies its per-rank admission estimates out of the day's
+  // table. Pure per-job work, safe to run in parallel across jobs.
+  void BuildJobInputs(size_t idx, const AdmissionEstimates& estimates) {
     JobState& job = jobs_[idx];
     const ClusterJob& spec = *job.spec;
     job.model = ModelByName(spec.model);
-    const bool plan_aware = config_.policy == SchedulerPolicy::kPlanAware;
     if (spec.type == ClusterJobType::kTraining) {
       TrainConfig per_rank = spec.train;
       for (int rank = 0; rank < spec.train.parallel.pp; ++rank) {
         per_rank.rank = rank;
-        WorkloadBuilder workload(job.model, per_rank);
-        job.traces.push_back(workload.Build(spec.seed));
-        job.estimates.push_back(plan_aware
-                                    ? PlanPredictedReservation(workload.Build(config_.profile_seed))
-                                    : NaiveTrainingEstimate(job.model, spec.train, rank));
+        job.traces.push_back(WorkloadBuilder(job.model, per_rank).Build(spec.seed));
       }
     } else {
       ServeTraceResult run = BuildServeTrace(job.model, spec.scenario, spec.engine, spec.seed);
       job.serve_stats = std::move(run.stats);
       job.traces.push_back(std::move(run.trace));
-      if (plan_aware) {
-        ServeTraceResult profile =
-            BuildServeTrace(job.model, spec.scenario, spec.engine, config_.profile_seed);
-        job.estimates.push_back(PlanPredictedReservation(profile.trace));
-      } else {
-        job.estimates.push_back(NaiveServingEstimate(job.model, spec.engine));
-      }
+    }
+    for (size_t slot : estimates.slots[idx]) {
+      job.estimates.push_back(estimates.values[slot]);
     }
     job.outcome.estimate = *std::max_element(job.estimates.begin(), job.estimates.end());
   }

@@ -4,9 +4,12 @@
 // the whole layer (a job first-fit admits and OOMs, plan-aware rejects up front).
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +18,8 @@
 #include "src/cluster/fleet.h"
 #include "src/cluster/scheduler.h"
 #include "src/common/units.h"
+#include "src/telemetry/metrics.h"
+#include "src/telemetry/telemetry.h"
 #include "src/trace/trace_stats.h"
 #include "src/trainsim/model_config.h"
 #include "src/trainsim/workload.h"
@@ -350,6 +355,198 @@ TEST(Fleet, ServingSloDegradesToZeroForFailedInstances) {
   EXPECT_EQ(r.rejected_upfront, 1u);
   EXPECT_EQ(r.serve_slo_attainment, 0.0);
 }
+
+// --- admission estimates: one computation per distinct input ---
+
+// The estimate a job gets with no sharing at all: the worst rank's direct estimate under the
+// fleet's policy.
+uint64_t DirectEstimate(const ClusterJob& job, const FleetConfig& fleet) {
+  const ModelConfig model = ModelByName(job.model);
+  const bool plan_aware = fleet.policy == SchedulerPolicy::kPlanAware;
+  if (job.type == ClusterJobType::kServing) {
+    return plan_aware ? PlanPredictedReservation(
+                            BuildServeTrace(model, job.scenario, job.engine, fleet.profile_seed)
+                                .trace)
+                      : NaiveServingEstimate(model, job.engine);
+  }
+  uint64_t worst = 0;
+  for (int rank = 0; rank < job.train.parallel.pp; ++rank) {
+    TrainConfig per_rank = job.train;
+    per_rank.rank = rank;
+    worst = std::max(worst, plan_aware ? PlanPredictedReservation(WorkloadBuilder(model, per_rank)
+                                                                      .Build(fleet.profile_seed))
+                                       : NaiveTrainingEstimate(model, job.train, rank));
+  }
+  return worst;
+}
+
+ClusterJob SmallServingJob() {
+  ClusterJob job;
+  job.type = ClusterJobType::kServing;
+  job.model = "gpt2";
+  job.seed = 3;
+  job.scenario = ScenarioByName("chat");
+  job.scenario.num_requests = 8;
+  job.engine.kv_budget_bytes = 1 * GiB;
+  return job;
+}
+
+ClusterJob SmallTrainingJob() {
+  ClusterJob job = OversizedTrainingJob();
+  job.train.micro_batch_size = 1;
+  job.train.num_microbatches = 2;
+  return job;
+}
+
+// A mixed day closed by lookalike jobs that a sloppy key would conflate or split: serving jobs
+// that share a scenario name but not a request count, and training jobs that differ only in
+// their run seed, or only in the config's own seed (which the naive estimate reads).
+std::vector<ClusterJob> DayWithLookalikes() {
+  std::vector<ClusterJob> jobs = GenerateClusterWorkload(MixedWorkload(), 21);
+  ClusterJob serve = SmallServingJob();
+  ClusterJob more_requests = serve;
+  more_requests.scenario.num_requests = 24;
+  ClusterJob train = SmallTrainingJob();
+  train.train.parallel.pp = 2;
+  ClusterJob reseeded = train;
+  reseeded.seed = train.seed + 1;
+  ClusterJob config_reseeded = train;
+  config_reseeded.train.seed = train.train.seed + 1;
+  for (ClusterJob job : {serve, more_requests, train, reseeded, config_reseeded}) {
+    job.id = jobs.size();
+    job.submit_time = jobs.back().submit_time + 1;
+    jobs.push_back(std::move(job));
+  }
+  return jobs;
+}
+
+TEST(Fleet, SharedEstimatesEqualDirectPerRankCalls) {
+  const std::vector<ClusterJob> jobs = DayWithLookalikes();
+  const size_t n = jobs.size();
+  for (SchedulerPolicy policy : {SchedulerPolicy::kPlanAware, SchedulerPolicy::kFirstFit}) {
+    const FleetConfig fleet = SmallFleet(policy, "torch-caching");
+    const ClusterResult r = RunCluster(fleet, jobs);
+    ASSERT_EQ(r.jobs.size(), n);
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(r.jobs[i].estimate, DirectEstimate(jobs[i], fleet))
+          << SchedulerPolicyName(policy) << " " << jobs[i].Describe();
+    }
+    // Same scenario name, more requests: a key on the name alone would reuse the smaller plan.
+    if (policy == SchedulerPolicy::kPlanAware) {
+      EXPECT_NE(r.jobs[n - 5].estimate, r.jobs[n - 4].estimate);
+    }
+    // The run seed never enters an estimate.
+    EXPECT_EQ(r.jobs[n - 3].estimate, r.jobs[n - 2].estimate) << SchedulerPolicyName(policy);
+  }
+}
+
+#if STALLOC_TELEMETRY
+// Gives `jobs` dense ids and strictly increasing submit times.
+std::vector<ClusterJob> Queued(std::vector<ClusterJob> jobs) {
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    jobs[i].id = i;
+    jobs[i].submit_time = i + 1;
+  }
+  return jobs;
+}
+
+// Plans synthesized over one plan-aware day of `jobs`, queued in order.
+uint64_t PlansSynthesized(const std::vector<ClusterJob>& jobs) {
+  telemetry::Counter* plans =
+      telemetry::MetricsRegistry::Global().GetCounter("planner.plans_synthesized");
+  telemetry::SetEnabled(true);
+  const uint64_t before = plans->value();
+  RunCluster(SmallFleet(SchedulerPolicy::kPlanAware, "torch-caching"), Queued(jobs));
+  telemetry::SetEnabled(false);
+  return plans->value() - before;
+}
+
+using Perturbation = std::pair<const char*, std::function<void(ClusterJob&)>>;
+
+// Key-completeness guard. Each perturbation changes one field a plan-aware estimate reads, so
+// the perturbed job must get plans of its own — one per rank — next to the base job's single
+// plan. Fields the estimate does not read must share the base plan.
+TEST(Fleet, EveryKeyedFieldSeparatesPlans) {
+  // Census of the keyed structs: a new field breaks these bindings. Give it a perturbation
+  // below and a place in the estimate key (src/cluster/sharded_fleet.cc), then extend them.
+  [[maybe_unused]] const auto& [parallel, opt, micro_batch_size, num_microbatches, rank, seed] =
+      TrainConfig{};
+  [[maybe_unused]] const auto& [tp, pp, dp, ep, vpp_chunks] = ParallelConfig{};
+  [[maybe_unused]] const auto& [recompute, zero, offload, schedule] = OptimizationConfig{};
+  [[maybe_unused]] const auto& [name, arrival, num_requests, mean_interarrival_steps,
+                                burst_factor, burst_on_steps, burst_off_steps, prompt_dist,
+                                output_dist] = ServeScenario{};
+  [[maybe_unused]] const auto& [lo, hi, weight] = LengthBucket{};
+  [[maybe_unused]] const auto& [kv_block_tokens, max_batch, kv_budget_bytes, max_steps,
+                                emit_weights] = EngineConfig{};
+
+  // One ULP apart: doubles must be keyed by bit pattern, not by a rounded rendering.
+  auto bump = [](double& v) { v = std::nextafter(v, v + 1); };
+  const std::vector<Perturbation> training = {
+      // An alias of the same model: the key compares names, so this splits harmlessly.
+      {"model", [](ClusterJob& j) { j.model = "gpt2-345m"; }},
+      {"tp", [](ClusterJob& j) { j.train.parallel.tp = 2; }},
+      {"pp", [](ClusterJob& j) { j.train.parallel.pp = 2; }},  // and rank: 2 ranks, 2 plans
+      {"dp", [](ClusterJob& j) { j.train.parallel.dp = 2; }},
+      {"ep", [](ClusterJob& j) { j.train.parallel.ep = 2; }},
+      {"vpp_chunks", [](ClusterJob& j) { j.train.parallel.vpp_chunks = 2; }},
+      {"recompute", [](ClusterJob& j) { j.train.opt.recompute = RecomputeMode::kSelective; }},
+      {"zero", [](ClusterJob& j) { j.train.opt.zero = ZeroStage::kStage1; }},
+      {"offload", [](ClusterJob& j) { j.train.opt.offload = true; }},
+      {"schedule", [](ClusterJob& j) { j.train.opt.schedule = PipelineSchedule::kGPipe; }},
+      {"micro_batch_size", [](ClusterJob& j) { j.train.micro_batch_size = 2; }},
+      {"num_microbatches", [](ClusterJob& j) { j.train.num_microbatches = 3; }},
+  };
+  const std::vector<Perturbation> serving = {
+      {"model", [](ClusterJob& j) { j.model = "gpt2-345m"; }},
+      {"name", [](ClusterJob& j) { j.scenario.name = "chat-copy"; }},
+      {"arrival", [](ClusterJob& j) { j.scenario.arrival = ArrivalProcess::kBursty; }},
+      {"num_requests", [](ClusterJob& j) { j.scenario.num_requests = 9; }},
+      {"mean_interarrival_steps",
+       [bump](ClusterJob& j) { bump(j.scenario.mean_interarrival_steps); }},
+      {"burst_factor", [bump](ClusterJob& j) { bump(j.scenario.burst_factor); }},
+      {"burst_on_steps", [bump](ClusterJob& j) { bump(j.scenario.burst_on_steps); }},
+      {"burst_off_steps", [bump](ClusterJob& j) { bump(j.scenario.burst_off_steps); }},
+      {"prompt_dist.lo", [](ClusterJob& j) { ++j.scenario.prompt_dist[0].lo; }},
+      {"prompt_dist.hi", [](ClusterJob& j) { ++j.scenario.prompt_dist[0].hi; }},
+      {"prompt_dist.weight", [bump](ClusterJob& j) { bump(j.scenario.prompt_dist[0].weight); }},
+      {"prompt_dist.size", [](ClusterJob& j) { j.scenario.prompt_dist.pop_back(); }},
+      {"output_dist.lo", [](ClusterJob& j) { ++j.scenario.output_dist[0].lo; }},
+      {"output_dist.hi", [](ClusterJob& j) { ++j.scenario.output_dist[0].hi; }},
+      {"output_dist.weight", [bump](ClusterJob& j) { bump(j.scenario.output_dist[0].weight); }},
+      {"output_dist.size", [](ClusterJob& j) { j.scenario.output_dist.pop_back(); }},
+      {"kv_block_tokens", [](ClusterJob& j) { j.engine.kv_block_tokens = 32; }},
+      {"max_batch", [](ClusterJob& j) { j.engine.max_batch = 16; }},
+      {"kv_budget_bytes", [](ClusterJob& j) { j.engine.kv_budget_bytes += MiB; }},
+      {"max_steps", [](ClusterJob& j) { j.engine.max_steps = 99999; }},
+      {"emit_weights", [](ClusterJob& j) { j.engine.emit_weights = false; }},
+  };
+  // Not read by a plan-aware estimate: the run seed, the iteration count, and the config's own
+  // seed (the fleet's profile seed replaces it).
+  const std::vector<Perturbation> unkeyed = {
+      {"seed", [](ClusterJob& j) { j.seed += 1; }},
+      {"iterations", [](ClusterJob& j) { j.iterations += 1; }},
+      {"train.seed", [](ClusterJob& j) { j.train.seed += 1; }},
+  };
+
+  for (const ClusterJob& base : {SmallTrainingJob(), SmallServingJob()}) {
+    const bool is_training = base.type == ClusterJobType::kTraining;
+    EXPECT_EQ(PlansSynthesized({base, base}), 1u);
+    for (const auto& [field, perturb] : is_training ? training : serving) {
+      ClusterJob other = base;
+      perturb(other);
+      EXPECT_EQ(PlansSynthesized({base, other}), 1u + static_cast<uint64_t>(other.ranks()))
+          << (is_training ? "training " : "serving ") << field;
+    }
+    for (const auto& [field, perturb] : unkeyed) {
+      ClusterJob other = base;
+      perturb(other);
+      EXPECT_EQ(PlansSynthesized({base, other}), 1u)
+          << (is_training ? "training " : "serving ") << field;
+    }
+  }
+}
+#endif  // STALLOC_TELEMETRY
 
 }  // namespace
 }  // namespace stalloc

@@ -120,7 +120,8 @@ TEST(RegistryTest, NewKindsRegisterInOnePlace) {
                        AllocatorOptions opts;
                        opts.paged_block_bytes = 2 * MiB;
                        return AllocatorRegistry::Global().Create("paged-kv", d, opts);
-                     }});
+                     },
+                     /*options_help=*/""});
   EXPECT_EQ(registry.size(), builtins + 1);
   SimDevice device(1 * GiB);
   auto alloc = registry.Create("paged-kv-2m", &device);

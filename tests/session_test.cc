@@ -299,7 +299,8 @@ TEST(Session, ExternalAllocatorsRunThroughEveryDriver) {
         {kExternal, /*requires_plan=*/false,
          [](SimDevice* device, const AllocatorOptions& options) {
            return AllocatorRegistry::Global().Create("torch-caching", device, options);
-         }});
+         },
+         /*options_help=*/""});
   }
   Session session;
 

@@ -19,6 +19,9 @@
 #include "src/cluster/scheduler.h"
 #include "src/common/rng.h"
 #include "src/common/units.h"
+#include "src/servesim/request_gen.h"
+#include "src/telemetry/metrics.h"
+#include "src/telemetry/telemetry.h"
 #include "src/trainsim/train_config.h"
 
 namespace stalloc {
@@ -230,6 +233,56 @@ TEST(ShardedFleet, ParallelRunsAreReproducible) {
     EXPECT_EQ(RunCluster(fleet, jobs).Digest(), first);
   }
 }
+
+#if STALLOC_TELEMETRY
+// Admission estimates are computed once per distinct input per day. K training jobs of one
+// shape (pp=2, distinct run seeds) and K serving jobs of one shape need exactly three plans —
+// one per training rank, one for the serving shape — at every worker count, and sharing them
+// leaves the day bit-identical across worker counts.
+TEST(ShardedFleet, IdenticalShapesSharePlansAtEveryWorkerCount) {
+  constexpr int kPerShape = 4;
+  std::vector<ClusterJob> jobs;
+  for (int i = 0; i < 2 * kPerShape; ++i) {
+    ClusterJob job;
+    job.id = static_cast<uint64_t>(i);
+    job.submit_time = 1 + 300 * static_cast<uint64_t>(i);
+    job.model = "gpt2";
+    job.seed = 100 + static_cast<uint64_t>(i);
+    if (i % 2 == 0) {
+      job.type = ClusterJobType::kTraining;
+      TrainConfig config;
+      config.parallel.pp = 2;
+      config.micro_batch_size = 1;
+      config.num_microbatches = 2;
+      job.train = ApplyConfigTag(config, "R");
+    } else {
+      job.type = ClusterJobType::kServing;
+      job.scenario = ScenarioByName("chat");
+      job.scenario.num_requests = 8;
+      job.engine.kv_budget_bytes = 1 * GiB;
+    }
+    jobs.push_back(job);
+  }
+
+  telemetry::Counter* plans =
+      telemetry::MetricsRegistry::Global().GetCounter("planner.plans_synthesized");
+  telemetry::SetEnabled(true);
+  std::string want;
+  for (int workers : {0, 2, 8}) {
+    const uint64_t before = plans->value();
+    const ClusterResult r =
+        RunCluster(Fleet(SchedulerPolicy::kPlanAware, {16 * GiB, 16 * GiB, 16 * GiB}, workers),
+                   jobs);
+    EXPECT_EQ(plans->value() - before, 3u) << "workers=" << workers;
+    EXPECT_EQ(r.completed, jobs.size()) << "workers=" << workers;
+    if (want.empty()) {
+      want = r.Digest();
+    }
+    EXPECT_EQ(r.Digest(), want) << "workers=" << workers;
+  }
+  telemetry::SetEnabled(false);
+}
+#endif  // STALLOC_TELEMETRY
 
 }  // namespace
 }  // namespace stalloc
