@@ -27,8 +27,14 @@ DynamicReusableSpace LocateDynamicSpace(const Trace& trace, const StaticPlan& pl
       dynamic_events.push_back(&e);
     }
   }
+  // Arrival order as the runtime sees it: by time, then by event id (Trace::Ops order).
   std::sort(dynamic_events.begin(), dynamic_events.end(),
-            [](const MemoryEvent* a, const MemoryEvent* b) { return a->ts < b->ts; });
+            [](const MemoryEvent* a, const MemoryEvent* b) {
+              if (a->ts != b->ts) {
+                return a->ts < b->ts;
+              }
+              return a->id < b->id;
+            });
   for (const auto* e : dynamic_events) {
     STALLOC_CHECK(e->ls != kInvalidLayer && e->le != kInvalidLayer);
     space.regions.emplace(std::make_pair(e->ls, e->le), IntervalSet{});
@@ -47,6 +53,9 @@ DynamicReusableSpace LocateDynamicSpace(const Trace& trace, const StaticPlan& pl
   std::sort(decisions.begin(), decisions.end(),
             [](const PlanDecision* a, const PlanDecision* b) { return a->event.ts < b->event.ts; });
 
+  // Per window: the occupied (addr, end) pairs, sorted, then one walk emits the gaps of
+  // [0, pool_size) in ascending order.
+  std::vector<std::pair<uint64_t, uint64_t>> occupied;
   for (auto& [key, region] : space.regions) {
     const LayerInfo& a = trace.layer(key.first);
     const LayerInfo& b = trace.layer(key.second);
@@ -54,17 +63,26 @@ DynamicReusableSpace LocateDynamicSpace(const Trace& trace, const StaticPlan& pl
     const LogicalTime win_end = std::max(b.end, a.start + 1);
 
     // Occupied address ranges: decisions whose lifespan intersects [win_start, win_end).
-    IntervalSet occupied;
+    occupied.clear();
     // Find the first decision with ts >= win_end: everything after cannot overlap.
     auto upper = std::upper_bound(
         decisions.begin(), decisions.end(), win_end,
         [](LogicalTime t, const PlanDecision* d) { return t <= d->event.ts; });
     for (auto it = decisions.begin(); it != upper; ++it) {
       if ((*it)->event.te > win_start) {
-        occupied.Insert((*it)->addr, (*it)->end_addr());
+        occupied.emplace_back((*it)->addr, (*it)->end_addr());
       }
     }
-    region = occupied.ComplementWithin(0, plan.pool_size);
+    std::sort(occupied.begin(), occupied.end());
+    uint64_t cursor = 0;
+    for (const auto& [lo, hi] : occupied) {
+      if (cursor >= plan.pool_size) {
+        break;
+      }
+      region.Insert(cursor, std::min(lo, plan.pool_size));  // no-op unless a gap precedes lo
+      cursor = std::max(cursor, hi);
+    }
+    region.Insert(cursor, plan.pool_size);
   }
   return space;
 }

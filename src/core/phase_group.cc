@@ -71,7 +71,9 @@ LocalPlan PackInOrder(const std::vector<MemoryEvent>& events, PhaseId ps, PhaseI
   plan.pe = pe;
   plan.ts = events.front().ts;
   plan.te = events.front().te;
+  plan.items.reserve(events.size());
   for (const auto& e : events) {
+    STALLOC_DCHECK(e.ts < e.te, << "event " << e.id << " has an empty lifespan");
     PlanDecision d;
     d.event = e;
     d.padded_size = AlignUp(std::max<uint64_t>(e.size, 1), kPlanAlign);
@@ -86,7 +88,8 @@ LocalPlan PackInOrder(const std::vector<MemoryEvent>& events, PhaseId ps, PhaseI
 
 }  // namespace
 
-LocalPlan PackGroup(std::vector<MemoryEvent> events, PhaseId ps, PhaseId pe) {
+LocalPlan PackGroup(std::vector<MemoryEvent> events, PhaseId ps, PhaseId pe,
+                    PhaseGroupWork* work) {
   STALLOC_CHECK(!events.empty());
   // Fully-overlapping groups pack the same under any order; mixed-lifespan groups are sensitive
   // to it. Try the classic dynamic-storage-allocation orders and keep the tightest: arrival
@@ -99,6 +102,23 @@ LocalPlan PackGroup(std::vector<MemoryEvent> events, PhaseId ps, PhaseId pe) {
   });
   LocalPlan best = PackInOrder(events, ps, pe);
 
+  // No order packs below the group's peak live padded bytes (the items live at any one tick
+  // pairwise overlap in time), and a later order replaces `best` only when strictly smaller.
+  // Once `best` sits on that floor, the remaining orders cannot change the result.
+  const uint64_t floor = StaticPlan::PeakPaddedBytes(best.items);
+  auto at_floor = [&](uint64_t orders_left) {
+    if (best.footprint != floor) {
+      return false;
+    }
+    if (work != nullptr) {
+      work->pack_orders_pruned += orders_left;
+    }
+    return true;
+  };
+  if (at_floor(2)) {
+    return best;
+  }
+
   std::vector<MemoryEvent> by_end = events;
   std::sort(by_end.begin(), by_end.end(), [](const MemoryEvent& a, const MemoryEvent& b) {
     if (a.te != b.te) {
@@ -108,6 +128,9 @@ LocalPlan PackGroup(std::vector<MemoryEvent> events, PhaseId ps, PhaseId pe) {
   });
   if (LocalPlan p = PackInOrder(by_end, ps, pe); p.footprint < best.footprint) {
     best = std::move(p);
+  }
+  if (at_floor(1)) {
+    return best;
   }
 
   std::vector<MemoryEvent> by_duration = std::move(by_end);
@@ -243,8 +266,49 @@ LocalPlan FusePlans(const LocalPlan& a, const LocalPlan& b) {
   return fused;
 }
 
+namespace {
+
+// Largest fused item count for which FusionCannotWin's rounding argument holds.
+constexpr size_t kScreenMaxItems = size_t{1} << 20;
+constexpr double kScreenMargin = 1e-9;
+
+// True when fusing `a` and `b` provably yields Tmp() <= `weighted_avg`, so the TMP criterion
+// rejects the fusion whatever FusePlans would place. The fused TMP numerator is `wa_num` (the
+// same per-item terms) and the fused span is max(te) - min(ts), so Tmp(fused) <= wa_num / (F *
+// span) for any lower bound F on the fused footprint. FusePlans starts from the larger plan and
+// only grows it, so F >= max(fa, fb); and no valid placement of a ∪ b fits below its peak live
+// padded bytes. `scratch` is reused across calls.
+//
+// Rounding: wa_num and the fused TmpNumerator() add the same n rounded terms in different
+// orders, so each is within (n-1)·2^-53 of the exact sum, relatively, and they differ by at
+// most about 2n·2^-53. Conversions, products and quotients of non-negative doubles round
+// monotonically. For n < 2^20 the difference is below 2.4e-10, well inside the 1e-9 margin, so
+// a bound at or below weighted_avg * (1 - 1e-9) means fused.Tmp() < weighted_avg exactly.
+bool FusionCannotWin(const LocalPlan& a, const LocalPlan& b, double wa_num, double weighted_avg,
+                     std::vector<PlanDecision>* scratch) {
+  if (a.items.size() + b.items.size() >= kScreenMaxItems) {
+    return false;
+  }
+  const double span = static_cast<double>(std::max(a.te, b.te) - std::min(a.ts, b.ts));
+  auto bound_loses = [&](uint64_t footprint) {
+    const double den = static_cast<double>(footprint) * span;
+    return den > 0 && wa_num / den <= weighted_avg * (1 - kScreenMargin);
+  };
+  // The cheap bound first; the peak sweep only when it is not enough.
+  const uint64_t larger = std::max(a.footprint, b.footprint);
+  if (bound_loses(larger)) {
+    return true;
+  }
+  scratch->assign(a.items.begin(), a.items.end());
+  scratch->insert(scratch->end(), b.items.begin(), b.items.end());
+  const uint64_t peak = StaticPlan::PeakPaddedBytes(*scratch);
+  return peak > larger && bound_loses(peak);
+}
+
+}  // namespace
+
 std::vector<LocalPlan> BuildPhaseGroups(const std::vector<MemoryEvent>& static_events,
-                                        bool enable_fusion) {
+                                        bool enable_fusion, PhaseGroupWork* work) {
   // Group by the (ps, pe) phase pair.
   std::map<std::pair<PhaseId, PhaseId>, std::vector<MemoryEvent>> groups;
   for (const auto& e : static_events) {
@@ -254,7 +318,7 @@ std::vector<LocalPlan> BuildPhaseGroups(const std::vector<MemoryEvent>& static_e
   std::vector<LocalPlan> plans;
   plans.reserve(groups.size());
   for (auto& [key, events] : groups) {
-    plans.push_back(PackGroup(std::move(events), key.first, key.second));
+    plans.push_back(PackGroup(std::move(events), key.first, key.second, work));
   }
   if (!enable_fusion) {
     return plans;
@@ -267,6 +331,7 @@ std::vector<LocalPlan> BuildPhaseGroups(const std::vector<MemoryEvent>& static_e
   std::sort(plans.begin(), plans.end(),
             [](const LocalPlan& x, const LocalPlan& y) { return x.ts < y.ts; });
   std::vector<bool> dead(plans.size(), false);
+  std::vector<PlanDecision> scratch;
   for (size_t i = 0; i < plans.size(); ++i) {
     if (dead[i]) {
       continue;
@@ -281,10 +346,16 @@ std::vector<LocalPlan> BuildPhaseGroups(const std::vector<MemoryEvent>& static_e
         if (plans[i].pe != plans[j].ps || plans[i].pe == kInvalidPhase) {
           continue;
         }
-        LocalPlan fused = FusePlans(plans[i], plans[j]);
         const double wa_num = plans[i].TmpNumerator() + plans[j].TmpNumerator();
         const double wa_den = plans[i].TmpDenominator() + plans[j].TmpDenominator();
         const double weighted_avg = wa_den <= 0 ? 1.0 : wa_num / wa_den;
+        if (FusionCannotWin(plans[i], plans[j], wa_num, weighted_avg, &scratch)) {
+          if (work != nullptr) {
+            ++work->fusions_screened;
+          }
+          continue;
+        }
+        LocalPlan fused = FusePlans(plans[i], plans[j]);
         if (fused.Tmp() > weighted_avg) {
           plans[i] = std::move(fused);
           dead[j] = true;

@@ -36,10 +36,18 @@ struct LocalPlan {
   bool empty() const { return items.empty(); }
 };
 
+// Synthesis work skipped because it provably could not change the result (telemetry only).
+struct PhaseGroupWork {
+  uint64_t pack_orders_pruned = 0;  // packing orders not tried: the group already hit its floor
+  uint64_t fusions_screened = 0;    // FusePlans calls skipped: the TMP bound cannot win
+};
+
 // Packs one group's events: first-fit-by-address greedy in allocation order. Events whose
 // lifespans all overlap end up stacked contiguously (the local optimum of §5.1); partially
-// overlapping events reuse address ranges where their lifespans permit.
-LocalPlan PackGroup(std::vector<MemoryEvent> events, PhaseId ps, PhaseId pe);
+// overlapping events reuse address ranges where their lifespans permit. Every event must have
+// ts < te, as Trace guarantees. `work`, when given, accumulates the pruned packing orders.
+LocalPlan PackGroup(std::vector<MemoryEvent> events, PhaseId ps, PhaseId pe,
+                    PhaseGroupWork* work = nullptr);
 
 // Paper's fusion placement (Fig. 6 upper left): inserts the smaller plan's requests into the
 // larger plan's idle gaps — walking candidate addresses from the larger plan's item addresses —
@@ -49,9 +57,11 @@ LocalPlan FusePlans(const LocalPlan& a, const LocalPlan& b);
 
 // Groups static events by (ps, pe), packs each group, then runs fusion passes: a fusion of
 // adjacent groups is kept only when the fused TMP exceeds the weighted average of the originals.
-// `enable_fusion` off reproduces the ablation in docs/ARCHITECTURE.md.
+// `enable_fusion` off reproduces the ablation in docs/ARCHITECTURE.md. `work`, when given,
+// accumulates the packing orders and fusion attempts skipped by the exact bounds.
 std::vector<LocalPlan> BuildPhaseGroups(const std::vector<MemoryEvent>& static_events,
-                                        bool enable_fusion = true);
+                                        bool enable_fusion = true,
+                                        PhaseGroupWork* work = nullptr);
 
 }  // namespace stalloc
 

@@ -1,12 +1,12 @@
 #include "src/core/plan_io.h"
 
+#include <charconv>
+#include <cstdint>
 #include <fstream>
-#include <sstream>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
-
-#include "src/common/check.h"
 
 namespace stalloc {
 
@@ -25,6 +25,22 @@ std::vector<std::string> Split(const std::string& line) {
   }
   fields.push_back(cur);
   return fields;
+}
+
+// Parses the whole field as a decimal T or fails; never throws.
+template <typename T>
+bool Parse(const std::string& field, T* out) {
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
+bool Fail(PlanIoError* err, std::string message, uint64_t line) {
+  if (err != nullptr) {
+    err->message = std::move(message);
+    err->line = line;
+  }
+  return false;
 }
 
 }  // namespace
@@ -65,69 +81,100 @@ bool WritePlanCsvFile(const StaticPlan& plan, const DynamicReusableSpace& space,
   return static_cast<bool>(os);
 }
 
-LoadedPlan ReadPlanCsv(std::istream& is) {
-  LoadedPlan out;
+bool ReadPlanCsv(std::istream& is, LoadedPlan* out, PlanIoError* err) {
+  *out = LoadedPlan();
   std::string line;
+  uint64_t line_no = 0;
+  auto fail = [&](std::string message) { return Fail(err, std::move(message), line_no); };
   bool header_seen = false;
   while (std::getline(is, line)) {
+    ++line_no;
     if (line.empty()) {
       continue;
     }
     if (line[0] == '#') {
-      auto fields = Split(line.substr(2));
-      if (fields.empty()) {
-        continue;
-      }
-      if (fields[0] == "pool" && fields.size() >= 3) {
-        out.plan.pool_size = std::stoull(fields[1]);
-        out.plan.lower_bound = std::stoull(fields[2]);
-      } else if (fields[0] == "region" && fields.size() >= 3) {
-        const LayerId ls = std::stoi(fields[1]);
-        const LayerId le = std::stoi(fields[2]);
+      auto fields = Split(line.size() >= 2 ? line.substr(2) : std::string());
+      if (fields[0] == "pool") {
+        if (fields.size() < 3 || !Parse(fields[1], &out->plan.pool_size) ||
+            !Parse(fields[2], &out->plan.lower_bound)) {
+          return fail("malformed pool row: " + line);
+        }
+      } else if (fields[0] == "region") {
+        LayerId ls = 0;
+        LayerId le = 0;
+        if (fields.size() < 3 || fields.size() % 2 == 0 || !Parse(fields[1], &ls) ||
+            !Parse(fields[2], &le)) {
+          return fail("malformed region row: " + line);
+        }
         IntervalSet set;
         for (size_t i = 3; i + 1 < fields.size(); i += 2) {
-          set.Insert(std::stoull(fields[i]), std::stoull(fields[i + 1]));
+          uint64_t lo = 0;
+          uint64_t hi = 0;
+          if (!Parse(fields[i], &lo) || !Parse(fields[i + 1], &hi) || lo >= hi) {
+            return fail("malformed region interval: " + line);
+          }
+          set.Insert(lo, hi);
         }
-        out.space.regions.emplace(std::make_pair(ls, le), std::move(set));
-      } else if (fields[0] == "expected_le" && fields.size() >= 2) {
-        const LayerId ls = std::stoi(fields[1]);
-        auto& les = out.space.expected_le[ls];
+        out->space.regions.emplace(std::make_pair(ls, le), std::move(set));
+      } else if (fields[0] == "expected_le") {
+        LayerId ls = 0;
+        if (fields.size() < 2 || !Parse(fields[1], &ls)) {
+          return fail("malformed expected_le row: " + line);
+        }
+        auto& les = out->space.expected_le[ls];
         for (size_t i = 2; i < fields.size(); ++i) {
-          les.push_back(std::stoi(fields[i]));
+          LayerId le = 0;
+          if (!Parse(fields[i], &le)) {
+            return fail("malformed expected_le row: " + line);
+          }
+          les.push_back(le);
         }
       }
       continue;
     }
     if (!header_seen) {
       header_seen = true;
-      STALLOC_CHECK(line.rfind("event_id,", 0) == 0, << "unexpected plan CSV header: " << line);
+      if (line.rfind("event_id,", 0) != 0) {
+        return fail("unexpected plan CSV header: " + line);
+      }
       continue;
     }
     auto fields = Split(line);
-    STALLOC_CHECK_GE(fields.size(), 12u, << "short plan CSV row: " << line);
     PlanDecision d;
-    d.event.id = std::stoull(fields[0]);
-    d.addr = std::stoull(fields[1]);
-    d.padded_size = std::stoull(fields[2]);
-    d.event.size = std::stoull(fields[3]);
-    d.event.ts = std::stoull(fields[4]);
-    d.event.te = std::stoull(fields[5]);
-    d.event.ps = std::stoi(fields[6]);
-    d.event.pe = std::stoi(fields[7]);
-    d.event.dyn = std::stoi(fields[8]) != 0;
-    d.event.ls = std::stoi(fields[9]);
-    d.event.le = std::stoi(fields[10]);
-    d.event.stream = static_cast<StreamId>(std::stoi(fields[11]));
-    out.plan.decisions.push_back(d);
+    MemoryEvent& e = d.event;
+    int dyn = 0;
+    int stream = 0;
+    if (fields.size() < 12 || !Parse(fields[0], &e.id) || !Parse(fields[1], &d.addr) ||
+        !Parse(fields[2], &d.padded_size) || !Parse(fields[3], &e.size) ||
+        !Parse(fields[4], &e.ts) || !Parse(fields[5], &e.te) || !Parse(fields[6], &e.ps) ||
+        !Parse(fields[7], &e.pe) || !Parse(fields[8], &dyn) || !Parse(fields[9], &e.ls) ||
+        !Parse(fields[10], &e.le) || !Parse(fields[11], &stream) || stream < 0 ||
+        stream > 255) {
+      return fail("malformed plan CSV row: " + line);
+    }
+    e.dyn = dyn != 0;
+    e.stream = static_cast<StreamId>(stream);
+    if (e.ts >= e.te || d.padded_size < e.size || d.addr + d.padded_size < d.addr) {
+      return fail("impossible decision: " + line);
+    }
+    out->plan.decisions.push_back(d);
   }
-  out.plan.Validate();
-  return out;
+  if (!header_seen) {
+    return fail("missing plan CSV header");
+  }
+  std::string error;
+  if (!out->plan.Check(&error)) {
+    return fail("invalid static plan: " + error);
+  }
+  return true;
 }
 
-LoadedPlan ReadPlanCsvFile(const std::string& path) {
+bool ReadPlanCsvFile(const std::string& path, LoadedPlan* out, PlanIoError* err) {
   std::ifstream is(path);
-  STALLOC_CHECK(static_cast<bool>(is), << "cannot open plan file " << path);
-  return ReadPlanCsv(is);
+  if (!is) {
+    return Fail(err, "cannot open plan file " + path, 0);
+  }
+  return ReadPlanCsv(is, out, err);
 }
 
 }  // namespace stalloc

@@ -4,6 +4,7 @@
 #ifndef SRC_CORE_PLAN_IO_H_
 #define SRC_CORE_PLAN_IO_H_
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 
@@ -22,9 +23,20 @@ struct LoadedPlan {
   DynamicReusableSpace space;
 };
 
-// Parses a plan produced by WritePlanCsv. Aborts on malformed input.
-LoadedPlan ReadPlanCsv(std::istream& is);
-LoadedPlan ReadPlanCsvFile(const std::string& path);
+// Error report from a failed plan read: a message plus the 1-based line number of the
+// offending input (0 when the file itself cannot be opened).
+struct PlanIoError {
+  std::string message;
+  uint64_t line = 0;
+
+  std::string ToString() const { return message + " (line " + std::to_string(line) + ")"; }
+};
+
+// Parses a plan produced by WritePlanCsv. Returns false and fills `err` (may be null) on
+// malformed input or a plan whose decisions stomp on each other; never aborts. `*out` is
+// unspecified on failure.
+bool ReadPlanCsv(std::istream& is, LoadedPlan* out, PlanIoError* err);
+bool ReadPlanCsvFile(const std::string& path, LoadedPlan* out, PlanIoError* err);
 
 }  // namespace stalloc
 

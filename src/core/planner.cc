@@ -99,6 +99,7 @@ SynthesisResult SynthesizePlan(const Trace& trace, const PlanSynthesizerConfig& 
   Stopwatch timer;
   telemetry::ScopedSpan span(telemetry::kCatPlanner, "plan");
   SynthesisResult result;
+  PhaseGroupWork work;
 
   // 1. Partition by dynamicity (§5: M_s and M_d).
   std::vector<MemoryEvent> static_events;
@@ -124,7 +125,8 @@ SynthesisResult SynthesizePlan(const Trace& trace, const PlanSynthesizerConfig& 
       keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
       return keys.size();
     }();
-    std::vector<LocalPlan> phase_plans = BuildPhaseGroups(static_events, config.enable_fusion);
+    std::vector<LocalPlan> phase_plans =
+        BuildPhaseGroups(static_events, config.enable_fusion, &work);
     result.stats.num_phase_groups = phase_plans.size();
     result.stats.num_fusions = raw_groups - phase_plans.size();
 
@@ -187,12 +189,20 @@ SynthesisResult SynthesizePlan(const Trace& trace, const PlanSynthesizerConfig& 
     static telemetry::Counter* plans =
         telemetry::MetricsRegistry::Global().GetCounter("planner.plans_synthesized");
     plans->Add();
+    static telemetry::Counter* orders_pruned =
+        telemetry::MetricsRegistry::Global().GetCounter("planner.pack_orders_pruned");
+    orders_pruned->Add(work.pack_orders_pruned);
+    static telemetry::Counter* fusions_screened =
+        telemetry::MetricsRegistry::Global().GetCounter("planner.fusions_screened");
+    fusions_screened->Add(work.fusions_screened);
     static telemetry::Histogram* ms_hist = telemetry::MetricsRegistry::Global().GetHistogram(
         "planner.synthesis_ms", {0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000});
     ms_hist->Record(result.stats.synthesis_ms);
     span.Arg("static_events", result.stats.num_static_events);
     span.Arg("dynamic_events", result.stats.num_dynamic_events);
     span.Arg("pool_size", result.stats.pool_size);
+    span.Arg("pack_orders_pruned", work.pack_orders_pruned);
+    span.Arg("fusions_screened", work.fusions_screened);
   }
   return result;
 }

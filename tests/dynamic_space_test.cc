@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/common/rng.h"
 #include "src/core/planner.h"
 #include "src/trainsim/model_config.h"
 #include "src/trainsim/workload.h"
@@ -94,6 +96,91 @@ TEST(DynamicSpace, ExpectedLeTableFollowsArrivalOrder) {
   EXPECT_EQ(space.expected_le.at(l0)[0], l1);
   EXPECT_EQ(space.expected_le.at(l0)[1], l0);
   EXPECT_EQ(space.expected_le.at(l0)[2], l1);
+}
+
+// Requests arriving on the same tick reach the runtime in event-id order (Trace::Ops), so the
+// matcher table must list them in that order too, however many share the tick.
+TEST(DynamicSpace, ExpectedLeBreaksArrivalTiesByEventId) {
+  Trace t;
+  PhaseId p = t.AddPhase({PhaseKind::kForward, 0, 0, 0, 40});
+  LayerId l0 = t.AddLayer({"l0", 0, 10});
+  LayerId l1 = t.AddLayer({"l1", 10, 20});
+  LayerId l2 = t.AddLayer({"l2", 20, 30});
+  constexpr int kTied = 33;  // odd: an unstable sort can then not just swap same-`le` pairs
+  for (int i = 0; i < kTied; ++i) {
+    MemoryEvent e;
+    e.size = 512;
+    e.ts = 5;
+    e.te = i % 2 == 0 ? 15 : 25;
+    e.ps = p;
+    e.pe = p;
+    e.dyn = true;
+    e.ls = l0;
+    e.le = i % 2 == 0 ? l1 : l2;
+    t.AddEvent(e);
+  }
+  StaticPlan plan;
+  plan.pool_size = 4096;
+  DynamicReusableSpace space = LocateDynamicSpace(t, plan);
+  const std::vector<LayerId>& les = space.expected_le.at(l0);
+  ASSERT_EQ(les.size(), static_cast<size_t>(kTied));
+  for (int i = 0; i < kTied; ++i) {
+    EXPECT_EQ(les[i], i % 2 == 0 ? l1 : l2) << "arrival " << i;
+  }
+}
+
+// Each region must equal the complement, within [0, pool_size), of the union of every
+// decision live in the group's window — including decisions nested inside another's range and
+// decisions reaching past the pool.
+TEST(DynamicSpace, RegionsMatchTheComplementOfTheWindowUnion) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    Rng rng(seed);
+    Trace t;
+    PhaseId p = t.AddPhase({PhaseKind::kForward, 0, 0, 0, 200});
+    std::vector<LayerId> layers;
+    for (LogicalTime start = 0; start < 200; start += 20) {
+      layers.push_back(t.AddLayer({"l", start, start + 20}));
+    }
+    StaticPlan plan;
+    plan.pool_size = kPlanAlign * (16 + rng.NextBelow(16));
+    for (int i = 0; i < 60; ++i) {
+      PlanDecision d;
+      d.event.ts = rng.NextBelow(190);
+      d.event.te = d.event.ts + 1 + rng.NextBelow(40);
+      d.addr = kPlanAlign * rng.NextBelow(32);
+      d.padded_size = kPlanAlign * (1 + rng.NextBelow(6));
+      plan.decisions.push_back(d);
+    }
+    for (int i = 0; i < 12; ++i) {
+      const size_t a = rng.NextBelow(layers.size());
+      const size_t b = a + rng.NextBelow(layers.size() - a);
+      MemoryEvent e;
+      e.size = 512;
+      e.ts = t.layer(layers[a]).start;
+      e.te = t.layer(layers[b]).end;
+      e.ps = p;
+      e.pe = p;
+      e.dyn = true;
+      e.ls = layers[a];
+      e.le = layers[b];
+      t.AddEvent(e);
+    }
+    DynamicReusableSpace space = LocateDynamicSpace(t, plan);
+    ASSERT_GT(space.group_count(), 0u);
+    for (const auto& [key, region] : space.regions) {
+      const LogicalTime win_start = t.layer(key.first).start;
+      const LogicalTime win_end = std::max(t.layer(key.second).end, win_start + 1);
+      IntervalSet occupied;
+      for (const auto& d : plan.decisions) {
+        if (d.event.ts < win_end && d.event.te > win_start) {
+          occupied.Insert(d.addr, d.end_addr());
+        }
+      }
+      EXPECT_EQ(region, occupied.ComplementWithin(0, plan.pool_size))
+          << "group (" << key.first << ", " << key.second << ")";
+    }
+  }
 }
 
 // Invariant on real MoE workloads: a group's reusable region never intersects any static

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include "src/common/units.h"
+#include "src/telemetry/metrics.h"
+#include "src/telemetry/telemetry.h"
 
 #include "src/trace/trace_stats.h"
 #include "src/trainsim/model_config.h"
@@ -103,6 +105,34 @@ TEST(Planner, GapInsertionNeverHurts) {
   const uint64_t pool_without = SynthesizePlan(trace, no_gaps).plan.pool_size;
   EXPECT_LE(pool_with, pool_without);
 }
+
+#if STALLOC_TELEMETRY
+// With telemetry on, each synthesis adds the work its exact bounds skipped to the planner
+// counters; with it off, the counters stay put.
+TEST(Planner, CountsPrunedWorkWhenTelemetryIsOn) {
+  auto& registry = telemetry::MetricsRegistry::Global();
+  telemetry::Counter* plans = registry.GetCounter("planner.plans_synthesized");
+  telemetry::Counter* pruned = registry.GetCounter("planner.pack_orders_pruned");
+  telemetry::Counter* screened = registry.GetCounter("planner.fusions_screened");
+  TrainConfig c = SmallConfig();
+  c.opt.recompute = RecomputeMode::kFull;
+  const Trace trace = WorkloadBuilder(Gpt2_345M(), c).Build(1);
+
+  const uint64_t plans_before = plans->value();
+  const uint64_t pruned_before = pruned->value();
+  const uint64_t screened_before = screened->value();
+  SynthesizePlan(trace);
+  EXPECT_EQ(plans->value(), plans_before);
+  EXPECT_EQ(pruned->value(), pruned_before);
+
+  telemetry::SetEnabled(true);
+  SynthesizePlan(trace);
+  telemetry::SetEnabled(false);
+  EXPECT_EQ(plans->value(), plans_before + 1);
+  EXPECT_GT(pruned->value(), pruned_before);
+  EXPECT_GT(screened->value(), screened_before);
+}
+#endif
 
 TEST(PlanValidator, DetectsStomping) {
   StaticPlan plan;
