@@ -56,6 +56,7 @@ DynamicReusableSpace LocateDynamicSpace(const Trace& trace, const StaticPlan& pl
   // Per window: the occupied (addr, end) pairs, sorted, then one walk emits the gaps of
   // [0, pool_size) in ascending order.
   std::vector<std::pair<uint64_t, uint64_t>> occupied;
+  occupied.reserve(decisions.size());
   for (auto& [key, region] : space.regions) {
     const LayerInfo& a = trace.layer(key.first);
     const LayerInfo& b = trace.layer(key.second);

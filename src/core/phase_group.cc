@@ -277,7 +277,7 @@ constexpr double kScreenMargin = 1e-9;
 // same per-item terms) and the fused span is max(te) - min(ts), so Tmp(fused) <= wa_num / (F *
 // span) for any lower bound F on the fused footprint. FusePlans starts from the larger plan and
 // only grows it, so F >= max(fa, fb); and no valid placement of a ∪ b fits below its peak live
-// padded bytes. `scratch` is reused across calls.
+// padded bytes. `union_items` is a buffer reused across calls.
 //
 // Rounding: wa_num and the fused TmpNumerator() add the same n rounded terms in different
 // orders, so each is within (n-1)·2^-53 of the exact sum, relatively, and they differ by at
@@ -285,7 +285,7 @@ constexpr double kScreenMargin = 1e-9;
 // monotonically. For n < 2^20 the difference is below 2.4e-10, well inside the 1e-9 margin, so
 // a bound at or below weighted_avg * (1 - 1e-9) means fused.Tmp() < weighted_avg exactly.
 bool FusionCannotWin(const LocalPlan& a, const LocalPlan& b, double wa_num, double weighted_avg,
-                     std::vector<PlanDecision>* scratch) {
+                     std::vector<PlanDecision>* union_items) {
   if (a.items.size() + b.items.size() >= kScreenMaxItems) {
     return false;
   }
@@ -299,9 +299,9 @@ bool FusionCannotWin(const LocalPlan& a, const LocalPlan& b, double wa_num, doub
   if (bound_loses(larger)) {
     return true;
   }
-  scratch->assign(a.items.begin(), a.items.end());
-  scratch->insert(scratch->end(), b.items.begin(), b.items.end());
-  const uint64_t peak = StaticPlan::PeakPaddedBytes(*scratch);
+  union_items->assign(a.items.begin(), a.items.end());
+  union_items->insert(union_items->end(), b.items.begin(), b.items.end());
+  const uint64_t peak = StaticPlan::PeakPaddedBytes(*union_items);
   return peak > larger && bound_loses(peak);
 }
 
@@ -331,7 +331,7 @@ std::vector<LocalPlan> BuildPhaseGroups(const std::vector<MemoryEvent>& static_e
   std::sort(plans.begin(), plans.end(),
             [](const LocalPlan& x, const LocalPlan& y) { return x.ts < y.ts; });
   std::vector<bool> dead(plans.size(), false);
-  std::vector<PlanDecision> scratch;
+  std::vector<PlanDecision> union_items;
   for (size_t i = 0; i < plans.size(); ++i) {
     if (dead[i]) {
       continue;
@@ -349,7 +349,7 @@ std::vector<LocalPlan> BuildPhaseGroups(const std::vector<MemoryEvent>& static_e
         const double wa_num = plans[i].TmpNumerator() + plans[j].TmpNumerator();
         const double wa_den = plans[i].TmpDenominator() + plans[j].TmpDenominator();
         const double weighted_avg = wa_den <= 0 ? 1.0 : wa_num / wa_den;
-        if (FusionCannotWin(plans[i], plans[j], wa_num, weighted_avg, &scratch)) {
+        if (FusionCannotWin(plans[i], plans[j], wa_num, weighted_avg, &union_items)) {
           if (work != nullptr) {
             ++work->fusions_screened;
           }
