@@ -287,6 +287,23 @@ bool Session::Validate(const ExperimentSpec& spec, std::string* error) {
     if (spec.workers < 0) {
       return fail("workers must be >= 0");
     }
+    // Mirror GenerateClusterWorkload's checks so shape typos fail here instead of aborting.
+    const ClusterWorkloadConfig& c = spec.cluster;
+    if (c.num_jobs < 0) {
+      return fail("cluster job count must be >= 0");
+    }
+    if (!(c.train_fraction >= 0 && c.train_fraction <= 1)) {  // also rejects NaN
+      return fail("cluster train fraction must be in [0, 1]");
+    }
+    if (c.max_pp < 1) {
+      return fail("cluster max pipeline degree must be >= 1");
+    }
+    if (c.min_iterations < 1 || c.max_iterations < c.min_iterations) {
+      return fail("cluster iterations need 1 <= min <= max");
+    }
+    if (c.train_tags.empty() || c.micro_batches.empty() || c.serve_scenarios.empty()) {
+      return fail("cluster config tag, micro-batch and serving scenario lists must be non-empty");
+    }
   }
   if (!spec.trace_file.empty() && spec.axis != WorkloadAxis::kTrainRank) {
     return fail("trace-file replay is only supported on the rank axis");

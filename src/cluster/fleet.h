@@ -26,9 +26,9 @@
 #include <string>
 #include <vector>
 
+#include "src/allocators/registry.h"
 #include "src/cluster/cluster_workload.h"
 #include "src/cluster/scheduler.h"
-#include "src/driver/experiment.h"
 #include "src/metrics/throughput_model.h"
 
 namespace stalloc {

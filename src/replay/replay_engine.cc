@@ -92,46 +92,6 @@ void ReplayEngine::AbortTenant(uint64_t tenant) {
     tracer.ThreadTrack()->Instant("abort tenant", telemetry::kCatReplay, tracer.NowUs(),
                                   std::move(args));
   }
-  if (observer_ != nullptr) {
-    observer_->OnTenantAborted(*this, tenant, now_);
-  }
-}
-
-void ReplayEngine::RestartTenant(uint64_t tenant) {
-  auto it = tenants_.find(tenant);
-  STALLOC_CHECK(it != tenants_.end(), << "restart of unknown tenant " << tenant);
-  for (size_t sid : it->second) {
-    SourceState& s = sources_[sid];
-    STALLOC_CHECK(!s.progress.active,
-                  << "restart of tenant " << tenant << " with source " << sid << " still active");
-    STALLOC_CHECK(!s.progress.parked, << "restart of tenant " << tenant << " with source " << sid
-                                      << " parked; AbortTenant it first");
-    STALLOC_CHECK_EQ(s.progress.live_bytes, 0u);
-    if (s.TotalOps() == 0) {
-      continue;
-    }
-    s.cursor = 0;
-    s.pos = 0;
-    s.spec.start = now_;
-    s.iter_base = now_;
-    ++s.epoch;
-    s.progress.active = true;
-    s.progress.done = false;
-    ++s.progress.restarts;
-    ++active_sources_;
-    Schedule(s, sid);
-  }
-  if (telemetry::Enabled()) {
-    static telemetry::Counter* restarts =
-        telemetry::MetricsRegistry::Global().GetCounter("replay.tenant_restarts");
-    restarts->Add();
-    auto& tracer = telemetry::Tracer::Global();
-    Json args = Json::Object();
-    args.Set("tenant", tenant);
-    args.Set("sim_time", now_);
-    tracer.ThreadTrack()->Instant("restart tenant", telemetry::kCatReplay, tracer.NowUs(),
-                                  std::move(args));
-  }
 }
 
 void ReplayEngine::FinishSource(size_t sid) {
@@ -205,16 +165,11 @@ ReplayEngine::OpOutcome ReplayEngine::ApplyOp(size_t sid, uint64_t op_idx) {
           run_aborted_ = true;
           result_.aborted = true;
           return OpOutcome::kRunAborted;
-        case OomAction::kAbortTenant:
-          AbortTenant(tenant);
-          return OpOutcome::kTenantAborted;
-        case OomAction::kSkipOp:
-          break;  // drop the op; the matching free will be skipped too
         case OomAction::kParkSource: {
           SourceState& sp = sources_[sid];  // re-fetch: OnOom may have added sources
           sp.progress.active = false;
           sp.progress.parked = true;
-          ++sp.epoch;  // the cursor stays put; the retry (if any) comes via RestartTenant
+          ++sp.epoch;  // the cursor stays put; the coordinator unwinds via AbortTenant
           --active_sources_;
           return OpOutcome::kSourceParked;
         }
@@ -384,150 +339,6 @@ const ReplayEngineResult& ReplayEngine::Run() {
     span.Arg("oom", result_.oom);
   }
   return result_;
-}
-
-// --- OomPolicyObserver ---
-
-const char* OomPolicyName(OomPolicy policy) {
-  switch (policy) {
-    case OomPolicy::kAbort:
-      return "abort";
-    case OomPolicy::kRequeue:
-      return "requeue";
-    case OomPolicy::kPreemptRecompute:
-      return "preempt-recompute";
-  }
-  return "?";
-}
-
-int OomPolicyObserver::oom_count(uint64_t tenant) const {
-  auto it = oom_counts_.find(tenant);
-  return it == oom_counts_.end() ? 0 : it->second;
-}
-
-OomAction OomPolicyObserver::OnOom(ReplayEngine& engine, const ReplayOpView& op) {
-  (void)engine;
-  if (policy_ == OomPolicy::kAbort) {
-    return OomAction::kAbortRun;
-  }
-  ++oom_counts_[op.tenant];
-  return OomAction::kAbortTenant;
-}
-
-void OomPolicyObserver::OnTenantAborted(ReplayEngine& engine, uint64_t tenant, uint64_t now) {
-  if (policy_ == OomPolicy::kAbort) {
-    return;
-  }
-  if (oom_counts_[tenant] > max_retries_) {
-    RejectTenant(engine, tenant, now);
-    // The rejected tenant's memory is gone for good: if nothing is left running, parked
-    // tenants would otherwise strand (no OnSourceDone will ever fire). Give them their retry
-    // over the freed space now.
-    RestartWaiting(engine);
-    return;
-  }
-  if (policy_ == OomPolicy::kPreemptRecompute) {
-    // Recompute-style preemption: the tenant's memory is gone, its work redone from scratch at
-    // the current tick while the surviving tenants keep the freed space.
-    ++preemptions_;
-    if (telemetry::Enabled()) {
-      static telemetry::Counter* preempts =
-          telemetry::MetricsRegistry::Global().GetCounter("replay.preemptions");
-      preempts->Add();
-      auto& tracer = telemetry::Tracer::Global();
-      Json args = Json::Object();
-      args.Set("tenant", tenant);
-      args.Set("sim_time", now);
-      tracer.ThreadTrack()->Instant("preempt tenant", telemetry::kCatReplay, tracer.NowUs(),
-                                    std::move(args));
-    }
-    engine.RestartTenant(tenant);
-    return;
-  }
-  RequeueTenant(engine, tenant, now);
-}
-
-void OomPolicyObserver::RequeueTenant(ReplayEngine& engine, uint64_t tenant, uint64_t now) {
-  if (engine.active_sources() == 0) {
-    // Nothing else is running, so no memory will ever free up: retrying is futile.
-    RejectTenant(engine, tenant, now);
-    RestartWaiting(engine);
-    return;
-  }
-  ++requeues_;
-  if (telemetry::Enabled()) {
-    static telemetry::Counter* requeues =
-        telemetry::MetricsRegistry::Global().GetCounter("replay.requeues");
-    requeues->Add();
-  }
-  waiting_.push_back(tenant);
-}
-
-void OomPolicyObserver::RejectTenant(ReplayEngine& engine, uint64_t tenant, uint64_t now) {
-  (void)engine;
-  ++rejected_;
-  if (telemetry::Enabled()) {
-    static telemetry::Counter* rejects =
-        telemetry::MetricsRegistry::Global().GetCounter("replay.rejected_tenants");
-    rejects->Add();
-    auto& tracer = telemetry::Tracer::Global();
-    Json args = Json::Object();
-    args.Set("tenant", tenant);
-    args.Set("sim_time", now);
-    tracer.ThreadTrack()->Instant("reject tenant", telemetry::kCatReplay, tracer.NowUs(),
-                                  std::move(args));
-  }
-}
-
-void OomPolicyObserver::OnSourceDone(ReplayEngine& engine, size_t source, uint64_t now) {
-  (void)source;
-  (void)now;
-  // Memory was just returned: re-admit parked tenants (they unwound completely, so restarting
-  // them replays their whole stream).
-  RestartWaiting(engine);
-}
-
-void OomPolicyObserver::RestartWaiting(ReplayEngine& engine) {
-  if (waiting_.empty()) {
-    return;
-  }
-  std::vector<uint64_t> ready;
-  ready.swap(waiting_);
-  for (uint64_t tenant : ready) {
-    engine.RestartTenant(tenant);
-  }
-}
-
-// --- TimelineObserver ---
-
-void TimelineObserver::MaybeSample(ReplayEngine& engine, uint64_t time) {
-  if (++ops_seen_ % every_ != 0) {
-    return;
-  }
-  (void)engine;
-  samples_.push_back(Sample{time, live_bytes_});
-}
-
-void TimelineObserver::AfterMalloc(ReplayEngine& engine, const ReplayOpView& op, uint64_t addr) {
-  (void)addr;
-  live_bytes_ += op.event->size;
-  MaybeSample(engine, op.time);
-}
-
-void TimelineObserver::AfterFree(ReplayEngine& engine, const ReplayOpView& op, uint64_t addr) {
-  (void)addr;
-  live_bytes_ -= op.event->size;
-  MaybeSample(engine, op.time);
-}
-
-void TimelineObserver::OnSourceAborted(ReplayEngine& engine, size_t source, uint64_t now) {
-  // Called before the unwind's frees land, while the source's live total is still accurate.
-  const uint64_t unwound = engine.progress(source).live_bytes;
-  if (unwound == 0) {
-    return;
-  }
-  live_bytes_ -= unwound;
-  samples_.push_back(Sample{now, live_bytes_});
 }
 
 // --- PlacementDigestObserver ---

@@ -1,18 +1,14 @@
 // ReplayEngine: the single streaming replay core behind every driver in this repository.
 //
-// Historically three layers each re-implemented the same loop — ReplayTrace (single training
-// iteration), RunServeExperiment (serving day) and the cluster Fleet (op-interleaved
-// multi-tenant replay): op dispatch into an Allocator, live-block ledgers, OOM unwinding and
-// metrics accumulation, three times over. The engine unifies them: it consumes a merged,
+// ReplayTrace (single training iteration), RunServeExperiment (serving day) and the sharded
+// cluster fleet all replay through this one loop. The engine consumes a merged,
 // timestamp-ordered stream of per-tenant trace ops (each *source* is one trace replayed
-// `iterations` times back-to-back against one Allocator) and drives the allocators through a
-// pluggable ReplayObserver — metrics, timeline sampling and the OOM policy (abort / requeue /
-// preempt-with-recompute) are observers, not copies of the loop. Anything that parallelizes or
-// shards replay in the future parallelizes this one engine.
+// `iterations` times back-to-back against one Allocator) and reports to an optional
+// ReplayObserver. A failed malloc either aborts the run (the default: a training iteration that
+// OOMs crashes) or parks the failing source until an external coordinator unwinds its tenant.
 //
 // Determinism: ops are processed in global (time, source-id) order; within one source, ops
-// follow Trace::Ops() order (frees before mallocs at equal ticks). A single-source engine run
-// replays exactly the sequence the old ReplayTrace loop produced.
+// follow Trace::Ops() order (frees before mallocs at equal ticks).
 
 #ifndef SRC_REPLAY_REPLAY_ENGINE_H_
 #define SRC_REPLAY_REPLAY_ENGINE_H_
@@ -51,14 +47,13 @@ struct ReplaySource {
 struct ReplaySourceProgress {
   bool active = false;   // currently scheduled
   bool done = false;     // replayed every op of every iteration
-  bool aborted = false;  // unwound by an OOM (possibly restarted later)
+  bool aborted = false;  // unwound: by AbortTenant, or by Run() cleanup of an unfinished source
   bool parked = false;   // OOMed and descheduled, live blocks still held (OomAction::kParkSource)
   uint64_t ops_replayed = 0;
   uint64_t num_mallocs = 0;      // attempted mallocs, including the failed one
   uint64_t num_frees = 0;        // successful replayed frees (unwinds not counted)
   uint64_t live_bytes = 0;       // requested bytes currently held by this source
-  uint64_t peak_live_bytes = 0;  // high-water mark of live_bytes across restarts
-  int restarts = 0;              // times this source was re-admitted after an unwind
+  uint64_t peak_live_bytes = 0;  // high-water mark of live_bytes
 };
 
 // Aggregate outcome of a Run() (or of externally Step()-driven replay).
@@ -92,16 +87,15 @@ struct ReplayOpView {
 
 // What the engine does after a failed malloc.
 enum class OomAction : uint8_t {
-  kAbortRun,      // stop the whole engine (single-job replay: training would crash)
-  kAbortTenant,   // unwind every source of the failing tenant, keep the rest running
-  kSkipOp,        // count the failure, drop the op, keep going (lossy replay)
-  kParkSource,    // deschedule the failing source, keep its live blocks: the unwind decision is
-                  // deferred to an external coordinator (sharded fleet boundaries). A parked
-                  // source is unwound by the next AbortTenant (or final Run() cleanup).
+  kAbortRun,    // stop the whole engine (single-job replay: training would crash)
+  kParkSource,  // deschedule the failing source, keep its live blocks: the unwind decision is
+                // deferred to an external coordinator (sharded fleet boundaries). A parked
+                // source is unwound by the next AbortTenant (or final Run() cleanup); the fleet
+                // re-admits a requeued job as fresh sources via AddSource.
 };
 
-// Pluggable replay observer. All callbacks are optional; with no observer installed the engine
-// aborts the run on the first OOM (the historical ReplayTrace contract).
+// Replay observer. All callbacks are optional; with no observer installed the engine aborts the
+// run on the first OOM.
 class ReplayObserver {
  public:
   virtual ~ReplayObserver() = default;
@@ -120,8 +114,6 @@ class ReplayObserver {
   // A source is about to be unwound (its live blocks are still allocated): last chance to
   // sample per-device state before the frees land.
   virtual void OnSourceAborted(ReplayEngine& /*engine*/, size_t /*source*/, uint64_t /*now*/) {}
-  // Every source of `tenant` has been unwound.
-  virtual void OnTenantAborted(ReplayEngine& /*engine*/, uint64_t /*tenant*/, uint64_t /*now*/) {}
   // A source replayed its last op.
   virtual void OnSourceDone(ReplayEngine& /*engine*/, size_t /*source*/, uint64_t /*now*/) {}
 };
@@ -140,13 +132,9 @@ class ReplayEngine {
   // callbacks (e.g. a scheduler admitting a queued job). Returns the dense source id.
   size_t AddSource(const ReplaySource& source);
 
-  // Frees every live block of every source of `tenant` and deactivates them. Observer hooks:
-  // OnSourceAborted per source (before its frees), then OnTenantAborted.
+  // Frees every live block of every active or parked source of `tenant` and deactivates them.
+  // OnSourceAborted fires per source, before its frees.
   void AbortTenant(uint64_t tenant);
-
-  // Re-admits an aborted (or completed) tenant at the current engine time: cursors rewind to op
-  // 0 and the whole stream replays — the preempt-with-recompute discipline.
-  void RestartTenant(uint64_t tenant);
 
   // Processes the single earliest pending op. Returns false when nothing is pending.
   bool Step();
@@ -166,7 +154,7 @@ class ReplayEngine {
 
   // Global tick of source `sid`'s final op under its current schedule (start of the last
   // iteration plus the trace's last op offset); spec.start for empty sources. Only depends on
-  // AddSource/RestartTenant-time state, so it is precomputable before any op executes.
+  // AddSource-time state, so it is precomputable before any op executes.
   uint64_t SourceEndTime(size_t sid) const;
   // Minimum SourceEndTime over active sources, or kNoPendingOp when none are active. An upper
   // bound for the next source-completion event: windows bounded by it cannot miss one.
@@ -175,7 +163,6 @@ class ReplayEngine {
   bool HasPending() { return NextOpTime() != kNoPendingOp; }
   uint64_t now() const { return now_; }
 
-  size_t num_sources() const { return sources_.size(); }
   size_t active_sources() const { return active_sources_; }
   const ReplaySource& source(size_t id) const { return sources_[id].spec; }
   const ReplaySourceProgress& progress(size_t id) const { return sources_[id].progress; }
@@ -192,7 +179,7 @@ class ReplayEngine {
     // pos == cursor % num_ops, iter_base == spec.start + (cursor / num_ops) * period.
     uint64_t pos = 0;
     uint64_t iter_base = 0;
-    uint64_t epoch = 0;        // bumped on abort/restart; stale heap entries carry old epochs
+    uint64_t epoch = 0;        // bumped on park/abort; stale heap entries carry old epochs
     std::vector<uint64_t> addr_of;  // event id -> live address (kNoAddr when not live)
     ReplaySourceProgress progress;
 
@@ -211,7 +198,6 @@ class ReplayEngine {
   enum class OpOutcome : uint8_t {
     kContinue,
     kSourceDone,
-    kTenantAborted,
     kSourceParked,
     kRunAborted,
   };
@@ -238,90 +224,6 @@ class ReplayEngine {
   size_t active_sources_ = 0;
   bool run_aborted_ = false;
   ReplayEngineResult result_;
-};
-
-// The shared OOM-policy observer: the requeue-or-reject / preempt-with-recompute disciplines
-// that used to live ad hoc inside each driver, expressed once over the engine primitives.
-//
-//   kAbort             -> stop the run on the first failed malloc (training crashes).
-//   kRequeue           -> unwind the failing tenant and park it; once any other tenant
-//                         completes (memory freed), restart it. A tenant that OOMs with nothing
-//                         else running, or more than `max_retries` times, is rejected.
-//   kPreemptRecompute  -> unwind the failing tenant and restart it immediately at the current
-//                         tick, redoing all its work — the recompute-style preemption of
-//                         serving engines (servesim) at replay granularity.
-//
-// Drivers with their own admission machinery (the cluster Fleet) subclass this and override
-// RequeueTenant/RejectTenant to route re-admission through their scheduler while reusing the
-// policy accounting and the engine's unwind mechanics.
-enum class OomPolicy : uint8_t { kAbort, kRequeue, kPreemptRecompute };
-
-const char* OomPolicyName(OomPolicy policy);
-
-class OomPolicyObserver : public ReplayObserver {
- public:
-  explicit OomPolicyObserver(OomPolicy policy, int max_retries = 1)
-      : policy_(policy), max_retries_(max_retries) {}
-
-  OomAction OnOom(ReplayEngine& engine, const ReplayOpView& op) override;
-  void OnTenantAborted(ReplayEngine& engine, uint64_t tenant, uint64_t now) override;
-  void OnSourceDone(ReplayEngine& engine, size_t source, uint64_t now) override;
-
-  uint64_t preemptions() const { return preemptions_; }
-  uint64_t requeues() const { return requeues_; }
-  uint64_t rejected_tenants() const { return rejected_; }
-  int oom_count(uint64_t tenant) const;
-
- protected:
-  // Re-admission request for an unwound tenant with retry budget left. Default: park until any
-  // other tenant completes; reject right away when nothing else is running.
-  virtual void RequeueTenant(ReplayEngine& engine, uint64_t tenant, uint64_t now);
-  // The tenant exhausted its retries (or can never be re-admitted).
-  virtual void RejectTenant(ReplayEngine& engine, uint64_t tenant, uint64_t now);
-
-  void CountRequeue() { ++requeues_; }
-  void CountRejected() { ++rejected_; }
-
- private:
-  // Restarts every parked tenant (no-op when none are waiting).
-  void RestartWaiting(ReplayEngine& engine);
-
-  OomPolicy policy_;
-  int max_retries_;
-  std::map<uint64_t, int> oom_counts_;
-  std::vector<uint64_t> waiting_;  // kRequeue: tenants parked for re-admission
-  uint64_t preemptions_ = 0;
-  uint64_t requeues_ = 0;
-  uint64_t rejected_ = 0;
-};
-
-// Timeline-sampling observer: records (tick, live bytes summed over sources) every
-// `sample_every` replayed ops — the memory-over-time curve of a replay without any driver
-// keeping its own counters.
-class TimelineObserver : public ReplayObserver {
- public:
-  struct Sample {
-    uint64_t time = 0;
-    uint64_t live_bytes = 0;
-  };
-
-  explicit TimelineObserver(uint64_t sample_every = 1) : every_(sample_every ? sample_every : 1) {}
-
-  void AfterMalloc(ReplayEngine& engine, const ReplayOpView& op, uint64_t addr) override;
-  void AfterFree(ReplayEngine& engine, const ReplayOpView& op, uint64_t addr) override;
-  // Unwinds free a source's live blocks without AfterFree callbacks: drop them from the curve
-  // (and record the cliff) so the timeline stays truthful across aborts/preemptions.
-  void OnSourceAborted(ReplayEngine& engine, size_t source, uint64_t now) override;
-
-  const std::vector<Sample>& samples() const { return samples_; }
-
- private:
-  void MaybeSample(ReplayEngine& engine, uint64_t time);
-
-  uint64_t every_;
-  uint64_t ops_seen_ = 0;
-  uint64_t live_bytes_ = 0;
-  std::vector<Sample> samples_;
 };
 
 // Placement-digest observer: folds every placement decision — (op kind, event id, device

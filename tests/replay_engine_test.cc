@@ -1,7 +1,8 @@
-// Coverage for src/replay/replay_engine.*: the unified streaming replay core every driver
-// (ReplayTrace, RunServeExperiment, the cluster Fleet) now routes through. Exercises global
-// (time, source) op ordering, tenant-gang unwinding, the three shared OOM policies
-// (abort / requeue / preempt-with-recompute), restart semantics and the observer surface.
+// Coverage for src/replay/replay_engine.*: the streaming replay core behind ReplayTrace,
+// RunServeExperiment and the sharded cluster fleet. Exercises global (time, source) op
+// ordering, the two OOM reactions (abort the run / park the source), tenant-gang unwinding via
+// AbortTenant, bounded stepping and precomputable end times. Requeue and rejection live in the
+// fleet and are covered by cluster_test.
 
 #include <cstdint>
 #include <utility>
@@ -182,218 +183,26 @@ TEST(ReplayEngine, DefaultPolicyAbortsRunOnFirstOomAndUnwinds) {
   EXPECT_EQ(alloc.stats().allocated_current, 0u);
 }
 
-TEST(ReplayEngine, SkipOpPolicyDropsTheOpAndItsFree) {
-  class SkipAll : public ReplayObserver {
-   public:
-    OomAction OnOom(ReplayEngine&, const ReplayOpView&) override { return OomAction::kSkipOp; }
-  };
-  const Trace trace = MakeTrace({{6 * GiB, 0, 10}, {6 * GiB, 1, 5}, {1 * GiB, 2, 10}});
-  SimDevice dev(8 * GiB);
-  NativeAllocator alloc(&dev);
-  SkipAll skip;
-  ReplayEngine engine(&skip);
-  ReplaySource src;
-  src.trace = &trace;
-  src.alloc = &alloc;
-  engine.AddSource(src);
-  const ReplayEngineResult& r = engine.Run();
-  EXPECT_TRUE(r.oom);
-  EXPECT_FALSE(r.aborted);
-  EXPECT_EQ(r.oom_events, 1u);
-  EXPECT_EQ(r.num_mallocs, 3u);  // attempts, including the failed one
-  EXPECT_EQ(r.num_frees, 2u);    // the dropped op's free is silently skipped
-  EXPECT_EQ(r.ops_replayed, 6u); // the stream still drains completely
-  EXPECT_TRUE(engine.progress(0).done);
-}
-
-TEST(ReplayEngine, RequeuePolicyParksTenantUntilMemoryFrees) {
-  const Trace a = MakeTrace({{6 * GiB, 1, 10}});
-  const Trace b = MakeTrace({{6 * GiB, 2, 12}});
-  SimDevice dev(8 * GiB);
-  NativeAllocator alloc(&dev);
-  OomPolicyObserver policy(OomPolicy::kRequeue, /*max_retries=*/2);
-  ReplayEngine engine(&policy);
-  ReplaySource src;
-  src.alloc = &alloc;
-  src.trace = &a;
-  src.tenant = 0;
-  engine.AddSource(src);
-  src.trace = &b;
-  src.tenant = 1;
-  engine.AddSource(src);
-  const ReplayEngineResult& r = engine.Run();
-
-  EXPECT_TRUE(r.oom);  // tenant 1's first attempt failed...
-  EXPECT_FALSE(r.aborted);
-  EXPECT_EQ(policy.requeues(), 1u);
-  EXPECT_EQ(policy.rejected_tenants(), 0u);
-  EXPECT_EQ(policy.oom_count(1), 1);
-  // ...but it was re-admitted when tenant 0 completed, and both finished.
-  EXPECT_TRUE(engine.progress(0).done);
-  EXPECT_TRUE(engine.progress(1).done);
-  EXPECT_EQ(engine.progress(1).restarts, 1);
-  // The restart replays the whole stream at the tick the memory freed (t=10): its ops land at
-  // 10+2 and 10+12.
-  EXPECT_EQ(r.end_time, 22u);
-  EXPECT_EQ(alloc.stats().allocated_current, 0u);
-}
-
-TEST(ReplayEngine, RequeueWithNothingElseRunningRejects) {
-  const Trace trace = MakeTrace({{6 * GiB, 0, 10}, {6 * GiB, 1, 10}});
-  SimDevice dev(8 * GiB);
-  NativeAllocator alloc(&dev);
-  OomPolicyObserver policy(OomPolicy::kRequeue, /*max_retries=*/2);
-  ReplayEngine engine(&policy);
-  ReplaySource src;
-  src.trace = &trace;
-  src.alloc = &alloc;
-  engine.AddSource(src);
-  const ReplayEngineResult& r = engine.Run();
-  EXPECT_TRUE(r.oom);
-  EXPECT_FALSE(r.aborted);
-  EXPECT_EQ(policy.requeues(), 0u);
-  EXPECT_EQ(policy.rejected_tenants(), 1u);  // retrying alone can never free memory
-  EXPECT_TRUE(engine.progress(0).aborted);
-  EXPECT_FALSE(engine.progress(0).done);
-  EXPECT_EQ(alloc.stats().allocated_current, 0u);
-}
-
-TEST(ReplayEngine, PreemptRecomputeRestartsAtTheCurrentTick) {
-  // Tenant 1 collides with tenant 0 (live on [1,3)), is preempted, redoes its work from the
-  // current tick and succeeds once tenant 0's memory is gone.
-  const Trace a = MakeTrace({{6 * GiB, 1, 3}});
-  const Trace b = MakeTrace({{6 * GiB, 2, 10}});
-  SimDevice dev(8 * GiB);
-  NativeAllocator alloc(&dev);
-  OomPolicyObserver policy(OomPolicy::kPreemptRecompute, /*max_retries=*/2);
-  ReplayEngine engine(&policy);
-  ReplaySource src;
-  src.alloc = &alloc;
-  src.trace = &a;
-  src.tenant = 0;
-  engine.AddSource(src);
-  src.trace = &b;
-  src.tenant = 1;
-  engine.AddSource(src);
-  const ReplayEngineResult& r = engine.Run();
-
-  EXPECT_TRUE(r.oom);
-  EXPECT_EQ(policy.preemptions(), 1u);
-  EXPECT_EQ(policy.rejected_tenants(), 0u);
-  EXPECT_TRUE(engine.progress(0).done);
-  EXPECT_TRUE(engine.progress(1).done);
-  EXPECT_EQ(engine.progress(1).restarts, 1);
-  // Restarted at now=2: tenant 1's ops land at 2+2 and 2+10.
-  EXPECT_EQ(r.end_time, 12u);
-}
-
-TEST(ReplayEngine, RetryBudgetExhaustionRejectsTheTenant) {
-  // Tenant 1 can never fit (10 GiB on an 8 GiB device): one preempt-recompute retry, then
-  // rejection; tenant 0 is unaffected.
-  const Trace a = MakeTrace({{2 * GiB, 0, 20}});
-  const Trace b = MakeTrace({{10 * GiB, 1, 10}});
-  SimDevice dev(8 * GiB);
-  NativeAllocator alloc(&dev);
-  OomPolicyObserver policy(OomPolicy::kPreemptRecompute, /*max_retries=*/1);
-  ReplayEngine engine(&policy);
-  ReplaySource src;
-  src.alloc = &alloc;
-  src.trace = &a;
-  src.tenant = 0;
-  engine.AddSource(src);
-  src.trace = &b;
-  src.tenant = 1;
-  engine.AddSource(src);
-  const ReplayEngineResult& r = engine.Run();
-
-  EXPECT_TRUE(r.oom);
-  EXPECT_EQ(r.oom_events, 2u);  // first attempt + one retry
-  EXPECT_EQ(policy.preemptions(), 1u);
-  EXPECT_EQ(policy.rejected_tenants(), 1u);
-  EXPECT_EQ(policy.oom_count(1), 2);
-  EXPECT_TRUE(engine.progress(0).done);
-  EXPECT_TRUE(engine.progress(1).aborted);
-  EXPECT_FALSE(engine.progress(1).done);
-}
-
-TEST(ReplayEngine, ParkedTenantRestartsWhenTheLastRunnerIsRejected) {
-  // Tenant 1 parks while tenant 0 runs; tenant 0 then OOMs alone and is rejected. The parked
-  // tenant must not strand — the rejection frees the device, so it restarts and completes.
-  const Trace a = MakeTrace({{4 * GiB, 1, 6}, {7 * GiB, 5, 10}});  // self-OOMs at t=5
-  const Trace b = MakeTrace({{6 * GiB, 2, 30}});
-  SimDevice dev(8 * GiB);
-  NativeAllocator alloc(&dev);
-  OomPolicyObserver policy(OomPolicy::kRequeue, /*max_retries=*/1);
-  ReplayEngine engine(&policy);
-  ReplaySource src;
-  src.alloc = &alloc;
-  src.trace = &a;
-  src.tenant = 0;
-  engine.AddSource(src);
-  src.trace = &b;
-  src.tenant = 1;
-  engine.AddSource(src);
-  const ReplayEngineResult& r = engine.Run();
-
-  EXPECT_TRUE(r.oom);
-  EXPECT_EQ(policy.requeues(), 1u);          // tenant 1 parked at t=2
-  EXPECT_EQ(policy.rejected_tenants(), 1u);  // tenant 0 rejected at t=5, nothing else running
-  EXPECT_TRUE(engine.progress(0).aborted);
-  EXPECT_FALSE(engine.progress(0).done);
-  EXPECT_TRUE(engine.progress(1).done);  // restarted over the freed space
-  EXPECT_EQ(engine.progress(1).restarts, 1);
-  EXPECT_EQ(alloc.stats().allocated_current, 0u);
-}
-
-TEST(ReplayEngine, TimelineObserverDropsUnwoundBytes) {
-  // Unwinds free live blocks without AfterFree callbacks; the timeline must subtract them via
-  // OnSourceAborted or the curve stays inflated forever after an abort.
-  class AbortTenantTimeline : public TimelineObserver {
-   public:
-    using TimelineObserver::TimelineObserver;
-    OomAction OnOom(ReplayEngine&, const ReplayOpView&) override {
-      return OomAction::kAbortTenant;
-    }
-  };
-  const Trace a = MakeTrace({{4 * GiB, 1, 10}});
-  const Trace b = MakeTrace({{2 * GiB, 2, 8}, {6 * GiB, 3, 8}});  // OOMs at t=3 with 2 GiB live
-  SimDevice dev(8 * GiB);
-  NativeAllocator alloc(&dev);
-  AbortTenantTimeline timeline(/*sample_every=*/1);
-  ReplayEngine engine(&timeline);
-  ReplaySource src;
-  src.alloc = &alloc;
-  src.trace = &a;
-  src.tenant = 0;
-  engine.AddSource(src);
-  src.trace = &b;
-  src.tenant = 1;
-  engine.AddSource(src);
-  const ReplayEngineResult& r = engine.Run();
-
-  EXPECT_TRUE(r.oom);
-  EXPECT_TRUE(engine.progress(0).done);
-  EXPECT_TRUE(engine.progress(1).aborted);
-  ASSERT_FALSE(timeline.samples().empty());
-  // Tenant 0's free at t=10 is the last event: the curve must return to exactly zero, which
-  // only happens if tenant 1's unwound 2 GiB were dropped when it aborted.
-  EXPECT_EQ(timeline.samples().back().live_bytes, 0u);
-  uint64_t peak = 0;
-  for (const TimelineObserver::Sample& s : timeline.samples()) {
-    peak = std::max(peak, s.live_bytes);
-  }
-  EXPECT_EQ(peak, 6 * GiB);  // 4 GiB (tenant 0) + 2 GiB (tenant 1) before the abort
-}
-
 TEST(ReplayEngine, TenantGangUnwindsTogetherOnOneSourceOom) {
-  // Two sources form one tenant gang (pipeline ranks). When the second OOMs, the first — which
-  // has live memory and no failure of its own — unwinds too.
+  // Two sources form one tenant gang (pipeline ranks). The second parks on its OOM; aborting
+  // the tenant then unwinds the first too, which has live memory and no failure of its own.
+  // OnSourceAborted must see each source's live bytes before its frees land.
+  class ParkAndRecordUnwinds : public ReplayObserver {
+   public:
+    OomAction OnOom(ReplayEngine&, const ReplayOpView&) override {
+      return OomAction::kParkSource;
+    }
+    void OnSourceAborted(ReplayEngine& engine, size_t source, uint64_t) override {
+      unwound.push_back({source, engine.progress(source).live_bytes});
+    }
+    std::vector<std::pair<size_t, uint64_t>> unwound;  // (source, live bytes at abort)
+  };
   const Trace rank0 = MakeTrace({{3 * GiB, 1, 20}});
   const Trace rank1 = MakeTrace({{3 * GiB, 1, 20}, {3 * GiB, 2, 20}, {3 * GiB, 3, 20}});
   SimDevice dev(8 * GiB);
   NativeAllocator alloc(&dev);
-  OomPolicyObserver policy(OomPolicy::kRequeue, /*max_retries=*/1);
-  ReplayEngine engine(&policy);
+  ParkAndRecordUnwinds obs;
+  ReplayEngine engine(&obs);
   ReplaySource src;
   src.alloc = &alloc;
   src.tenant = 7;
@@ -402,15 +211,29 @@ TEST(ReplayEngine, TenantGangUnwindsTogetherOnOneSourceOom) {
   src.trace = &rank1;
   engine.AddSource(src);
   ASSERT_EQ(engine.tenant_sources(7).size(), 2u);
-  const ReplayEngineResult& r = engine.Run();
 
+  engine.StepUntil(10);  // past the OOM at t=2, before rank 0's free at t=20
+  const ReplayEngineResult& r = engine.result();
   EXPECT_TRUE(r.oom);
-  EXPECT_TRUE(engine.progress(0).aborted);
-  EXPECT_TRUE(engine.progress(1).aborted);
-  EXPECT_EQ(engine.progress(0).live_bytes, 0u);
-  EXPECT_EQ(engine.progress(1).live_bytes, 0u);
+  EXPECT_FALSE(r.aborted);
+  EXPECT_EQ(r.first_failed_event, 1u);  // rank 1's second block: 3 + 3 + 3 GiB > 8 GiB
+  EXPECT_TRUE(engine.progress(1).parked);
+  EXPECT_TRUE(engine.progress(0).active);
+  EXPECT_EQ(alloc.stats().allocated_current, 6 * GiB);  // the park unwound nothing
+
+  engine.AbortTenant(7);
+  ASSERT_EQ(obs.unwound.size(), 2u);
+  EXPECT_EQ(obs.unwound[0], std::make_pair(size_t{0}, uint64_t{3 * GiB}));
+  EXPECT_EQ(obs.unwound[1], std::make_pair(size_t{1}, uint64_t{3 * GiB}));
+  for (size_t sid : engine.tenant_sources(7)) {
+    EXPECT_TRUE(engine.progress(sid).aborted) << sid;
+    EXPECT_FALSE(engine.progress(sid).parked) << sid;
+    EXPECT_EQ(engine.progress(sid).live_bytes, 0u) << sid;
+  }
+  EXPECT_EQ(engine.active_sources(), 0u);
+  EXPECT_FALSE(engine.HasPending());
   EXPECT_EQ(alloc.stats().allocated_current, 0u);  // every rank's blocks were freed
-  EXPECT_EQ(policy.rejected_tenants(), 1u);        // gang alone on the device: no requeue
+  EXPECT_EQ(r.num_frees, 0u);                     // unwind frees are not replayed ops
 }
 
 TEST(ReplayEngine, ExternallySteppedReplayMatchesRun) {
@@ -437,28 +260,6 @@ TEST(ReplayEngine, ExternallySteppedReplayMatchesRun) {
   EXPECT_TRUE(engine.progress(0).done);
   // Run() on a drained engine just finalizes the result.
   EXPECT_EQ(engine.Run().ops_replayed, 6u);
-}
-
-TEST(ReplayEngine, TimelineObserverSamplesTheLiveBytesCurve) {
-  const Trace trace =
-      MakeTrace({{4 * MiB, 0, 3}, {2 * MiB, 1, 5}, {1 * MiB, 2, 4}});  // peak 7 MiB at t=2
-  SimDevice dev(1 * GiB);
-  NativeAllocator alloc(&dev);
-  TimelineObserver timeline(/*sample_every=*/1);
-  ReplayEngine engine(&timeline);
-  ReplaySource src;
-  src.trace = &trace;
-  src.alloc = &alloc;
-  engine.AddSource(src);
-  ASSERT_FALSE(engine.Run().oom);
-
-  ASSERT_EQ(timeline.samples().size(), 6u);
-  uint64_t peak = 0;
-  for (const TimelineObserver::Sample& s : timeline.samples()) {
-    peak = std::max(peak, s.live_bytes);
-  }
-  EXPECT_EQ(peak, 7 * MiB);
-  EXPECT_EQ(timeline.samples().back().live_bytes, 0u);
 }
 
 // The legacy ReplayTrace wrapper and a hand-driven single-source engine must agree op for op —
@@ -624,12 +425,6 @@ TEST(ReplayEngine, SourceEndTimePredictsTheFinalOpTick) {
   EXPECT_EQ(recorder.seen.back().time, predicted_last);
   // Nothing active once drained.
   EXPECT_EQ(replay.MinActiveEndTime(), ReplayEngine::kNoPendingOp);
-}
-
-TEST(ReplayEngine, OomPolicyNamesAreStable) {
-  EXPECT_STREQ(OomPolicyName(OomPolicy::kAbort), "abort");
-  EXPECT_STREQ(OomPolicyName(OomPolicy::kRequeue), "requeue");
-  EXPECT_STREQ(OomPolicyName(OomPolicy::kPreemptRecompute), "preempt-recompute");
 }
 
 }  // namespace

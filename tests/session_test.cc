@@ -4,6 +4,7 @@
 
 #include "src/api/session.h"
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -281,6 +282,34 @@ TEST(Session, ValidateRejectsBadSpecs) {
   spec = ExperimentSpec{};
   spec.repeats = 0;
   EXPECT_FALSE(Session::Validate(spec, &error));
+
+  // Cluster-shape typos must fail here, not CHECK-abort inside GenerateClusterWorkload (or, for
+  // the train fraction, silently run an all-serving or all-training day).
+  const auto bad_cluster = [&](auto mutate) {
+    ExperimentSpec s;
+    s.axis = WorkloadAxis::kCluster;
+    mutate(s.cluster);
+    return !Session::Validate(s, &error);
+  };
+  EXPECT_TRUE(bad_cluster([](ClusterWorkloadConfig& c) { c.num_jobs = -1; }));
+  EXPECT_TRUE(bad_cluster([](ClusterWorkloadConfig& c) { c.train_fraction = -5; }));
+  EXPECT_TRUE(bad_cluster([](ClusterWorkloadConfig& c) { c.train_fraction = 1.5; }));
+  EXPECT_TRUE(bad_cluster([](ClusterWorkloadConfig& c) { c.train_fraction = std::nan(""); }));
+  EXPECT_TRUE(bad_cluster([](ClusterWorkloadConfig& c) { c.max_pp = 0; }));
+  EXPECT_TRUE(bad_cluster([](ClusterWorkloadConfig& c) { c.min_iterations = 0; }));
+  EXPECT_TRUE(bad_cluster([](ClusterWorkloadConfig& c) {
+    c.min_iterations = 3;
+    c.max_iterations = 2;
+  }));
+  EXPECT_TRUE(bad_cluster([](ClusterWorkloadConfig& c) { c.train_tags.clear(); }));
+  EXPECT_TRUE(bad_cluster([](ClusterWorkloadConfig& c) { c.micro_batches.clear(); }));
+  EXPECT_TRUE(bad_cluster([](ClusterWorkloadConfig& c) { c.serve_scenarios.clear(); }));
+  // The boundaries stay valid.
+  EXPECT_FALSE(bad_cluster([](ClusterWorkloadConfig& c) {
+    c.num_jobs = 0;
+    c.train_fraction = 0;
+  }));
+  EXPECT_FALSE(bad_cluster([](ClusterWorkloadConfig& c) { c.train_fraction = 1; }));
 
   // And the defaults are valid for every axis.
   for (WorkloadAxis axis : AllWorkloadAxes()) {
