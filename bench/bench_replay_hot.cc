@@ -81,15 +81,14 @@ struct StreamRun {
   std::vector<HotResult> results;
 };
 
-// One timed pass over either source: `iterations` back-to-back ReplayTrace calls into `alloc`
-// (caches persist across iterations, as in training). Exactly one of trace/view is non-null;
+// One timed pass: `iterations` back-to-back ReplayTrace calls into `alloc` (caches persist
+// across iterations, as in training). `trace` is an owned trace's or an mmap'd view's cursor;
 // decisions are bit-identical either way. Returns false on OOM.
-bool TimedReplay(const Trace* trace, const TraceView* view, Allocator* alloc, int iterations,
-                 HotResult* out) {
+bool TimedReplay(const TraceCursor& trace, Allocator* alloc, int iterations, HotResult* out) {
   Stopwatch timer;
   uint64_t ops = 0;
   for (int i = 0; i < iterations; ++i) {
-    ReplayResult r = view != nullptr ? ReplayTrace(*view, alloc) : ReplayTrace(*trace, alloc);
+    ReplayResult r = ReplayTrace(trace, alloc);
     ops += r.num_mallocs + r.num_frees;
     if (r.oom) {
       out->oom = true;
@@ -105,17 +104,16 @@ bool TimedReplay(const Trace* trace, const TraceView* view, Allocator* alloc, in
   return true;
 }
 
-HotResult RunEntry(const AllocatorRegistry::Entry& entry, const Trace* trace,
-                   const TraceView* view, int iterations, int repeats) {
+HotResult RunEntry(const AllocatorRegistry::Entry& entry, const TraceCursor& trace,
+                   int iterations, int repeats) {
   HotResult out;
   out.allocator = entry.name;
 
   SynthesisResult synthesis;
   if (entry.requires_plan) {
     // Plan once (offline stage, not timed); each repeat replays against a fresh pool. The
-    // planner needs a materialized trace — the replay itself still runs from the view.
-    ProfileResult profile =
-        view != nullptr ? ProfileTrace(view->Materialize(), kCapacity) : ProfileTrace(*trace, kCapacity);
+    // planner needs an owned copy of the columns — the replay itself still runs from `trace`.
+    ProfileResult profile = ProfileTrace(Trace(trace), kCapacity);
     out.profile_ms = profile.wall_ms;
     if (!profile.feasible) {
       out.skipped = true;
@@ -139,7 +137,7 @@ HotResult RunEntry(const AllocatorRegistry::Entry& entry, const Trace* trace,
     } else {
       alloc = AllocatorRegistry::Global().Create(entry.name, &device);
     }
-    if (!TimedReplay(trace, view, alloc.get(), iterations, &out)) {
+    if (!TimedReplay(trace, alloc.get(), iterations, &out)) {
       return out;
     }
     out.reserved_peak = alloc->stats().reserved_peak;
@@ -150,24 +148,23 @@ HotResult RunEntry(const AllocatorRegistry::Entry& entry, const Trace* trace,
   return out;
 }
 
-StreamRun RunStream(const std::string& name, const Trace* trace, const TraceView* view,
+StreamRun RunStream(const std::string& name, const char* source, const TraceCursor& trace,
                     int iterations, int repeats, bool include_stalloc, ReportSink& sink) {
   StreamRun run;
   run.stream = name;
-  run.trace_events = view != nullptr ? view->num_events() : trace->size();
+  run.trace_events = trace.num_events();
   run.iterations = iterations;
 
   sink.Printf("Replay hot path — %s stream: %llu events x %d iterations = %llu ops%s\n\n",
               name.c_str(), static_cast<unsigned long long>(run.trace_events), iterations,
-              static_cast<unsigned long long>(run.trace_events * 2 * iterations),
-              view != nullptr ? " (mmap'd v2 view)" : "");
+              static_cast<unsigned long long>(run.trace_events * 2 * iterations), source);
   TextTable table({"allocator", "ops", "best wall (ms)", "Mops/s", "Mr", "E (%)"});
   for (const std::string& alloc_name : AllocatorRegistry::Global().Names()) {
     const AllocatorRegistry::Entry& entry = *AllocatorRegistry::Global().Find(alloc_name);
     if (entry.requires_plan && !include_stalloc) {
       continue;
     }
-    HotResult r = RunEntry(entry, trace, view, iterations, repeats);
+    HotResult r = RunEntry(entry, trace, iterations, repeats);
     if (r.skipped) {
       table.AddRow({r.allocator, "-", "-", "skipped", "-", "-"});
     } else if (r.oom) {
@@ -212,26 +209,22 @@ Json StreamJson(const StreamRun& run) {
 // One digest pass: fresh torch-caching pool, placements folded into an FNV-1a digest. The
 // owned and view digests must be equal — this is the bit-identical-decisions contract of the
 // columnar replay path, enforced on every bench run (and by tests/trace_view_test on CI).
-uint64_t DigestRun(const Trace* trace, const TraceView* view) {
+uint64_t DigestRun(const TraceCursor& trace) {
   SimDevice device(kCapacity);
   std::unique_ptr<Allocator> alloc = AllocatorRegistry::Global().Create("torch-caching", &device);
   PlacementDigestObserver obs;
-  if (view != nullptr) {
-    ReplayTrace(*view, alloc.get(), &obs);
-  } else {
-    ReplayTrace(*trace, alloc.get(), &obs);
-  }
+  ReplayTrace(trace, alloc.get(), &obs);
   return obs.digest();
 }
 
 // Best-of-`repeats` wall time for a single torch-caching replay of the 1M-op stream.
-double BestWall(const Trace* trace, const TraceView* view, int repeats, bool* oom) {
+double BestWall(const TraceCursor& trace, int repeats, bool* oom) {
   HotResult scratch;
   for (int rep = 0; rep < repeats; ++rep) {
     SimDevice device(kCapacity);
     std::unique_ptr<Allocator> alloc =
         AllocatorRegistry::Global().Create("torch-caching", &device);
-    if (!TimedReplay(trace, view, alloc.get(), 1, &scratch)) {
+    if (!TimedReplay(trace, alloc.get(), 1, &scratch)) {
       *oom = true;
       return 0;
     }
@@ -262,13 +255,13 @@ bool RunMillionOps(int repeats, ReportSink& sink, Json* out) {
   }
 
   bool oom = false;
-  const uint64_t view_digest = DigestRun(nullptr, &view);
-  const double view_wall = BestWall(nullptr, &view, repeats, &oom);
+  const uint64_t view_digest = DigestRun(view.Cursor());
+  const double view_wall = BestWall(view.Cursor(), repeats, &oom);
   const uint64_t view_peak_rss = PeakRssBytes();
 
   const Trace owned = view.Materialize();
-  const uint64_t owned_digest = DigestRun(&owned, nullptr);
-  const double owned_wall = BestWall(&owned, nullptr, repeats, &oom);
+  const uint64_t owned_digest = DigestRun(owned.Cursor());
+  const double owned_wall = BestWall(owned.Cursor(), repeats, &oom);
   const uint64_t owned_peak_rss = PeakRssBytes();
 
   const uint64_t file_bytes = view.file_bytes();
@@ -361,7 +354,7 @@ int main(int argc, char** argv) {
   std::vector<StreamRun> runs;
   const Trace storm = BuildStormTrace(events, 42);
   runs.push_back(
-      RunStream("storm", &storm, nullptr, 1, repeats, /*include_stalloc=*/false, sink));
+      RunStream("storm", "", storm.Cursor(), 1, repeats, /*include_stalloc=*/false, sink));
 
   TrainConfig config;
   config.parallel.pp = 2;
@@ -372,32 +365,24 @@ int main(int argc, char** argv) {
   // ~10k ops per iteration: replay back-to-back until the stream matches the storm's length.
   const int iterations =
       std::max<int>(1, static_cast<int>(events / (train.size() > 0 ? train.size() : 1)));
-  runs.push_back(
-      RunStream("train", &train, nullptr, iterations, repeats, /*include_stalloc=*/true, sink));
+  runs.push_back(RunStream("train", "", train.Cursor(), iterations, repeats,
+                           /*include_stalloc=*/true, sink));
 
   // Optional on-disk trace: the v2 path exercises exactly what stalloc_run --trace-file does.
   Trace file_trace;
   TraceView file_view;
   if (!trace_path.empty()) {
-    bool use_view = false;
+    const bool use_view = IsTraceV2File(trace_path);
     TraceIoError err;
-    if (IsTraceV2File(trace_path)) {
-      if (!file_view.Open(trace_path, &err)) {
-        fprintf(stderr, "bench_replay_hot: cannot read %s: %s\n", trace_path.c_str(),
-                err.message.c_str());
-        return 2;
-      }
-      use_view = true;
-    } else if (!ReadTraceAnyFile(trace_path, &file_trace, &err)) {
+    if (use_view ? !file_view.Open(trace_path, &err)
+                 : !ReadTraceAnyFile(trace_path, &file_trace, &err)) {
       fprintf(stderr, "bench_replay_hot: cannot read %s: %s\n", trace_path.c_str(),
               err.message.c_str());
       return 2;
     }
-    const bool has_phases =
-        use_view ? !file_view.phases().empty() : !file_trace.phases().empty();
-    runs.push_back(RunStream("file", use_view ? nullptr : &file_trace,
-                             use_view ? &file_view : nullptr, 1, repeats,
-                             /*include_stalloc=*/has_phases, sink));
+    const TraceCursor file = use_view ? file_view.Cursor() : file_trace.Cursor();
+    runs.push_back(RunStream("file", use_view ? " (mmap'd v2 view)" : "", file, 1, repeats,
+                             /*include_stalloc=*/!file.phases().empty(), sink));
   }
 
   Json streams = Json::Array();

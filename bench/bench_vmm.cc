@@ -158,6 +158,7 @@ Trace CheckerboardTrace() {
     e.te = 1000;
     trace.AddEvent(e);
   }
+  trace.Validate();
   return trace;
 }
 

@@ -45,7 +45,8 @@ typedef struct {
 } op_t;
 
 /* Frees at time t run before mallocs at time t (half-open lifespans), then event id — the
- * exact op order Trace::Ops() produces in-process. */
+ * exact op order a sealed Trace stores in its op columns in-process. Sorted here with an
+ * independent comparator, so the digest check also cross-checks that order. */
 static int op_cmp(const void* a, const void* b) {
   const op_t* x = (const op_t*)a;
   const op_t* y = (const op_t*)b;

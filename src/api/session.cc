@@ -369,12 +369,8 @@ RunRecord Session::RunOne(const ExperimentSpec& spec, const std::string& allocat
 
   switch (spec.axis) {
     case WorkloadAxis::kTrainRank: {
-      if (replay_view_ != nullptr) {
-        FillFromExperiment(RunTraceReplay(*replay_view_, allocator, options), &rec);
-        break;
-      }
-      if (replay_trace_ != nullptr) {
-        FillFromExperiment(RunTraceReplay(*replay_trace_, allocator, options), &rec);
+      if (replay_.valid()) {
+        FillFromExperiment(RunTraceReplay(replay_, allocator, options), &rec);
         break;
       }
       STALLOC_CHECK(spec.trace_file.empty(),
@@ -409,13 +405,11 @@ RunRecord Session::RunOne(const ExperimentSpec& spec, const std::string& allocat
 }
 
 void Session::SetReplayTrace(const Trace* trace) {
-  replay_trace_ = trace;
-  replay_view_ = nullptr;
+  replay_ = trace != nullptr ? trace->Cursor() : TraceCursor();
 }
 
 void Session::SetReplayTrace(const TraceView* view) {
-  replay_view_ = view;
-  replay_trace_ = nullptr;
+  replay_ = view != nullptr ? view->Cursor() : TraceCursor();
 }
 
 RunRecord Session::RunClusterJobs(const ExperimentSpec& spec, const std::string& allocator,

@@ -40,15 +40,14 @@ class Session {
                            const std::vector<ClusterJob>& jobs, int repeat = 0);
 
   // Preloads a replay trace for kTrainRank specs: subsequent rank-axis runs replay it through
-  // RunTraceReplay instead of building the simulated workload. The session borrows the
-  // trace/view — it must outlive every run. Pass nullptr to clear; setting one form clears the
-  // other. The view form replays straight from the mmap'd columnar file.
+  // RunTraceReplay instead of building the simulated workload. The session borrows the sealed
+  // trace or the view — it must outlive every run. Pass nullptr to clear. The view form
+  // replays straight from the mmap'd columnar file.
   void SetReplayTrace(const Trace* trace);
   void SetReplayTrace(const TraceView* view);
 
  private:
-  const Trace* replay_trace_ = nullptr;
-  const TraceView* replay_view_ = nullptr;
+  TraceCursor replay_;  // valid() once a replay trace is set
 };
 
 }  // namespace stalloc

@@ -749,7 +749,7 @@ class ShardedClusterSim {
       sh.sources.push_back(info);  // before AddSource: a zero-op source completes inside it
 
       ReplaySource src;
-      src.trace = &job.traces[rank];
+      src.trace = job.traces[rank].Cursor();
       src.alloc = dev.alloc.get();
       src.start = now_;
       src.iterations = job.spec->type == ClusterJobType::kTraining ? job.spec->iterations : 1;

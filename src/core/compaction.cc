@@ -16,36 +16,20 @@ namespace stalloc {
 namespace {
 
 // Time-conflict adjacency: for each decision, the indices of decisions overlapping its lifespan.
-// Built with a sweep over alloc/free points: O(N log N + sum of overlap degrees).
+// Built with one sweep over the alloc/free ops in TraceOp order: O(N + sum of overlap degrees).
 std::vector<std::vector<uint32_t>> BuildConflicts(const std::vector<PlanDecision>& decisions) {
-  struct Point {
-    LogicalTime time;
-    bool is_alloc;
-    uint32_t idx;
-  };
-  std::vector<Point> points;
-  points.reserve(decisions.size() * 2);
-  for (uint32_t i = 0; i < decisions.size(); ++i) {
-    points.push_back({decisions[i].event.ts, true, i});
-    points.push_back({decisions[i].event.te, false, i});
-  }
-  std::sort(points.begin(), points.end(), [](const Point& a, const Point& b) {
-    if (a.time != b.time) {
-      return a.time < b.time;
-    }
-    return a.is_alloc < b.is_alloc;
-  });
   std::vector<std::vector<uint32_t>> conflicts(decisions.size());
   std::vector<uint32_t> active;
-  for (const auto& p : points) {
-    if (p.is_alloc) {
+  for (const uint64_t ref : OrderDecisionOps(decisions)) {
+    const uint32_t idx = static_cast<uint32_t>(ref >> 1);
+    if ((ref & 1) == 0) {
       for (uint32_t other : active) {
-        conflicts[p.idx].push_back(other);
-        conflicts[other].push_back(p.idx);
+        conflicts[idx].push_back(other);
+        conflicts[other].push_back(idx);
       }
-      active.push_back(p.idx);
+      active.push_back(idx);
     } else {
-      active.erase(std::find(active.begin(), active.end(), p.idx));
+      active.erase(std::find(active.begin(), active.end(), idx));
     }
   }
   return conflicts;

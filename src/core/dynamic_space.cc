@@ -20,25 +20,19 @@ uint64_t DynamicReusableSpace::TotalReusableBytes() const {
 DynamicReusableSpace LocateDynamicSpace(const Trace& trace, const StaticPlan& plan) {
   DynamicReusableSpace space;
 
-  // Collect the HomoLayer groups and the matcher table.
-  std::vector<const MemoryEvent*> dynamic_events;
-  for (const auto& e : trace.events()) {
-    if (e.dyn) {
-      dynamic_events.push_back(&e);
+  // Collect the HomoLayer groups and the matcher table, walking the dynamic mallocs in arrival
+  // order as the runtime sees them: op order, i.e. by time, then by event id.
+  const TraceCursor c = trace.Cursor();
+  for (uint64_t i = 0; i < c.num_ops(); ++i) {
+    const uint64_t id = c.OpEventId(i);
+    if (c.OpIsFree(i) || !c.EventDyn(id)) {
+      continue;
     }
-  }
-  // Arrival order as the runtime sees it: by time, then by event id (Trace::Ops order).
-  std::sort(dynamic_events.begin(), dynamic_events.end(),
-            [](const MemoryEvent* a, const MemoryEvent* b) {
-              if (a->ts != b->ts) {
-                return a->ts < b->ts;
-              }
-              return a->id < b->id;
-            });
-  for (const auto* e : dynamic_events) {
-    STALLOC_CHECK(e->ls != kInvalidLayer && e->le != kInvalidLayer);
-    space.regions.emplace(std::make_pair(e->ls, e->le), IntervalSet{});
-    space.expected_le[e->ls].push_back(e->le);
+    const LayerId ls = c.EventLs(id);
+    const LayerId le = c.EventLe(id);
+    STALLOC_CHECK(ls != kInvalidLayer && le != kInvalidLayer);
+    space.regions.emplace(std::make_pair(ls, le), IntervalSet{});
+    space.expected_le[ls].push_back(le);
   }
   if (space.regions.empty()) {
     return space;

@@ -33,8 +33,9 @@ struct DynamicReusableSpace {
   uint64_t TotalReusableBytes() const;
 };
 
-// Computes the reusable space for every HomoLayer group in `trace` against `plan`.
-// Complexity: O(N log N) sort + per-group scan of time-overlapping decisions (§7.1).
+// Computes the reusable space for every HomoLayer group in a sealed `trace` against `plan`.
+// Complexity: one op-order walk, an O(D log D) sort of the plan's D decisions, then a per-group
+// scan of time-overlapping decisions (§7.1).
 DynamicReusableSpace LocateDynamicSpace(const Trace& trace, const StaticPlan& plan);
 
 }  // namespace stalloc

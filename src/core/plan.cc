@@ -12,33 +12,24 @@
 
 namespace stalloc {
 
+std::vector<uint64_t> OrderDecisionOps(const std::vector<PlanDecision>& decisions) {
+  std::vector<LogicalTime> ts(decisions.size()), te(decisions.size());
+  for (size_t i = 0; i < decisions.size(); ++i) {
+    ts[i] = decisions[i].event.ts;
+    te[i] = decisions[i].event.te;
+  }
+  return OrderOps(ts, te, nullptr);
+}
+
 namespace {
 
 // Sweep over alloc/free points; at each malloc, the new address range must not intersect any
 // live range. Returns an error description or empty string.
 std::string SweepCheck(const std::vector<PlanDecision>& decisions, uint64_t pool_size) {
-  struct Point {
-    LogicalTime time;
-    bool is_alloc;
-    size_t idx;
-  };
-  std::vector<Point> points;
-  points.reserve(decisions.size() * 2);
-  for (size_t i = 0; i < decisions.size(); ++i) {
-    points.push_back({decisions[i].event.ts, true, i});
-    points.push_back({decisions[i].event.te, false, i});
-  }
-  std::sort(points.begin(), points.end(), [](const Point& a, const Point& b) {
-    if (a.time != b.time) {
-      return a.time < b.time;
-    }
-    return a.is_alloc < b.is_alloc;  // frees first (half-open lifespans)
-  });
-
   std::map<uint64_t, size_t> live;  // addr -> decision index
-  for (const auto& p : points) {
-    const PlanDecision& d = decisions[p.idx];
-    if (!p.is_alloc) {
+  for (const uint64_t ref : OrderDecisionOps(decisions)) {
+    const PlanDecision& d = decisions[ref >> 1];
+    if ((ref & 1) != 0) {
       live.erase(d.addr);
       continue;
     }
@@ -66,7 +57,7 @@ std::string SweepCheck(const std::vector<PlanDecision>& decisions, uint64_t pool
         return os.str();
       }
     }
-    live.emplace(d.addr, p.idx);
+    live.emplace(d.addr, ref >> 1);
   }
   return {};
 }
@@ -74,25 +65,15 @@ std::string SweepCheck(const std::vector<PlanDecision>& decisions, uint64_t pool
 }  // namespace
 
 uint64_t StaticPlan::PeakPaddedBytes(const std::vector<PlanDecision>& decisions) {
-  std::vector<std::pair<LogicalTime, int64_t>> points;
-  points.reserve(decisions.size() * 2);
-  for (const auto& d : decisions) {
-    points.emplace_back(d.event.ts, static_cast<int64_t>(d.padded_size));
-    points.emplace_back(d.event.te, -static_cast<int64_t>(d.padded_size));
-  }
-  std::sort(points.begin(), points.end(), [](const auto& a, const auto& b) {
-    if (a.first != b.first) {
-      return a.first < b.first;
-    }
-    return a.second < b.second;
-  });
-  int64_t live = 0;
-  int64_t peak = 0;
-  for (const auto& [t, delta] : points) {
-    live += delta;
+  // Frees precede mallocs at each tick, so the running maximum is the peak.
+  uint64_t live = 0;
+  uint64_t peak = 0;
+  for (const uint64_t ref : OrderDecisionOps(decisions)) {
+    const uint64_t size = decisions[ref >> 1].padded_size;
+    live = (ref & 1) != 0 ? live - size : live + size;
     peak = std::max(peak, live);
   }
-  return static_cast<uint64_t>(peak);
+  return peak;
 }
 
 bool StaticPlan::Check(std::string* error) const {

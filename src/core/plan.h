@@ -45,6 +45,10 @@ struct StaticPlan {
   static uint64_t PeakPaddedBytes(const std::vector<PlanDecision>& decisions);
 };
 
+// The malloc and free ops of `decisions` in TraceOp order (OrderOps refs: index into
+// `decisions` << 1 | is_free).
+std::vector<uint64_t> OrderDecisionOps(const std::vector<PlanDecision>& decisions);
+
 // Planning alignment: all planned addresses and padded sizes are multiples of this.
 inline constexpr uint64_t kPlanAlign = 512;
 

@@ -25,23 +25,11 @@ namespace {
 // allocation at the lowest free offset and returning it on free. O(N log N) via IntervalSet.
 // Produces a valid plan whose pool equals the highest offset ever used.
 StaticPlan GreedyFirstFitPlan(const std::vector<MemoryEvent>& static_events) {
-  struct Point {
-    LogicalTime time;
-    bool is_alloc;
-    size_t idx;
-  };
-  std::vector<Point> points;
-  points.reserve(static_events.size() * 2);
+  std::vector<LogicalTime> ts(static_events.size()), te(static_events.size());
   for (size_t i = 0; i < static_events.size(); ++i) {
-    points.push_back({static_events[i].ts, true, i});
-    points.push_back({static_events[i].te, false, i});
+    ts[i] = static_events[i].ts;
+    te[i] = static_events[i].te;
   }
-  std::sort(points.begin(), points.end(), [](const Point& a, const Point& b) {
-    if (a.time != b.time) {
-      return a.time < b.time;
-    }
-    return a.is_alloc < b.is_alloc;  // frees first at equal tick
-  });
 
   StaticPlan plan;
   plan.decisions.resize(static_events.size());
@@ -50,10 +38,10 @@ StaticPlan GreedyFirstFitPlan(const std::vector<MemoryEvent>& static_events) {
   constexpr uint64_t kUnbounded = ~uint64_t{0} >> 1;
   free_space.Insert(0, kUnbounded);
   uint64_t high_water = 0;
-  for (const auto& p : points) {
-    PlanDecision& d = plan.decisions[p.idx];
-    if (p.is_alloc) {
-      d.event = static_events[p.idx];
+  for (const uint64_t ref : OrderOps(ts, te, nullptr)) {  // frees first at equal tick
+    PlanDecision& d = plan.decisions[ref >> 1];
+    if ((ref & 1) == 0) {
+      d.event = static_events[ref >> 1];
       d.padded_size = AlignUp(std::max<uint64_t>(d.event.size, 1), kPlanAlign);
       auto fit = free_space.FirstFit(d.padded_size);
       STALLOC_CHECK(fit.has_value());
@@ -103,11 +91,11 @@ SynthesisResult SynthesizePlan(const Trace& trace, const PlanSynthesizerConfig& 
 
   // 1. Partition by dynamicity (§5: M_s and M_d).
   std::vector<MemoryEvent> static_events;
-  for (const auto& e : trace.events()) {
-    if (e.dyn) {
+  for (uint64_t id = 0; id < trace.size(); ++id) {
+    if ((trace.flags()[id] & 1) != 0) {
       ++result.stats.num_dynamic_events;
     } else {
-      static_events.push_back(e);
+      static_events.push_back(trace.Event(id));
       ++result.stats.num_static_events;
     }
   }

@@ -30,22 +30,23 @@ ProfileResult ProfileTrace(Trace trace, uint64_t capacity_bytes) {
   NativeAllocator native(&device);
   std::unordered_map<uint64_t, uint64_t> addr_of;  // event id -> address
   result.feasible = true;
-  for (const auto& op : result.trace.Ops()) {
-    const MemoryEvent& e = result.trace.event(op.event_id);
-    if (op.kind == TraceOp::Kind::kMalloc) {
+  const TraceCursor c = result.trace.Cursor();
+  for (uint64_t i = 0; i < c.num_ops(); ++i) {
+    const uint64_t id = c.OpEventId(i);
+    if (!c.OpIsFree(i)) {
       RequestContext ctx;
-      ctx.dyn = e.dyn;
-      ctx.layer = e.ls;
-      ctx.phase = e.ps;
-      ctx.stream = e.stream;
-      auto addr = native.Malloc(e.size, ctx);
+      ctx.dyn = c.EventDyn(id);
+      ctx.layer = c.EventLs(id);
+      ctx.phase = c.EventPs(id);
+      ctx.stream = c.EventStream(id);
+      auto addr = native.Malloc(c.EventSize(id), ctx);
       if (!addr.has_value()) {
         result.feasible = false;
         break;
       }
-      addr_of.emplace(e.id, *addr);
+      addr_of.emplace(id, *addr);
     } else {
-      auto it = addr_of.find(e.id);
+      auto it = addr_of.find(id);
       if (it != addr_of.end()) {
         native.Free(it->second);
         addr_of.erase(it);
@@ -56,7 +57,7 @@ ProfileResult ProfileTrace(Trace trace, uint64_t capacity_bytes) {
   result.native_api_calls = device.counters().cuda_malloc + device.counters().cuda_free;
   result.native_api_cost_us = device.counters().total_cost_us;
   result.wall_ms = timer.ElapsedMillis();
-  span.Arg("ops", static_cast<unsigned long long>(result.trace.Ops().size()));
+  span.Arg("ops", static_cast<unsigned long long>(c.num_ops()));
   span.Arg("feasible", result.feasible);
   return result;
 }

@@ -80,11 +80,8 @@ void FinishExperimentResult(const ReplayResult& replay, const Allocator& active,
   }
 }
 
-namespace {
-
-ExperimentResult RunTraceReplayImpl(const Trace* trace, const TraceView* view,
-                                    std::string_view allocator,
-                                    const ExperimentOptions& options) {
+ExperimentResult RunTraceReplay(const TraceCursor& trace, std::string_view allocator,
+                                const ExperimentOptions& options) {
   ExperimentResult result;
   result.allocator = allocator;
   SimDevice device(options.capacity_bytes);
@@ -94,12 +91,11 @@ ExperimentResult RunTraceReplayImpl(const Trace* trace, const TraceView* view,
   if (RequiresPlan(allocator)) {
     // The trace is its own profile. Lifespan classification (and therefore the whole plan)
     // keys on phase structure; a phaseless op stream cannot be planned.
-    Trace materialized = view != nullptr ? view->Materialize() : *trace;
-    if (materialized.phases().empty()) {
+    if (trace.phases().empty()) {
       result.infeasible = true;
       return result;
     }
-    ProfileResult profile = ProfileTrace(std::move(materialized), options.capacity_bytes);
+    ProfileResult profile = ProfileTrace(Trace(trace), options.capacity_bytes);
     stalloc_alloc = MakeSTAllocFromProfile(profile, allocator, &device, &result);
     if (stalloc_alloc == nullptr) {
       return result;
@@ -110,22 +106,9 @@ ExperimentResult RunTraceReplayImpl(const Trace* trace, const TraceView* view,
 
   Allocator* active = stalloc_alloc ? stalloc_alloc.get() : alloc.get();
   STALLOC_CHECK(active != nullptr, << "no allocator for '" << allocator << "'");
-  ReplayResult replay =
-      view != nullptr ? ReplayTrace(*view, active) : ReplayTrace(*trace, active);
+  ReplayResult replay = ReplayTrace(trace, active);
   FinishExperimentResult(replay, *active, device, stalloc_alloc.get(), &result);
   return result;
-}
-
-}  // namespace
-
-ExperimentResult RunTraceReplay(const Trace& trace, std::string_view allocator,
-                                const ExperimentOptions& options) {
-  return RunTraceReplayImpl(&trace, nullptr, allocator, options);
-}
-
-ExperimentResult RunTraceReplay(const TraceView& view, std::string_view allocator,
-                                const ExperimentOptions& options) {
-  return RunTraceReplayImpl(nullptr, &view, allocator, options);
 }
 
 ExperimentResult RunExperiment(const WorkloadBuilder& workload, std::string_view allocator,

@@ -70,11 +70,9 @@ ExperimentResult RunExperiment(const WorkloadBuilder& workload, std::string_view
 // synthesis, then replay — so the run is the self-plan upper bound. Traces with no phase
 // structure cannot be planned and come back infeasible for the plan kinds.
 //
-// The TraceView overload replays straight from the mmap'd columnar file; only the plan kinds
-// materialize (for synthesis), and the replay itself still runs off the view.
-ExperimentResult RunTraceReplay(const Trace& trace, std::string_view allocator,
-                                const ExperimentOptions& options = ExperimentOptions{});
-ExperimentResult RunTraceReplay(const TraceView& view, std::string_view allocator,
+// `trace` is the cursor of a sealed Trace or of an mmap'd v2 TraceView. Only the plan kinds
+// copy the columns (for synthesis); the replay itself runs off the cursor.
+ExperimentResult RunTraceReplay(const TraceCursor& trace, std::string_view allocator,
                                 const ExperimentOptions& options = ExperimentOptions{});
 
 // Whether the named allocator runs through the offline profile+plan pipeline (its registry

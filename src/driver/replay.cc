@@ -19,10 +19,10 @@ std::string ReplayResult::ToString() const {
                    FormatBytes(reserved_peak).c_str(), memory_efficiency * 100.0);
 }
 
-namespace {
-
-ReplayResult RunOneSource(const ReplaySource& source, Allocator* alloc,
-                          ReplayObserver* observer) {
+ReplayResult ReplayTrace(const TraceCursor& trace, Allocator* alloc, ReplayObserver* observer) {
+  ReplaySource source;
+  source.trace = trace;
+  source.alloc = alloc;
   ReplayEngine engine(observer);
   engine.AddSource(source);
   const ReplayEngineResult& run = engine.Run();
@@ -42,20 +42,12 @@ ReplayResult RunOneSource(const ReplaySource& source, Allocator* alloc,
   return result;
 }
 
-}  // namespace
-
 ReplayResult ReplayTrace(const Trace& trace, Allocator* alloc, ReplayObserver* observer) {
-  ReplaySource source;
-  source.trace = &trace;
-  source.alloc = alloc;
-  return RunOneSource(source, alloc, observer);
+  return ReplayTrace(trace.Cursor(), alloc, observer);
 }
 
 ReplayResult ReplayTrace(const TraceView& view, Allocator* alloc, ReplayObserver* observer) {
-  ReplaySource source;
-  source.view = &view;
-  source.alloc = alloc;
-  return RunOneSource(source, alloc, observer);
+  return ReplayTrace(view.Cursor(), alloc, observer);
 }
 
 }  // namespace stalloc

@@ -36,11 +36,13 @@ struct ReplayResult {
 // allocation failure (training would crash with CUDA OOM). Live blocks are freed at the end so
 // the allocator can be reused. `observer` (optional) taps the op stream; the default abort
 // policy applies when it is null.
-ReplayResult ReplayTrace(const Trace& trace, Allocator* alloc,
+ReplayResult ReplayTrace(const TraceCursor& trace, Allocator* alloc,
                          ReplayObserver* observer = nullptr);
 
-// Same contract, replaying straight from an mmap'd columnar v2 view — no materialization, no
-// per-op heap allocation. Decisions are bit-identical to replaying the materialized trace.
+// The same replay over a sealed owned trace, or straight from an mmap'd columnar v2 view with
+// no materialization and no per-op heap allocation. Decisions are bit-identical either way.
+ReplayResult ReplayTrace(const Trace& trace, Allocator* alloc,
+                         ReplayObserver* observer = nullptr);
 ReplayResult ReplayTrace(const TraceView& view, Allocator* alloc,
                          ReplayObserver* observer = nullptr);
 

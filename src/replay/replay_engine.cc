@@ -14,16 +14,14 @@
 namespace stalloc {
 
 size_t ReplayEngine::AddSource(const ReplaySource& source) {
-  STALLOC_CHECK((source.trace != nullptr) != (source.view != nullptr),
-                << "replay source needs exactly one of trace/view");
+  STALLOC_CHECK(source.trace.valid(), << "replay source needs a trace");
   STALLOC_CHECK(source.alloc != nullptr, << "replay source needs an allocator");
   STALLOC_CHECK_GE(source.iterations, 0);
   SourceState s;
   s.spec = source;
-  s.tc = source.trace != nullptr ? TraceCursor(*source.trace) : TraceCursor(*source.view);
-  s.period = source.period != 0 ? source.period : s.tc.end_time();
+  s.period = source.period != 0 ? source.period : source.trace.end_time();
   s.iter_base = source.start;
-  s.addr_of.assign(s.tc.num_events(), kNoAddr);
+  s.addr_of.assign(source.trace.num_events(), kNoAddr);
   const size_t id = sources_.size();
   sources_.push_back(std::move(s));
   tenants_[source.tenant].push_back(id);
@@ -111,7 +109,7 @@ ReplayEngine::OpOutcome ReplayEngine::ApplyOp(size_t sid, uint64_t op_idx) {
   // in sources_) up front and re-fetch sources_[sid] after every callback.
   Allocator* const alloc = sources_[sid].spec.alloc;
   const uint64_t tenant = sources_[sid].spec.tenant;
-  const TraceCursor tc = sources_[sid].tc;
+  const TraceCursor tc = sources_[sid].spec.trace;
   const bool is_free = tc.OpIsFree(op_idx);
   const uint64_t eid = tc.OpEventId(op_idx);
 
@@ -203,7 +201,7 @@ ReplayEngine::OpOutcome ReplayEngine::ApplyOp(size_t sid, uint64_t op_idx) {
   ++result_.ops_replayed;
   ++sa.cursor;
   ++sa.pos;
-  if (sa.pos == sa.tc.num_ops()) {  // iteration boundary: wrap without dividing
+  if (sa.pos == sa.spec.trace.num_ops()) {  // iteration boundary: wrap without dividing
     sa.pos = 0;
     sa.iter_base += sa.period;
   }
@@ -242,9 +240,9 @@ uint64_t ReplayEngine::SourceEndTime(size_t sid) const {
   if (total == 0) {
     return s.spec.start;
   }
-  const uint64_t n = s.tc.num_ops();
+  const uint64_t n = s.spec.trace.num_ops();
   const uint64_t last_iter = static_cast<uint64_t>((total - 1) / n);
-  return s.spec.start + last_iter * s.period + s.tc.OpTime(n - 1);
+  return s.spec.start + last_iter * s.period + s.spec.trace.OpTime(n - 1);
 }
 
 uint64_t ReplayEngine::MinActiveEndTime() const {
@@ -291,7 +289,7 @@ void ReplayEngine::RunSingleSourceFast() {
     }
     // Ops within one iteration are time-sorted and pos/iter_base advance incrementally, so the
     // clock only moves forward and the loop is free of divisions and heap traffic.
-    const uint64_t t = s.iter_base + s.tc.OpTime(s.pos);
+    const uint64_t t = s.iter_base + s.spec.trace.OpTime(s.pos);
     now_ = std::max(now_, t);
     const OpOutcome outcome = ApplyOp(sid, s.pos);
     if (outcome != OpOutcome::kContinue) {

@@ -8,7 +8,7 @@
 // OOMs crashes) or parks the failing source until an external coordinator unwinds its tenant.
 //
 // Determinism: ops are processed in global (time, source-id) order; within one source, ops
-// follow Trace::Ops() order (frees before mallocs at equal ticks).
+// follow TraceOp order (frees before mallocs at equal ticks).
 
 #ifndef SRC_REPLAY_REPLAY_ENGINE_H_
 #define SRC_REPLAY_REPLAY_ENGINE_H_
@@ -21,21 +21,18 @@
 
 #include "src/allocators/allocator.h"
 #include "src/trace/trace.h"
-#include "src/trace/trace_v2.h"
 
 namespace stalloc {
 
 class ReplayEngine;
 
 // One op stream feeding the engine: a trace replayed `iterations` times back-to-back into
-// `alloc`, offset to global tick `start`. The trace arrives either owned (`trace`) or as an
-// mmap'd columnar v2 view (`view`) — exactly one must be set; the engine replays both through
-// the same TraceCursor interface with bit-identical decisions. Sources sharing a `tenant` id
-// form one gang (e.g. the pipeline ranks of a training job): an OOM-triggered unwind covers
-// the whole tenant.
+// `alloc`, offset to global tick `start`. `trace` is the cursor of an owned Trace or of an mmap'd
+// v2 TraceView; the engine reads both the same way, so decisions are bit-identical. Sources
+// sharing a `tenant` id form one gang (e.g. the pipeline ranks of a training job): an
+// OOM-triggered unwind covers the whole tenant.
 struct ReplaySource {
-  const Trace* trace = nullptr;
-  const TraceView* view = nullptr;
+  TraceCursor trace;
   Allocator* alloc = nullptr;
   uint64_t start = 0;     // global tick of the source's local time 0
   int iterations = 1;     // back-to-back replays of the trace
@@ -74,8 +71,8 @@ struct ReplayEngineResult {
 };
 
 // The view of one op handed to observers. `event` is only valid for the duration of the
-// callback: for mmap'd (TraceView) sources it points at an event gathered from the columns
-// into engine-owned storage that the next op overwrites. Copy it if you keep it.
+// callback: it points at an event gathered from the columns into engine-owned storage that the
+// next op overwrites. Copy it if you keep it.
 struct ReplayOpView {
   size_t source = 0;
   uint64_t tenant = 0;
@@ -172,7 +169,6 @@ class ReplayEngine {
  private:
   struct SourceState {
     ReplaySource spec;
-    TraceCursor tc;            // unified op/event accessor (owned Trace or mmap'd TraceView)
     uint64_t period = 0;
     size_t cursor = 0;         // next op, in [0, num_ops * iterations]
     // cursor decomposed incrementally so the hot path never divides:
@@ -184,10 +180,10 @@ class ReplayEngine {
     ReplaySourceProgress progress;
 
     size_t TotalOps() const {
-      return static_cast<size_t>(tc.num_ops()) *
+      return static_cast<size_t>(spec.trace.num_ops()) *
              static_cast<size_t>(spec.iterations > 0 ? spec.iterations : 0);
     }
-    uint64_t NextOpTime() const { return iter_base + tc.OpTime(pos); }
+    uint64_t NextOpTime() const { return iter_base + spec.trace.OpTime(pos); }
   };
 
   static constexpr uint64_t kNoAddr = ~uint64_t{0};
@@ -229,7 +225,7 @@ class ReplayEngine {
 // Placement-digest observer: folds every placement decision — (op kind, event id, device
 // address, size) — into an FNV-1a hash. Two replays produce the same digest iff the allocator
 // made bit-identical decisions, which is the parity contract between the owned-Trace and
-// mmap'd-TraceView paths (and the pinned-seed goldens in tests/bench). OOM outcomes are not
+// mmap'd-TraceView cursors (and the pinned-seed goldens in tests/bench). OOM outcomes are not
 // mixed in here; compare ReplayEngineResult for those.
 class PlacementDigestObserver : public ReplayObserver {
  public:

@@ -251,6 +251,7 @@ ServeTraceResult BuildServeTrace(const ModelConfig& model, const ServeScenario& 
     STALLOC_CHECK(e.te != 0, << "unclosed serving event at ts=" << e.ts);
     trace.AddEvent(e);
   }
+  trace.Validate();
   return out;
 }
 

@@ -58,6 +58,7 @@ Trace BuildStormTrace(uint64_t num_events, uint64_t seed) {
   for (const MemoryEvent& e : events) {
     trace.AddEvent(e);
   }
+  trace.Validate();
   return trace;
 }
 
@@ -143,6 +144,7 @@ class TraceEmitter : public Emitter {
       trace_.AddEvent(e);
     }
     events_.clear();
+    trace_.Validate();
     return std::move(trace_);
   }
 

@@ -52,7 +52,7 @@ struct SyntheticSpec {
 };
 
 // Materializes the spec's op stream as an owned Trace. One op per tick, strictly increasing
-// time, every event closed — the emitted trace always passes Valid().
+// time, every event closed — the emitted trace is valid and sealed.
 Trace BuildSyntheticTrace(const SyntheticSpec& spec);
 
 // Streams the identical op sequence directly to a v2 file; peak memory is O(live events), not

@@ -47,6 +47,77 @@ std::string PhaseInfo::ToString() const {
   return out;
 }
 
+std::vector<uint64_t> OrderOps(const std::vector<LogicalTime>& ts,
+                               const std::vector<LogicalTime>& te,
+                               std::vector<LogicalTime>* op_time) {
+  // Seed with every free and then every malloc, each in index order: a stable sort by time then
+  // keeps exactly (frees first, index) among equal times.
+  const size_t n = ts.size();
+  std::vector<LogicalTime> time(2 * n);
+  std::vector<uint64_t> ref(2 * n);
+  for (size_t i = 0; i < n; ++i) {
+    time[i] = te[i];
+    ref[i] = (i << 1) | 1;
+    time[n + i] = ts[i];
+    ref[n + i] = i << 1;
+  }
+  uint64_t varying = 0;  // bits that differ between some op time and the first one
+  for (const LogicalTime t : time) {
+    varying |= t ^ time[0];
+  }
+  // LSD radix in 11-bit digits, skipping the digits every op shares: a trace of one op per tick
+  // sorts in two passes.
+  constexpr int kDigitBits = 11;
+  constexpr uint64_t kDigitMask = (uint64_t{1} << kDigitBits) - 1;
+  std::vector<LogicalTime> next_time(2 * n);
+  std::vector<uint64_t> next_ref(2 * n);
+  std::vector<size_t> start(kDigitMask + 1);
+  for (int shift = 0; shift < 64; shift += kDigitBits) {
+    if (((varying >> shift) & kDigitMask) == 0) {
+      continue;
+    }
+    std::fill(start.begin(), start.end(), 0);
+    for (const LogicalTime t : time) {
+      ++start[(t >> shift) & kDigitMask];
+    }
+    size_t sum = 0;
+    for (size_t& s : start) {
+      sum += std::exchange(s, sum);
+    }
+    for (size_t i = 0; i < time.size(); ++i) {
+      const size_t at = start[(time[i] >> shift) & kDigitMask]++;
+      next_time[at] = time[i];
+      next_ref[at] = ref[i];
+    }
+    time.swap(next_time);
+    ref.swap(next_ref);
+  }
+  if (op_time != nullptr) {
+    *op_time = std::move(time);
+  }
+  return ref;
+}
+
+Trace::Trace(const TraceCursor& source)
+    : name_(source.name()),
+      phases_(source.phases()),
+      layers_(source.layers()),
+      end_time_(source.end_time()),
+      sealed_(true) {
+  const uint64_t n = source.num_events();
+  ts_.assign(source.ts_, source.ts_ + n);
+  te_.assign(source.te_, source.te_ + n);
+  size_.assign(source.size_, source.size_ + n);
+  ps_.assign(source.ps_, source.ps_ + n);
+  pe_.assign(source.pe_, source.pe_ + n);
+  ls_.assign(source.ls_, source.ls_ + n);
+  le_.assign(source.le_, source.le_ + n);
+  flags_.assign(source.flags_, source.flags_ + n);
+  stream_.assign(source.stream_, source.stream_ + n);
+  op_time_.assign(source.op_time_, source.op_time_ + 2 * n);
+  op_ref_.assign(source.op_ref_, source.op_ref_ + 2 * n);
+}
+
 PhaseId Trace::AddPhase(PhaseInfo info) {
   phases_.push_back(std::move(info));
   return static_cast<PhaseId>(phases_.size() - 1);
@@ -57,15 +128,21 @@ LayerId Trace::AddLayer(LayerInfo info) {
   return static_cast<LayerId>(layers_.size() - 1);
 }
 
-uint64_t Trace::AddEvent(MemoryEvent event) {
+uint64_t Trace::AddEvent(const MemoryEvent& event) {
+  STALLOC_CHECK(!sealed_, << "AddEvent on a sealed trace");
   STALLOC_CHECK(event.ts < event.te, << "event must have positive lifespan: ts=" << event.ts
                                      << " te=" << event.te);
-  event.id = events_.size();
   end_time_ = std::max(end_time_, event.te);
-  events_.push_back(event);
-  ops_cached_ = false;
-  ops_cache_.clear();
-  return event.id;
+  ts_.push_back(event.ts);
+  te_.push_back(event.te);
+  size_.push_back(event.size);
+  ps_.push_back(event.ps);
+  pe_.push_back(event.pe);
+  ls_.push_back(event.ls);
+  le_.push_back(event.le);
+  flags_.push_back(event.dyn ? 1 : 0);
+  stream_.push_back(event.stream);
+  return ts_.size() - 1;
 }
 
 PhaseInfo& Trace::MutablePhase(PhaseId id) {
@@ -103,75 +180,72 @@ LifespanClass Trace::Classify(const MemoryEvent& event) const {
   return LifespanClass::kScoped;
 }
 
-const std::vector<TraceOp>& Trace::Ops() const {
-  if (ops_cached_) {
-    return ops_cache_;
-  }
-  std::vector<TraceOp>& ops = ops_cache_;
-  ops.clear();
-  ops.reserve(events_.size() * 2);
-  for (const auto& e : events_) {
-    ops.push_back(TraceOp{TraceOp::Kind::kMalloc, e.ts, e.id});
-    ops.push_back(TraceOp{TraceOp::Kind::kFree, e.te, e.id});
-  }
-  std::sort(ops.begin(), ops.end(), [](const TraceOp& a, const TraceOp& b) {
-    if (a.time != b.time) {
-      return a.time < b.time;
-    }
-    // Frees first at equal time: lifespans are half-open so [x, t) and [t, y) do not conflict.
-    if (a.kind != b.kind) {
-      return a.kind == TraceOp::Kind::kFree;
-    }
-    return a.event_id < b.event_id;
-  });
-  ops_cached_ = true;
-  return ops;
+void Trace::CheckSealed(const char* what) const {
+  STALLOC_CHECK(sealed_, << what << " on a trace that is not sealed: call Validate() first");
 }
 
-void Trace::Validate() const {
+TraceOps Trace::Ops() const {
+  CheckSealed("Ops()");
+  return TraceOps{op_time_.data(), op_ref_.data(), op_ref_.size()};
+}
+
+TraceCursor Trace::Columns() const {
+  TraceCursor c;
+  c.name_ = &name_;
+  c.phases_ = &phases_;
+  c.layers_ = &layers_;
+  c.num_events_ = ts_.size();
+  c.end_time_ = end_time_;
+  c.op_time_ = op_time_.data();
+  c.op_ref_ = op_ref_.data();
+  c.ts_ = ts_.data();
+  c.te_ = te_.data();
+  c.size_ = size_.data();
+  c.ps_ = ps_.data();
+  c.pe_ = pe_.data();
+  c.ls_ = ls_.data();
+  c.le_ = le_.data();
+  c.flags_ = flags_.data();
+  c.stream_ = stream_.data();
+  return c;
+}
+
+TraceCursor Trace::Cursor() const {
+  CheckSealed("Cursor()");
+  return Columns();
+}
+
+void Trace::Validate() {
   std::string error;
   STALLOC_CHECK(Valid(&error), << error);
 }
 
-bool Trace::Valid(std::string* error) const {
+bool Trace::Valid(std::string* error) {
   auto fail = [error](std::string msg) {
     if (error != nullptr) {
       *error = std::move(msg);
     }
     return false;
   };
-  for (size_t i = 0; i < events_.size(); ++i) {
-    const auto& e = events_[i];
-    if (e.id != i) {
-      return fail("event ids must be dense (event " + std::to_string(i) + " has id " +
-                  std::to_string(e.id) + ")");
-    }
-    if (e.ts >= e.te) {
-      return fail("event " + std::to_string(i) + " has non-positive lifespan (ts=" +
-                  std::to_string(e.ts) + " te=" + std::to_string(e.te) + ")");
-    }
-    if (e.size == 0) {
+  // AddEvent already enforces ts < te and assigns dense ids.
+  const int32_t np = static_cast<int32_t>(phases_.size());
+  const int32_t nl = static_cast<int32_t>(layers_.size());
+  for (size_t i = 0; i < ts_.size(); ++i) {
+    if (size_[i] == 0) {
       return fail("zero-size event " + std::to_string(i));
     }
-    if (e.ps != kInvalidPhase &&
-        (e.ps < 0 || static_cast<size_t>(e.ps) >= phases_.size())) {
-      return fail("event " + std::to_string(i) + " references invalid phase ps=" +
-                  std::to_string(e.ps));
+    if (ps_[i] < kInvalidPhase || ps_[i] >= np || pe_[i] < kInvalidPhase || pe_[i] >= np) {
+      return fail("event " + std::to_string(i) + " references invalid phase (ps=" +
+                  std::to_string(ps_[i]) + " pe=" + std::to_string(pe_[i]) + ")");
     }
-    if (e.pe != kInvalidPhase &&
-        (e.pe < 0 || static_cast<size_t>(e.pe) >= phases_.size())) {
-      return fail("event " + std::to_string(i) + " references invalid phase pe=" +
-                  std::to_string(e.pe));
+    if ((flags_[i] & 1) != 0 && (ls_[i] < 0 || ls_[i] >= nl || le_[i] < 0 || le_[i] >= nl)) {
+      return fail("dynamic event " + std::to_string(i) + " references invalid layer (ls=" +
+                  std::to_string(ls_[i]) + " le=" + std::to_string(le_[i]) + ")");
     }
-    if (e.dyn) {
-      if (e.ls == kInvalidLayer || e.le == kInvalidLayer) {
-        return fail("dynamic event " + std::to_string(i) + " missing layer ids");
-      }
-      if (e.ls < 0 || static_cast<size_t>(e.ls) >= layers_.size() || e.le < 0 ||
-          static_cast<size_t>(e.le) >= layers_.size()) {
-        return fail("dynamic event " + std::to_string(i) + " references invalid layer");
-      }
-    }
+  }
+  if (!sealed_) {
+    op_ref_ = OrderOps(ts_, te_, &op_time_);
+    sealed_ = true;
   }
   return true;
 }

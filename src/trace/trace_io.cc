@@ -69,6 +69,13 @@ bool ParseI32(const std::string& s, int32_t* out) {
   return true;
 }
 
+// True when `field` is the decimal index `expected`: every indexed row must sit at its own
+// position, since ids are positions everywhere downstream.
+bool IndexIs(const std::string& field, uint64_t expected) {
+  uint64_t index = 0;
+  return ParseU64(field, &index) && index == expected;
+}
+
 }  // namespace
 
 void WriteTraceCsv(const Trace& trace, std::ostream& os) {
@@ -84,10 +91,11 @@ void WriteTraceCsv(const Trace& trace, std::ostream& os) {
     os << "# layer," << i << "," << l.name << "," << l.start << "," << l.end << "\n";
   }
   os << "id,size,ts,te,ps,pe,dyn,ls,le,stream\n";
-  for (const auto& e : trace.events()) {
-    os << e.id << "," << e.size << "," << e.ts << "," << e.te << "," << e.ps << "," << e.pe << ","
-       << (e.dyn ? 1 : 0) << "," << e.ls << "," << e.le << ","
-       << static_cast<int>(e.stream) << "\n";
+  for (uint64_t id = 0; id < trace.size(); ++id) {
+    os << id << "," << trace.sizes()[id] << "," << trace.ts()[id] << "," << trace.te()[id] << ","
+       << trace.ps()[id] << "," << trace.pe()[id] << "," << (trace.flags()[id] & 1) << ","
+       << trace.ls()[id] << "," << trace.le()[id] << "," << static_cast<int>(trace.stream()[id])
+       << "\n";
   }
 }
 
@@ -128,6 +136,14 @@ bool ReadTraceCsv(std::istream& is, Trace* out, TraceIoError* err) {
           SetError(err, "malformed phase row: " + line, offset);
           return false;
         }
+        if (!IndexIs(fields[1], out->phases().size())) {
+          SetError(err, "phase index out of row order: " + line, offset);
+          return false;
+        }
+        if (kind < 0 || kind > static_cast<int32_t>(PhaseKind::kOptimizer)) {
+          SetError(err, "unknown phase kind in row: " + line, offset);
+          return false;
+        }
         p.kind = static_cast<PhaseKind>(kind);
         out->AddPhase(p);
       } else if (fields[0] == "layer") {
@@ -135,6 +151,10 @@ bool ReadTraceCsv(std::istream& is, Trace* out, TraceIoError* err) {
         if (fields.size() < 5 || !ParseU64(fields[3], &l.start) ||
             !ParseU64(fields[4], &l.end)) {
           SetError(err, "malformed layer row: " + line, offset);
+          return false;
+        }
+        if (!IndexIs(fields[1], out->layers().size())) {
+          SetError(err, "layer index out of row order: " + line, offset);
           return false;
         }
         l.name = fields[2];
@@ -159,6 +179,10 @@ bool ReadTraceCsv(std::istream& is, Trace* out, TraceIoError* err) {
         !ParseI32(fields[5], &e.pe) || !ParseI32(fields[6], &dyn) ||
         !ParseI32(fields[7], &e.ls) || !ParseI32(fields[8], &e.le)) {
       SetError(err, "malformed trace CSV row: " + line, offset);
+      return false;
+    }
+    if (!IndexIs(fields[0], out->size())) {
+      SetError(err, "event id out of row order: " + line, offset);
       return false;
     }
     e.dyn = dyn != 0;

@@ -27,60 +27,43 @@ uint64_t Pow2Bucket(uint64_t v) {
 
 }  // namespace
 
-uint64_t PeakAllocated(const std::vector<MemoryEvent>& events) {
-  // Sweep over (time, delta) points; frees apply before mallocs at the same tick, matching the
-  // half-open [ts, te) lifespan convention.
-  std::vector<std::pair<LogicalTime, int64_t>> points;
-  points.reserve(events.size() * 2);
-  for (const auto& e : events) {
-    points.emplace_back(e.ts, static_cast<int64_t>(e.size));
-    points.emplace_back(e.te, -static_cast<int64_t>(e.size));
-  }
-  std::sort(points.begin(), points.end(), [](const auto& a, const auto& b) {
-    if (a.first != b.first) {
-      return a.first < b.first;
+// Each sweep below walks the op columns once. Frees precede mallocs at every tick, so the live
+// bytes after a tick's last op are its maximum over that tick, and the running maximum over all
+// ops is the peak of the [ts, te) step function.
+
+uint64_t PeakAllocated(const Trace& trace) {
+  const TraceCursor c = trace.Cursor();
+  uint64_t live = 0;
+  uint64_t peak = 0;
+  for (uint64_t i = 0; i < c.num_ops(); ++i) {
+    const uint64_t size = c.EventSize(c.OpEventId(i));
+    if (c.OpIsFree(i)) {
+      live -= size;
+    } else {
+      live += size;
+      peak = std::max(peak, live);
     }
-    return a.second < b.second;  // negative deltas (frees) first
-  });
-  int64_t live = 0;
-  int64_t peak = 0;
-  for (const auto& [t, d] : points) {
-    live += d;
-    peak = std::max(peak, live);
   }
-  return static_cast<uint64_t>(peak);
+  return peak;
 }
 
-uint64_t PeakAllocated(const Trace& trace) { return PeakAllocated(trace.events()); }
-
-std::vector<std::pair<LogicalTime, uint64_t>> LiveBytesCurve(
-    const std::vector<MemoryEvent>& events) {
-  std::vector<std::pair<LogicalTime, int64_t>> points;
-  points.reserve(events.size() * 2);
-  for (const auto& e : events) {
-    points.emplace_back(e.ts, static_cast<int64_t>(e.size));
-    points.emplace_back(e.te, -static_cast<int64_t>(e.size));
-  }
-  std::sort(points.begin(), points.end(), [](const auto& a, const auto& b) {
-    if (a.first != b.first) {
-      return a.first < b.first;
-    }
-    return a.second < b.second;
-  });
+std::vector<std::pair<LogicalTime, uint64_t>> LiveBytesCurve(const Trace& trace) {
+  const TraceCursor c = trace.Cursor();
   std::vector<std::pair<LogicalTime, uint64_t>> curve;
-  int64_t live = 0;
-  for (size_t i = 0; i < points.size(); ++i) {
-    live += points[i].second;
-    // Emit one sample per distinct time: after the last delta at this tick.
-    if (i + 1 == points.size() || points[i + 1].first != points[i].first) {
-      curve.emplace_back(points[i].first, static_cast<uint64_t>(live));
+  uint64_t live = 0;
+  for (uint64_t i = 0; i < c.num_ops(); ++i) {
+    const uint64_t size = c.EventSize(c.OpEventId(i));
+    live = c.OpIsFree(i) ? live - size : live + size;
+    // Emit one sample per distinct time: after the last op at this tick.
+    if (i + 1 == c.num_ops() || c.OpTime(i + 1) != c.OpTime(i)) {
+      curve.emplace_back(c.OpTime(i), live);
     }
   }
   return curve;
 }
 
 std::vector<PhasePeak> PhasePeakBreakdown(const Trace& trace) {
-  const auto curve = LiveBytesCurve(trace.events());
+  const auto curve = LiveBytesCurve(trace);
   std::vector<PhasePeak> peaks;
   peaks.reserve(trace.phases().size());
   for (PhaseId id = 0; id < static_cast<PhaseId>(trace.phases().size()); ++id) {
@@ -115,7 +98,8 @@ TraceStats ComputeStats(const Trace& trace, uint64_t min_size_filter) {
 
   std::set<uint64_t> sizes;
   std::map<uint64_t, uint64_t> histogram;
-  for (const auto& e : trace.events()) {
+  for (uint64_t id = 0; id < trace.size(); ++id) {
+    const MemoryEvent e = trace.Event(id);
     stats.total_bytes += e.size;
     if (e.dyn) {
       ++stats.num_dynamic;
@@ -155,10 +139,8 @@ TraceStats ComputeStats(const Trace& trace, uint64_t min_size_filter) {
     stats.size_histogram.push_back(b);
   }
 
-  // Peak with exact sweep.
-  stats.peak_allocated = PeakAllocated(trace.events());
-  auto curve = LiveBytesCurve(trace.events());
-  for (const auto& [t, live] : curve) {
+  stats.peak_allocated = PeakAllocated(trace);
+  for (const auto& [t, live] : LiveBytesCurve(trace)) {
     if (live == stats.peak_allocated) {
       stats.peak_time = t;
       break;

@@ -59,15 +59,13 @@ struct TraceStats {
 // distinct-size figure (paper: >512 bytes).
 TraceStats ComputeStats(const Trace& trace, uint64_t min_size_filter = 512);
 
-// Peak live bytes of an arbitrary event subset (sweep over malloc/free points).
-uint64_t PeakAllocated(const std::vector<MemoryEvent>& events);
-
-// Peak live bytes of the whole trace.
+// Peak live bytes of a sealed trace: one sweep over its op columns.
 uint64_t PeakAllocated(const Trace& trace);
 
-// The live-bytes curve sampled at every change point: pairs of (time, live bytes after ops at
-// that time). Useful for plotting and for locating static/dynamic peak separation (§5.2).
-std::vector<std::pair<LogicalTime, uint64_t>> LiveBytesCurve(const std::vector<MemoryEvent>& events);
+// The live-bytes curve of a sealed trace sampled at every change point: pairs of (time, live
+// bytes after ops at that time). Useful for plotting and for locating static/dynamic peak
+// separation (§5.2).
+std::vector<std::pair<LogicalTime, uint64_t>> LiveBytesCurve(const Trace& trace);
 
 // Peak live bytes per computation-phase window, in phase order. Standalone entry point for
 // callers that do not need the full ComputeStats pass (plan-aware cluster admission).

@@ -88,6 +88,18 @@ bool PwriteAll(int fd, uint64_t off, const void* data, uint64_t bytes) {
   return true;
 }
 
+// True when op (time, ref) may follow op (prev_time, prev_ref) in replay order: time
+// ascending, frees before mallocs at equal time, then event id ascending.
+bool OpFollows(LogicalTime prev_time, uint64_t prev_ref, LogicalTime time, uint64_t ref) {
+  if (time != prev_time) {
+    return time > prev_time;
+  }
+  if ((ref & 1) != (prev_ref & 1)) {
+    return (prev_ref & 1) != 0;
+  }
+  return (ref >> 1) > (prev_ref >> 1);
+}
+
 void SetError(TraceIoError* err, std::string message, uint64_t byte_offset) {
   if (err != nullptr) {
     err->message = std::move(message);
@@ -200,24 +212,13 @@ void TraceV2StreamWriter::Append(ColumnStream<T>* col, T value) {
   }
 }
 
-void TraceV2StreamWriter::CheckOpOrder(LogicalTime time, bool is_free, uint64_t event_id) {
-  if (num_ops_emitted_ > 0) {
-    bool in_order;
-    if (time != last_time_) {
-      in_order = time > last_time_;
-    } else if (is_free != last_is_free_) {
-      in_order = last_is_free_;  // frees sort before mallocs at equal time
-    } else {
-      in_order = event_id > last_event_id_;
-    }
-    STALLOC_CHECK(in_order, << "v2 stream writer: op (t=" << time << " free=" << is_free
-                            << " eid=" << event_id << ") sorts before previous op (t="
-                            << last_time_ << " free=" << last_is_free_ << " eid="
-                            << last_event_id_ << ")");
-  }
+void TraceV2StreamWriter::CheckOpOrder(LogicalTime time, uint64_t ref) {
+  STALLOC_CHECK(num_ops_emitted_ == 0 || OpFollows(last_time_, last_ref_, time, ref),
+                << "v2 stream writer: op (t=" << time << " free=" << (ref & 1) << " eid="
+                << (ref >> 1) << ") sorts before previous op (t=" << last_time_ << " free="
+                << (last_ref_ & 1) << " eid=" << (last_ref_ >> 1) << ")");
   last_time_ = time;
-  last_is_free_ = is_free;
-  last_event_id_ = event_id;
+  last_ref_ = ref;
   ++num_ops_emitted_;
 }
 
@@ -227,7 +228,7 @@ uint64_t TraceV2StreamWriter::OpenEvent(uint64_t size, LogicalTime ts, PhaseId p
                    << "v2 stream writer: more events than declared");
   STALLOC_CHECK_GT(size, 0u);
   const uint64_t id = num_opened_++;
-  CheckOpOrder(ts, /*is_free=*/false, id);
+  CheckOpOrder(ts, id << 1);
   Append(&ts_, ts);
   Append(&size_, size);
   Append(&ps_, ps);
@@ -242,7 +243,7 @@ uint64_t TraceV2StreamWriter::OpenEvent(uint64_t size, LogicalTime ts, PhaseId p
 void TraceV2StreamWriter::CloseEvent(uint64_t id, LogicalTime te, PhaseId pe, LayerId le) {
   STALLOC_CHECK_LT(id, num_opened_, << "v2 stream writer: closing unopened event");
   STALLOC_CHECK(closed_[id] == 0, << "v2 stream writer: event " << id << " closed twice");
-  CheckOpOrder(te, /*is_free=*/true, id);
+  CheckOpOrder(te, (id << 1) | 1);
   te_ram_[id] = te;
   pe_ram_[id] = pe;
   le_ram_[id] = le;
@@ -285,51 +286,26 @@ bool TraceV2StreamWriter::Finish() {
 // --- bulk conversion ---
 
 bool WriteTraceV2File(const Trace& trace, const std::string& path) {
+  STALLOC_CHECK(trace.sealed(), << "WriteTraceV2File needs a sealed trace");
   const uint64_t n = trace.size();
   const TraceV2Layout layout = TraceV2Layout::For(n);
   const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) {
     return false;
   }
-  // Transpose the events into column arrays in event-id order: ids carry over verbatim, so a
-  // plan synthesized against the original trace addresses the converted file unchanged.
-  std::vector<uint64_t> ts(n), te(n), size(n);
-  std::vector<int32_t> ps(n), pe(n), ls(n), le(n);
-  std::vector<uint8_t> flags(n), stream(n);
-  LogicalTime end_time = 0;
-  for (uint64_t i = 0; i < n; ++i) {
-    const MemoryEvent& e = trace.events()[i];
-    ts[i] = e.ts;
-    te[i] = e.te;
-    size[i] = e.size;
-    ps[i] = e.ps;
-    pe[i] = e.pe;
-    ls[i] = e.ls;
-    le[i] = e.le;
-    flags[i] = e.dyn ? 1 : 0;
-    stream[i] = e.stream;
-    end_time = std::max(end_time, e.te);
-  }
-  const std::vector<TraceOp>& src_ops = trace.Ops();
-  std::vector<uint64_t> op_time(src_ops.size()), op_ref(src_ops.size());
-  for (size_t i = 0; i < src_ops.size(); ++i) {
-    op_time[i] = src_ops[i].time;
-    op_ref[i] = (src_ops[i].event_id << 1) |
-                (src_ops[i].kind == TraceOp::Kind::kFree ? 1u : 0u);
-  }
   const std::string footer = BuildFooter(trace.name(), trace.phases(), trace.layers());
-  const std::string header = BuildHeader(n, end_time, layout.columns_end);
-  bool ok = PwriteAll(fd, layout.ts_off, ts.data(), n * 8) &&
-            PwriteAll(fd, layout.te_off, te.data(), n * 8) &&
-            PwriteAll(fd, layout.size_off, size.data(), n * 8) &&
-            PwriteAll(fd, layout.ps_off, ps.data(), n * 4) &&
-            PwriteAll(fd, layout.pe_off, pe.data(), n * 4) &&
-            PwriteAll(fd, layout.ls_off, ls.data(), n * 4) &&
-            PwriteAll(fd, layout.le_off, le.data(), n * 4) &&
-            PwriteAll(fd, layout.flags_off, flags.data(), n) &&
-            PwriteAll(fd, layout.stream_off, stream.data(), n) &&
-            PwriteAll(fd, layout.op_time_off, op_time.data(), op_time.size() * 8) &&
-            PwriteAll(fd, layout.op_ref_off, op_ref.data(), op_ref.size() * 8) &&
+  const std::string header = BuildHeader(n, trace.end_time(), layout.columns_end);
+  bool ok = PwriteAll(fd, layout.ts_off, trace.ts(), n * 8) &&
+            PwriteAll(fd, layout.te_off, trace.te(), n * 8) &&
+            PwriteAll(fd, layout.size_off, trace.sizes(), n * 8) &&
+            PwriteAll(fd, layout.ps_off, trace.ps(), n * 4) &&
+            PwriteAll(fd, layout.pe_off, trace.pe(), n * 4) &&
+            PwriteAll(fd, layout.ls_off, trace.ls(), n * 4) &&
+            PwriteAll(fd, layout.le_off, trace.le(), n * 4) &&
+            PwriteAll(fd, layout.flags_off, trace.flags(), n) &&
+            PwriteAll(fd, layout.stream_off, trace.stream(), n) &&
+            PwriteAll(fd, layout.op_time_off, trace.op_time(), n * 2 * 8) &&
+            PwriteAll(fd, layout.op_ref_off, trace.op_ref(), n * 2 * 8) &&
             PwriteAll(fd, layout.columns_end, footer.data(), footer.size()) &&
             PwriteAll(fd, 0, header.data(), header.size());
   if (::close(fd) != 0) {
@@ -513,10 +489,16 @@ bool TraceView::Open(const std::string& path, TraceIoError* err) {
   phases_.reserve(num_phases);
   for (uint32_t i = 0; i < num_phases; ++i) {
     PhaseInfo p;
+    const uint64_t kind_off = fr.offset();
     uint8_t kind = 0;
     if (!fr.Get(&kind) || !fr.Get(&p.microbatch) || !fr.Get(&p.chunk) || !fr.Get(&p.start) ||
         !fr.Get(&p.end)) {
       return reject("corrupt footer: phase table", fr.offset());
+    }
+    if (kind > static_cast<uint8_t>(PhaseKind::kOptimizer)) {
+      return reject("unknown phase kind " + std::to_string(kind) + " in phase " +
+                        std::to_string(i),
+                    kind_off);
     }
     p.kind = static_cast<PhaseKind>(kind);
     phases_.push_back(p);
@@ -593,21 +575,9 @@ bool TraceView::Open(const std::string& path, TraceIoError* err) {
       return reject("op " + std::to_string(i) + " time disagrees with its event column",
                     layout_.op_time_off + i * 8);
     }
-    if (i > 0) {
-      const uint64_t prev_ref = op_ref[i - 1];
-      const bool prev_free = (prev_ref & 1) != 0;
-      bool in_order;
-      if (op_time[i] != op_time[i - 1]) {
-        in_order = op_time[i] > op_time[i - 1];
-      } else if (is_free != prev_free) {
-        in_order = prev_free;  // frees sort before mallocs at equal time
-      } else {
-        in_order = eid > (prev_ref >> 1);
-      }
-      if (!in_order) {
-        return reject("op stream out of replay order at op " + std::to_string(i),
-                      layout_.op_ref_off + i * 8);
-      }
+    if (i > 0 && !OpFollows(op_time[i - 1], op_ref[i - 1], op_time[i], ref)) {
+      return reject("op stream out of replay order at op " + std::to_string(i),
+                    layout_.op_ref_off + i * 8);
     }
     const uint8_t bit = is_free ? 2 : 1;
     if ((seen[eid] & bit) != 0) {
@@ -621,36 +591,25 @@ bool TraceView::Open(const std::string& path, TraceIoError* err) {
   return true;
 }
 
-MemoryEvent TraceView::Event(uint64_t id) const {
-  STALLOC_DCHECK_LT(id, num_events());
-  MemoryEvent e;
-  e.id = id;
-  e.size = sizes()[id];
-  e.ts = ts()[id];
-  e.te = te()[id];
-  e.ps = ps()[id];
-  e.pe = pe()[id];
-  e.dyn = (flags()[id] & 1) != 0;
-  e.ls = ls()[id];
-  e.le = le()[id];
-  e.stream = stream()[id];
-  return e;
-}
-
-Trace TraceView::Materialize() const {
-  Trace trace;
-  trace.set_name(name_);
-  for (const auto& p : phases_) {
-    trace.AddPhase(p);
-  }
-  for (const auto& l : layers_) {
-    trace.AddLayer(l);
-  }
-  const uint64_t n = num_events();
-  for (uint64_t id = 0; id < n; ++id) {
-    trace.AddEvent(Event(id));  // AddEvent assigns dense ids in call order → ids preserved
-  }
-  return trace;
+TraceCursor TraceView::Cursor() const {
+  TraceCursor c;
+  c.name_ = &name_;
+  c.phases_ = &phases_;
+  c.layers_ = &layers_;
+  c.num_events_ = num_events();
+  c.end_time_ = end_time_;
+  c.op_time_ = op_time();
+  c.op_ref_ = op_ref();
+  c.ts_ = ts();
+  c.te_ = te();
+  c.size_ = sizes();
+  c.ps_ = ps();
+  c.pe_ = pe();
+  c.ls_ = ls();
+  c.le_ = le();
+  c.flags_ = flags();
+  c.stream_ = stream();
+  return c;
 }
 
 }  // namespace stalloc

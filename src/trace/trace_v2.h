@@ -1,10 +1,9 @@
 // Columnar binary trace format (v2) + mmap-streamed replay access.
 //
-// This is the repository's one binary trace format. CSV (src/trace/trace_io.h) fully
-// materializes a std::vector<MemoryEvent> before replay, which caps realistic scale around
-// ~100k ops. Production STAlloc profiles are multi-GB day-long traces; v2 lays the trace out
-// column-major so the replay hot loop touches exactly the bytes it needs, straight out of an
-// mmap'd file, with zero per-event heap allocation:
+// This is the repository's one binary trace format, and its columns are the in-memory layout of
+// Trace (src/trace/trace.h) written to disk. CSV (src/trace/trace_io.h) is parsed row by row
+// into an owned Trace; v2 is mapped and replayed in place, so the replay hot loop touches exactly
+// the bytes it needs, straight out of an mmap'd file, with zero per-event heap allocation:
 //
 //   header   magic "STLC", version, num_events, end_time, footer offset
 //   columns  per-field contiguous arrays, each section 64-byte aligned:
@@ -17,18 +16,17 @@
 //   footer   name + phase/layer string tables (hoisted out of the fixed-width sections),
 //            terminated by a trailing magic so truncation is detectable
 //
-// The op columns persist Trace::Ops() order — time ascending, frees before mallocs at equal
-// time, event id ascending — so replay never sorts. op_time is redundant with ts/te by
-// construction; it makes the hot loop's time reads sequential and doubles as a corruption
-// cross-check when a view opens.
+// The op columns persist TraceOp order — time ascending, frees before mallocs at equal time,
+// event id ascending — so replay never sorts. op_time is redundant with ts/te by construction;
+// it makes the hot loop's time reads sequential and doubles as a corruption cross-check when a
+// view opens.
 //
 // Three access paths:
 //   * TraceV2StreamWriter — O(1)-memory-per-event streaming writer for synthetic generators
 //     (close-order columns are buffered at 16 bytes/event; everything else streams out).
-//   * WriteTraceV2File    — bulk conversion of an in-memory Trace, event ids preserved.
-//   * TraceView           — mmap'd zero-copy reader, validated on open.
-// TraceCursor unifies owned Trace and TraceView behind one allocation-free accessor so the
-// replay engine has a single iterator interface; decisions are bit-identical either way.
+//   * WriteTraceV2File    — writes a sealed Trace's columns as they are.
+//   * TraceView           — mmap'd zero-copy reader, validated on open. Its Cursor() is the
+//     same TraceCursor a Trace hands out, so replay decisions are bit-identical either way.
 
 #ifndef SRC_TRACE_TRACE_V2_H_
 #define SRC_TRACE_TRACE_V2_H_
@@ -121,7 +119,7 @@ class TraceV2StreamWriter {
   template <typename T>
   void FlushColumn(ColumnStream<T>* col);
   bool WriteAt(uint64_t off, const void* data, uint64_t bytes);
-  void CheckOpOrder(LogicalTime time, bool is_free, uint64_t event_id);
+  void CheckOpOrder(LogicalTime time, uint64_t ref);
 
   std::string path_;
   int fd_ = -1;
@@ -144,15 +142,14 @@ class TraceV2StreamWriter {
   uint64_t num_closed_ = 0;
   uint64_t num_ops_emitted_ = 0;
   LogicalTime end_time_ = 0;
-  // Last emitted op, for incremental comparator enforcement.
+  // Last emitted op (time, op_ref), for incremental order enforcement.
   LogicalTime last_time_ = 0;
-  bool last_is_free_ = false;
-  uint64_t last_event_id_ = 0;
+  uint64_t last_ref_ = 0;
 };
 
-// Converts an in-memory Trace to a v2 file. Event ids are preserved verbatim (columns are
-// written in id order, the op stream from Trace::Ops()), so plans keyed by event id transfer
-// across the conversion. Returns false on I/O failure; `trace` must be Valid().
+// Writes a sealed in-memory Trace to a v2 file: its columns go to disk as they are, so event
+// ids and op order are preserved and plans keyed by event id transfer across the conversion.
+// Returns false on I/O failure.
 bool WriteTraceV2File(const Trace& trace, const std::string& path);
 
 // Cheap format sniff: true when the file starts with the v2 magic. No validation — callers
@@ -199,13 +196,13 @@ class TraceView {
   const uint64_t* op_time() const { return Col<uint64_t>(layout_.op_time_off); }
   const uint64_t* op_ref() const { return Col<uint64_t>(layout_.op_ref_off); }
 
-  // Gathers one event from the columns (for observers and spot checks; the hot loop reads
-  // columns directly through TraceCursor).
-  MemoryEvent Event(uint64_t id) const;
+  // The read-only view the replay engine and the drivers read (valid while the view is open
+  // and stays where it is).
+  TraceCursor Cursor() const;
 
-  // Builds an owned Trace with identical event ids — the bridge to code that still needs a
-  // materialized trace (plan synthesis, the CSV writer).
-  Trace Materialize() const;
+  // An owned, sealed copy of the columns with identical event ids and op order — for code that
+  // keeps a trace past the mapping (plan synthesis, the CSV writer).
+  Trace Materialize() const { return Trace(Cursor()); }
 
  private:
   template <typename T>
@@ -220,110 +217,6 @@ class TraceView {
   std::string name_;
   std::vector<PhaseInfo> phases_;
   std::vector<LayerInfo> layers_;
-};
-
-// Allocation-free accessor over either an owned Trace or an mmap'd TraceView — the one
-// iterator interface the replay engine runs on. Owned mode reads TraceOp/MemoryEvent rows;
-// view mode reads the columns. The mode branch is a single always-predicted test on a pointer
-// that never changes during a replay.
-//
-// The cursor borrows: the Trace/TraceView must outlive it, and an owned Trace must not gain
-// events while a cursor is live (AddEvent invalidates the Ops() cache the cursor points into).
-class TraceCursor {
- public:
-  TraceCursor() = default;
-
-  explicit TraceCursor(const Trace& trace)
-      : ops_(trace.Ops().data()),
-        events_(trace.events().data()),
-        num_events_(trace.size()),
-        end_time_(trace.end_time()) {}
-
-  explicit TraceCursor(const TraceView& view)
-      : num_events_(view.num_events()),
-        end_time_(view.end_time()),
-        op_time_(view.op_time()),
-        op_ref_(view.op_ref()),
-        ts_(view.ts()),
-        te_(view.te()),
-        size_(view.sizes()),
-        ps_(view.ps()),
-        pe_(view.pe()),
-        ls_(view.ls()),
-        le_(view.le()),
-        flags_(view.flags()),
-        stream_(view.stream()) {}
-
-  bool valid() const { return ops_ != nullptr || op_ref_ != nullptr; }
-  uint64_t num_events() const { return num_events_; }
-  uint64_t num_ops() const { return num_events_ * 2; }
-  LogicalTime end_time() const { return end_time_; }
-
-  // --- op accessors, i in [0, num_ops()) ---
-  bool OpIsFree(uint64_t i) const {
-    return ops_ != nullptr ? ops_[i].kind == TraceOp::Kind::kFree : (op_ref_[i] & 1) != 0;
-  }
-  uint64_t OpEventId(uint64_t i) const {
-    return ops_ != nullptr ? ops_[i].event_id : (op_ref_[i] >> 1);
-  }
-  LogicalTime OpTime(uint64_t i) const {
-    return ops_ != nullptr ? ops_[i].time : op_time_[i];
-  }
-
-  // --- event accessors, id in [0, num_events()) ---
-  uint64_t EventSize(uint64_t id) const {
-    return ops_ != nullptr ? events_[id].size : size_[id];
-  }
-  LogicalTime EventTs(uint64_t id) const { return ops_ != nullptr ? events_[id].ts : ts_[id]; }
-  LogicalTime EventTe(uint64_t id) const { return ops_ != nullptr ? events_[id].te : te_[id]; }
-  PhaseId EventPs(uint64_t id) const { return ops_ != nullptr ? events_[id].ps : ps_[id]; }
-  PhaseId EventPe(uint64_t id) const { return ops_ != nullptr ? events_[id].pe : pe_[id]; }
-  LayerId EventLs(uint64_t id) const { return ops_ != nullptr ? events_[id].ls : ls_[id]; }
-  LayerId EventLe(uint64_t id) const { return ops_ != nullptr ? events_[id].le : le_[id]; }
-  bool EventDyn(uint64_t id) const {
-    return ops_ != nullptr ? events_[id].dyn : (flags_[id] & 1) != 0;
-  }
-  StreamId EventStream(uint64_t id) const {
-    return ops_ != nullptr ? events_[id].stream : stream_[id];
-  }
-
-  // Gathers a full MemoryEvent by value (observer callbacks; not used by the hot loop).
-  MemoryEvent Event(uint64_t id) const {
-    if (ops_ != nullptr) {
-      return events_[id];
-    }
-    MemoryEvent e;
-    e.id = id;
-    e.size = size_[id];
-    e.ts = ts_[id];
-    e.te = te_[id];
-    e.ps = ps_[id];
-    e.pe = pe_[id];
-    e.dyn = (flags_[id] & 1) != 0;
-    e.ls = ls_[id];
-    e.le = le_[id];
-    e.stream = stream_[id];
-    return e;
-  }
-
- private:
-  // Owned-trace mode (both non-null) …
-  const TraceOp* ops_ = nullptr;
-  const MemoryEvent* events_ = nullptr;
-  uint64_t num_events_ = 0;
-  LogicalTime end_time_ = 0;
-  // … or column mode (op_ref_ non-null).
-  const uint64_t* op_time_ = nullptr;
-  const uint64_t* op_ref_ = nullptr;
-  const uint64_t* ts_ = nullptr;
-  const uint64_t* te_ = nullptr;
-  const uint64_t* size_ = nullptr;
-  const int32_t* ps_ = nullptr;
-  const int32_t* pe_ = nullptr;
-  const int32_t* ls_ = nullptr;
-  const int32_t* le_ = nullptr;
-  const uint8_t* flags_ = nullptr;
-  const uint8_t* stream_ = nullptr;
 };
 
 }  // namespace stalloc

@@ -636,22 +636,24 @@ Trace WorkloadBuilder::Build(uint64_t iteration_seed) const {
 MemoryEstimate WorkloadBuilder::Estimate() const {
   const Trace trace = Build(config_.seed);
   MemoryEstimate est;
-  for (const auto& e : trace.events()) {
-    if (trace.Classify(e) == LifespanClass::kPersistent) {
-      est.persistent_bytes += e.size;
+  uint64_t scoped = 0;  // scoped bytes of all phases, split per forward pass below
+  for (uint64_t id = 0; id < trace.size(); ++id) {
+    const MemoryEvent e = trace.Event(id);
+    switch (trace.Classify(e)) {
+      case LifespanClass::kPersistent:
+        est.persistent_bytes += e.size;
+        break;
+      case LifespanClass::kScoped:
+        scoped += e.size;
+        break;
+      case LifespanClass::kTransient:
+        break;
     }
   }
   const auto steps = BuildInterleavedSchedule(config_.parallel.pp, config_.rank,
                                               config_.num_microbatches,
                                               config_.parallel.vpp_chunks);
   est.peak_in_flight = PeakInFlight(steps);
-  // Scoped bytes of one forward phase, measured from the trace.
-  uint64_t scoped = 0;
-  for (const auto& e : trace.events()) {
-    if (trace.Classify(e) == LifespanClass::kScoped) {
-      scoped += e.size;
-    }
-  }
   const int total_fb = config_.num_microbatches * config_.parallel.vpp_chunks;
   est.activation_bytes_per_mb = total_fb > 0 ? scoped / static_cast<uint64_t>(total_fb) : 0;
   return est;

@@ -56,10 +56,11 @@ TEST(DynamicSpace, WindowedComplementOfStaticPlan) {
   t.AddEvent(dyn_wide);
 
   StaticPlan plan;
-  plan.decisions.push_back({t.event(id1), 0, 1024});
-  plan.decisions.push_back({t.event(id2), 1024, 1024});
+  plan.decisions.push_back({t.Event(id1), 0, 1024});
+  plan.decisions.push_back({t.Event(id2), 1024, 1024});
   plan.pool_size = 2048;
 
+  t.Validate();
   DynamicReusableSpace space = LocateDynamicSpace(t, plan);
   ASSERT_EQ(space.group_count(), 2u);
 
@@ -91,6 +92,7 @@ TEST(DynamicSpace, ExpectedLeTableFollowsArrivalOrder) {
   }
   StaticPlan plan;
   plan.pool_size = 4096;
+  t.Validate();
   DynamicReusableSpace space = LocateDynamicSpace(t, plan);
   ASSERT_EQ(space.expected_le.at(l0).size(), 3u);
   EXPECT_EQ(space.expected_le.at(l0)[0], l1);
@@ -121,6 +123,7 @@ TEST(DynamicSpace, ExpectedLeBreaksArrivalTiesByEventId) {
   }
   StaticPlan plan;
   plan.pool_size = 4096;
+  t.Validate();
   DynamicReusableSpace space = LocateDynamicSpace(t, plan);
   const std::vector<LayerId>& les = space.expected_le.at(l0);
   ASSERT_EQ(les.size(), static_cast<size_t>(kTied));
@@ -166,6 +169,7 @@ TEST(DynamicSpace, RegionsMatchTheComplementOfTheWindowUnion) {
       e.le = layers[b];
       t.AddEvent(e);
     }
+    t.Validate();
     DynamicReusableSpace space = LocateDynamicSpace(t, plan);
     ASSERT_GT(space.group_count(), 0u);
     for (const auto& [key, region] : space.regions) {

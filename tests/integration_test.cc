@@ -164,7 +164,8 @@ TEST(WorkloadStreams, CommTrafficIsTagged) {
   bool saw_p2p = false;
   bool saw_dp = false;
   bool saw_offload = false;
-  for (const auto& e : trace.events()) {
+  for (uint64_t id = 0; id < trace.size(); ++id) {
+    const MemoryEvent e = trace.Event(id);
     saw_p2p |= e.stream == kP2pStream;
     saw_dp |= e.stream == kDpCommStream;
     saw_offload |= e.stream == kOffloadStream;
@@ -181,7 +182,8 @@ TEST(WorkloadStreams, MoeA2aIsTagged) {
   WorkloadBuilder wb(Qwen15_MoE_A27B(), c);
   Trace trace = wb.Build(1);
   bool saw_a2a = false;
-  for (const auto& e : trace.events()) {
+  for (uint64_t id = 0; id < trace.size(); ++id) {
+    const MemoryEvent e = trace.Event(id);
     saw_a2a |= e.stream == kA2aStream;
   }
   EXPECT_TRUE(saw_a2a);

@@ -27,6 +27,7 @@ TrainConfig SmallConfig() {
 
 TEST(Planner, EmptyTraceYieldsEmptyPlan) {
   Trace t;
+  t.Validate();
   SynthesisResult r = SynthesizePlan(t);
   EXPECT_TRUE(r.plan.empty());
   EXPECT_EQ(r.plan.pool_size, 0u);
@@ -42,6 +43,7 @@ TEST(Planner, SingleEventPlan) {
   e.ps = p;
   e.pe = p;
   t.AddEvent(e);
+  t.Validate();
   SynthesisResult r = SynthesizePlan(t);
   ASSERT_EQ(r.plan.decisions.size(), 1u);
   EXPECT_EQ(r.plan.decisions[0].addr, 0u);
@@ -57,7 +59,8 @@ TEST(Planner, EveryStaticEventGetsExactlyOneDecision) {
     EXPECT_TRUE(planned.insert(d.event.id).second) << "duplicate decision";
   }
   uint64_t static_count = 0;
-  for (const auto& e : trace.events()) {
+  for (uint64_t id = 0; id < trace.size(); ++id) {
+    const MemoryEvent e = trace.Event(id);
     if (!e.dyn) {
       ++static_count;
       EXPECT_TRUE(planned.count(e.id)) << "static event " << e.id << " unplanned";

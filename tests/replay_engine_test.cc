@@ -33,6 +33,7 @@ Trace MakeTrace(const std::vector<std::tuple<uint64_t, LogicalTime, LogicalTime>
     e.te = te;
     trace.AddEvent(e);
   }
+  trace.Validate();
   return trace;
 }
 
@@ -58,7 +59,7 @@ TEST(ReplayEngine, SingleSourceReplaysOpsInTraceOrder) {
   OpRecorder recorder;
   ReplayEngine engine(&recorder);
   ReplaySource src;
-  src.trace = &trace;
+  src.trace = trace.Cursor();
   src.alloc = &alloc;
   engine.AddSource(src);
   const ReplayEngineResult& r = engine.Run();
@@ -91,7 +92,7 @@ TEST(ReplayEngine, FreesApplyBeforeMallocsAtTheSameTick) {
   NativeAllocator alloc(&dev);
   ReplayEngine engine;
   ReplaySource src;
-  src.trace = &trace;
+  src.trace = trace.Cursor();
   src.alloc = &alloc;
   engine.AddSource(src);
   EXPECT_FALSE(engine.Run().oom);
@@ -106,10 +107,10 @@ TEST(ReplayEngine, MultiSourceOpsInterleaveInGlobalTimeOrder) {
   ReplayEngine engine(&recorder);
   ReplaySource src;
   src.alloc = &alloc;
-  src.trace = &a;
+  src.trace = a.Cursor();
   src.tenant = 0;
   engine.AddSource(src);
-  src.trace = &b;
+  src.trace = b.Cursor();
   src.tenant = 1;
   src.start = 2;  // b's local ticks shift by +2: ops at 3, 5, 7, 9
   engine.AddSource(src);
@@ -136,7 +137,7 @@ TEST(ReplayEngine, IterationsReplayBackToBack) {
   NativeAllocator alloc(&dev);
   ReplayEngine engine;
   ReplaySource src;
-  src.trace = &trace;
+  src.trace = trace.Cursor();
   src.alloc = &alloc;
   src.iterations = 3;
   engine.AddSource(src);
@@ -149,13 +150,35 @@ TEST(ReplayEngine, IterationsReplayBackToBack) {
   EXPECT_EQ(r.end_time, 2 * trace.end_time() + trace.end_time());
 }
 
+// The op columns exist only once a trace is sealed, so replaying an unsealed one is a
+// programming error, not an empty replay.
+TEST(ReplayEngineDeathTest, AddSourceOnUnsealedTraceDies) {
+  Trace unsealed;
+  MemoryEvent e;
+  e.size = 1 * MiB;
+  e.ts = 0;
+  e.te = 1;
+  unsealed.AddEvent(e);
+  SimDevice dev(1 * GiB);
+  NativeAllocator alloc(&dev);
+  EXPECT_DEATH(
+      {
+        ReplayEngine engine;
+        ReplaySource src;
+        src.trace = unsealed.Cursor();
+        src.alloc = &alloc;
+        engine.AddSource(src);
+      },
+      "not sealed");
+}
+
 TEST(ReplayEngine, ZeroOpSourceIsImmediatelyDone) {
-  const Trace empty;
+  const Trace empty = MakeTrace({});
   SimDevice dev(1 * GiB);
   NativeAllocator alloc(&dev);
   ReplayEngine engine;
   ReplaySource src;
-  src.trace = &empty;
+  src.trace = empty.Cursor();
   src.alloc = &alloc;
   const size_t id = engine.AddSource(src);
   EXPECT_TRUE(engine.progress(id).done);
@@ -169,7 +192,7 @@ TEST(ReplayEngine, DefaultPolicyAbortsRunOnFirstOomAndUnwinds) {
   NativeAllocator alloc(&dev);
   ReplayEngine engine;
   ReplaySource src;
-  src.trace = &trace;
+  src.trace = trace.Cursor();
   src.alloc = &alloc;
   engine.AddSource(src);
   const ReplayEngineResult& r = engine.Run();
@@ -206,9 +229,9 @@ TEST(ReplayEngine, TenantGangUnwindsTogetherOnOneSourceOom) {
   ReplaySource src;
   src.alloc = &alloc;
   src.tenant = 7;
-  src.trace = &rank0;
+  src.trace = rank0.Cursor();
   engine.AddSource(src);
-  src.trace = &rank1;
+  src.trace = rank1.Cursor();
   engine.AddSource(src);
   ASSERT_EQ(engine.tenant_sources(7).size(), 2u);
 
@@ -242,7 +265,7 @@ TEST(ReplayEngine, ExternallySteppedReplayMatchesRun) {
   NativeAllocator alloc(&dev);
   ReplayEngine engine;
   ReplaySource src;
-  src.trace = &trace;
+  src.trace = trace.Cursor();
   src.alloc = &alloc;
   engine.AddSource(src);
 
@@ -279,7 +302,7 @@ TEST(ReplayEngine, ReplayTraceWrapperMatchesDirectEngineUse) {
   CachingAllocator alloc_b(&dev_b);
   ReplayEngine engine;
   ReplaySource src;
-  src.trace = &trace;
+  src.trace = trace.Cursor();
   src.alloc = &alloc_b;
   engine.AddSource(src);
   const ReplayEngineResult& direct = engine.Run();
@@ -313,11 +336,11 @@ TEST(ReplayEngine, ParkSourceHoldsLiveBlocksUntilAbortTenant) {
   ParkOnOom obs;
   ReplayEngine engine(&obs);
   ReplaySource a;
-  a.trace = &big;
+  a.trace = big.Cursor();
   a.alloc = &alloc;
   engine.AddSource(a);
   ReplaySource b;
-  b.trace = &small;
+  b.trace = small.Cursor();
   b.alloc = &alloc2;
   engine.AddSource(b);
 
@@ -358,7 +381,7 @@ TEST(ReplayEngine, RunCleanupUnwindsForgottenParkedSources) {
   ParkOnOom obs;
   ReplayEngine engine(&obs);
   ReplaySource src;
-  src.trace = &big;
+  src.trace = big.Cursor();
   src.alloc = &alloc;
   engine.AddSource(src);
   engine.Run();  // a coordinator that never aborts: final cleanup must not leak the blocks
@@ -373,7 +396,7 @@ TEST(ReplayEngine, StepUntilHonorsTheExclusiveHorizon) {
   OpRecorder recorder;
   ReplayEngine engine(&recorder);
   ReplaySource src;
-  src.trace = &trace;
+  src.trace = trace.Cursor();
   src.alloc = &alloc;
   engine.AddSource(src);
 
@@ -398,7 +421,7 @@ TEST(ReplayEngine, SourceEndTimePredictsTheFinalOpTick) {
   NativeAllocator alloc(&dev);
   ReplayEngine engine(nullptr);
   ReplaySource one;
-  one.trace = &trace;
+  one.trace = trace.Cursor();
   one.alloc = &alloc;
   one.start = 100;
   engine.AddSource(one);

@@ -117,7 +117,8 @@ TEST(Engine, StatsInvariantsHold) {
   // Every KV block event has exactly the workload's block size.
   const uint64_t block = KvBlockBytes(model, engine);
   uint64_t kv_events = 0;
-  for (const auto& e : r.trace.events()) {
+  for (uint64_t id = 0; id < r.trace.size(); ++id) {
+    const MemoryEvent e = r.trace.Event(id);
     if (e.dyn && e.size == block) {
       ++kv_events;
     }
@@ -163,7 +164,8 @@ TEST(Engine, WeightsArePersistentAndOptional) {
   scenario.num_requests = 4;
   ServeTraceResult with = BuildServeTrace(model, scenario, EngineConfig{}, 2);
   uint64_t persistent = 0;
-  for (const auto& e : with.trace.events()) {
+  for (uint64_t id = 0; id < with.trace.size(); ++id) {
+    const MemoryEvent e = with.trace.Event(id);
     if (with.trace.Classify(e) == LifespanClass::kPersistent) {
       ++persistent;
     }
@@ -174,7 +176,8 @@ TEST(Engine, WeightsArePersistentAndOptional) {
   EngineConfig no_weights;
   no_weights.emit_weights = false;
   ServeTraceResult without = BuildServeTrace(model, scenario, no_weights, 2);
-  for (const auto& e : without.trace.events()) {
+  for (uint64_t id = 0; id < without.trace.size(); ++id) {
+    const MemoryEvent e = without.trace.Event(id);
     EXPECT_TRUE(e.dyn) << "without weights every serving event is dynamic";
   }
   EXPECT_LT(PeakAllocated(without.trace), PeakAllocated(with.trace));

@@ -35,6 +35,7 @@ Trace MakeChurnTrace(int blocks, uint64_t size) {
     e.te = static_cast<LogicalTime>(i + 3);
     trace.AddEvent(e);
   }
+  trace.Validate();
   return trace;
 }
 
@@ -70,7 +71,7 @@ struct ShardFixture {
   void Replay() {
     ReplayEngine engine(&observer);
     ReplaySource src;
-    src.trace = &trace;
+    src.trace = trace.Cursor();
     src.alloc = &alloc;
     engine.AddSource(src);
     result = engine.Run();

@@ -46,6 +46,7 @@ Trace TinyTrace() {
   dyn.le = layer;
   dyn.stream = kA2aStream;
   t.AddEvent(dyn);
+  t.Validate();
   return t;
 }
 
@@ -75,8 +76,8 @@ void ExpectTracesEqual(const Trace& a, const Trace& b) {
   ASSERT_EQ(a.phases().size(), b.phases().size());
   ASSERT_EQ(a.layers().size(), b.layers().size());
   for (size_t i = 0; i < a.size(); ++i) {
-    const MemoryEvent& ea = a.events()[i];
-    const MemoryEvent& eb = b.events()[i];
+    const MemoryEvent ea = a.Event(i);
+    const MemoryEvent eb = b.Event(i);
     EXPECT_EQ(ea.size, eb.size) << i;
     EXPECT_EQ(ea.ts, eb.ts) << i;
     EXPECT_EQ(ea.te, eb.te) << i;
@@ -148,6 +149,62 @@ TEST(TraceIo, CsvRejectsNonPositiveLifespan) {
   TraceIoError err;
   ASSERT_FALSE(ReadTraceCsv(is, &out, &err));
   EXPECT_NE(err.message.find("lifespan"), std::string::npos) << err.message;
+}
+
+// Ids are positions everywhere downstream (plans, the C-ABI client, v2 columns), so a CSV whose
+// index columns disagree with their row order must be rejected, not silently renumbered.
+constexpr char kCsvHead[] = "# stalloc-trace v1\n# name,ordered\n";
+constexpr char kCsvPhases[] = "# phase,0,1,0,-1,0,4\n# phase,1,2,0,-1,4,8\n";
+constexpr char kCsvColumns[] = "id,size,ts,te,ps,pe,dyn,ls,le,stream\n";
+constexpr char kCsvRows[] = "0,64,0,5,0,1,0,-1,-1,0\n1,64,1,3,0,0,0,-1,-1,0\n";
+
+// Reads `csv` expecting a rejection whose message contains `what`, located at the start of
+// the line `bad_line`.
+void ExpectCsvRejected(const std::string& csv, const std::string& bad_line,
+                       const std::string& what) {
+  std::istringstream is(csv);
+  Trace out;
+  TraceIoError err;
+  ASSERT_FALSE(ReadTraceCsv(is, &out, &err)) << csv;
+  EXPECT_NE(err.message.find(what), std::string::npos) << err.message;
+  EXPECT_EQ(err.byte_offset, csv.find(bad_line)) << err.message;
+}
+
+TEST(TraceIo, CsvAcceptsIndicesInRowOrder) {
+  std::istringstream is(std::string(kCsvHead) + kCsvPhases + kCsvColumns + kCsvRows);
+  Trace out;
+  TraceIoError err;
+  ASSERT_TRUE(ReadTraceCsv(is, &out, &err)) << err.ToString();
+  EXPECT_EQ(out.size(), 2u);
+  EXPECT_EQ(out.phase(1).kind, PhaseKind::kBackward);
+}
+
+TEST(TraceIo, CsvRejectsEventIdsOutOfRowOrder) {
+  const std::string rows = "7,64,0,5,0,1,0,-1,-1,0\n3,64,1,3,0,0,0,-1,-1,0\n";
+  ExpectCsvRejected(std::string(kCsvHead) + kCsvPhases + kCsvColumns + rows, "7,64",
+                    "event id out of row order");
+  // A later row out of place is caught at its own line.
+  const std::string late = "0,64,0,5,0,1,0,-1,-1,0\n0,64,1,3,0,0,0,-1,-1,0\n";
+  const std::string csv = std::string(kCsvHead) + kCsvPhases + kCsvColumns + late;
+  ExpectCsvRejected(csv, csv.substr(csv.rfind("0,64,1")), "event id out of row order");
+}
+
+TEST(TraceIo, CsvRejectsPhaseAndLayerIndicesOutOfRowOrder) {
+  const std::string swapped = "# phase,1,2,0,-1,4,8\n# phase,0,1,0,-1,0,4\n";
+  ExpectCsvRejected(std::string(kCsvHead) + swapped + kCsvColumns + kCsvRows, "# phase,1",
+                    "phase index out of row order");
+  const std::string layers = "# layer,0,l0,0,4\n# layer,2,l1,4,8\n";
+  ExpectCsvRejected(std::string(kCsvHead) + kCsvPhases + layers + kCsvColumns + kCsvRows,
+                    "# layer,2", "layer index out of row order");
+}
+
+TEST(TraceIo, CsvRejectsUnknownPhaseKind) {
+  for (const char* kind : {"9", "-1", "4"}) {
+    const std::string bad_phase = std::string("# phase,0,") + kind + ",0,-1,0,4\n";
+    ExpectCsvRejected(std::string(kCsvHead) + bad_phase + "# phase,1,2,0,-1,4,8\n" +
+                          kCsvColumns + kCsvRows,
+                      bad_phase, "unknown phase kind");
+  }
 }
 
 TEST(TraceIo, CsvAndV2Agree) {
@@ -227,7 +284,7 @@ TEST(TraceV2, ViewColumnsMatchEvents) {
   TraceIoError err;
   ASSERT_TRUE(view.Open(path, &err)) << err.ToString();
   for (uint64_t i = 0; i < view.num_events(); ++i) {
-    const MemoryEvent& want = original.events()[i];
+    const MemoryEvent want = original.Event(i);
     EXPECT_EQ(view.ts()[i], want.ts);
     EXPECT_EQ(view.te()[i], want.te);
     EXPECT_EQ(view.sizes()[i], want.size);
@@ -287,6 +344,7 @@ TEST(TraceV2, StreamWriterMatchesBulkWriterByteForByte) {
   c.ps = tp;
   c.pe = tp;
   t.AddEvent(c);
+  t.Validate();
   const std::string bulk_path = ::testing::TempDir() + "/trace_v2_bulk.stlc";
   ASSERT_TRUE(WriteTraceV2File(t, bulk_path));
   EXPECT_EQ(ReadFileBytes(stream_path), ReadFileBytes(bulk_path));
@@ -298,6 +356,7 @@ TEST(TraceV2, EmptyAndSingleEventTraces) {
   const std::string path = ::testing::TempDir() + "/trace_v2_edge.stlc";
   Trace empty;
   empty.set_name("empty");
+  empty.Validate();
   ASSERT_TRUE(WriteTraceV2File(empty, path));
   {
     TraceView view;
@@ -313,6 +372,7 @@ TEST(TraceV2, EmptyAndSingleEventTraces) {
   e.ts = 1;
   e.te = 9;
   single.AddEvent(e);
+  single.Validate();
   ASSERT_TRUE(WriteTraceV2File(single, path));
   {
     TraceView view;
@@ -376,6 +436,26 @@ TEST(TraceV2, RejectsCorruptedColumns) {
   Trace out;
   TraceIoError err;
   EXPECT_FALSE(ReadTraceAnyFile(path, &out, &err));
+  std::remove(path.c_str());
+}
+
+TEST(TraceV2, RejectsUnknownPhaseKind) {
+  const std::string path = ::testing::TempDir() + "/trace_v2_phase_kind.stlc";
+  const Trace original = TinyTrace();
+  ASSERT_TRUE(WriteTraceV2File(original, path));
+  std::string bad = ReadFileBytes(path);
+  // Footer: name (u32 length + bytes), phase count (u32), then 25-byte phase records (kind u8,
+  // microbatch and chunk i32, start and end u64); patch the second record's kind byte.
+  const uint64_t kind_off = TraceV2Layout::For(original.size()).columns_end + 4 +
+                            original.name().size() + 4 + 25;
+  ASSERT_EQ(bad[kind_off], static_cast<char>(PhaseKind::kForward));
+  bad[kind_off] = 9;
+  WriteFileBytes(path, bad);
+  TraceView view;
+  TraceIoError err;
+  EXPECT_FALSE(view.Open(path, &err));
+  EXPECT_NE(err.message.find("unknown phase kind 9"), std::string::npos) << err.message;
+  EXPECT_EQ(err.byte_offset, kind_off);
   std::remove(path.c_str());
 }
 

@@ -42,6 +42,18 @@ Trace KnownTrace() {
   t.AddEvent(Ev(600, 2, 8, fwd, bwd));           // scoped activation
   t.AddEvent(Ev(100, 3, 5, fwd, fwd));           // transient workspace (filtered: <= 512)
   t.AddEvent(Ev(600, 6, 9, bwd, bwd, true));     // dynamic transient
+  t.Validate();
+  return t;
+}
+
+// A sealed one-phase trace holding `events` (whose ps/pe are phase 0).
+Trace SealedTrace(const std::vector<MemoryEvent>& events) {
+  Trace t;
+  t.AddPhase(PhaseInfo{PhaseKind::kForward, 0, -1, 0, 8});
+  for (const MemoryEvent& e : events) {
+    t.AddEvent(e);
+  }
+  t.Validate();
   return t;
 }
 
@@ -77,7 +89,7 @@ TEST(TraceStats, PeakAndPeakTime) {
 
 TEST(TraceStats, LiveBytesCurveTracksEveryChangePoint) {
   const Trace t = KnownTrace();
-  auto curve = LiveBytesCurve(t.events());
+  auto curve = LiveBytesCurve(t);
   ASSERT_FALSE(curve.empty());
   // The curve must contain the peak and end at zero live bytes.
   uint64_t max_live = 0;
@@ -92,13 +104,13 @@ TEST(TraceStats, LiveBytesCurveTracksEveryChangePoint) {
   }
 }
 
-TEST(TraceStats, PeakAllocatedOfEventSubset) {
-  std::vector<MemoryEvent> overlap = {Ev(100, 0, 4, 0, 0), Ev(200, 2, 6, 0, 0)};
+TEST(TraceStats, PeakAllocatedOfSmallTraces) {
+  const Trace overlap = SealedTrace({Ev(100, 0, 4, 0, 0), Ev(200, 2, 6, 0, 0)});
   EXPECT_EQ(PeakAllocated(overlap), 300u);
   // Half-open lifespans: a free at t and a malloc at t do not overlap.
-  std::vector<MemoryEvent> handover = {Ev(100, 0, 4, 0, 0), Ev(200, 4, 6, 0, 0)};
+  const Trace handover = SealedTrace({Ev(100, 0, 4, 0, 0), Ev(200, 4, 6, 0, 0)});
   EXPECT_EQ(PeakAllocated(handover), 200u);
-  EXPECT_EQ(PeakAllocated(std::vector<MemoryEvent>{}), 0u);
+  EXPECT_EQ(PeakAllocated(SealedTrace({})), 0u);
 }
 
 TEST(TraceStats, SizeHistogramBucketsArePowerOfTwoAndSumToTotal) {
@@ -151,6 +163,7 @@ TEST(TraceStats, PhasePeaksBoundTheGlobalPeak) {
 TEST(TraceStats, PhasePeaksOnPhaselessTraceAreEmpty) {
   Trace t;
   t.AddEvent(Ev(100, 0, 4, kInvalidPhase, kInvalidPhase));
+  t.Validate();
   EXPECT_TRUE(PhasePeakBreakdown(t).empty());
 }
 

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <sstream>
+#include <string>
 
 #include "src/trace/trace_io.h"
 #include "src/trace/trace_stats.h"
@@ -54,13 +55,14 @@ Trace MakeSimpleTrace() {
   dyn.ls = l0;
   dyn.le = l1;
   t.AddEvent(dyn);
+  t.Validate();
   return t;
 }
 
 TEST(Trace, AssignsDenseIds) {
   Trace t = MakeSimpleTrace();
   for (size_t i = 0; i < t.size(); ++i) {
-    EXPECT_EQ(t.event(i).id, i);
+    EXPECT_EQ(t.Event(i).id, i);
   }
 }
 
@@ -71,10 +73,10 @@ TEST(Trace, EndTimeIsMaxTe) {
 
 TEST(Trace, ClassifiesLifespans) {
   Trace t = MakeSimpleTrace();
-  EXPECT_EQ(t.Classify(t.event(0)), LifespanClass::kPersistent);
-  EXPECT_EQ(t.Classify(t.event(1)), LifespanClass::kScoped);
-  EXPECT_EQ(t.Classify(t.event(2)), LifespanClass::kTransient);
-  EXPECT_EQ(t.Classify(t.event(3)), LifespanClass::kScoped);
+  EXPECT_EQ(t.Classify(t.Event(0)), LifespanClass::kPersistent);
+  EXPECT_EQ(t.Classify(t.Event(1)), LifespanClass::kScoped);
+  EXPECT_EQ(t.Classify(t.Event(2)), LifespanClass::kTransient);
+  EXPECT_EQ(t.Classify(t.Event(3)), LifespanClass::kScoped);
 }
 
 TEST(Trace, OpsAreTimeOrderedWithFreesFirst) {
@@ -105,6 +107,40 @@ TEST(TraceDeathTest, AddEventRejectsEmptyLifespan) {
   EXPECT_DEATH(t.AddEvent(e), "positive lifespan");
 }
 
+TEST(TraceDeathTest, AddEventAfterSealDies) {
+  Trace t = MakeSimpleTrace();
+  MemoryEvent e;
+  e.size = 512;
+  e.ts = 1;
+  e.te = 2;
+  EXPECT_DEATH(t.AddEvent(e), "sealed trace");
+}
+
+TEST(TraceDeathTest, OpsOnUnsealedTraceDies) {
+  Trace t;
+  MemoryEvent e;
+  e.size = 512;
+  e.ts = 1;
+  e.te = 2;
+  t.AddEvent(e);
+  EXPECT_DEATH(t.Ops(), "not sealed");
+  EXPECT_DEATH(t.Cursor(), "not sealed");
+}
+
+TEST(Trace, ValidRejectsBadPhaseAndLeavesTraceUnsealed) {
+  Trace t;
+  MemoryEvent e;
+  e.size = 512;
+  e.ts = 1;
+  e.te = 2;
+  e.ps = 3;  // no phases exist
+  t.AddEvent(e);
+  std::string error;
+  EXPECT_FALSE(t.Valid(&error));
+  EXPECT_NE(error.find("invalid phase"), std::string::npos) << error;
+  EXPECT_FALSE(t.sealed());
+}
+
 TEST(TraceStats, PeakAllocatedSweep) {
   Trace t = MakeSimpleTrace();
   // Live bytes: weights 4096 throughout; act+dyn from t=3 (2048+512); tmp 1024 on [4,5).
@@ -128,7 +164,7 @@ TEST(TraceStats, ComputeStatsCounts) {
 
 TEST(TraceStats, LiveBytesCurveEndsAtZero) {
   Trace t = MakeSimpleTrace();
-  auto curve = LiveBytesCurve(t.events());
+  auto curve = LiveBytesCurve(t);
   ASSERT_FALSE(curve.empty());
   EXPECT_EQ(curve.back().second, 0u);
 }
@@ -145,8 +181,8 @@ TEST(TraceIo, CsvRoundtrip) {
   EXPECT_EQ(back.phases().size(), t.phases().size());
   EXPECT_EQ(back.layers().size(), t.layers().size());
   for (size_t i = 0; i < t.size(); ++i) {
-    const auto& a = t.event(i);
-    const auto& b = back.event(i);
+    const auto& a = t.Event(i);
+    const auto& b = back.Event(i);
     EXPECT_EQ(a.size, b.size);
     EXPECT_EQ(a.ts, b.ts);
     EXPECT_EQ(a.te, b.te);

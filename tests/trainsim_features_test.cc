@@ -40,7 +40,7 @@ TEST(SelectiveRecompute, TraceValidAndBalanced) {
   c.opt.recompute = RecomputeMode::kSelective;
   Trace t = WorkloadBuilder(Llama2_7B(), c).Build(1);
   t.Validate();
-  auto curve = LiveBytesCurve(t.events());
+  auto curve = LiveBytesCurve(t);
   EXPECT_EQ(curve.back().second, 0u);
 }
 
@@ -114,7 +114,8 @@ TEST(ZeroStages, ProgressivelyShrinkPersistentMemory) {
     c.opt.zero = stage;
     Trace t = WorkloadBuilder(Gpt2_345M(), c).Build(1);
     uint64_t persistent = 0;
-    for (const auto& e : t.events()) {
+    for (uint64_t id = 0; id < t.size(); ++id) {
+      const MemoryEvent e = t.Event(id);
       if (t.Classify(e) == LifespanClass::kPersistent) {
         persistent += e.size;
       }

@@ -133,7 +133,8 @@ TEST(Workload, MoeEmitsDynamicEvents) {
   TraceStats stats = ComputeStats(trace);
   EXPECT_GT(stats.num_dynamic, 0u);
   EXPECT_GT(stats.num_static, 0u);
-  for (const auto& e : trace.events()) {
+  for (uint64_t id = 0; id < trace.size(); ++id) {
+    const MemoryEvent e = trace.Event(id);
     if (e.dyn) {
       EXPECT_NE(e.ls, kInvalidLayer);
       EXPECT_NE(e.le, kInvalidLayer);
@@ -156,8 +157,8 @@ TEST(Workload, SeedChangesOnlyDynamicSizes) {
   ASSERT_EQ(t1.size(), t2.size()) << "request structure must be iteration-invariant";
   bool some_dynamic_differs = false;
   for (size_t i = 0; i < t1.size(); ++i) {
-    const auto& a = t1.event(i);
-    const auto& b = t2.event(i);
+    const auto& a = t1.Event(i);
+    const auto& b = t2.Event(i);
     EXPECT_EQ(a.ts, b.ts);
     EXPECT_EQ(a.te, b.te);
     EXPECT_EQ(a.dyn, b.dyn);
@@ -178,7 +179,7 @@ TEST(Workload, SameSeedIsDeterministic) {
   Trace t2 = wb.Build(7);
   ASSERT_EQ(t1.size(), t2.size());
   for (size_t i = 0; i < t1.size(); ++i) {
-    EXPECT_EQ(t1.event(i).size, t2.event(i).size);
+    EXPECT_EQ(t1.Event(i).size, t2.Event(i).size);
   }
 }
 
@@ -222,7 +223,7 @@ TEST_P(WorkloadConfigSweep, TraceValidUnderConfigTag) {
   TraceStats stats = ComputeStats(trace);
   EXPECT_GT(stats.peak_allocated, 0u);
   // Live bytes return to zero at the end of the iteration (nothing leaks).
-  auto curve = LiveBytesCurve(trace.events());
+  auto curve = LiveBytesCurve(trace);
   EXPECT_EQ(curve.back().second, 0u);
 }
 

@@ -287,20 +287,17 @@ int main(int argc, char** argv) {
   TraceView replay_view;
   Session session;
   if (!spec.trace_file.empty()) {
+    const bool v2 = IsTraceV2File(spec.trace_file);
     TraceIoError trace_err;
-    if (IsTraceV2File(spec.trace_file)) {
-      if (!replay_view.Open(spec.trace_file, &trace_err)) {
-        std::fprintf(stderr, "stalloc_run: cannot read %s: %s\n", spec.trace_file.c_str(),
-                     trace_err.ToString().c_str());
-        return 2;
-      }
+    if (v2 ? !replay_view.Open(spec.trace_file, &trace_err)
+           : !ReadTraceAnyFile(spec.trace_file, &replay_trace, &trace_err)) {
+      std::fprintf(stderr, "stalloc_run: cannot read %s: %s\n", spec.trace_file.c_str(),
+                   trace_err.ToString().c_str());
+      return 2;
+    }
+    if (v2) {
       session.SetReplayTrace(&replay_view);
     } else {
-      if (!ReadTraceAnyFile(spec.trace_file, &replay_trace, &trace_err)) {
-        std::fprintf(stderr, "stalloc_run: cannot read %s: %s\n", spec.trace_file.c_str(),
-                     trace_err.ToString().c_str());
-        return 2;
-      }
       session.SetReplayTrace(&replay_trace);
     }
   }
