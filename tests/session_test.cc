@@ -7,18 +7,23 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/api/report.h"
+#include "src/api/serializers.h"
 #include "src/api/spec.h"
 #include "src/cluster/cluster_workload.h"
 #include "src/cluster/fleet.h"
+#include "src/common/table.h"
 #include "src/common/units.h"
 #include "src/driver/experiment.h"
 #include "src/driver/job.h"
 #include "src/driver/serve_experiment.h"
 #include "src/servesim/request_gen.h"
+#include "src/trace/synthetic.h"
 #include "src/trainsim/model_config.h"
 #include "src/trainsim/workload.h"
 
@@ -366,6 +371,126 @@ TEST(Session, ExternalAllocatorsRunThroughEveryDriver) {
   for (size_t d = 0; d < ref_day.cluster->devices.size(); ++d) {
     EXPECT_EQ(ext_day.cluster->devices[d].peak_used, ref_day.cluster->devices[d].peak_used);
   }
+}
+
+// A record's JSON without its host-time fields (phase timings, the fleet day's wall clock):
+// what is left is a pure function of the spec and the seeds.
+Json WithoutHostTime(const Json& record) {
+  Json out = Json::Object();
+  for (const auto& [key, value] : record.items()) {
+    if (key == "phases") {
+      continue;
+    }
+    if (key == "cluster") {
+      Json cluster = Json::Object();
+      for (const auto& [ckey, cvalue] : value.items()) {
+        if (ckey != "wall_seconds") {
+          cluster.Set(ckey, cvalue);
+        }
+      }
+      out.Set(key, std::move(cluster));
+      continue;
+    }
+    out.Set(key, value);
+  }
+  return out;
+}
+
+uint64_t Fnv1a(uint64_t hash, const std::string& bytes) {
+  for (unsigned char c : bytes) {
+    hash ^= c;
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+// Pins the outcome of every run shape the session executes — rank (simulated and preloaded
+// trace), job, serve and cluster, baseline and plan kinds, ok and infeasible — to one digest
+// over each record's JSON (host time removed) and its Summary(). Any change to what a run
+// computes or reports moves the digest.
+TEST(Session, PinnedOutcomeDigestCoversEveryAxis) {
+  Session session;
+  uint64_t digest = 14695981039346656037ull;
+  int runs = 0;
+  const auto add = [&](const RunRecord& rec) {
+    digest = Fnv1a(digest, WithoutHostTime(ToJson(rec)).Dump(0));
+    digest = Fnv1a(digest, rec.Summary());
+    ++runs;
+  };
+
+  ExperimentSpec rank;
+  rank.axis = WorkloadAxis::kTrainRank;
+  rank.model = "gpt2";
+  rank.train = SmallTrain();
+  rank.options = SmallOptions();
+  for (int r : {0, 1}) {
+    rank.train.rank = r;
+    for (const char* alloc : {"torch-caching", "stalloc", "stalloc-noreuse"}) {
+      const RunRecord rec = session.RunOne(rank, alloc);
+      EXPECT_EQ(rec.status, RunStatus::kOk) << alloc << " rank " << r;
+      add(rec);
+    }
+  }
+  ExperimentSpec tight = rank;
+  tight.train.rank = 0;
+  tight.options.capacity_bytes = 2ull * GiB;
+  const RunRecord native = session.RunOne(tight, "native");
+  EXPECT_EQ(native.status, RunStatus::kInfeasible);
+  add(native);
+
+  ExperimentSpec job = rank;
+  job.axis = WorkloadAxis::kTrainJob;
+  job.train.rank = 0;
+  for (const char* alloc : {"torch-caching", "stalloc"}) {
+    add(session.RunOne(job, alloc));
+  }
+
+  ExperimentSpec serve;
+  serve.axis = WorkloadAxis::kServing;
+  serve.model = "gpt2";
+  serve.scenario = "chat";
+  serve.serve_requests = 24;
+  serve.options = SmallOptions();
+  serve.engine.kv_budget_bytes = 2ull * GiB;
+  for (const char* alloc : {"paged-kv", "stalloc", "torch-caching"}) {
+    add(session.RunOne(serve, alloc));
+  }
+
+  const Trace trained = WorkloadBuilder(ModelByName("gpt2"), SmallTrain()).Build(2002);
+  SyntheticSpec storm;
+  storm.num_ops = 20000;
+  storm.seed = 42;
+  const Trace phaseless = BuildSyntheticTrace(storm);
+  ExperimentSpec replay;
+  replay.axis = WorkloadAxis::kTrainRank;
+  replay.trace_file = "pinned.v2";
+  replay.options = SmallOptions();
+  for (const Trace* trace : {&trained, &phaseless}) {
+    session.SetReplayTrace(trace);
+    for (const char* alloc : {"torch-caching", "stalloc"}) {
+      const RunRecord rec = session.RunOne(replay, alloc);
+      // The trainsim trace plans itself; a phaseless stream cannot be planned.
+      const bool planless = trace == &phaseless && rec.allocator == "stalloc";
+      EXPECT_EQ(rec.status, planless ? RunStatus::kInfeasible : RunStatus::kOk) << alloc;
+      add(rec);
+    }
+  }
+  session.SetReplayTrace(static_cast<const Trace*>(nullptr));
+
+  ExperimentSpec day;
+  day.axis = WorkloadAxis::kCluster;
+  day.devices = 2;
+  day.options.capacity_bytes = 16ull * GiB;
+  day.options.run_seed = 7;
+  day.cluster.num_jobs = 4;
+  day.cluster.serve_requests = 16;
+  for (const char* policy : {"first-fit", "plan-aware"}) {
+    day.policy = policy;
+    add(session.RunOne(day, "torch-caching"));
+  }
+
+  EXPECT_EQ(runs, 18);
+  EXPECT_EQ(StrFormat("%016llx", static_cast<unsigned long long>(digest)), "54eb9b7b2fd17d65");
 }
 
 TEST(Session, AxisNameRoundTrip) {
