@@ -41,20 +41,22 @@ int main() {
   std::printf("Fig. 1(b) — Llama2-7B on 8xA800 (80 GiB, ~76 GiB usable after CUDA context +\n"
               "NCCL buffers): memory vs throughput per config\n\n");
   TextTable table({"config", "TFLOPS (est)", "Mr torch", "Mr stalloc", "torch", "stalloc"});
+  Session session;
   for (const auto& s : setups) {
     TrainConfig c = ApplyConfigTag(base, s.tag);
     c.micro_batch_size = s.mb;
-    ExperimentOptions opt;
-    opt.capacity_bytes = usable;
+    ExperimentSpec spec;
+    spec.model = "llama2-7b";
+    spec.train = c;
+    spec.options.capacity_bytes = usable;
     // Aggregate across the boundary ranks by job semantics: the job OOMs/thrashes if any rank
     // does, and its memory footprint is the worst rank's reservation.
-    auto run_job = [&](std::string_view allocator) {
+    auto run_job = [&](const std::string& allocator) {
       ExperimentResult job;
       bool first = true;
       for (int rank : BoundaryRanks(c.parallel)) {
-        c.rank = rank;
-        WorkloadBuilder wb(Llama2_7B(), c);
-        ExperimentResult r = RunExperiment(wb, allocator, opt);
+        spec.train.rank = rank;
+        ExperimentResult r = *session.RunOne(spec, allocator).train_rank;
         if (first) {
           job = r;
           first = false;

@@ -19,7 +19,7 @@ int main() {
 
   // Paper practice: the largest microbatch that trains without OOM (GPT-2 uses large batches).
   TrainConfig probe = ApplyConfigTag(base, "V");
-  const uint64_t mb = MaxFeasibleMicrobatch(Gpt2_345M(), probe, "torch-caching", kA800Capacity);
+  const uint64_t mb = MaxFeasibleMicrobatch("gpt2", probe, "torch-caching", kA800Capacity);
   base.micro_batch_size = mb;
   std::printf("Fig. 2 — GPT-2 (345M), 8xA800, PyTorch caching allocator, microbatch=%llu\n\n",
               static_cast<unsigned long long>(mb));
@@ -29,7 +29,7 @@ int main() {
     TrainConfig c = ApplyConfigTag(base, tag);
     ExperimentOptions opt;
     opt.capacity_bytes = kA800Capacity;
-    ExperimentResult r = RunWorstRank(Gpt2_345M(), c, "torch-caching", opt);
+    ExperimentResult r = RunWorstRank("gpt2", c, "torch-caching", opt);
     table.AddRow({tag, r.oom ? "-" : FormatBytes(r.allocated_peak).c_str(), ReservedCell(r),
                   EffCell(r) + "%"});
   }

@@ -85,7 +85,6 @@ int main(int argc, char** argv) {
             model_filter.end()) {
       continue;
     }
-    const ModelConfig model = ModelByName(setup.model);
     TrainConfig base;
     base.parallel = setup.parallel;
     base.num_microbatches = setup.num_microbatches;
@@ -94,7 +93,7 @@ int main(int argc, char** argv) {
     // (VPP) still completes under the caching allocator — the paper's selection rule.
     TrainConfig probe = ApplyConfigTag(base, "V");
     const uint64_t mb =
-        MaxFeasibleMicrobatch(model, probe, "torch-caching", kA800Capacity, max_mb);
+        MaxFeasibleMicrobatch(setup.model, probe, "torch-caching", kA800Capacity, max_mb);
     if (mb == 0) {
       // The probe starts at mb=1, so this means even the smallest microbatch OOMs.
       std::fprintf(stderr,

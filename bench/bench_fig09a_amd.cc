@@ -35,12 +35,13 @@ int main() {
     base.opt.recompute = RecomputeMode::kFull;
     base.opt.zero = ZeroStage::kStage1;  // distributed optimizer, required to fit 64 GB
 
-    const uint64_t mb = MaxFeasibleMicrobatch(c.model, base, "torch-caching", kMI210Capacity);
+    const uint64_t mb =
+        MaxFeasibleMicrobatch(c.model.name, base, "torch-caching", kMI210Capacity);
     base.micro_batch_size = mb;
     ExperimentOptions opt;
     opt.capacity_bytes = kMI210Capacity;
-    ExperimentResult torch = RunWorstRank(c.model, base, "torch-caching", opt);
-    ExperimentResult st = RunWorstRank(c.model, base, "stalloc", opt);
+    ExperimentResult torch = RunWorstRank(c.model.name, base, "torch-caching", opt);
+    ExperimentResult st = RunWorstRank(c.model.name, base, "stalloc", opt);
     table.AddRow({c.name, StrFormat("%llu", static_cast<unsigned long long>(mb)), EffCell(torch),
                   EffCell(st)});
   }

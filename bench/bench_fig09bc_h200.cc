@@ -48,7 +48,7 @@ int main() {
       // The paper picks configurations at the edge of feasibility; probe with the native
       // allocator so that fragmentation-prone baselines can legitimately OOM.
       const uint64_t mb =
-          MaxFeasibleMicrobatch(ModelByName(c.model), base, "native", kH200Capacity);
+          MaxFeasibleMicrobatch(c.model, base, "native", kH200Capacity);
       base.micro_batch_size = std::max<uint64_t>(1, mb);
       ExperimentOptions opt;
       opt.capacity_bytes = kH200Capacity;
@@ -56,7 +56,7 @@ int main() {
                                       StrFormat("%llu", static_cast<unsigned long long>(
                                                             base.micro_batch_size))};
       for (const char* allocator : {"torch-caching", "torch-expandable", "stalloc"}) {
-        row.push_back(EffCell(RunWorstRank(ModelByName(c.model), base, allocator, opt)));
+        row.push_back(EffCell(RunWorstRank(c.model, base, allocator, opt)));
       }
       table.AddRow(row);
     }

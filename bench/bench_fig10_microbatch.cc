@@ -30,7 +30,7 @@ int main() {
     for (const std::string& allocator : PaperAllocators()) {
       ExperimentOptions opt;
       opt.capacity_bytes = kA800Capacity;
-      row.push_back(EffCell(RunWorstRank(Llama2_7B(), c, allocator, opt)));
+      row.push_back(EffCell(RunWorstRank("llama2-7b", c, allocator, opt)));
     }
     table.AddRow(row);
   }

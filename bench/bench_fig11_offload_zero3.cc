@@ -27,7 +27,7 @@ int main() {
     for (const std::string& allocator : PaperAllocators()) {
       ExperimentOptions opt;
       opt.capacity_bytes = kA800Capacity;
-      row.push_back(EffCell(RunWorstRank(Gpt2_345M(), c, allocator, opt)));
+      row.push_back(EffCell(RunWorstRank("gpt2", c, allocator, opt)));
     }
     table.AddRow(row);
   }

@@ -39,7 +39,7 @@ double SteadyStateApiCostUs(const ModelConfig& model, const TrainConfig& config,
   SimDevice device(capacity, cost);
   std::unique_ptr<Allocator> alloc;
   std::unique_ptr<STAllocAllocator> stalloc_alloc;
-  if (RequiresPlan(allocator)) {
+  if (AllocatorRegistry::Global().Find(allocator)->requires_plan) {
     ProfileResult profile = ProfileWorkload(workload, capacity, /*iteration_seed=*/1);
     if (!profile.feasible) {
       return -1.0;
@@ -88,7 +88,8 @@ void PrintThroughputTable(const char* title, double pressure_factor) {
     base.num_microbatches = 8;
     base.opt.recompute = RecomputeMode::kFull;
     base.opt.zero = ZeroStage::kStage1;
-    const uint64_t mb = MaxFeasibleMicrobatch(c.model, base, "torch-caching", kA800Capacity);
+    const uint64_t mb =
+        MaxFeasibleMicrobatch(c.model.name, base, "torch-caching", kA800Capacity);
     base.micro_batch_size = std::max<uint64_t>(1, mb);
 
     // Under the pressure scenario, shrink the device to sit just above STAlloc's reservation
@@ -96,10 +97,11 @@ void PrintThroughputTable(const char* title, double pressure_factor) {
     uint64_t capacity = kA800Capacity;
     double penalty_us = 0;
     if (pressure_factor > 0) {
-      ExperimentOptions opt;
-      opt.capacity_bytes = kA800Capacity;
-      WorkloadBuilder wb(c.model, base);
-      ExperimentResult st = RunExperiment(wb, "stalloc", opt);
+      ExperimentSpec spec;
+      spec.model = c.model.name;
+      spec.train = base;
+      spec.options.capacity_bytes = kA800Capacity;
+      const RunRecord st = Session().RunOne(spec, "stalloc");
       capacity = static_cast<uint64_t>(static_cast<double>(st.reserved_peak) * pressure_factor);
       penalty_us = 5000;  // conservative vs the ~30 ms/op the paper measures
     }

@@ -26,7 +26,7 @@ int main() {
 
   TrainConfig probe = ApplyConfigTag(base, "V");
   probe.opt.zero = ZeroStage::kStage1;
-  const uint64_t mb = MaxFeasibleMicrobatch(model, probe, "torch-caching", kA800Capacity);
+  const uint64_t mb = MaxFeasibleMicrobatch(model.name, probe, "torch-caching", kA800Capacity);
 
   std::printf("Fig. 13 — Qwen1.5-MoE-A2.7B memory-efficiency breakdown, microbatch=%llu\n\n",
               static_cast<unsigned long long>(mb));
@@ -39,9 +39,9 @@ int main() {
     c.micro_batch_size = mb;
     ExperimentOptions opt;
     opt.capacity_bytes = kA800Capacity;
-    ExperimentResult caching = RunWorstRank(model, c, "torch-caching", opt);
-    ExperimentResult noreuse = RunWorstRank(model, c, "stalloc-noreuse", opt);
-    ExperimentResult full = RunWorstRank(model, c, "stalloc", opt);
+    ExperimentResult caching = RunWorstRank(model.name, c, "torch-caching", opt);
+    ExperimentResult noreuse = RunWorstRank(model.name, c, "stalloc-noreuse", opt);
+    ExperimentResult full = RunWorstRank(model.name, c, "stalloc", opt);
     fig13.AddRow({tag, EffCell(caching), EffCell(noreuse), EffCell(full)});
 
     auto fallback_bytes = [](const ExperimentResult& r) {

@@ -42,7 +42,6 @@
 #include "src/common/stopwatch.h"
 #include "src/core/profiler.h"
 #include "src/core/stalloc_allocator.h"
-#include "src/driver/experiment.h"
 #include "src/driver/replay.h"
 #include "src/gpu/sim_device.h"
 #include "src/replay/replay_engine.h"

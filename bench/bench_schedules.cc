@@ -29,6 +29,7 @@ int main() {
 
   std::printf("Schedule study — GPT-2, pp=2 rank 0, 8 microbatches, mb=16\n\n");
   TextTable table({"schedule", "peak allocated (Ma)", "torch E", "STAlloc E"});
+  Session session;
   for (const auto& v : variants) {
     TrainConfig c;
     c.parallel = {1, 2, 4, 1, v.vpp_chunks};
@@ -38,10 +39,12 @@ int main() {
     c.opt.recompute = v.recompute;
     WorkloadBuilder wb(Gpt2_345M(), c);
     const uint64_t peak = PeakAllocated(wb.Build(1));
-    ExperimentOptions opt;
-    opt.capacity_bytes = kA800Capacity;
-    ExperimentResult torch = RunExperiment(wb, "torch-caching", opt);
-    ExperimentResult st = RunExperiment(wb, "stalloc", opt);
+    ExperimentSpec spec;
+    spec.model = "gpt2";
+    spec.train = c;
+    spec.options.capacity_bytes = kA800Capacity;
+    const ExperimentResult torch = *session.RunOne(spec, "torch-caching").train_rank;
+    const ExperimentResult st = *session.RunOne(spec, "stalloc").train_rank;
     table.AddRow({v.name, FormatBytes(peak), EffCell(torch), EffCell(st)});
   }
   table.Print();

@@ -38,7 +38,7 @@ int main() {
   // Pick the microbatch at the feasibility edge of the *original* config: theoretically fits
   // (native profiling succeeds) but leaves little headroom for fragmentation. Linear search
   // lands exactly at the edge.
-  const uint64_t mb = MaxFeasibleMicrobatch(model, original, "native", kH200Capacity,
+  const uint64_t mb = MaxFeasibleMicrobatch(model.name, original, "native", kH200Capacity,
                                             /*max_mb=*/64, /*linear=*/true);
   const Row rows[] = {{"Original (VPP, TP=2)", original},
                       {"Disable VPP", no_vpp},
@@ -53,8 +53,8 @@ int main() {
     c.micro_batch_size = std::max<uint64_t>(1, mb);
     ExperimentOptions opt;
     opt.capacity_bytes = kH200Capacity;
-    auto mark = [&](std::string_view allocator) {
-      ExperimentResult r = RunWorstRank(model, c, allocator, opt);
+    auto mark = [&](const std::string& allocator) {
+      ExperimentResult r = RunWorstRank(model.name, c, allocator, opt);
       return std::string(r.oom || r.infeasible ? "OOM" : "ok");
     };
     ThroughputEstimate est = EstimateThroughput(model, c, GpuSpec::H200());

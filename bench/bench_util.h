@@ -8,12 +8,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <string_view>
 #include <vector>
 
+#include "src/api/session.h"
 #include "src/common/table.h"
 #include "src/common/units.h"
-#include "src/driver/experiment.h"
 #include "src/trainsim/model_config.h"
 #include "src/trainsim/workload.h"
 
@@ -73,14 +72,19 @@ inline bool WorseOutcome(bool candidate_failed, double candidate_efficiency, boo
 
 // Runs (model, config) under `allocator` on every boundary rank and returns the worst outcome:
 // training OOMs if any rank OOMs, and the per-job memory efficiency is set by the worst GPU.
-inline ExperimentResult RunWorstRank(const ModelConfig& model, TrainConfig config,
-                                     std::string_view allocator, const ExperimentOptions& opt) {
+// `model` is a preset name (ModelByName).
+inline ExperimentResult RunWorstRank(const std::string& model, const TrainConfig& config,
+                                     const std::string& allocator, const ExperimentOptions& opt) {
+  ExperimentSpec spec;
+  spec.model = model;
+  spec.train = config;
+  spec.options = opt;
+  Session session;
   ExperimentResult worst;
   bool first = true;
   for (int rank : BoundaryRanks(config.parallel)) {
-    config.rank = rank;
-    WorkloadBuilder wb(model, config);
-    ExperimentResult r = RunExperiment(wb, allocator, opt);
+    spec.train.rank = rank;
+    ExperimentResult r = *session.RunOne(spec, allocator).train_rank;
     if (first || WorseOutcome(r.oom || r.infeasible, r.memory_efficiency,
                               worst.oom || worst.infeasible, worst.memory_efficiency)) {
       worst = r;
@@ -95,8 +99,8 @@ inline ExperimentResult RunWorstRank(const ModelConfig& model, TrainConfig confi
 // that will not cause OOM" selection (§9.2). Returns 0 when even mb=1 does not fit. With
 // `linear` the search steps by 1 instead of doubling, landing right at the feasibility edge
 // (used by the OOM-sensitive experiments).
-inline uint64_t MaxFeasibleMicrobatch(const ModelConfig& model, TrainConfig config,
-                                      std::string_view probe, uint64_t capacity,
+inline uint64_t MaxFeasibleMicrobatch(const std::string& model, TrainConfig config,
+                                      const std::string& probe, uint64_t capacity,
                                       uint64_t max_mb = 128, bool linear = false) {
   uint64_t best = 0;
   for (uint64_t mb = 1; mb <= max_mb; mb = linear ? mb + 1 : mb * 2) {

@@ -8,9 +8,9 @@
 #include <cstdio>
 #include <string>
 
+#include "src/api/session.h"
 #include "src/common/table.h"
 #include "src/common/units.h"
-#include "src/driver/experiment.h"
 #include "src/trainsim/model_config.h"
 #include "src/trainsim/workload.h"
 
@@ -41,9 +41,13 @@ int main(int argc, char** argv) {
               trace.size());
 
   TextTable table({"allocator", "result", "efficiency", "reserved", "fragmentation"});
+  ExperimentSpec spec;
+  spec.model = model_name;
+  spec.train = config;
+  Session session;
   // Allocators are chosen by their registry names (see --list-allocs on stalloc_run).
   for (const std::string allocator : {"torch-caching", "torch-expandable", "gmlake", "stalloc"}) {
-    ExperimentResult r = RunExperiment(workload, allocator);
+    const ExperimentResult r = *session.RunOne(spec, allocator).train_rank;
     const char* status = r.infeasible ? "infeasible" : (r.oom ? "OOM" : "ok");
     table.AddRow({allocator, status,
                   StrFormat("%.1f%%", r.memory_efficiency * 100.0),

@@ -9,8 +9,8 @@
 // driver exactly like a built-in one.
 //
 // The STAlloc kinds have registry entries (they must be nameable and listable) but no factory:
-// their construction runs through the offline profile + plan-synthesis pipeline
-// (MakeSTAllocFromProfile in src/driver/experiment.h), which no per-device factory can express.
+// their construction runs through the offline profile + plan-synthesis pipeline (Session's
+// per-device run in src/api/session.cc), which no per-device factory can express.
 // Entries carry `requires_plan` so callers can route them without special-casing names.
 
 #ifndef SRC_ALLOCATORS_REGISTRY_H_

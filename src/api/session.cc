@@ -2,12 +2,17 @@
 
 #include <algorithm>
 #include <array>
+#include <memory>
 #include <utility>
 
 #include "src/cluster/scheduler.h"
 #include "src/common/check.h"
 #include "src/common/stopwatch.h"
 #include "src/common/table.h"
+#include "src/common/units.h"
+#include "src/core/profiler.h"
+#include "src/driver/replay.h"
+#include "src/gpu/sim_device.h"
 #include "src/servesim/request_gen.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/telemetry.h"
@@ -95,6 +100,41 @@ std::string ExperimentSpec::Variant() const {
   return "?";
 }
 
+std::string ExperimentResult::Summary() const {
+  if (infeasible) {
+    return "infeasible (exceeds device capacity)";
+  }
+  if (oom) {
+    return "OOM";
+  }
+  return StrFormat("E=%5.1f%%  Ma=%s  Mr=%s  frag=%s  releases=%llu", memory_efficiency * 100.0,
+                   FormatBytes(allocated_peak).c_str(), FormatBytes(reserved_peak).c_str(),
+                   FormatBytes(fragmentation_bytes).c_str(),
+                   static_cast<unsigned long long>(device_release_calls));
+}
+
+std::string JobResult::Summary() const {
+  if (infeasible) {
+    return "infeasible";
+  }
+  if (oom) {
+    return "OOM";
+  }
+  return StrFormat("worst E=%.1f%%  max Mr=%s (rank %d)  total Mr=%s  releases=%llu",
+                   worst_efficiency * 100.0, FormatBytes(max_reserved).c_str(), limiting_rank,
+                   FormatBytes(total_reserved).c_str(),
+                   static_cast<unsigned long long>(max_release_calls));
+}
+
+std::string ServeExperimentResult::Summary() const {
+  if (replay.infeasible || replay.oom) {
+    return replay.Summary();
+  }
+  return StrFormat("%s  preempt=%llu tokens=%llu batch=%d", replay.Summary().c_str(),
+                   static_cast<unsigned long long>(serve.preemptions),
+                   static_cast<unsigned long long>(serve.tokens_admitted), serve.peak_batch);
+}
+
 std::string RunRecord::Summary() const {
   if (train_rank.has_value()) {
     return train_rank->Summary();
@@ -113,6 +153,72 @@ std::string RunRecord::Summary() const {
 
 namespace {
 
+// The per-device pipeline behind the rank, job, serve and trace-replay runs. Baseline kinds
+// replay `run` through a fresh registry allocator straight off the cursor. Plan kinds (the
+// registry entry's requires_plan) run the offline stage first: `profile()` yields the profiled
+// iteration, the plan is synthesized from it, and the runtime allocator reserves its pool; an
+// infeasible profile or a failed reservation ends the run before the replay.
+template <typename ProfileFn>
+ExperimentResult RunOnDevice(const TraceCursor& run, std::string_view allocator,
+                             const ExperimentOptions& options, ProfileFn profile) {
+  ExperimentResult result;
+  result.allocator = allocator;
+  SimDevice device(options.capacity_bytes);
+  std::unique_ptr<Allocator> alloc;
+  const STAllocAllocator* stalloc = nullptr;
+  if (AllocatorRegistry::Global().Find(allocator)->requires_plan) {
+    const ProfileResult profiled = profile();
+    result.profile_wall_ms = profiled.wall_ms;
+    if (!profiled.feasible) {
+      result.infeasible = true;
+      return result;
+    }
+    SynthesisResult synthesis = SynthesizePlan(profiled.trace);
+    result.plan_stats = synthesis.stats;
+    auto planned = std::make_unique<STAllocAllocator>(&device, std::move(synthesis.plan),
+                                                      std::move(synthesis.dyn_space),
+                                                      STAllocConfigFor(allocator));
+    if (!planned->Init()) {
+      result.oom = true;
+      return result;
+    }
+    stalloc = planned.get();
+    alloc = std::move(planned);
+  } else {
+    alloc = AllocatorRegistry::Global().Create(allocator, &device, options.allocator_options);
+  }
+
+  const ReplayResult replay = ReplayTrace(run, alloc.get());
+  result.oom = replay.oom;
+  result.allocated_peak = replay.allocated_peak;
+  result.reserved_peak = replay.reserved_peak;
+  result.memory_efficiency = replay.memory_efficiency;
+  result.fragmentation_ratio = 1.0 - replay.memory_efficiency;
+  result.fragmentation_bytes = alloc->stats().FragmentationBytes();
+  result.device_api_cost_us = device.counters().total_cost_us;
+  result.device_api_calls = device.counters().TotalCalls();
+  result.device_release_calls = device.counters().cuda_free + device.counters().mem_unmap +
+                                device.counters().mem_release;
+  result.replay_wall_ms = replay.replay_wall_seconds * 1e3;
+  if (stalloc != nullptr) {
+    result.breakdown = stalloc->breakdown();
+  }
+  if (result.oom && result.allocator == "native") {
+    result.infeasible = true;
+  }
+  return result;
+}
+
+// One training rank: the run iteration replays the run seed; the plan kinds profile the
+// profile seed of the same workload.
+ExperimentResult RunRank(const WorkloadBuilder& workload, std::string_view allocator,
+                         const ExperimentOptions& options) {
+  const Trace run = workload.Build(options.run_seed);
+  return RunOnDevice(run.Cursor(), allocator, options, [&] {
+    return ProfileWorkload(workload, options.capacity_bytes, options.profile_seed);
+  });
+}
+
 RunStatus StatusOf(const ExperimentResult& r) {
   // Infeasible wins over oom, matching ExperimentResult::Summary precedence.
   if (r.infeasible) {
@@ -127,7 +233,8 @@ void FillPhases(const ExperimentResult& r, PhaseTimings* phases) {
   phases->replay_ms += r.replay_wall_ms;
 }
 
-void FillFromExperiment(ExperimentResult r, RunRecord* rec) {
+// The common record fields of a one-device run (rank, serve, replayed trace).
+void FillFromExperiment(const ExperimentResult& r, RunRecord* rec) {
   rec->status = StatusOf(r);
   FillPhases(r, &rec->phases);
   rec->allocated_peak = r.allocated_peak;
@@ -138,7 +245,6 @@ void FillFromExperiment(ExperimentResult r, RunRecord* rec) {
   rec->device_api_cost_us = r.device_api_cost_us;
   rec->device_release_calls = r.device_release_calls;
   rec->oom_events = rec->status == RunStatus::kOom ? 1 : 0;
-  rec->train_rank = std::move(r);
 }
 
 void FillFromJob(JobResult r, RunRecord* rec) {
@@ -158,20 +264,6 @@ void FillFromJob(JobResult r, RunRecord* rec) {
   }
   rec->oom_events = rec->status == RunStatus::kOom ? 1 : 0;
   rec->job = std::move(r);
-}
-
-void FillFromServe(ServeExperimentResult r, RunRecord* rec) {
-  rec->status = StatusOf(r.replay);
-  FillPhases(r.replay, &rec->phases);
-  rec->allocated_peak = r.replay.allocated_peak;
-  rec->reserved_peak = r.replay.reserved_peak;
-  rec->memory_efficiency = r.replay.memory_efficiency;
-  rec->fragmentation_bytes = r.replay.fragmentation_bytes;
-  rec->device_api_calls = r.replay.device_api_calls;
-  rec->device_api_cost_us = r.replay.device_api_cost_us;
-  rec->device_release_calls = r.replay.device_release_calls;
-  rec->oom_events = rec->status == RunStatus::kOom ? 1 : 0;
-  rec->serve = std::move(r);
 }
 
 void FillFromCluster(ClusterResult r, RunRecord* rec) {
@@ -249,25 +341,35 @@ bool Session::Validate(const ExperimentSpec& spec, std::string* error) {
                   "the cluster through the plan-aware scheduler)");
     }
   }
+  if (!spec.config_tag.empty()) {
+    bool known_tag = false;
+    for (const char* tag : {"N", "R", "V", "VR", "ZR", "ZOR"}) {
+      known_tag |= spec.config_tag == tag;
+    }
+    if (!known_tag) {
+      return fail("unknown config tag '" + spec.config_tag + "' (N|R|V|VR|ZR|ZOR)");
+    }
+  }
   if (spec.axis == WorkloadAxis::kTrainRank || spec.axis == WorkloadAxis::kTrainJob) {
-    // Mirror TrainConfig::Check() so shape typos get a graceful error here instead of a
-    // CHECK abort inside the workload builder.
-    const ParallelConfig& p = spec.train.parallel;
-    if (p.tp < 1 || p.pp < 1 || p.dp < 1 || p.ep < 1 || p.vpp_chunks < 1) {
-      return fail("parallel degrees (tp/pp/dp/ep/vpp) must all be >= 1");
+    // The workload builder's own preconditions, so shape typos get a graceful error here
+    // instead of a CHECK abort inside it. A job runs every rank, so its `rank` is not checked.
+    TrainConfig train = spec.EffectiveTrain();
+    if (spec.axis == WorkloadAxis::kTrainJob) {
+      train.rank = 0;
     }
-    if (spec.train.micro_batch_size < 1 || spec.train.num_microbatches < 1) {
-      return fail("microbatch size and count must be >= 1");
-    }
-    if (spec.axis == WorkloadAxis::kTrainRank &&
-        (spec.train.rank < 0 || spec.train.rank >= p.pp)) {
-      return fail("rank " + std::to_string(spec.train.rank) + " out of range [0, pp)");
+    const std::string shape_error = TrainShapeError(ModelByName(spec.model), train);
+    if (!shape_error.empty()) {
+      return fail(shape_error);
     }
   }
   if (spec.axis == WorkloadAxis::kServing) {
     const std::vector<std::string> scenarios = ScenarioNames();
     if (std::find(scenarios.begin(), scenarios.end(), spec.scenario) == scenarios.end()) {
       return fail("unknown serving scenario '" + spec.scenario + "' (see --list-scenarios)");
+    }
+    const std::string shape_error = ServeShapeError(ModelByName(spec.model), spec.engine);
+    if (!shape_error.empty()) {
+      return fail(shape_error);
     }
   }
   if (spec.axis == WorkloadAxis::kCluster) {
@@ -307,15 +409,6 @@ bool Session::Validate(const ExperimentSpec& spec, std::string* error) {
   }
   if (!spec.trace_file.empty() && spec.axis != WorkloadAxis::kTrainRank) {
     return fail("trace-file replay is only supported on the rank axis");
-  }
-  if (!spec.config_tag.empty()) {
-    bool known_tag = false;
-    for (const char* tag : {"N", "R", "V", "VR", "ZR", "ZOR"}) {
-      known_tag |= spec.config_tag == tag;
-    }
-    if (!known_tag) {
-      return fail("unknown config tag '" + spec.config_tag + "' (N|R|V|VR|ZR|ZOR)");
-    }
   }
   return true;
 }
@@ -369,30 +462,73 @@ RunRecord Session::RunOne(const ExperimentSpec& spec, const std::string& allocat
 
   switch (spec.axis) {
     case WorkloadAxis::kTrainRank: {
+      ExperimentResult r;
       if (replay_.valid()) {
-        FillFromExperiment(RunTraceReplay(replay_, allocator, options), &rec);
-        break;
+        // The trace is its own profile. Lifespan classification (and therefore the whole plan)
+        // keys on phase structure; a phaseless op stream cannot be planned. Only the plan
+        // kinds copy the columns (for synthesis); the replay itself runs off the cursor.
+        r = RunOnDevice(replay_, allocator, options, [&] {
+          return replay_.phases().empty() ? ProfileResult{}
+                                          : ProfileTrace(Trace(replay_), options.capacity_bytes);
+        });
+      } else {
+        STALLOC_CHECK(spec.trace_file.empty(),
+                      << "spec.trace_file is set but no trace was preloaded; tools must open "
+                         "the file and call SetReplayTrace before running");
+        r = RunRank(WorkloadBuilder(ModelByName(spec.model), spec.EffectiveTrain()), allocator,
+                    options);
       }
-      STALLOC_CHECK(spec.trace_file.empty(),
-                    << "spec.trace_file is set but no trace was preloaded; tools must open the "
-                       "file and call SetReplayTrace before running");
-      WorkloadBuilder workload(ModelByName(spec.model), spec.EffectiveTrain());
-      FillFromExperiment(RunExperiment(workload, allocator, options), &rec);
+      FillFromExperiment(r, &rec);
+      rec.train_rank = std::move(r);
       break;
     }
-    case WorkloadAxis::kTrainJob:
-      FillFromJob(RunJob(ModelByName(spec.model), spec.EffectiveTrain(), allocator, options), &rec);
+    case WorkloadAxis::kTrainJob: {
+      const ModelConfig model = ModelByName(spec.model);
+      TrainConfig train = spec.EffectiveTrain();
+      JobResult job;
+      for (train.rank = 0; train.rank < train.parallel.pp; ++train.rank) {
+        ExperimentResult r = RunRank(WorkloadBuilder(model, train), allocator, options);
+        job.oom |= r.oom;
+        job.infeasible |= r.infeasible;
+        job.worst_efficiency = std::min(job.worst_efficiency, r.memory_efficiency);
+        if (r.reserved_peak > job.max_reserved) {
+          job.max_reserved = r.reserved_peak;
+          job.limiting_rank = train.rank;
+        }
+        job.total_reserved += r.reserved_peak;
+        job.max_release_calls = std::max(job.max_release_calls, r.device_release_calls);
+        job.ranks.push_back(std::move(r));
+      }
+      FillFromJob(std::move(job), &rec);
       break;
+    }
     case WorkloadAxis::kServing: {
+      const ModelConfig model = ModelByName(spec.model);
       ServeScenario scenario = ScenarioByName(spec.scenario);
       if (spec.serve_requests != 0) {
         scenario.num_requests = spec.serve_requests;
       }
-      ServeOptions serve_options;
-      serve_options.base = options;
-      serve_options.engine = spec.engine;
-      FillFromServe(RunServeExperiment(ModelByName(spec.model), scenario, allocator, serve_options),
-                    &rec);
+      // Size the paged pool to the workload's natural page unless the caller pinned it.
+      if (options.allocator_options.paged_block_bytes == 0) {
+        options.allocator_options.paged_block_bytes = KvBlockBytes(model, spec.engine);
+      }
+      const ServeTraceResult day = BuildServeTrace(model, scenario, spec.engine, options.run_seed);
+      ServeExperimentResult r;
+      r.serve = day.stats;
+      r.trace_events = day.trace.size();
+      // The plan kinds profile a different serving day: same scenario, different seed, so
+      // arrivals, lengths and preemptions all differ, unlike training's repeating iterations.
+      // wall_ms covers trace generation + replay, matching ProfileWorkload's Tprofile.
+      r.replay = RunOnDevice(day.trace.Cursor(), allocator, options, [&] {
+        Stopwatch timer;
+        ProfileResult profiled = ProfileTrace(
+            BuildServeTrace(model, scenario, spec.engine, options.profile_seed).trace,
+            options.capacity_bytes);
+        profiled.wall_ms = timer.ElapsedMillis();
+        return profiled;
+      });
+      FillFromExperiment(r.replay, &rec);
+      rec.serve = std::move(r);
       break;
     }
     case WorkloadAxis::kCluster:  // handled before the span above

@@ -1,9 +1,10 @@
-// Session: the one runner behind every bench and tool — dispatches ExperimentSpecs to the
-// existing drivers and returns uniform RunRecord envelopes.
+// Session: the one runner behind every bench and tool — runs ExperimentSpecs and returns
+// uniform RunRecord envelopes.
 //
-// Dispatch is deliberately a thin veneer: a Session run is bit-identical to calling the
-// underlying driver directly with the same seeds (pinned by tests/session_test.cc), so
-// rebasing a binary onto the API layer can never change its numbers.
+// Every per-device axis (a training rank, each rank of a job, a serving day, a replayed trace)
+// runs one pipeline: build the run trace, and for the plan kinds profile, synthesize the plan
+// and reserve the pool; then replay through the allocator. The cluster axis runs RunCluster.
+// Outcomes are deterministic in the spec and seeds (pinned by tests/session_test.cc).
 
 #ifndef SRC_API_SESSION_H_
 #define SRC_API_SESSION_H_
@@ -39,9 +40,11 @@ class Session {
   RunRecord RunClusterJobs(const ExperimentSpec& spec, const std::string& allocator,
                            const std::vector<ClusterJob>& jobs, int repeat = 0);
 
-  // Preloads a replay trace for kTrainRank specs: subsequent rank-axis runs replay it through
-  // RunTraceReplay instead of building the simulated workload. The session borrows the sealed
-  // trace or the view — it must outlive every run. Pass nullptr to clear. The view form
+  // Preloads a replay trace for kTrainRank specs: subsequent rank-axis runs replay it instead
+  // of building the simulated workload. Baseline kinds replay it straight off the cursor; the
+  // plan kinds treat it as its own profile (the self-plan upper bound), and a trace with no
+  // phase structure cannot be planned, so they come back infeasible. The session borrows the
+  // sealed trace or the view — it must outlive every run. Pass nullptr to clear. The view form
   // replays straight from the mmap'd columnar file.
   void SetReplayTrace(const Trace* trace);
   void SetReplayTrace(const TraceView* view);

@@ -3,11 +3,11 @@
 // An ExperimentSpec describes any run the tree can execute — one training rank, a whole
 // pipeline job, a serving day, or a cluster day — as
 //     (workload variant) x (allocator set) x (capacity / seeds / overrides) x (repeats).
-// A Session (src/api/session.h) dispatches specs to the existing drivers (RunExperiment,
-// RunJob, RunServeExperiment, RunCluster) and wraps every outcome in a uniform RunRecord
-// envelope: a tagged status, the common Ma/Mr/efficiency/OOM/latency fields every consumer
-// actually reads, and the full driver result as a typed payload for the consumers that need
-// more. New workload axes plug in here instead of growing another bespoke driver + bench loop.
+// A Session (src/api/session.h) runs specs — profile, plan and replay for the per-device axes,
+// RunCluster for the fleet day — and wraps every outcome in a uniform RunRecord envelope: a
+// tagged status, the common Ma/Mr/efficiency/OOM/latency fields every consumer actually reads,
+// and the full per-axis result as a typed payload for the consumers that need more. New
+// workload axes plug in here instead of growing another bespoke runner + bench loop.
 
 #ifndef SRC_API_SPEC_H_
 #define SRC_API_SPEC_H_
@@ -21,9 +21,8 @@
 #include "src/allocators/registry.h"
 #include "src/cluster/cluster_workload.h"
 #include "src/cluster/fleet.h"
-#include "src/driver/experiment.h"
-#include "src/driver/job.h"
-#include "src/driver/serve_experiment.h"
+#include "src/core/planner.h"
+#include "src/core/stalloc_allocator.h"
 #include "src/servesim/engine.h"
 #include "src/telemetry/flight_recorder.h"
 #include "src/telemetry/heap_map.h"
@@ -32,16 +31,84 @@
 namespace stalloc {
 
 enum class WorkloadAxis : uint8_t {
-  kTrainRank,  // one pipeline rank of one training iteration   -> RunExperiment
-  kTrainJob,   // every pipeline rank of a training job          -> RunJob
-  kServing,    // one continuous-batching serving day            -> RunServeExperiment
-  kCluster,    // a multi-GPU fleet day over a mixed job queue   -> RunCluster
+  kTrainRank,  // one pipeline rank of one training iteration   -> ExperimentResult
+  kTrainJob,   // every pipeline rank of a training job          -> JobResult
+  kServing,    // one continuous-batching serving day            -> ServeExperimentResult
+  kCluster,    // a multi-GPU fleet day over a mixed job queue   -> ClusterResult (RunCluster)
   kCount,      // sentinel — keeps AllWorkloadAxes() verifiably exhaustive
 };
 
 const char* WorkloadAxisName(WorkloadAxis axis);
 std::optional<WorkloadAxis> ParseWorkloadAxis(std::string_view name);
 std::vector<WorkloadAxis> AllWorkloadAxes();
+
+// Allocators are named by their AllocatorRegistry name (src/allocators/registry.h) throughout;
+// the plan kinds are routed by the entry's requires_plan.
+struct ExperimentOptions {
+  uint64_t capacity_bytes = 80ull * 1024 * 1024 * 1024;  // A800-80G default
+  uint64_t profile_seed = 1001;
+  uint64_t run_seed = 2002;
+  AllocatorOptions allocator_options;  // passed to AllocatorRegistry::Create
+};
+
+// The memory outcome of one allocator on one device (a rank, a serving day or a replayed
+// trace). For the plan kinds the offline stage profiles the *profile* seed and the replay runs
+// the *run* seed, so dynamic (MoE) sizes differ between the two exactly as they do from
+// iteration to iteration in training.
+struct ExperimentResult {
+  std::string allocator;            // registry name
+  bool oom = false;                // replay hit an unrecoverable allocation failure
+  bool infeasible = false;         // theoretical demand exceeds capacity (native OOM)
+  uint64_t allocated_peak = 0;     // Ma
+  uint64_t reserved_peak = 0;      // Mr
+  double memory_efficiency = 1.0;  // E = Ma / Mr
+  double fragmentation_ratio = 0;  // 1 - E
+  uint64_t fragmentation_bytes = 0;
+  double device_api_cost_us = 0;   // modelled allocator overhead for the iteration
+  uint64_t device_api_calls = 0;
+  // Release-side calls (cudaFree / unmap / handle release) during the replay. Caching-style
+  // allocators only release mid-run under memory pressure, so a non-trivial count means the
+  // run survived by thrashing.
+  uint64_t device_release_calls = 0;
+  // STAlloc-only extras.
+  STAllocBreakdown breakdown;
+  PlanStats plan_stats;
+  double profile_wall_ms = 0;
+  // Host time inside the replay engine (every kind), so phase attribution
+  // (profile/plan/replay) is complete: plan time is plan_stats.synthesis_ms.
+  double replay_wall_ms = 0;
+
+  std::string Summary() const;
+};
+
+// One allocator over every pipeline rank of a training job, with job semantics: the job OOMs
+// if any rank OOMs, its footprint is the worst rank's reservation, and its reported efficiency
+// is the worst rank's.
+struct JobResult {
+  std::vector<ExperimentResult> ranks;  // indexed by pipeline rank
+  bool oom = false;                     // any rank OOMed
+  bool infeasible = false;              // any rank theoretically exceeds capacity
+  double worst_efficiency = 1.0;
+  uint64_t max_reserved = 0;            // the memory-limiting rank's reservation
+  uint64_t total_reserved = 0;          // sum over ranks (job-wide GPU memory)
+  uint64_t max_release_calls = 0;       // thrash indicator (worst rank)
+
+  int limiting_rank = 0;  // rank with the largest reservation
+
+  std::string Summary() const;
+};
+
+// One serving day. The plan kinds profile a different day (the profile seed), which
+// deliberately stresses the paper's static-plan assumption: serving traffic is not
+// iteration-repeatable, so the plan only covers the persistent weights and almost every
+// runtime request takes the dynamic/fallback path.
+struct ServeExperimentResult {
+  ExperimentResult replay;  // memory outcome, shared shape with the training runs
+  ServeSimStats serve;      // serving metrics of the *run* trace
+  uint64_t trace_events = 0;
+
+  std::string Summary() const;
+};
 
 struct ExperimentSpec {
   WorkloadAxis axis = WorkloadAxis::kTrainRank;
@@ -96,7 +163,7 @@ enum class RunStatus : uint8_t {
 
 const char* RunStatusName(RunStatus status);
 
-// Per-phase wall-clock attribution of one run, sourced from the drivers' own phase timers
+// Per-phase wall-clock attribution of one run, sourced from the pipeline's own phase timers
 // (the same quantities the telemetry spans record). All in host milliseconds. Axis notes:
 //   kTrainRank / kServing — profile/plan from the STAlloc offline stage (0 for baseline
 //                           allocators), replay from the replay engine;
@@ -152,7 +219,7 @@ struct RunRecord {
 
   // OOM flight-recorder reports captured during this run (telemetry-enabled runs only): the
   // last N allocator ops + fragmentation snapshot per failing allocator, drained from
-  // telemetry::FlightRecorder after the driver returns. Empty when telemetry is off or the
+  // telemetry::FlightRecorder after the run returns. Empty when telemetry is off or the
   // run never OOMed.
   std::vector<telemetry::OomReport> oom_flight;
 

@@ -11,6 +11,12 @@
 
 namespace stalloc {
 
+STAllocConfig STAllocConfigFor(std::string_view allocator) {
+  STAllocConfig config;
+  config.enable_dynamic_reuse = allocator != "stalloc-noreuse";
+  return config;
+}
+
 STAllocAllocator::STAllocAllocator(SimDevice* device, StaticPlan plan,
                                    DynamicReusableSpace dyn_space, STAllocConfig config)
     : device_(device),

@@ -19,6 +19,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "src/allocators/caching_allocator.h"
@@ -37,6 +38,10 @@ struct STAllocConfig {
   // declaring a plan mismatch.
   size_t matcher_window = 64;
 };
+
+// The runtime configuration of the named plan kind: "stalloc-noreuse" is the Fig. 13 ablation
+// without dynamic reuse; every other plan kind runs full STAlloc.
+STAllocConfig STAllocConfigFor(std::string_view allocator);
 
 // Per-path counters for the performance breakdown (§9.4, Table 3).
 struct STAllocBreakdown {

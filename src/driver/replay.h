@@ -2,8 +2,8 @@
 // framework would through the PluggableAllocator interface, and reports the outcome.
 //
 // This is a thin wrapper over the unified streaming replay core (src/replay/replay_engine.h) —
-// one single-tenant source, abort-on-OOM policy — kept as the stable entry point of the
-// training/serving experiment pipelines.
+// one single-tenant source, abort-on-OOM policy — the replay step of every Session run on one
+// device (src/api/session.cc).
 
 #ifndef SRC_DRIVER_REPLAY_H_
 #define SRC_DRIVER_REPLAY_H_

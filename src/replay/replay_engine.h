@@ -1,11 +1,12 @@
-// ReplayEngine: the single streaming replay core behind every driver in this repository.
+// ReplayEngine: the single streaming replay core behind every run in this repository.
 //
-// ReplayTrace (single training iteration), RunServeExperiment (serving day) and the sharded
-// cluster fleet all replay through this one loop. The engine consumes a merged,
-// timestamp-ordered stream of per-tenant trace ops (each *source* is one trace replayed
-// `iterations` times back-to-back against one Allocator) and reports to an optional
-// ReplayObserver. A failed malloc either aborts the run (the default: a training iteration that
-// OOMs crashes) or parks the failing source until an external coordinator unwinds its tenant.
+// ReplayTrace (one device: a training iteration, a serving day or a replayed trace, as
+// Session runs them) and the sharded cluster fleet both replay through this one loop. The
+// engine consumes a merged, timestamp-ordered stream of per-tenant trace ops (each *source* is
+// one trace replayed `iterations` times back-to-back against one Allocator) and reports to an
+// optional ReplayObserver. A failed malloc either aborts the run (the default: a training
+// iteration that OOMs crashes) or parks the failing source until an external coordinator
+// unwinds its tenant.
 //
 // Determinism: ops are processed in global (time, source-id) order; within one source, ops
 // follow TraceOp order (frees before mallocs at equal ticks).

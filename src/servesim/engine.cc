@@ -55,14 +55,29 @@ uint64_t KvBlockBytes(const ModelConfig& model, const EngineConfig& engine) {
   return engine.kv_block_tokens * KvBytesPerToken(model);
 }
 
+std::string ServeShapeError(const ModelConfig& model, const EngineConfig& engine) {
+  if (engine.max_batch < 1) {
+    return "serving max batch must be >= 1";
+  }
+  if (engine.kv_block_tokens < 1) {
+    return "KV block must hold at least one token";
+  }
+  const uint64_t block_bytes = KvBlockBytes(model, engine);
+  if (block_bytes == 0) {
+    return model.name + " has no KV footprint";
+  }
+  if (engine.kv_budget_bytes < block_bytes) {
+    return "KV budget " + FormatBytes(engine.kv_budget_bytes) + " is below one KV block (" +
+           FormatBytes(block_bytes) + ")";
+  }
+  return "";
+}
+
 ServeTraceResult BuildServeTrace(const ModelConfig& model, const ServeScenario& scenario,
                                  const EngineConfig& engine, uint64_t seed) {
-  STALLOC_CHECK(engine.kv_block_tokens > 0);
-  STALLOC_CHECK(engine.max_batch > 0);
+  const std::string error = ServeShapeError(model, engine);
+  STALLOC_CHECK(error.empty(), << error);
   const uint64_t block_bytes = KvBlockBytes(model, engine);
-  STALLOC_CHECK(block_bytes > 0, << "model has no KV footprint");
-  STALLOC_CHECK(engine.kv_budget_bytes >= block_bytes,
-                << "KV budget below a single block: " << engine.kv_budget_bytes);
   const uint64_t act_per_token = ActivationBytesPerToken(model);
 
   ServeTraceResult out;

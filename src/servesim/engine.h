@@ -84,9 +84,13 @@ uint64_t KvBytesPerToken(const ModelConfig& model);
 // Bytes of one KV block under `engine` for `model` — the natural page size of the workload.
 uint64_t KvBlockBytes(const ModelConfig& model, const EngineConfig& engine);
 
+// Why BuildServeTrace rejects `engine` on `model` — an empty batch, an empty KV block, a model
+// with no KV footprint, or a KV budget below one block — or "" when it accepts it.
+std::string ServeShapeError(const ModelConfig& model, const EngineConfig& engine);
+
 // Runs the engine over GenerateRequests(scenario, seed) and returns the trace plus serving
-// metrics. Deterministic: one (model, scenario, engine, seed) tuple reproduces the trace
-// byte-for-byte.
+// metrics; CHECK-fails unless ServeShapeError(model, engine) is empty. Deterministic: one
+// (model, scenario, engine, seed) tuple reproduces the trace byte-for-byte.
 ServeTraceResult BuildServeTrace(const ModelConfig& model, const ServeScenario& scenario,
                                  const EngineConfig& engine, uint64_t seed);
 

@@ -57,14 +57,6 @@ struct TrainConfig {
   int num_microbatches = 8;   // per iteration (gradient-accumulation steps)
   int rank = 0;               // simulated pipeline rank, in [0, pp)
   uint64_t seed = 0x5743'4c4c'0c0ffeeull;  // per-iteration randomness (MoE routing)
-
-  void Check() const {
-    STALLOC_CHECK(parallel.tp >= 1 && parallel.pp >= 1 && parallel.dp >= 1 && parallel.ep >= 1);
-    STALLOC_CHECK(rank >= 0 && rank < parallel.pp, << "rank " << rank << " out of range");
-    STALLOC_CHECK(parallel.vpp_chunks >= 1);
-    STALLOC_CHECK(num_microbatches >= 1);
-    STALLOC_CHECK(micro_batch_size >= 1u);
-  }
 };
 
 // The paper's configuration shorthand for Fig. 8 / Fig. 13:

@@ -181,15 +181,41 @@ ExpertSizes ComputeExpertSizes(const ModelConfig& m, uint64_t tokens, uint64_t t
 
 }  // namespace
 
+std::string TrainShapeError(const ModelConfig& model, const TrainConfig& config) {
+  const ParallelConfig& p = config.parallel;
+  if (p.tp < 1 || p.pp < 1 || p.dp < 1 || p.ep < 1 || p.vpp_chunks < 1) {
+    return "parallel degrees (tp/pp/dp/ep/vpp) must all be >= 1";
+  }
+  if (config.micro_batch_size < 1 || config.num_microbatches < 1) {
+    return "microbatch size and count must be >= 1";
+  }
+  if (config.rank < 0 || config.rank >= p.pp) {
+    return "rank " + std::to_string(config.rank) + " out of range [0, pp)";
+  }
+  const int64_t stages = static_cast<int64_t>(p.pp) * p.vpp_chunks;
+  if (model.num_layers % stages != 0) {
+    return model.name + " has " + std::to_string(model.num_layers) +
+           " layers, which do not split evenly over pp x vpp = " + std::to_string(stages);
+  }
+  if (model.moe.enabled() && model.moe.num_experts % p.ep != 0) {
+    return model.name + " has " + std::to_string(model.moe.num_experts) +
+           " experts, which do not split evenly over ep = " + std::to_string(p.ep);
+  }
+  if (p.vpp_chunks > 1 && config.opt.schedule == PipelineSchedule::kGPipe) {
+    return "the GPipe schedule does not interleave virtual chunks (vpp must be 1)";
+  }
+  if (p.vpp_chunks > 1 && config.num_microbatches % p.pp != 0) {
+    return "the interleaved schedule (vpp > 1) needs num_microbatches (" +
+           std::to_string(config.num_microbatches) + ") divisible by pp (" +
+           std::to_string(p.pp) + ")";
+  }
+  return "";
+}
+
 WorkloadBuilder::WorkloadBuilder(ModelConfig model, TrainConfig config)
     : model_(std::move(model)), config_(config) {
-  config_.Check();
-  STALLOC_CHECK(model_.num_layers % (config_.parallel.pp * config_.parallel.vpp_chunks) == 0,
-                << "num_layers must divide evenly into pp*chunks for " << model_.name);
-  if (model_.moe.enabled()) {
-    STALLOC_CHECK(model_.moe.num_experts % config_.parallel.ep == 0,
-                  << "experts must divide evenly over EP");
-  }
+  const std::string error = TrainShapeError(model_, config_);
+  STALLOC_CHECK(error.empty(), << error);
 }
 
 std::vector<int> WorkloadBuilder::LayersOfChunk(int chunk) const {

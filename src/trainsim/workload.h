@@ -37,8 +37,15 @@ struct MemoryEstimate {
   int peak_in_flight = 0;              // schedule-dependent peak live microbatch-chunks
 };
 
+// Why WorkloadBuilder rejects `config` on `model` — a degree, microbatch or rank out of range,
+// layers that do not split evenly over pp x vpp, experts that do not split over ep, or an
+// interleaved schedule whose microbatches do not split over pp — or "" when it accepts it.
+// Arithmetic on the two configs only, so callers can validate shapes before building anything.
+std::string TrainShapeError(const ModelConfig& model, const TrainConfig& config);
+
 class WorkloadBuilder {
  public:
+  // CHECK-fails unless TrainShapeError(model, config) is empty.
   WorkloadBuilder(ModelConfig model, TrainConfig config);
 
   // Generates the trace for one iteration. `iteration_seed` perturbs only the dynamic (MoE)

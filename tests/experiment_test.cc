@@ -1,9 +1,11 @@
-#include "src/driver/experiment.h"
+// The per-device run pipeline through Session::RunOne on the rank axis: profile, plan and
+// replay for the plan kinds, a straight replay for the baselines.
 
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "src/api/session.h"
 #include "src/common/units.h"
 #include "src/driver/replay.h"
 #include "src/trainsim/model_config.h"
@@ -11,19 +13,27 @@
 namespace stalloc {
 namespace {
 
-WorkloadBuilder SmallWorkload(const char* model, const char* tag) {
-  TrainConfig base;
-  base.parallel.pp = 2;
-  base.parallel.dp = 2;
-  base.num_microbatches = 4;
-  base.micro_batch_size = ModelByName(model).moe.enabled() ? 2 : 4;
-  return WorkloadBuilder(ModelByName(model), ApplyConfigTag(base, tag));
+ExperimentSpec SmallSpec(const char* model, const char* tag) {
+  ExperimentSpec spec;
+  spec.model = model;
+  spec.config_tag = tag;
+  spec.train.parallel.pp = 2;
+  spec.train.parallel.dp = 2;
+  spec.train.num_microbatches = 4;
+  spec.train.micro_batch_size = ModelByName(model).moe.enabled() ? 2 : 4;
+  return spec;
+}
+
+ExperimentResult RunRank(ExperimentSpec spec, const char* allocator,
+                         const ExperimentOptions& options = ExperimentOptions{}) {
+  spec.options = options;
+  return *Session().RunOne(spec, allocator).train_rank;
 }
 
 TEST(Experiment, StallocBeatsCachingOnEfficiency) {
-  WorkloadBuilder wb = SmallWorkload("gpt2", "VR");
-  ExperimentResult caching = RunExperiment(wb, "torch-caching");
-  ExperimentResult stalloc = RunExperiment(wb, "stalloc");
+  const ExperimentSpec spec = SmallSpec("gpt2", "VR");
+  ExperimentResult caching = RunRank(spec, "torch-caching");
+  ExperimentResult stalloc = RunRank(spec, "stalloc");
   ASSERT_FALSE(caching.oom);
   ASSERT_FALSE(stalloc.oom);
   EXPECT_GT(stalloc.memory_efficiency, caching.memory_efficiency);
@@ -33,37 +43,37 @@ TEST(Experiment, StallocBeatsCachingOnEfficiency) {
 TEST(Experiment, StallocEfficiencyAbove95OnDenseModels) {
   // §9.2: ">95% (up to 100%) memory efficiency in all cases" for dense models.
   for (const char* tag : {"N", "R", "V", "VR", "ZR", "ZOR"}) {
-    WorkloadBuilder wb = SmallWorkload("gpt2", tag);
-    ExperimentResult r = RunExperiment(wb, "stalloc");
+    const ExperimentSpec spec = SmallSpec("gpt2", tag);
+    ExperimentResult r = RunRank(spec, "stalloc");
     ASSERT_FALSE(r.oom) << tag;
     EXPECT_GT(r.memory_efficiency, 0.95) << "config " << tag;
   }
 }
 
 TEST(Experiment, NativeAllocatorDefinesFeasibility) {
-  WorkloadBuilder wb = SmallWorkload("gpt2", "N");
+  const ExperimentSpec spec = SmallSpec("gpt2", "N");
   ExperimentOptions opt;
   opt.capacity_bytes = 1 * GiB;  // too small for the workload
-  ExperimentResult native = RunExperiment(wb, "native", opt);
+  ExperimentResult native = RunRank(spec, "native", opt);
   EXPECT_TRUE(native.infeasible);
-  ExperimentResult st = RunExperiment(wb, "stalloc", opt);
+  ExperimentResult st = RunRank(spec, "stalloc", opt);
   EXPECT_TRUE(st.infeasible) << "STAlloc profiling must detect theoretical infeasibility";
 }
 
 TEST(Experiment, FragmentationCanCauseOomWhereStallocFits) {
   // Size the device between STAlloc's reserved peak and the caching allocator's: the caching
   // run must OOM while STAlloc completes — the Table 1 effect.
-  WorkloadBuilder wb = SmallWorkload("gpt2", "VR");
-  ExperimentResult caching_big = RunExperiment(wb, "torch-caching");
-  ExperimentResult stalloc_big = RunExperiment(wb, "stalloc");
+  const ExperimentSpec spec = SmallSpec("gpt2", "VR");
+  ExperimentResult caching_big = RunRank(spec, "torch-caching");
+  ExperimentResult stalloc_big = RunRank(spec, "stalloc");
   ASSERT_FALSE(caching_big.oom);
   ASSERT_FALSE(stalloc_big.oom);
   ASSERT_LT(stalloc_big.reserved_peak, caching_big.reserved_peak);
 
   ExperimentOptions tight;
   tight.capacity_bytes = (stalloc_big.reserved_peak + caching_big.reserved_peak) / 2;
-  ExperimentResult caching_tight = RunExperiment(wb, "torch-caching", tight);
-  ExperimentResult stalloc_tight = RunExperiment(wb, "stalloc", tight);
+  ExperimentResult caching_tight = RunRank(spec, "torch-caching", tight);
+  ExperimentResult stalloc_tight = RunRank(spec, "stalloc", tight);
   EXPECT_FALSE(stalloc_tight.oom);
   EXPECT_FALSE(stalloc_tight.infeasible);
   // The caching allocator either OOMs or survives by thrashing: repeatedly releasing cached
@@ -79,12 +89,12 @@ TEST(Experiment, MoeBreakdownMatchesFig13Ordering) {
   // Fig. 13: caching <= STAlloc w/o reuse <= full STAlloc in memory efficiency. The MoE model
   // carries ~130 GiB of per-rank persistent state at pp=2 without ZeRO, so give the device
   // ample capacity — this test is about ordering, not OOM.
-  WorkloadBuilder wb = SmallWorkload("qwen1.5-moe", "R");
+  const ExperimentSpec spec = SmallSpec("qwen1.5-moe", "R");
   ExperimentOptions opt;
   opt.capacity_bytes = 256ull * GiB;
-  ExperimentResult caching = RunExperiment(wb, "torch-caching", opt);
-  ExperimentResult no_reuse = RunExperiment(wb, "stalloc-noreuse", opt);
-  ExperimentResult full = RunExperiment(wb, "stalloc", opt);
+  ExperimentResult caching = RunRank(spec, "torch-caching", opt);
+  ExperimentResult no_reuse = RunRank(spec, "stalloc-noreuse", opt);
+  ExperimentResult full = RunRank(spec, "stalloc", opt);
   ASSERT_FALSE(caching.oom || no_reuse.oom || full.oom);
   EXPECT_GE(no_reuse.memory_efficiency, caching.memory_efficiency - 0.02);
   EXPECT_GE(full.memory_efficiency, no_reuse.memory_efficiency - 1e-9);
@@ -93,9 +103,9 @@ TEST(Experiment, MoeBreakdownMatchesFig13Ordering) {
 
 TEST(Experiment, StallocApiCostIsTiny) {
   // §8: one native allocation for the pool; no device API traffic on the hot path.
-  WorkloadBuilder wb = SmallWorkload("gpt2", "R");
-  ExperimentResult st = RunExperiment(wb, "stalloc");
-  ExperimentResult es = RunExperiment(wb, "torch-expandable");
+  const ExperimentSpec spec = SmallSpec("gpt2", "R");
+  ExperimentResult st = RunRank(spec, "stalloc");
+  ExperimentResult es = RunRank(spec, "torch-expandable");
   ASSERT_FALSE(st.oom || es.oom);
   EXPECT_LT(st.device_api_calls, 64u);
   EXPECT_GT(es.device_api_calls, st.device_api_calls);

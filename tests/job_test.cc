@@ -1,4 +1,5 @@
-#include "src/driver/job.h"
+// Job axis through Session::RunOne: one allocator over every pipeline rank, aggregated with job
+// semantics.
 
 #include <algorithm>
 #include <cstdint>
@@ -6,8 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/api/session.h"
 #include "src/common/units.h"
-#include "src/trainsim/model_config.h"
 
 namespace stalloc {
 namespace {
@@ -21,8 +22,18 @@ TrainConfig SmallConfig() {
   return c;
 }
 
+JobResult RunSmallJob(const char* allocator,
+                      const ExperimentOptions& options = ExperimentOptions{}) {
+  ExperimentSpec spec;
+  spec.axis = WorkloadAxis::kTrainJob;
+  spec.model = "gpt2";
+  spec.train = SmallConfig();
+  spec.options = options;
+  return *Session().RunOne(spec, allocator).job;
+}
+
 TEST(Job, RunsEveryPipelineRank) {
-  JobResult job = RunJob(Gpt2_345M(), SmallConfig(), "torch-caching");
+  JobResult job = RunSmallJob("torch-caching");
   ASSERT_EQ(job.ranks.size(), 2u);
   EXPECT_FALSE(job.oom);
   EXPECT_GT(job.max_reserved, 0u);
@@ -31,7 +42,7 @@ TEST(Job, RunsEveryPipelineRank) {
 }
 
 TEST(Job, WorstMetricsAggregate) {
-  JobResult job = RunJob(Gpt2_345M(), SmallConfig(), "torch-caching");
+  JobResult job = RunSmallJob("torch-caching");
   double min_eff = 1.0;
   uint64_t max_mr = 0;
   uint64_t total = 0;
@@ -49,21 +60,21 @@ TEST(Job, WorstMetricsAggregate) {
 TEST(Job, OomOnAnyRankMarksJob) {
   ExperimentOptions opt;
   opt.capacity_bytes = 1 * GiB;  // too small
-  JobResult job = RunJob(Gpt2_345M(), SmallConfig(), "torch-caching", opt);
+  JobResult job = RunSmallJob("torch-caching", opt);
   EXPECT_TRUE(job.oom);
   EXPECT_NE(job.Summary().find("OOM"), std::string::npos);
 }
 
 TEST(Job, StallocBeatsCachingJobWide) {
-  JobResult torch = RunJob(Gpt2_345M(), SmallConfig(), "torch-caching");
-  JobResult st = RunJob(Gpt2_345M(), SmallConfig(), "stalloc");
+  JobResult torch = RunSmallJob("torch-caching");
+  JobResult st = RunSmallJob("stalloc");
   ASSERT_FALSE(torch.oom || st.oom);
   EXPECT_GE(st.worst_efficiency, torch.worst_efficiency);
   EXPECT_LE(st.total_reserved, torch.total_reserved);
 }
 
 TEST(Job, SummaryFormats) {
-  JobResult job = RunJob(Gpt2_345M(), SmallConfig(), "stalloc");
+  JobResult job = RunSmallJob("stalloc");
   const std::string s = job.Summary();
   EXPECT_NE(s.find("worst E="), std::string::npos);
   EXPECT_NE(s.find("rank"), std::string::npos);

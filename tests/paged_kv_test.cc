@@ -10,8 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/api/session.h"
 #include "src/common/units.h"
-#include "src/driver/experiment.h"
 #include "src/trainsim/model_config.h"
 
 namespace stalloc {
@@ -137,12 +137,12 @@ TEST(PagedKV, StatsTrackInternalFragmentation) {
 TEST(PagedKV, RunsTheTrainingHarnessToo) {
   // paged-kv is a first-class registry kind: the training experiment path must complete (large
   // tensors all take the passthrough).
-  TrainConfig config;
-  config.parallel.pp = 2;
-  config.num_microbatches = 2;
-  config.micro_batch_size = 2;
-  WorkloadBuilder wb(ModelByName("gpt2"), config);
-  ExperimentResult r = RunExperiment(wb, "paged-kv");
+  ExperimentSpec spec;
+  spec.model = "gpt2";
+  spec.train.parallel.pp = 2;
+  spec.train.num_microbatches = 2;
+  spec.train.micro_batch_size = 2;
+  const ExperimentResult r = *Session().RunOne(spec, "paged-kv").train_rank;
   EXPECT_FALSE(r.oom);
   EXPECT_GT(r.memory_efficiency, 0.5);
 }

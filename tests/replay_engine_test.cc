@@ -1,8 +1,8 @@
-// Coverage for src/replay/replay_engine.*: the streaming replay core behind ReplayTrace,
-// RunServeExperiment and the sharded cluster fleet. Exercises global (time, source) op
-// ordering, the two OOM reactions (abort the run / park the source), tenant-gang unwinding via
-// AbortTenant, bounded stepping and precomputable end times. Requeue and rejection live in the
-// fleet and are covered by cluster_test.
+// Coverage for src/replay/replay_engine.*: the streaming replay core behind ReplayTrace
+// (every Session rank, serve and trace-replay run) and the sharded cluster fleet. Exercises
+// global (time, source) op ordering, the two OOM reactions (abort the run / park the source),
+// tenant-gang unwinding via AbortTenant, bounded stepping and precomputable end times. Requeue
+// and rejection live in the fleet and are covered by cluster_test.
 
 #include <cstdint>
 #include <utility>

@@ -2,37 +2,44 @@
 // and the serving-specific shape — the paged-KV pool at home, STAlloc surviving on its fallback
 // path where the static-plan assumption no longer holds.
 
-#include "src/driver/serve_experiment.h"
-
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "src/api/session.h"
 #include "src/common/units.h"
 #include "src/trainsim/model_config.h"
 
 namespace stalloc {
 namespace {
 
-ServeOptions SmallOptions() {
-  ServeOptions opt;
-  opt.base.capacity_bytes = 16ull * GiB;
-  opt.engine.kv_budget_bytes = 2ull * GiB;
-  return opt;
+// A gpt2 serving day of the named preset on a 16 GiB device with a 2 GiB KV budget.
+ExperimentSpec FullSpec(const std::string& scenario) {
+  ExperimentSpec spec;
+  spec.axis = WorkloadAxis::kServing;
+  spec.model = "gpt2";
+  spec.scenario = scenario;
+  spec.options.capacity_bytes = 16ull * GiB;
+  spec.engine.kv_budget_bytes = 2ull * GiB;
+  return spec;
 }
 
-ServeScenario SmallScenario(const char* name) {
-  ServeScenario s = ScenarioByName(name);
-  s.num_requests = s.num_requests / 2;
-  return s;
+// The same day with half the preset's requests.
+ExperimentSpec SmallSpec(const std::string& scenario) {
+  ExperimentSpec spec = FullSpec(scenario);
+  spec.serve_requests = ScenarioByName(scenario).num_requests / 2;
+  return spec;
+}
+
+ServeExperimentResult RunServe(const ExperimentSpec& spec, const std::string& kind) {
+  return *Session().RunOne(spec, kind).serve;
 }
 
 TEST(ServeExperiment, AllKindsCompleteOnEveryPreset) {
-  const ModelConfig model = ModelByName("gpt2");
   for (const std::string& name : ScenarioNames()) {
-    const ServeScenario scenario = SmallScenario(name.c_str());
+    const ExperimentSpec spec = SmallSpec(name);
     for (const std::string& kind : AllocatorRegistry::Global().Names()) {
-      ServeExperimentResult r = RunServeExperiment(model, scenario, kind, SmallOptions());
+      ServeExperimentResult r = RunServe(spec, kind);
       EXPECT_FALSE(r.replay.oom) << name << "/" << kind;
       EXPECT_FALSE(r.replay.infeasible) << name << "/" << kind;
       EXPECT_GT(r.replay.memory_efficiency, 0.5) << name << "/" << kind;
@@ -43,11 +50,10 @@ TEST(ServeExperiment, AllKindsCompleteOnEveryPreset) {
 }
 
 TEST(ServeExperiment, DeterministicAcrossRuns) {
-  const ModelConfig model = ModelByName("gpt2");
-  const ServeScenario scenario = SmallScenario("chat");
+  const ExperimentSpec spec = SmallSpec("chat");
   for (const char* kind : {"torch-caching", "paged-kv"}) {
-    ServeExperimentResult a = RunServeExperiment(model, scenario, kind, SmallOptions());
-    ServeExperimentResult b = RunServeExperiment(model, scenario, kind, SmallOptions());
+    ServeExperimentResult a = RunServe(spec, kind);
+    ServeExperimentResult b = RunServe(spec, kind);
     EXPECT_EQ(a.replay.reserved_peak, b.replay.reserved_peak);
     EXPECT_EQ(a.replay.allocated_peak, b.replay.allocated_peak);
     EXPECT_EQ(a.replay.device_api_calls, b.replay.device_api_calls);
@@ -58,12 +64,9 @@ TEST(ServeExperiment, DeterministicAcrossRuns) {
 
 TEST(ServeExperiment, PagedKvBeatsCachingOnKvHeavyServing) {
   // rag-long is KV-cache dominated; the block pool's zero external fragmentation must show.
-  const ModelConfig model = ModelByName("gpt2");
-  const ServeScenario scenario = SmallScenario("rag-long");
-  ServeExperimentResult paged =
-      RunServeExperiment(model, scenario, "paged-kv", SmallOptions());
-  ServeExperimentResult caching =
-      RunServeExperiment(model, scenario, "torch-caching", SmallOptions());
+  const ExperimentSpec spec = SmallSpec("rag-long");
+  ServeExperimentResult paged = RunServe(spec, "paged-kv");
+  ServeExperimentResult caching = RunServe(spec, "torch-caching");
   ASSERT_FALSE(paged.replay.oom || caching.replay.oom);
   EXPECT_GE(paged.replay.memory_efficiency, caching.replay.memory_efficiency);
 }
@@ -71,9 +74,7 @@ TEST(ServeExperiment, PagedKvBeatsCachingOnKvHeavyServing) {
 TEST(ServeExperiment, StallocFallsBackGracefullyOnServing) {
   // Serving is not iteration-repeatable: the plan covers the weights, the runtime requests take
   // the dynamic/fallback path — STAlloc must complete, with visible fallback traffic.
-  const ModelConfig model = ModelByName("gpt2");
-  ServeExperimentResult r =
-      RunServeExperiment(model, SmallScenario("chat"), "stalloc", SmallOptions());
+  ServeExperimentResult r = RunServe(SmallSpec("chat"), "stalloc");
   ASSERT_FALSE(r.replay.oom);
   const STAllocBreakdown& b = r.replay.breakdown;
   EXPECT_GT(b.dynamic_reuse_hits + b.dynamic_fallbacks, 0u)
@@ -83,23 +84,18 @@ TEST(ServeExperiment, StallocFallsBackGracefullyOnServing) {
 }
 
 TEST(ServeExperiment, NativeDefinesServingFeasibility) {
-  const ModelConfig model = ModelByName("gpt2");
-  ServeOptions tight = SmallOptions();
-  tight.base.capacity_bytes = 1 * GiB;  // weights alone are ~700 MiB; KV does not fit
-  ServeExperimentResult native =
-      RunServeExperiment(model, SmallScenario("chat"), "native", tight);
+  ExperimentSpec tight = SmallSpec("chat");
+  tight.options.capacity_bytes = 1 * GiB;  // weights alone are ~700 MiB; KV does not fit
+  ServeExperimentResult native = RunServe(tight, "native");
   EXPECT_TRUE(native.replay.infeasible);
-  ServeExperimentResult st =
-      RunServeExperiment(model, SmallScenario("chat"), "stalloc", tight);
+  ServeExperimentResult st = RunServe(tight, "stalloc");
   EXPECT_TRUE(st.replay.infeasible) << "STAlloc profiling must detect serving infeasibility";
 }
 
 TEST(ServeExperiment, PreemptionMetricsSurfaceInSummary) {
-  const ModelConfig model = ModelByName("gpt2");
-  ServeOptions opt = SmallOptions();
-  opt.engine.kv_budget_bytes = 1 * GiB;
-  ServeExperimentResult r = RunServeExperiment(model, ScenarioByName("batch-offline"),
-                                               "torch-caching", opt);
+  ExperimentSpec spec = FullSpec("batch-offline");
+  spec.engine.kv_budget_bytes = 1 * GiB;
+  ServeExperimentResult r = RunServe(spec, "torch-caching");
   ASSERT_FALSE(r.replay.oom);
   EXPECT_GT(r.serve.preemptions, 0u);
   const std::string summary = r.Summary();
@@ -110,15 +106,13 @@ TEST(ServeExperiment, PreemptionMetricsSurfaceInSummary) {
 }
 
 TEST(ServeExperiment, PagedBlockSizeDefaultsToWorkloadKvBlock) {
-  const ModelConfig model = ModelByName("gpt2");
-  ServeOptions opt = SmallOptions();
+  const ExperimentSpec spec = SmallSpec("batch-offline");
   // Deliberately mis-sized pool pages: a 4x larger page wastes 3/4 of every KV block.
-  ServeOptions missized = opt;
-  missized.base.allocator_options.paged_block_bytes = 4 * KvBlockBytes(model, opt.engine);
-  ServeExperimentResult fit = RunServeExperiment(model, SmallScenario("batch-offline"),
-                                                 "paged-kv", opt);
-  ServeExperimentResult waste = RunServeExperiment(model, SmallScenario("batch-offline"),
-                                                   "paged-kv", missized);
+  ExperimentSpec missized = spec;
+  missized.options.allocator_options.paged_block_bytes =
+      4 * KvBlockBytes(ModelByName("gpt2"), spec.engine);
+  ServeExperimentResult fit = RunServe(spec, "paged-kv");
+  ServeExperimentResult waste = RunServe(missized, "paged-kv");
   ASSERT_FALSE(fit.replay.oom || waste.replay.oom);
   EXPECT_GT(fit.replay.memory_efficiency, waste.replay.memory_efficiency)
       << "page-granularity mismatch must cost internal fragmentation";

@@ -1,6 +1,6 @@
-// Session/ExperimentSpec: every spec axis must dispatch to the corresponding driver and
-// reproduce its outcome bit-for-bit on identical seeds — the guarantee that rebasing a bench
-// onto the API layer can never change its numbers.
+// Session/ExperimentSpec: every spec axis runs through the session and reproduces a pinned
+// outcome bit-for-bit on identical seeds; the spec shorthands (config tags, repeats) equal the
+// explicit specs they stand for; bad specs fail validation instead of aborting.
 
 #include "src/api/session.h"
 
@@ -19,9 +19,6 @@
 #include "src/cluster/fleet.h"
 #include "src/common/table.h"
 #include "src/common/units.h"
-#include "src/driver/experiment.h"
-#include "src/driver/job.h"
-#include "src/driver/serve_experiment.h"
 #include "src/servesim/request_gen.h"
 #include "src/trace/synthetic.h"
 #include "src/trainsim/model_config.h"
@@ -57,32 +54,6 @@ void ExpectBitIdentical(const ExperimentResult& a, const ExperimentResult& b) {
   EXPECT_EQ(a.Summary(), b.Summary());
 }
 
-TEST(Session, TrainRankMatchesRunExperimentBitForBit) {
-  for (const char* alloc : {"torch-caching", "stalloc"}) {
-    ExperimentSpec spec;
-    spec.axis = WorkloadAxis::kTrainRank;
-    spec.model = "gpt2";
-    spec.train = SmallTrain();
-    spec.train.rank = 1;
-    spec.options = SmallOptions();
-
-    Session session;
-    RunRecord rec = session.RunOne(spec, alloc);
-
-    WorkloadBuilder workload(ModelByName("gpt2"), spec.train);
-    ExperimentResult direct = RunExperiment(workload, alloc, spec.options);
-
-    ASSERT_TRUE(rec.train_rank.has_value()) << alloc;
-    ExpectBitIdentical(*rec.train_rank, direct);
-    // The envelope's common fields mirror the payload exactly.
-    EXPECT_EQ(rec.allocated_peak, direct.allocated_peak) << alloc;
-    EXPECT_EQ(rec.reserved_peak, direct.reserved_peak) << alloc;
-    EXPECT_EQ(rec.memory_efficiency, direct.memory_efficiency) << alloc;
-    EXPECT_EQ(rec.status, RunStatus::kOk) << alloc;
-    EXPECT_EQ(rec.run_seed, spec.options.run_seed) << alloc;
-  }
-}
-
 TEST(Session, ConfigTagMatchesApplyConfigTag) {
   ExperimentSpec spec;
   spec.axis = WorkloadAxis::kTrainRank;
@@ -94,62 +65,13 @@ TEST(Session, ConfigTagMatchesApplyConfigTag) {
   Session session;
   RunRecord rec = session.RunOne(spec, "torch-caching");
 
-  WorkloadBuilder workload(ModelByName("gpt2"), ApplyConfigTag(SmallTrain(), "R"));
-  ExperimentResult direct = RunExperiment(workload, "torch-caching", spec.options);
+  ExperimentSpec explicit_spec = spec;
+  explicit_spec.config_tag.clear();
+  explicit_spec.train = ApplyConfigTag(SmallTrain(), "R");
+  RunRecord direct = session.RunOne(explicit_spec, "torch-caching");
   ASSERT_TRUE(rec.train_rank.has_value());
-  ExpectBitIdentical(*rec.train_rank, direct);
-}
-
-TEST(Session, TrainJobMatchesRunJobBitForBit) {
-  ExperimentSpec spec;
-  spec.axis = WorkloadAxis::kTrainJob;
-  spec.model = "gpt2";
-  spec.train = SmallTrain();
-  spec.options = SmallOptions();
-
-  Session session;
-  RunRecord rec = session.RunOne(spec, "torch-caching");
-
-  JobResult direct = RunJob(ModelByName("gpt2"), spec.train, "torch-caching",
-                            spec.options);
-  ASSERT_TRUE(rec.job.has_value());
-  ASSERT_EQ(rec.job->ranks.size(), direct.ranks.size());
-  for (size_t i = 0; i < direct.ranks.size(); ++i) {
-    ExpectBitIdentical(rec.job->ranks[i], direct.ranks[i]);
-  }
-  EXPECT_EQ(rec.job->Summary(), direct.Summary());
-  EXPECT_EQ(rec.reserved_peak, direct.max_reserved);
-  EXPECT_EQ(rec.memory_efficiency, direct.worst_efficiency);
-}
-
-TEST(Session, ServingMatchesRunServeExperimentBitForBit) {
-  for (const char* alloc : {"paged-kv", "stalloc"}) {
-    ExperimentSpec spec;
-    spec.axis = WorkloadAxis::kServing;
-    spec.model = "gpt2";
-    spec.scenario = "chat";
-    spec.serve_requests = 24;
-    spec.options = SmallOptions();
-    spec.engine.kv_budget_bytes = 2ull * GiB;
-
-    Session session;
-    RunRecord rec = session.RunOne(spec, alloc);
-
-    ServeScenario scenario = ScenarioByName("chat");
-    scenario.num_requests = 24;
-    ServeOptions serve_options;
-    serve_options.base = spec.options;
-    serve_options.engine = spec.engine;
-    ServeExperimentResult direct =
-        RunServeExperiment(ModelByName("gpt2"), scenario, alloc, serve_options);
-
-    ASSERT_TRUE(rec.serve.has_value()) << alloc;
-    ExpectBitIdentical(rec.serve->replay, direct.replay);
-    EXPECT_EQ(rec.serve->trace_events, direct.trace_events) << alloc;
-    EXPECT_EQ(rec.serve->serve.preemptions, direct.serve.preemptions) << alloc;
-    EXPECT_EQ(rec.serve->serve.tokens_generated, direct.serve.tokens_generated) << alloc;
-    EXPECT_EQ(rec.serve->Summary(), direct.Summary()) << alloc;
-  }
+  ASSERT_TRUE(direct.train_rank.has_value());
+  ExpectBitIdentical(*rec.train_rank, *direct.train_rank);
 }
 
 TEST(Session, ClusterMatchesRunClusterBitForBit) {
@@ -209,12 +131,12 @@ TEST(Session, RepeatBumpsRunSeedOnly) {
   EXPECT_EQ(r1.run_seed, spec.options.run_seed + 1);
   EXPECT_EQ(r1.profile_seed, spec.options.profile_seed);
 
-  ExperimentOptions bumped = spec.options;
-  bumped.run_seed += 1;
-  WorkloadBuilder workload(ModelByName("qwen1.5-moe"), spec.train);
-  ExperimentResult direct = RunExperiment(workload, "torch-caching", bumped);
+  ExperimentSpec bumped = spec;
+  bumped.options.run_seed += 1;
+  RunRecord direct = session.RunOne(bumped, "torch-caching");
   ASSERT_TRUE(r1.train_rank.has_value());
-  ExpectBitIdentical(*r1.train_rank, direct);
+  ASSERT_TRUE(direct.train_rank.has_value());
+  ExpectBitIdentical(*r1.train_rank, *direct.train_rank);
 }
 
 TEST(Session, RunCoversAllocatorsTimesRepeats) {
@@ -315,6 +237,47 @@ TEST(Session, ValidateRejectsBadSpecs) {
     c.train_fraction = 0;
   }));
   EXPECT_FALSE(bad_cluster([](ClusterWorkloadConfig& c) { c.train_fraction = 1; }));
+
+  // Training shapes the workload builder cannot split must fail here too: layers over pp x vpp
+  // (gpt2 has 24 layers), interleaved microbatches over pp, experts over ep.
+  const auto bad_train = [&](WorkloadAxis axis, const char* model, const char* tag, int pp,
+                             int ep) {
+    ExperimentSpec s;
+    s.axis = axis;
+    s.model = model;
+    s.config_tag = tag;
+    s.train.parallel.pp = pp;
+    s.train.parallel.ep = ep;
+    return !Session::Validate(s, &error);
+  };
+  EXPECT_TRUE(bad_train(WorkloadAxis::kTrainRank, "gpt2", "", 5, 1));
+  EXPECT_NE(error.find("layers"), std::string::npos) << error;
+  EXPECT_TRUE(bad_train(WorkloadAxis::kTrainJob, "gpt2", "", 7, 1));
+  EXPECT_TRUE(bad_train(WorkloadAxis::kTrainRank, "gpt2", "V", 3, 1));
+  EXPECT_NE(error.find("divisible by pp"), std::string::npos) << error;
+  EXPECT_TRUE(bad_train(WorkloadAxis::kTrainRank, "qwen1.5-moe", "", 1, 7));
+  EXPECT_NE(error.find("experts"), std::string::npos) << error;
+  EXPECT_FALSE(bad_train(WorkloadAxis::kTrainRank, "gpt2", "", 3, 1));
+  EXPECT_FALSE(bad_train(WorkloadAxis::kTrainJob, "gpt2", "V", 4, 1));
+  EXPECT_FALSE(bad_train(WorkloadAxis::kTrainRank, "qwen1.5-moe", "", 1, 4));
+
+  // Serving-engine shapes BuildServeTrace cannot run: an empty batch, a KV budget below one
+  // block.
+  const auto bad_engine = [&](auto mutate) {
+    ExperimentSpec s;
+    s.axis = WorkloadAxis::kServing;
+    mutate(s.engine);
+    return !Session::Validate(s, &error);
+  };
+  EXPECT_TRUE(bad_engine([](EngineConfig& e) { e.max_batch = 0; }));
+  EXPECT_TRUE(bad_engine([](EngineConfig& e) { e.max_batch = -1; }));
+  EXPECT_TRUE(bad_engine([](EngineConfig& e) { e.kv_block_tokens = 0; }));
+  EXPECT_TRUE(bad_engine([](EngineConfig& e) { e.kv_budget_bytes = 1 * KiB; }));
+  EXPECT_NE(error.find("KV budget"), std::string::npos) << error;
+  EXPECT_FALSE(bad_engine([](EngineConfig& e) { e.max_batch = 1; }));
+  EXPECT_FALSE(bad_engine([](EngineConfig& e) {
+    e.kv_budget_bytes = KvBlockBytes(ModelByName("gpt2"), e);
+  }));
 
   // And the defaults are valid for every axis.
   for (WorkloadAxis axis : AllWorkloadAxes()) {

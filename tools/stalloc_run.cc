@@ -240,7 +240,8 @@ int main(int argc, char** argv) {
   // `--config V` owns vpp_chunks unless the user pinned it explicitly (mirrors stalloc_trace_gen).
   // The tag is validated up front: ApplyConfigTag CHECK-aborts on typos, Validate does not.
   if (!spec.config_tag.empty() && flags.Seen("--vpp")) {
-    ExperimentSpec tag_probe = spec;
+    ExperimentSpec tag_probe;  // a default spec, so only the tag itself is checked
+    tag_probe.config_tag = spec.config_tag;
     std::string tag_error;
     if (!Session::Validate(tag_probe, &tag_error)) {
       std::fprintf(stderr, "invalid spec: %s\n", tag_error.c_str());
