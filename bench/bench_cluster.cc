@@ -20,6 +20,7 @@
 //                 [--scale-devices N] [--scale-jobs N] [--workers N,N,...]
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -335,7 +336,15 @@ int main(int argc, char** argv) {
   }
   std::vector<int> worker_counts;
   for (const std::string& w : worker_list) {
-    worker_counts.push_back(std::atoi(w.c_str()));
+    ExperimentSpec probe;  // each count goes through the spec validator before any thread starts
+    probe.axis = WorkloadAxis::kCluster;
+    const auto [end, ec] = std::from_chars(w.data(), w.data() + w.size(), probe.workers);
+    std::string error = "'" + w + "' is not an integer";
+    if (ec != std::errc() || end != w.data() + w.size() || !Session::Validate(probe, &error)) {
+      std::fprintf(stderr, "--workers: %s\n", error.c_str());
+      return 2;
+    }
+    worker_counts.push_back(probe.workers);
   }
   if (worker_counts.empty()) {
     worker_counts = {0, 4};

@@ -386,8 +386,13 @@ bool Session::Validate(const ExperimentSpec& spec, std::string* error) {
     if (spec.oom_retries < 0) {
       return fail("oom_retries must be >= 0");
     }
-    if (spec.workers < 0) {
-      return fail("workers must be >= 0");
+    if (!spec.device_capacities.empty() &&
+        spec.device_capacities.size() != static_cast<size_t>(spec.devices)) {
+      return fail(StrFormat("%zu device capacities for a %d-device fleet",
+                            spec.device_capacities.size(), spec.devices));
+    }
+    if (spec.workers < 0 || spec.workers > kMaxWorkers) {
+      return fail(StrFormat("workers must be in [0, %d]", kMaxWorkers));
     }
     // Mirror GenerateClusterWorkload's checks so shape typos fail here instead of aborting.
     const ClusterWorkloadConfig& c = spec.cluster;
@@ -407,9 +412,28 @@ bool Session::Validate(const ExperimentSpec& spec, std::string* error) {
       return fail("cluster config tag, micro-batch and serving scenario lists must be non-empty");
     }
   }
+  if (!spec.device_capacities.empty() && spec.axis != WorkloadAxis::kCluster) {
+    return fail("a per-device capacity list only applies to the cluster axis");
+  }
   if (!spec.trace_file.empty() && spec.axis != WorkloadAxis::kTrainRank) {
     return fail("trace-file replay is only supported on the rank axis");
   }
+  return true;
+}
+
+bool PinVppOverConfigTag(ExperimentSpec* spec, std::string* error) {
+  if (spec->config_tag.empty()) {
+    return true;
+  }
+  ExperimentSpec tag_probe;  // a default spec, so only the tag itself is checked
+  tag_probe.config_tag = spec->config_tag;
+  if (!Session::Validate(tag_probe, error)) {
+    return false;
+  }
+  const int pinned = spec->train.parallel.vpp_chunks;
+  spec->train = ApplyConfigTag(spec->train, spec->config_tag);
+  spec->train.parallel.vpp_chunks = pinned;
+  spec->config_tag.clear();
   return true;
 }
 
@@ -571,8 +595,11 @@ RunRecord Session::RunClusterJobs(const ExperimentSpec& spec, const std::string&
   rec.capacity_bytes = spec.options.capacity_bytes;
 
   FleetConfig fleet;
-  fleet.device_capacities.assign(static_cast<size_t>(spec.devices),
-                                 spec.options.capacity_bytes);
+  fleet.device_capacities = spec.device_capacities;
+  if (fleet.device_capacities.empty()) {
+    fleet.device_capacities.assign(static_cast<size_t>(spec.devices),
+                                   spec.options.capacity_bytes);
+  }
   fleet.allocator = allocator;
   fleet.policy = SchedulerPolicyByName(spec.policy);
   fleet.max_oom_retries = spec.oom_retries;

@@ -53,6 +53,11 @@ class Session {
   TraceCursor replay_;  // valid() once a replay trace is set
 };
 
+// Folds spec->config_tag into spec->train but keeps train.parallel.vpp_chunks as given, so an
+// explicit --vpp wins over the tag's own choice. Returns false and fills `error` on an unknown
+// tag (ApplyConfigTag would abort on it); the rest of the spec is left to Validate.
+bool PinVppOverConfigTag(ExperimentSpec* spec, std::string* error);
+
 }  // namespace stalloc
 
 #endif  // SRC_API_SESSION_H_

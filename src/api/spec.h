@@ -110,6 +110,10 @@ struct ServeExperimentResult {
   std::string Summary() const;
 };
 
+// Ceiling on ExperimentSpec::workers: each worker is an OS thread, and no fleet here gains
+// from more.
+constexpr int kMaxWorkers = 256;
+
 struct ExperimentSpec {
   WorkloadAxis axis = WorkloadAxis::kTrainRank;
   std::string model = "gpt2";  // preset name (ModelByName)
@@ -134,10 +138,13 @@ struct ExperimentSpec {
   // above overrides cluster.model so the spec has a single model knob.
   ClusterWorkloadConfig cluster;
   std::string policy = "plan-aware";  // scheduler policy name (SchedulerPolicyByName)
-  int devices = 4;                    // fleet size; every device gets options.capacity_bytes
+  int devices = 4;                    // fleet size
+  // Per-device capacities, one entry per device (size must equal `devices`); empty gives every
+  // device options.capacity_bytes.
+  std::vector<uint64_t> device_capacities;
   int oom_retries = 1;                // requeues after a runtime OOM before rejecting
-  int workers = 0;                    // parallel shard-stepping threads (0/1 = serial);
-                                      // results are bit-identical across worker counts
+  int workers = 0;                    // parallel device-stepping threads (0/1 = serial, at most
+                                      // kMaxWorkers); results are bit-identical across counts
 
   // --- allocator set: registry names, each run independently ---
   std::vector<std::string> allocators = {"torch-caching"};

@@ -7,11 +7,11 @@
 // job becomes one tenant gang of the unified replay engine (src/replay/replay_engine.h) — one
 // source per pipeline rank, feeding its device's shared allocator — with co-located sources
 // interleaved in time order, so co-located jobs contend for the same address space. Execution
-// is windowed and shard-parallel (src/cluster/sharded_fleet.cc): devices are partitioned into
-// shards that replay independently between scheduler boundaries, and a failed malloc parks the
-// tenant until the next boundary, where it is unwound (every rank's live blocks freed, claims
-// released) and re-admitted up to max_oom_retries times before rejection — the discipline of
-// production schedulers. Results are bit-identical across worker counts and shardings.
+// is windowed and device-parallel (src/cluster/fleet.cc): every device replays on its own
+// engine between scheduler boundaries, and a failed malloc parks the tenant until the next
+// boundary, where it is unwound (every rank's live blocks freed, claims released) and
+// re-admitted up to max_oom_retries times before rejection — the discipline of production
+// schedulers. Results are bit-identical across worker counts.
 //
 // STAlloc itself cannot be the *device* allocator here: its static plan is synthesized per job
 // trace, not per device, and a shared pool across unrelated tenants has no plan to follow.
@@ -29,7 +29,6 @@
 #include "src/allocators/registry.h"
 #include "src/cluster/cluster_workload.h"
 #include "src/cluster/scheduler.h"
-#include "src/metrics/throughput_model.h"
 
 namespace stalloc {
 
@@ -39,17 +38,11 @@ struct FleetConfig {
   SchedulerPolicy policy = SchedulerPolicy::kFirstFit;
   int max_oom_retries = 1;        // requeues after a runtime OOM before rejecting
   uint64_t profile_seed = 1001;   // plan-aware profiling seed (differs from job run seeds)
-  GpuSpec gpu = GpuSpec::A800();  // feeds the serving SLO latency model
-  double slo_slack_factor = 3.0;  // SLO bound = slack * ideal request latency
   AllocatorOptions allocator_options;  // per-allocator overrides for every device allocator
 
-  // Parallel execution. Results are bit-identical for every workers/shards/assignment choice
-  // (see sharded_fleet.cc); these knobs only trade wall-clock time.
-  int workers = 0;  // threads stepping shards in parallel; <= 1 runs serially, same code path
-  int shards = 0;   // device shards; 0 = one shard per device, else devices round-robin
-  // Explicit device -> shard map (size must equal device_capacities); overrides `shards`.
-  // Mainly for the determinism stress tests.
-  std::vector<int> shard_assignment;
+  // Threads stepping devices in parallel; <= 1 runs serially through the same code path.
+  // Results are bit-identical for every worker count: this only trades wall-clock time.
+  int workers = 0;
 };
 
 enum class JobStatus : uint8_t {

@@ -1,6 +1,6 @@
 // WorkerPool: a persistent thread pool exposing one primitive, ParallelFor(n, fn) — run
 // fn(0..n-1) across the pool's threads and block until all n indices completed. Built for the
-// sharded fleet's window loop, which fans the same shard set out thousands of times: threads
+// fleet's window loop, which fans the same device set out thousands of times: threads
 // are spawned once and parked between calls, so a ParallelFor costs two condition-variable
 // round trips instead of thread churn.
 //

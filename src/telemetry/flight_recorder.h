@@ -5,7 +5,7 @@
 // that its own driving thread appends to — single-writer, no locking, a few stores per op.
 // When an allocation fails, the allocator assembles an OomReport (failing size, occupancy,
 // cumulative stats, the ring's recent ops) and hands it to the process-wide FlightRecorder,
-// which is mutex-guarded because shards OOM concurrently. Session::RunOne drains the recorder
+// which is mutex-guarded because fleet devices OOM concurrently. Session::RunOne drains the recorder
 // after each run and serializes the reports into the RunRecord envelope ("oom_flight").
 
 #ifndef SRC_TELEMETRY_FLIGHT_RECORDER_H_

@@ -14,7 +14,7 @@
 //   * per-allocator trigger state (sequence counter, last phase, peak watermark, tag ledger)
 //     lives in AllocatorBase, lazily created on the first op while the recorder is armed, so
 //     disabled runs never pay for it;
-//   * snapshots are handed to the process-wide HeapMapRecorder (mutex-guarded: sharded fleets
+//   * snapshots are handed to the process-wide HeapMapRecorder (mutex-guarded: parallel fleets
 //     snapshot from worker threads); Drain() sorts by (allocator label, seq) so the timeline
 //     is bit-identical across worker counts;
 //   * everything sits behind the same STALLOC_TELEMETRY compile-time + runtime gate as the
@@ -123,7 +123,7 @@ struct HeapMapConfig {
   uint64_t max_snapshots_per_allocator = 64;
 };
 
-// Process-wide snapshot collector. Thread-safe: sharded fleets snapshot device allocators
+// Process-wide snapshot collector. Thread-safe: parallel fleets snapshot device allocators
 // from worker threads concurrently.
 class HeapMapRecorder {
  public:

@@ -2,7 +2,7 @@
 //
 // Design points:
 //   * updates are single relaxed atomic RMWs — safe from any thread, including the WorkerPool
-//     threads driving sharded replay, with no lock on the hot path;
+//     threads driving parallel fleet replay, with no lock on the hot path;
 //   * instruments are never deallocated once registered (Reset() zeroes values in place), so
 //     call sites may cache the returned Counter*/Gauge*/Histogram* in a function-local static
 //     and skip the registry map lookup on every subsequent op;

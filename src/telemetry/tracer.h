@@ -5,8 +5,8 @@
 //   every emitting thread owns exactly one TraceTrack (created on first use, cached in a
 //   thread_local), so pushes are plain stores with no atomics or locks. Subsystem identity
 //   travels in the event's category ("session", "scheduler", "shard", "replay", "alloc",
-//   "planner", "fleet") rather than in track identity, because the sharded fleet migrates work
-//   across WorkerPool threads: one shard's windows may run on different threads over time, and
+//   "planner", "fleet") rather than in track identity, because the fleet migrates work across
+//   WorkerPool threads: one device's windows may run on different threads over time, and
 //   plan-aware admission synthesizes plans on pool threads. Perfetto groups by category fine.
 //
 // Ring semantics: each track keeps the most recent `capacity` events; older events are

@@ -468,7 +468,7 @@ using Perturbation = std::pair<const char*, std::function<void(ClusterJob&)>>;
 // plan. Fields the estimate does not read must share the base plan.
 TEST(Fleet, EveryKeyedFieldSeparatesPlans) {
   // Census of the keyed structs: a new field breaks these bindings. Give it a perturbation
-  // below and a place in the estimate key (src/cluster/sharded_fleet.cc), then extend them.
+  // below and a place in the estimate key (src/cluster/fleet.cc), then extend them.
   [[maybe_unused]] const auto& [parallel, opt, micro_batch_size, num_microbatches, rank, seed] =
       TrainConfig{};
   [[maybe_unused]] const auto& [tp, pp, dp, ep, vpp_chunks] = ParallelConfig{};

@@ -117,6 +117,32 @@ TEST(Session, ClusterMatchesRunClusterBitForBit) {
   EXPECT_EQ(rec.slo_attainment, direct.serve_slo_attainment);
 }
 
+// A per-device capacity list builds exactly the fleet RunCluster gets from the same list.
+TEST(Session, ClusterCapacityListMatchesRunCluster) {
+  ExperimentSpec spec;
+  spec.axis = WorkloadAxis::kCluster;
+  spec.devices = 2;
+  spec.device_capacities = {16 * GiB, 5 * GiB};
+  spec.policy = "first-fit";
+  spec.options.run_seed = 7;
+  spec.cluster.num_jobs = 4;
+  spec.cluster.serve_requests = 16;
+
+  Session session;
+  const RunRecord rec = session.RunOne(spec, "torch-caching");
+
+  FleetConfig fleet;
+  fleet.device_capacities = {16 * GiB, 5 * GiB};
+  fleet.policy = SchedulerPolicy::kFirstFit;
+  fleet.allocator = "torch-caching";
+  const ClusterResult direct = RunCluster(fleet, GenerateClusterWorkload(spec.cluster, 7));
+
+  ASSERT_TRUE(rec.cluster.has_value());
+  EXPECT_EQ(rec.cluster->Digest(), direct.Digest());
+  ASSERT_EQ(rec.cluster->devices.size(), 2u);
+  EXPECT_EQ(rec.cluster->devices[1].capacity, 5 * GiB);
+}
+
 TEST(Session, RepeatBumpsRunSeedOnly) {
   ExperimentSpec spec;
   spec.axis = WorkloadAxis::kTrainRank;
@@ -237,6 +263,26 @@ TEST(Session, ValidateRejectsBadSpecs) {
     c.train_fraction = 0;
   }));
   EXPECT_FALSE(bad_cluster([](ClusterWorkloadConfig& c) { c.train_fraction = 1; }));
+
+  // Fleet shape: a capacity list names every device, and only the cluster axis has devices.
+  spec = ExperimentSpec{};
+  spec.axis = WorkloadAxis::kCluster;
+  spec.devices = 2;
+  spec.device_capacities = {16 * GiB, 16 * GiB, 24 * GiB};
+  EXPECT_FALSE(Session::Validate(spec, &error));
+  EXPECT_NE(error.find("2-device"), std::string::npos) << error;
+  spec.devices = 3;
+  EXPECT_TRUE(Session::Validate(spec, &error)) << error;
+  spec.axis = WorkloadAxis::kTrainRank;
+  EXPECT_FALSE(Session::Validate(spec, &error));
+
+  // Each worker is a thread: a huge count is refused before any starts.
+  spec = ExperimentSpec{};
+  spec.axis = WorkloadAxis::kCluster;
+  spec.workers = 257;
+  EXPECT_FALSE(Session::Validate(spec, &error));
+  spec.workers = 256;
+  EXPECT_TRUE(Session::Validate(spec, &error)) << error;
 
   // Training shapes the workload builder cannot split must fail here too: layers over pp x vpp
   // (gpt2 has 24 layers), interleaved microbatches over pp, experts over ep.

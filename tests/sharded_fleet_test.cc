@@ -1,11 +1,11 @@
-// The determinism harness for the sharded parallel fleet (src/cluster/sharded_fleet.cc).
+// The determinism harness for the device-parallel fleet (src/cluster/fleet.cc).
 //
 // The contract under test: RunCluster's ClusterResult is bit-identical — every utilization and
 // fragmentation integral, queue-wait percentile, SLO attainment, per-device OOM count and
-// per-job outcome — no matter how many workers step the shards or how devices are assigned to
-// them. The comparison runs through ClusterResult::Digest(), which hashes doubles by bit
-// pattern, so even a one-ULP divergence fails. A serial golden digest is pinned first so a
-// refactor that perturbs serial behavior fails loudly before any parallel comparison runs.
+// per-job outcome — no matter how many workers step the devices. The comparison runs through
+// ClusterResult::Digest(), which hashes doubles by bit pattern, so even a one-ULP divergence
+// fails. A serial golden digest is pinned first so a refactor that perturbs serial behavior
+// fails loudly before any parallel comparison runs.
 
 #include <cstdint>
 #include <set>
@@ -95,23 +95,6 @@ TEST(ShardedFleet, BitIdenticalAcrossWorkerCountsOnEveryPolicy) {
   }
 }
 
-// Shard topology must not matter either: one mega-shard, a few round-robin shards, one shard
-// per device and a hand-scrambled assignment all reproduce the serial digest.
-TEST(ShardedFleet, BitIdenticalAcrossShardTopologies) {
-  const auto jobs = GenerateClusterWorkload(SmallMixedWorkload(), 9);
-  const std::vector<uint64_t> caps = {16 * GiB, 16 * GiB, 16 * GiB, 16 * GiB};
-  const std::string want =
-      RunCluster(Fleet(SchedulerPolicy::kBestFit, caps, 0), jobs).Digest();
-  for (int shards : {1, 2, 3}) {
-    FleetConfig fleet = Fleet(SchedulerPolicy::kBestFit, caps, 2);
-    fleet.shards = shards;
-    EXPECT_EQ(RunCluster(fleet, jobs).Digest(), want) << "shards=" << shards;
-  }
-  FleetConfig scrambled = Fleet(SchedulerPolicy::kBestFit, caps, 4);
-  scrambled.shard_assignment = {2, 0, 2, 1};  // uneven, out of order, shard 2 owns two devices
-  EXPECT_EQ(RunCluster(scrambled, jobs).Digest(), want);
-}
-
 // Determinism is easiest to break on the OOM path (parked sources, deferred unwinds, requeue
 // ordering), so force it: a tight two-device fleet where pipelined training jobs OOM, requeue
 // and get rejected. The digests must still agree — and the scenario must actually exercise
@@ -162,7 +145,7 @@ TEST(ShardedFleet, BitIdenticalUnderOomPressure) {
 }
 
 // Colliding submit ticks (min_interarrival = 0) are exactly where a sloppy event merge would
-// tie-break on shard or thread order; the (submit_time, id) total order must hold instead.
+// tie-break on device or thread order; the (submit_time, id) total order must hold instead.
 TEST(ShardedFleet, CollidingSubmitTimesStayDeterministic) {
   ClusterWorkloadConfig wl = SmallMixedWorkload();
   wl.num_jobs = 8;
@@ -189,9 +172,9 @@ TEST(ShardedFleet, CollidingSubmitTimesStayDeterministic) {
 }
 
 // Seeded randomized stress: random workloads (ties allowed), random tight-ish fleets, random
-// policies, and for each a random worker count plus a random shard assignment, all pinned
-// against the serial run of the same inputs.
-TEST(ShardedFleet, RandomizedWorkerAndShardAssignmentStress) {
+// policies, and for each a random worker count, all pinned against the serial run of the same
+// inputs.
+TEST(ShardedFleet, RandomizedWorkerCountStress) {
   Rng rng(123);
   for (int round = 0; round < 4; ++round) {
     ClusterWorkloadConfig wl = SmallMixedWorkload();
@@ -211,11 +194,7 @@ TEST(ShardedFleet, RandomizedWorkerAndShardAssignmentStress) {
     FleetConfig serial = Fleet(policy, caps, 0);
     const ClusterResult base = RunCluster(serial, jobs);
 
-    FleetConfig fleet = Fleet(policy, caps, 2 + static_cast<int>(rng.NextBelow(7)));
-    fleet.shard_assignment.clear();
-    for (size_t d = 0; d < num_devices; ++d) {
-      fleet.shard_assignment.push_back(static_cast<int>(rng.NextBelow(num_devices)));
-    }
+    const FleetConfig fleet = Fleet(policy, caps, 2 + static_cast<int>(rng.NextBelow(7)));
     const ClusterResult parallel = RunCluster(fleet, jobs);
     EXPECT_EQ(parallel.Digest(), base.Digest())
         << "round " << round << " workers=" << fleet.workers << "\nserial:   " << base.Summary()

@@ -1,10 +1,10 @@
-// Thread-safety coverage for the sharded fleet's concurrency model. The invariant is
-// shard-confinement, not locking: each worker thread owns its shard's devices, allocators,
-// replay engine and observer outright between scheduler boundaries, so AllocatorBase's
-// unguarded counters and ReplayObserver callbacks are safe exactly because no two threads ever
-// touch the same shard. These tests drive that model hard — per-shard replay over a WorkerPool,
-// full RunCluster calls racing each other — and are the payload of the STALLOC_SANITIZE=thread
-// CI job: any cross-thread leak in the shard partitioning shows up as a TSan report here.
+// Thread-safety coverage for the fleet's concurrency model. The invariant is device
+// confinement, not locking: the worker thread stepping a device owns its allocator, replay
+// engine and observer outright between scheduler boundaries, so AllocatorBase's unguarded
+// counters and ReplayObserver callbacks are safe exactly because no two threads ever touch the
+// same device. These tests drive that model hard — per-shard replay over a WorkerPool, full
+// RunCluster calls racing each other — and are the payload of the STALLOC_SANITIZE=thread CI
+// job: any cross-thread leak between devices shows up as a TSan report here.
 
 #include <atomic>
 #include <cstdint>

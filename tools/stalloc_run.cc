@@ -6,10 +6,13 @@
 //   stalloc_run --axis job --model llama2-7b --config R --pp 2 --alloc stalloc --capacity 80G
 //   stalloc_run --axis serve --scenario chat --alloc paged-kv,stalloc --capacity 16G --json -
 //   stalloc_run --axis cluster --devices 4 --capacity 16G --policy plan-aware --jobs 10
+//   stalloc_run --axis cluster --capacity 16G,16G,24G --policy best-fit --jobs 12 --run-seed 7
 //   stalloc_run --list-allocs | --list-axes | --list-models | --list-scenarios | --list-policies
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/api/report.h"
@@ -67,6 +70,40 @@ TextTable RecordTable(WorkloadAxis axis, const std::vector<RunRecord>& records) 
   return table;
 }
 
+// The cluster day in detail: one row per job, then one per device.
+void PrintClusterDay(ReportSink& sink, const ClusterResult& day) {
+  TextTable job_table({"job", "type", "submit", "status", "wait", "tries", "estimate",
+                       "actual peak", "devices", "SLO"});
+  for (const JobOutcome& o : day.jobs) {
+    std::string devices;
+    for (int d : o.devices) {
+      devices += (devices.empty() ? "" : ",") + std::to_string(d);
+    }
+    job_table.AddRow(
+        {StrFormat("%llu", static_cast<unsigned long long>(o.id)), ClusterJobTypeName(o.type),
+         StrFormat("%llu", static_cast<unsigned long long>(o.submit_time)), JobStatusName(o.status),
+         StrFormat("%.0f", o.queue_wait), StrFormat("%d", o.attempts),
+         FormatBytes(o.estimate), o.attempts > 0 ? FormatBytes(o.actual_peak) : "-",
+         devices.empty() ? "-" : devices,
+         o.slo_attainment >= 0 ? StrFormat("%.2f", o.slo_attainment) : "-"});
+  }
+  sink.Print(job_table);
+
+  TextTable dev_table({"device", "capacity", "peak used", "avg util (%)", "ext frag (%)",
+                       "E (%)", "ranks", "ooms", "API calls"});
+  for (size_t d = 0; d < day.devices.size(); ++d) {
+    const DeviceMetrics& m = day.devices[d];
+    dev_table.AddRow({StrFormat("%zu", d), FormatBytes(m.capacity), FormatBytes(m.peak_used),
+                      StrFormat("%.1f", m.avg_utilization * 100.0),
+                      StrFormat("%.1f", m.avg_external_frag * 100.0),
+                      StrFormat("%.1f", m.memory_efficiency * 100.0),
+                      StrFormat("%llu", static_cast<unsigned long long>(m.placements)),
+                      StrFormat("%llu", static_cast<unsigned long long>(m.oom_events)),
+                      StrFormat("%llu", static_cast<unsigned long long>(m.device_api_calls))});
+  }
+  sink.Print(dev_table);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -79,7 +116,7 @@ int main(int argc, char** argv) {
   std::string heapmap_path;
   uint64_t heapmap_every = 0;
   std::vector<std::string> allocators;
-  uint64_t capacity = spec.options.capacity_bytes;
+  std::vector<uint64_t> capacities = {spec.options.capacity_bytes};
   uint64_t kv_budget = spec.engine.kv_budget_bytes;
   bool list_allocs = false, list_axes = false, list_models = false, list_scenarios = false,
        list_policies = false;
@@ -91,8 +128,9 @@ int main(int argc, char** argv) {
   flags.Add("--model", &spec.model, "NAME", "model preset (see --list-models)");
   flags.AddList("--alloc", &allocators, "NAME[,NAME...]",
                 "allocator set (see --list-allocs); default torch-caching");
-  flags.AddBytes("--capacity", &capacity, "BYTES",
-                 "device capacity, suffixes K/M/G (cluster: per device)");
+  flags.AddBytesList("--capacity", &capacities, "BYTES[,BYTES...]",
+                     "device capacity, suffixes K/M/G (cluster: per device; a comma list builds "
+                     "one device per entry)");
   flags.Add("--run-seed", &spec.options.run_seed, "N", "run-trace seed (repeat r adds r)");
   flags.Add("--profile-seed", &spec.options.profile_seed, "N", "STAlloc profiling seed");
   flags.Add("--repeats", &spec.repeats, "N", "repeats per allocator; repeat r uses run-seed+r");
@@ -126,7 +164,8 @@ int main(int argc, char** argv) {
             "cluster fraction of training jobs");
   flags.Add("--retries", &spec.oom_retries, "N", "cluster requeues after an OOM");
   flags.Add("--workers", &spec.workers, "N",
-            "cluster shard-stepping threads (bit-identical results; 0/1 = serial)");
+            "cluster device-stepping threads, at most 256 (bit-identical results; 0/1 = "
+            "serial)");
   // Output + listings.
   flags.Add("--json", &json_path, "FILE", "machine-readable report ('-' = stdout)");
   flags.Add("--trace", &trace_path, "FILE",
@@ -232,29 +271,24 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  spec.options.capacity_bytes = capacity;
+  // A comma list builds one cluster device per entry (Validate rejects it on other axes, or
+  // when an explicit --devices disagrees) and the record's capacity is its largest entry; a
+  // single value sizes every device.
+  if (capacities.size() > 1) {
+    spec.device_capacities = capacities;
+    if (!flags.Seen("--devices")) {
+      spec.devices = static_cast<int>(capacities.size());
+    }
+  }
+  spec.options.capacity_bytes = *std::max_element(capacities.begin(), capacities.end());
   spec.engine.kv_budget_bytes = kv_budget;
   if (!allocators.empty()) {
     spec.allocators = allocators;
   }
-  // `--config V` owns vpp_chunks unless the user pinned it explicitly (mirrors stalloc_trace_gen).
-  // The tag is validated up front: ApplyConfigTag CHECK-aborts on typos, Validate does not.
-  if (!spec.config_tag.empty() && flags.Seen("--vpp")) {
-    ExperimentSpec tag_probe;  // a default spec, so only the tag itself is checked
-    tag_probe.config_tag = spec.config_tag;
-    std::string tag_error;
-    if (!Session::Validate(tag_probe, &tag_error)) {
-      std::fprintf(stderr, "invalid spec: %s\n", tag_error.c_str());
-      return 2;
-    }
-    const int pinned = spec.train.parallel.vpp_chunks;
-    spec.train = ApplyConfigTag(spec.train, spec.config_tag);
-    spec.train.parallel.vpp_chunks = pinned;
-    spec.config_tag.clear();
-  }
-
+  // The config tag owns vpp_chunks unless --vpp pins it (as in stalloc_trace_gen).
   std::string error;
-  if (!Session::Validate(spec, &error)) {
+  if ((flags.Seen("--vpp") && !PinVppOverConfigTag(&spec, &error)) ||
+      !Session::Validate(spec, &error)) {
     std::fprintf(stderr, "invalid spec: %s\n", error.c_str());
     return 2;
   }
@@ -306,14 +340,24 @@ int main(int argc, char** argv) {
   ReportSink sink("stalloc_run", json_path);
   sink.Meta("spec", SpecMetaJson(spec));
 
+  std::string capacity_label;
+  for (uint64_t c : capacities) {
+    capacity_label += (capacity_label.empty() ? "" : ",") + FormatBytes(c);
+  }
   sink.Printf("stalloc_run — axis=%s model=%s variant=%s capacity=%s seeds=%llu/%llu\n\n",
               WorkloadAxisName(spec.axis), spec.model.c_str(), spec.Variant().c_str(),
-              FormatBytes(spec.options.capacity_bytes).c_str(),
+              capacity_label.c_str(),
               static_cast<unsigned long long>(spec.options.profile_seed),
               static_cast<unsigned long long>(spec.options.run_seed));
 
   const std::vector<RunRecord> records = session.Run(spec);
 
+  for (const RunRecord& r : records) {
+    if (r.cluster.has_value()) {
+      sink.Printf("%s x%d:\n", r.allocator.c_str(), r.repeat);
+      PrintClusterDay(sink, *r.cluster);
+    }
+  }
   sink.Print(RecordTable(spec.axis, records));
   for (const RunRecord& r : records) {
     sink.Printf("%s x%d: %s\n", r.allocator.c_str(), r.repeat, r.Summary().c_str());
@@ -321,7 +365,15 @@ int main(int argc, char** argv) {
 
   Json results = Json::Array();
   for (const RunRecord& r : records) {
-    results.Add(ToJson(r));
+    Json record = ToJson(r);
+    if (r.cluster.has_value()) {
+      Json outcomes = Json::Array();
+      for (const JobOutcome& o : r.cluster->jobs) {
+        outcomes.Add(ToJson(o));
+      }
+      record.Set("job_outcomes", std::move(outcomes));
+    }
+    results.Add(std::move(record));
   }
   sink.Meta("results", std::move(results));
   int rc = sink.Finish();

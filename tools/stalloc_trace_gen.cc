@@ -17,6 +17,7 @@
 #include "src/allocators/registry.h"
 #include "src/api/report.h"
 #include "src/api/serializers.h"
+#include "src/api/session.h"
 #include "src/common/flags.h"
 #include "src/common/table.h"
 #include "src/driver/replay.h"
@@ -140,6 +141,25 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // A simulated workload is checked by the validator stalloc_run uses, so a bad name or shape
+  // exits 2 here instead of aborting inside the workload builders. The tag owns vpp_chunks
+  // unless --vpp pins it.
+  ExperimentSpec spec;
+  spec.model = model_name;
+  if (!serve_scenario.empty()) {
+    spec.axis = WorkloadAxis::kServing;
+    spec.scenario = serve_scenario;
+  } else {
+    spec.train = config;
+    spec.config_tag = tag;
+  }
+  std::string error;
+  if (ops == 0 && ((flags.Seen("--vpp") && !PinVppOverConfigTag(&spec, &error)) ||
+                   !Session::Validate(spec, &error))) {
+    std::fprintf(stderr, "invalid spec: %s\n", error.c_str());
+    return 2;
+  }
+
   ReportSink sink("stalloc_trace_gen", json_path);
 
   // Million-op synthetic traces stream straight to the columnar file: the generator's memory
@@ -181,13 +201,8 @@ int main(int argc, char** argv) {
     sink.Printf("%s\n", serve.stats.ToString().c_str());
     trace = std::move(serve.trace);
   } else {
-    const int saved_vpp = config.parallel.vpp_chunks;
-    config = ApplyConfigTag(config, tag);
-    if (saved_vpp > 1) {
-      config.parallel.vpp_chunks = saved_vpp;
-    }
-    WorkloadBuilder workload(ModelByName(model_name), config);
-    trace = workload.Build(seed);
+    config = spec.EffectiveTrain();
+    trace = WorkloadBuilder(ModelByName(model_name), config).Build(seed);
   }
   const bool ok =
       format == "v2" ? WriteTraceV2File(trace, out) : WriteTraceCsvFile(trace, out);
