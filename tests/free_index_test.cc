@@ -7,8 +7,11 @@
 //     insert/erase/pop interleavings, asserting identical decisions op by op;
 //   * pinned placement: Ma/Mr of the refactored caching/expandable/GMLake allocators over a
 //     recorded storm trace and a training trace must equal values recorded from the pre-refactor
-//     (seed) allocators, and the address-level placement digests of `native` and `paged-kv`
-//     must equal those recorded before SimDevice's arena was indexed.
+//     (seed) allocators, the address-level placement digests of `native` and `paged-kv` must
+//     equal those recorded before SimDevice's arena was indexed, and those of torch-caching,
+//     torch-expandable, gmlake and vmm — on the storm, training and multi-stream serve traces,
+//     and once each at a capacity tight enough to run the kind's pressure path — must equal
+//     those recorded while each allocator still kept its own block map.
 
 #include <cstdint>
 #include <map>
@@ -33,6 +36,7 @@
 #include "src/trace/synthetic.h"
 #include "src/trainsim/model_config.h"
 #include "src/trainsim/workload.h"
+#include "src/vmm/vmm_allocator.h"
 
 namespace stalloc {
 namespace {
@@ -370,7 +374,9 @@ TEST(PinnedPlacement, TrainingTraceMatchesSeedAllocators) {
 // SimDevice::DevMalloc's first-fit address for every request and `paged-kv` carves its slabs out
 // of the same arena, so their Mr is address-blind. Pin their full placement sequence instead —
 // every (event, address, size) folded into a PlacementDigestObserver digest — recorded from the
-// linear IntervalSet::FirstFit arena that the indexed first-fit arena replaced.
+// linear IntervalSet::FirstFit arena that the indexed first-fit arena replaced. The caching-style
+// kinds (torch-caching, torch-expandable, gmlake, vmm) are pinned the same way, recorded from
+// the allocators that each kept their own block map, before they moved onto one BlockArena.
 uint64_t PlacementDigest(const Trace& trace, const std::string& kind) {
   SimDevice dev(64ull * GiB);
   std::unique_ptr<Allocator> alloc = AllocatorRegistry::Global().Create(kind, &dev);
@@ -386,10 +392,93 @@ TEST(PinnedPlacement, NativeAndPagedKvAddressDigests) {
   config.num_microbatches = 4;
   config.micro_batch_size = 4;
   const Trace train = WorkloadBuilder(Gpt2_345M(), config).Build(2);
+  // Multi-stream: every request's KV blocks land on one of four streams, so the per-stream
+  // pools of the caching-style kinds all fill.
+  const Trace serve = BuildSyntheticTrace({SyntheticMix::kServing, 20000, 5});
   EXPECT_EQ(PlacementDigest(storm, "native"), 0xac7310b4caf2ca95ull);
   EXPECT_EQ(PlacementDigest(storm, "paged-kv"), 0xdb98a3cd0da53261ull);
   EXPECT_EQ(PlacementDigest(train, "native"), 0xce4dfc4b016e7e92ull);
   EXPECT_EQ(PlacementDigest(train, "paged-kv"), 0xe520557d0358578aull);
+  struct Pin {
+    const Trace* trace;
+    const char* kind;
+    uint64_t digest;
+  };
+  const Pin pins[] = {
+      {&storm, "torch-caching", 0xa75a2d449ce887e5ull},  {&storm, "torch-expandable", 0x8806a9b2187eba5dull},
+      {&storm, "gmlake", 0x712bfe7c9b475315ull},         {&storm, "vmm", 0x3ce33436db50d89dull},
+      {&train, "torch-caching", 0x03ab7391d7391d36ull},  {&train, "torch-expandable", 0x4ebb3e7a5fa9d1c6ull},
+      {&train, "gmlake", 0xff6ba7dc69f1e7baull},         {&train, "vmm", 0xc355f86e079a7b02ull},
+      {&serve, "torch-caching", 0x5b652db81f9ecb15ull},  {&serve, "torch-expandable", 0xb50e05010d0649e1ull},
+      {&serve, "gmlake", 0x09815bfbe5b842edull},         {&serve, "vmm", 0x51e21913d6adb735ull},
+  };
+  for (const Pin& pin : pins) {
+    const uint64_t got = PlacementDigest(*pin.trace, pin.kind);
+    EXPECT_EQ(got, pin.digest) << pin.kind;
+  }
+}
+
+// The pressure paths only run on a nearly full device, so each kind also gets one replay at a
+// capacity just under its unconstrained footprint. Each replay asserts that its pressure path
+// ran, then pins the placement digest and the event (if any) whose malloc failed.
+struct TightRun {
+  uint64_t digest = 0;
+  bool oom = false;
+  uint64_t failed_event = 0;
+};
+
+TightRun ReplayTight(const Trace& trace, Allocator* alloc) {
+  PlacementDigestObserver digest;
+  const ReplayResult r = ReplayTrace(trace, alloc, &digest);
+  return {digest.digest(), r.oom, r.oom ? r.failed_event : 0};
+}
+
+TEST(PinnedPlacement, TightCapacityAddressDigests) {
+  const Trace storm = BuildStormTrace(10000, 42);
+  const Trace serve = BuildSyntheticTrace({SyntheticMix::kServing, 20000, 5});
+  constexpr uint64_t kStormCapacity = 11800 * MiB;
+  {
+    SimDevice dev(kStormCapacity);
+    CachingAllocator alloc(&dev);
+    const TightRun run = ReplayTight(storm, &alloc);
+    // The replay never empties the cache, so every cudaFree is a release-and-retry after a
+    // failed segment malloc.
+    EXPECT_EQ(dev.counters().cuda_free, 15u);
+    EXPECT_EQ(run.digest, 0x09d4be44fe4e3f4eull);
+    EXPECT_TRUE(run.oom);
+    EXPECT_EQ(run.failed_event, 9684u);
+  }
+  {
+    SimDevice dev(kStormCapacity);
+    GMLakeConfig config;
+    config.frag_limit = 16 * MiB;  // the storm's largest requests are 32 MiB
+    GMLakeAllocator alloc(&dev, config);
+    const TightRun run = ReplayTight(storm, &alloc);
+    EXPECT_EQ(alloc.num_stitches(), 6u);
+    EXPECT_EQ(run.digest, 0x35121b311c7b7225ull);
+    EXPECT_TRUE(run.oom);
+    EXPECT_EQ(run.failed_event, 9978u);
+  }
+  {
+    SimDevice dev(kStormCapacity);
+    VmmAllocator alloc(&dev);
+    const TightRun run = ReplayTight(storm, &alloc);
+    // Remapping moves physical handles, never addresses: the digest is the unconstrained one.
+    EXPECT_EQ(alloc.vmm_stats().remap_events, 15u);
+    EXPECT_EQ(alloc.vmm_stats().pages_remapped, 111u);
+    EXPECT_EQ(run.digest, 0x3ce33436db50d89dull);
+    EXPECT_FALSE(run.oom);
+  }
+  {
+    SimDevice dev(850 * MiB);
+    ExpandableSegmentsAllocator alloc(&dev);
+    const TightRun run = ReplayTight(serve, &alloc);
+    // The default trim threshold never trims on free, and a completed replay never rolled a
+    // failed growth back: every unmap is a cross-stream trim under growth pressure.
+    ASSERT_FALSE(run.oom);
+    EXPECT_EQ(dev.counters().mem_unmap, 23u);
+    EXPECT_EQ(run.digest, 0x7ca084eb4394a01dull);
+  }
 }
 
 // Placement must also be run-to-run deterministic: two fresh replays of the same storm hand out
