@@ -18,9 +18,9 @@ CachingAllocator::CachingAllocator(SimDevice* device, CachingAllocatorConfig con
 
 CachingAllocator::~CachingAllocator() {
   // Return every segment to the device so a shared SimDevice's accounting stays clean.
-  for (auto& seg : segments_) {
-    if (!seg.released) {
-      device_->DevFree(seg.base);
+  for (BlockArena::SegmentId id = 0; id < arena_.num_segments(); ++id) {
+    if (arena_.segment(id).live) {
+      device_->DevFree(arena_.segment(id).base);
     }
   }
 }
@@ -42,70 +42,6 @@ uint64_t CachingAllocator::SegmentSizeFor(uint64_t rounded) const {
   return AlignUp(rounded, config_.round_large);
 }
 
-uint32_t CachingAllocator::NewBlockSlot() {
-  if (!free_slots_.empty()) {
-    const uint32_t slot = free_slots_.back();
-    free_slots_.pop_back();
-    return slot;
-  }
-  blocks_.emplace_back();
-  return static_cast<uint32_t>(blocks_.size() - 1);
-}
-
-void CachingAllocator::ReleaseBlockSlot(uint32_t slot) { free_slots_.push_back(slot); }
-
-uint32_t CachingAllocator::FindBlock(uint64_t addr) const {
-  auto it = by_addr_.find(addr);
-  return it == by_addr_.end() ? kNoBlock : it->second;
-}
-
-std::optional<uint64_t> CachingAllocator::AllocFromCache(uint64_t rounded, bool small,
-                                                         StreamId stream) {
-  auto best = FreeListFor(small, stream).PopBestFit(rounded);
-  if (!best.has_value()) {
-    return std::nullopt;
-  }
-  const uint64_t addr = best->second;
-  const uint32_t slot = FindBlock(addr);
-  STALLOC_CHECK(slot != kNoBlock && blocks_[slot].free);
-  blocks_[slot].free = false;
-  segments_[blocks_[slot].segment].free_bytes -= blocks_[slot].size;
-  SplitBlock(slot, rounded);
-  return addr;
-}
-
-void CachingAllocator::SplitBlock(uint32_t slot, uint64_t want) {
-  Block& block = blocks_[slot];
-  STALLOC_CHECK_GE(block.size, want);
-  const uint64_t remainder = block.size - want;
-  const Segment& seg = segments_[block.segment];
-  const bool small = seg.small;
-  // PyTorch should_split: small pool splits any >= kMinBlockSize remainder, large pool only
-  // splits when the remainder exceeds kSmallSize (1 MiB) to limit large-pool fragmentation.
-  const bool split = small ? remainder >= config_.min_block_size : remainder > config_.small_size;
-  if (!split) {
-    return;
-  }
-  const uint32_t rest_slot = NewBlockSlot();
-  Block& b = blocks_[slot];  // re-fetch: NewBlockSlot may reallocate the pool
-  b.size = want;
-  Block& rest = blocks_[rest_slot];
-  rest.addr = b.addr + want;
-  rest.size = remainder;
-  rest.free = true;
-  rest.segment = b.segment;
-  // Link the remainder right after the block in the segment's address-ordered list.
-  rest.prev = slot;
-  rest.next = b.next;
-  if (b.next != kNoBlock) {
-    blocks_[b.next].prev = rest_slot;
-  }
-  b.next = rest_slot;
-  by_addr_.emplace(rest.addr, rest_slot);
-  segments_[rest.segment].free_bytes += remainder;
-  FreeListFor(small, seg.stream).Insert(remainder, rest.addr);
-}
-
 std::optional<uint64_t> CachingAllocator::AllocFromNewSegment(uint64_t rounded, bool small,
                                                               StreamId stream) {
   const uint64_t seg_size = SegmentSizeFor(rounded);
@@ -120,33 +56,16 @@ std::optional<uint64_t> CachingAllocator::AllocFromNewSegment(uint64_t rounded, 
       return std::nullopt;
     }
   }
-  Segment seg;
-  seg.base = *base;
-  seg.size = seg_size;
-  seg.small = small;
-  seg.stream = stream;
-  segments_.push_back(seg);
   reserved_ += seg_size;
-  const uint32_t seg_id = static_cast<uint32_t>(segments_.size() - 1);
-
-  const uint32_t slot = NewBlockSlot();
-  Block& block = blocks_[slot];
-  block.addr = *base;
-  block.size = seg_size;
-  block.free = false;
-  block.segment = seg_id;
-  block.prev = kNoBlock;
-  block.next = kNoBlock;
-  const bool inserted = by_addr_.emplace(block.addr, slot).second;
-  STALLOC_CHECK(inserted);
-  SplitBlock(slot, rounded);
+  arena_.AddSegment(*base, seg_size, PoolFor(small, stream), rounded, MinSplit(small));
   return *base;
 }
 
 std::optional<uint64_t> CachingAllocator::DoMalloc(uint64_t size, const RequestContext& ctx) {
   const uint64_t rounded = RoundSize(size);
   const bool small = IsSmall(rounded);
-  if (auto addr = AllocFromCache(rounded, small, ctx.stream); addr.has_value()) {
+  if (auto addr = arena_.Take(PoolFor(small, ctx.stream), rounded, MinSplit(small));
+      addr.has_value()) {
     return addr;
   }
   return AllocFromNewSegment(rounded, small, ctx.stream);
@@ -154,69 +73,20 @@ std::optional<uint64_t> CachingAllocator::DoMalloc(uint64_t size, const RequestC
 
 void CachingAllocator::DoFree(uint64_t addr, uint64_t size) {
   (void)size;
-  const uint32_t slot = FindBlock(addr);
-  STALLOC_CHECK(slot != kNoBlock && !blocks_[slot].free,
-                << "caching allocator: free of unknown block " << addr);
-  blocks_[slot].free = true;
-  segments_[blocks_[slot].segment].free_bytes += blocks_[slot].size;
-  Coalesce(slot);
-}
-
-void CachingAllocator::Coalesce(uint32_t slot) {
-  Block& block = blocks_[slot];
-  const uint32_t seg_id = block.segment;
-  auto& free_list = FreeListFor(segments_[seg_id].small, segments_[seg_id].stream);
-
-  // Merge with the next block if free (list neighbours are contiguous within the segment).
-  const uint32_t next = block.next;
-  if (next != kNoBlock && blocks_[next].free) {
-    STALLOC_DCHECK_EQ(block.addr + block.size, blocks_[next].addr);
-    free_list.Erase(blocks_[next].size, blocks_[next].addr);
-    by_addr_.erase(blocks_[next].addr);
-    block.size += blocks_[next].size;
-    block.next = blocks_[next].next;
-    if (block.next != kNoBlock) {
-      blocks_[block.next].prev = slot;
-    }
-    ReleaseBlockSlot(next);
-  }
-  // Merge with the previous block.
-  uint32_t merged = slot;
-  const uint32_t prev = block.prev;
-  if (prev != kNoBlock && blocks_[prev].free) {
-    STALLOC_DCHECK_EQ(blocks_[prev].addr + blocks_[prev].size, block.addr);
-    free_list.Erase(blocks_[prev].size, blocks_[prev].addr);
-    by_addr_.erase(block.addr);
-    blocks_[prev].size += block.size;
-    blocks_[prev].next = block.next;
-    if (block.next != kNoBlock) {
-      blocks_[block.next].prev = prev;
-    }
-    ReleaseBlockSlot(slot);
-    merged = prev;
-  }
-  free_list.Insert(blocks_[merged].size, blocks_[merged].addr);
+  arena_.Release(addr);
 }
 
 uint64_t CachingAllocator::ReleaseCachedSegments() {
   uint64_t released = 0;
-  for (uint32_t seg_id = 0; seg_id < segments_.size(); ++seg_id) {
-    Segment& seg = segments_[seg_id];
-    if (seg.released || seg.free_bytes != seg.size) {
+  for (BlockArena::SegmentId id = 0; id < arena_.num_segments(); ++id) {
+    if (!arena_.FullyFree(id)) {
       continue;
     }
-    // The segment is one fully-free block (coalescing guarantees it); drop it.
-    const uint32_t slot = FindBlock(seg.base);
-    STALLOC_CHECK(slot != kNoBlock && blocks_[slot].free && blocks_[slot].size == seg.size);
-    STALLOC_CHECK(blocks_[slot].prev == kNoBlock && blocks_[slot].next == kNoBlock);
-    FreeListFor(seg.small, seg.stream).Erase(blocks_[slot].size, blocks_[slot].addr);
-    by_addr_.erase(seg.base);
-    ReleaseBlockSlot(slot);
+    const BlockArena::Segment& seg = arena_.segment(id);
     device_->DevFree(seg.base);
-    seg.released = true;
-    seg.free_bytes = 0;
     reserved_ -= seg.size;
     released += seg.size;
+    arena_.RemoveSegment(id);
   }
   return released;
 }
@@ -240,24 +110,25 @@ void CachingAllocator::EmptyCache() {
 
 uint64_t CachingAllocator::cached_free_bytes() const {
   uint64_t total = 0;
-  for (const auto& seg : segments_) {
-    if (!seg.released) {
-      total += seg.free_bytes;
+  for (BlockArena::SegmentId id = 0; id < arena_.num_segments(); ++id) {
+    if (arena_.segment(id).live) {
+      total += arena_.segment(id).free_bytes;
     }
   }
   return total;
 }
 
 void CachingAllocator::AppendHeapSegments(std::vector<telemetry::HeapSegment>* out) const {
-  for (const auto& seg : segments_) {
-    if (seg.released) {
+  for (BlockArena::SegmentId id = 0; id < arena_.num_segments(); ++id) {
+    const BlockArena::Segment& seg = arena_.segment(id);
+    if (!seg.live) {
       continue;
     }
     telemetry::HeapSegment s;
     s.base = seg.base;
     s.size = seg.size;
-    s.stream = seg.stream;
-    s.pool = seg.small ? "small" : "large";
+    s.stream = StreamOf(seg.pool);
+    s.pool = IsSmallPool(seg.pool) ? "small" : "large";
     out->push_back(std::move(s));
   }
 }

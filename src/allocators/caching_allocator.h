@@ -8,7 +8,7 @@
 //     requests < 10 MiB (kMinLargeAlloc), else the request rounded up to 2 MiB (kRoundLarge);
 //   * free blocks are kept per (pool, stream) — a freed block is only reusable by requests on
 //     the stream that allocated it, as in PyTorch — and selected best-fit (smallest sufficient
-//     block) through a size-bucketed BestFitIndex (src/allocators/free_index.h);
+//     block, then lowest address);
 //   * an oversized block is split when the remainder is >= 512 B (small pool) or > 1 MiB (large
 //     pool); the remainder stays cached;
 //   * on device OOM the allocator releases all fully-free cached segments (cudaFree) and retries
@@ -16,20 +16,14 @@
 //   * freed blocks coalesce with free neighbours within the same segment.
 //
 // This is the "online best-fit without lifespan knowledge" policy whose fragmentation behaviour
-// §2.2 analyses.
-//
-// Block records live in a slot pool threaded into per-segment doubly-linked lists in address
-// order (as in upstream PyTorch), with a hash map from address to slot: the replay hot path does
-// no ordered-tree walk besides the BestFitIndex size lookup.
+// §2.2 analyses. Blocks, splitting and coalescing live in a BlockArena
+// (src/allocators/free_index.h), one arena pool per (pool, stream).
 
 #ifndef SRC_ALLOCATORS_CACHING_ALLOCATOR_H_
 #define SRC_ALLOCATORS_CACHING_ALLOCATOR_H_
 
 #include <cstdint>
-#include <map>
 #include <optional>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "src/allocators/allocator.h"
@@ -60,7 +54,7 @@ class CachingAllocator final : public AllocatorBase {
   void AppendHeapSegments(std::vector<telemetry::HeapSegment>* out) const override;
 
   // Introspection for tests.
-  size_t num_segments() const { return segments_.size(); }
+  size_t num_segments() const { return arena_.num_segments(); }  // released ones included
   uint64_t cached_free_bytes() const;
   // Rounded request size per the PyTorch rounding rule (exposed for tests).
   uint64_t RoundSize(uint64_t size) const;
@@ -70,53 +64,29 @@ class CachingAllocator final : public AllocatorBase {
   void DoFree(uint64_t addr, uint64_t size) override;
 
  private:
-  static constexpr uint32_t kNoBlock = ~uint32_t{0};
-
-  struct Block {
-    uint64_t addr = 0;
-    uint64_t size = 0;      // rounded (physical) size
-    bool free = true;
-    uint32_t segment = 0;   // owning segment index
-    uint32_t prev = kNoBlock;  // address-ordered neighbours within the segment
-    uint32_t next = kNoBlock;
-  };
-  struct Segment {
-    uint64_t base = 0;
-    uint64_t size = 0;
-    bool small = false;
-    bool released = false;
-    StreamId stream = kComputeStream;  // all blocks of a segment belong to one stream
-    uint64_t free_bytes = 0;  // sum of free block bytes inside
-  };
-  // One free index per (pool, stream): PyTorch segregates cached blocks by stream.
-  using PoolKey = std::pair<bool, StreamId>;
+  // One arena pool per (pool, stream): PyTorch segregates cached blocks by stream.
+  static BlockArena::PoolId PoolFor(bool small, StreamId stream) {
+    return (BlockArena::PoolId{stream} << 1) | (small ? 1 : 0);
+  }
+  static bool IsSmallPool(BlockArena::PoolId pool) { return (pool & 1) != 0; }
+  static StreamId StreamOf(BlockArena::PoolId pool) { return static_cast<StreamId>(pool >> 1); }
 
   bool IsSmall(uint64_t rounded) const { return rounded <= config_.small_size; }
   uint64_t SegmentSizeFor(uint64_t rounded) const;
-  BestFitIndex& FreeListFor(bool small, StreamId stream) {
-    return free_lists_[PoolKey{small, stream}];
+  // PyTorch should_split: the small pool splits off any remainder >= kMinBlockSize, the large
+  // pool only remainders above kSmallSize, to limit large-pool fragmentation.
+  uint64_t MinSplit(bool small) const {
+    return small ? config_.min_block_size : config_.small_size + 1;
   }
 
-  uint32_t NewBlockSlot();
-  void ReleaseBlockSlot(uint32_t slot);
-  uint32_t FindBlock(uint64_t addr) const;
-
-  // Attempts to serve from cached free blocks; nullopt if none fits.
-  std::optional<uint64_t> AllocFromCache(uint64_t rounded, bool small, StreamId stream);
   // Allocates a fresh segment from the device and serves from it.
   std::optional<uint64_t> AllocFromNewSegment(uint64_t rounded, bool small, StreamId stream);
   // Releases all fully-free segments back to the device; returns bytes released.
   uint64_t ReleaseCachedSegments();
-  void SplitBlock(uint32_t slot, uint64_t want);
-  void Coalesce(uint32_t slot);
 
   SimDevice* device_;
   CachingAllocatorConfig config_;
-  std::vector<Block> blocks_;        // slot pool; free slots recycled via free_slots_
-  std::vector<uint32_t> free_slots_;
-  std::unordered_map<uint64_t, uint32_t> by_addr_;  // block address -> slot
-  std::map<PoolKey, BestFitIndex> free_lists_;
-  std::vector<Segment> segments_;
+  BlockArena arena_;
   uint64_t reserved_ = 0;
 };
 

@@ -23,18 +23,12 @@ ExpandableSegmentsAllocator::ExpandableSegmentsAllocator(SimDevice* device,
 
 ExpandableSegmentsAllocator::~ExpandableSegmentsAllocator() {
   for (auto& [stream, seg] : streams_) {
-    ReleaseSegment(seg);
+    for (const auto& [off, handle] : seg.granule_handles) {
+      device_->MemUnmap(seg.va, off, SimDevice::kGranularity);
+      device_->MemRelease(handle);
+    }
+    device_->FreeVa(seg.va);
   }
-}
-
-void ExpandableSegmentsAllocator::ReleaseSegment(StreamSegment& seg) {
-  for (const auto& [off, handle] : seg.granule_handles) {
-    device_->MemUnmap(seg.va, off, SimDevice::kGranularity);
-    device_->MemRelease(handle);
-  }
-  seg.granule_handles.clear();
-  device_->FreeVa(seg.va);
-  seg.va = 0;
 }
 
 ExpandableSegmentsAllocator::StreamSegment& ExpandableSegmentsAllocator::SegmentFor(
@@ -49,13 +43,14 @@ ExpandableSegmentsAllocator::StreamSegment& ExpandableSegmentsAllocator::Segment
   auto va = device_->ReserveVa(seg.va_size);
   STALLOC_CHECK(va.has_value(), << "VA reservation failed");
   seg.va = *va;
+  seg.id = arena_.AddSegment(seg.va, 0, stream, 0, kMinSplit);  // nothing mapped yet
   return streams_.emplace(stream, std::move(seg)).first->second;
 }
 
 uint64_t ExpandableSegmentsAllocator::mapped_bytes() const {
   uint64_t total = 0;
   for (const auto& [stream, seg] : streams_) {
-    total += seg.mapped_end;
+    total += MappedEnd(seg);
   }
   return total;
 }
@@ -69,14 +64,7 @@ std::optional<uint64_t> ExpandableSegmentsAllocator::DoMalloc(uint64_t size,
   if (IsSmall(size)) {
     return small_pool_->Malloc(size, ctx);
   }
-  StreamSegment& seg = SegmentFor(ctx.stream);
-  const uint64_t rounded = AlignUp(size, 512);
-  auto off = LargeMalloc(seg, rounded);
-  if (!off.has_value()) {
-    return std::nullopt;
-  }
-  block_stream_.emplace(seg.va + *off, ctx.stream);
-  return seg.va + *off;
+  return LargeMalloc(SegmentFor(ctx.stream), AlignUp(size, 512));
 }
 
 void ExpandableSegmentsAllocator::DoFree(uint64_t addr, uint64_t size) {
@@ -84,61 +72,38 @@ void ExpandableSegmentsAllocator::DoFree(uint64_t addr, uint64_t size) {
     STALLOC_CHECK(small_pool_->Free(addr));
     return;
   }
-  auto sit = block_stream_.find(addr);
-  STALLOC_CHECK(sit != block_stream_.end(), << "expandable segments: unknown address " << addr);
-  StreamSegment& seg = streams_.at(sit->second);
-  block_stream_.erase(sit);
-  LargeFree(seg, addr - seg.va);
+  const BlockArena::Released released = arena_.Release(addr);
+  const auto stream = static_cast<StreamId>(arena_.segment(released.segment).pool);
+  TrimTail(streams_.at(stream), config_.trim_threshold);
 }
 
 std::optional<uint64_t> ExpandableSegmentsAllocator::LargeMalloc(StreamSegment& seg,
                                                                  uint64_t rounded) {
-  // Best fit among free blocks of the segment.
-  auto best = seg.free_list.PopBestFit(rounded);
-  if (!best.has_value()) {
+  const BlockArena::PoolId pool = arena_.segment(seg.id).pool;
+  auto addr = arena_.Take(pool, rounded, kMinSplit);
+  if (!addr.has_value()) {
     // No hole fits: grow the frontier. If a free block ends exactly at the frontier we only need
     // the difference.
-    uint64_t tail_free = 0;
-    if (!seg.blocks.empty()) {
-      auto last = std::prev(seg.blocks.end());
-      if (last->second.free && last->second.off + last->second.size == seg.mapped_end) {
-        tail_free = last->second.size;
-      }
-    }
+    const uint64_t tail_free = arena_.TailFree(seg.id);
     const uint64_t need = rounded > tail_free ? rounded - tail_free : 0;
     if (need > 0 && !Grow(seg, AlignUp(need, SimDevice::kGranularity))) {
       return std::nullopt;
     }
-    best = seg.free_list.PopBestFit(rounded);
-    STALLOC_CHECK(best.has_value(), << "expandable segment grow did not produce a fit");
+    addr = arena_.Take(pool, rounded, kMinSplit);
+    STALLOC_CHECK(addr.has_value(), << "expandable segment grow did not produce a fit");
   }
-  const uint64_t off = best->second;
-  auto bit = seg.blocks.find(off);
-  STALLOC_CHECK(bit != seg.blocks.end() && bit->second.free);
-  bit->second.free = false;
-  // Split the remainder back into the free list (virtual space: always worth splitting).
-  if (bit->second.size - rounded >= 512) {
-    Block rest;
-    rest.off = off + rounded;
-    rest.size = bit->second.size - rounded;
-    rest.free = true;
-    bit->second.size = rounded;
-    // The remainder lands immediately after `bit` in offset order: O(1) hinted insert.
-    seg.blocks.emplace_hint(std::next(bit), rest.off, rest);
-    seg.free_list.Insert(rest.size, rest.off);
-  }
-  return off;
+  return addr;
 }
 
 bool ExpandableSegmentsAllocator::Grow(StreamSegment& seg, uint64_t bytes) {
   STALLOC_CHECK_EQ(bytes % SimDevice::kGranularity, 0u);
-  if (seg.mapped_end + bytes > seg.va_size) {
+  const uint64_t mapped_end = MappedEnd(seg);
+  if (mapped_end + bytes > seg.va_size) {
     return false;  // virtual reservation exhausted
   }
   // Map one granule handle at a time, as PyTorch does (granular handles allow partial unmap).
   std::vector<std::pair<uint64_t, MemHandle>> created;
-  for (uint64_t off = seg.mapped_end; off < seg.mapped_end + bytes;
-       off += SimDevice::kGranularity) {
+  for (uint64_t off = mapped_end; off < mapped_end + bytes; off += SimDevice::kGranularity) {
     auto h = device_->MemCreate(SimDevice::kGranularity);
     if (!h.has_value()) {
       // Device OOM: let the small pool return cached segments and *other* streams trim, then
@@ -146,13 +111,9 @@ bool ExpandableSegmentsAllocator::Grow(StreamSegment& seg, uint64_t bytes) {
       // region being extended.
       small_pool_->EmptyCache();
       for (auto& [stream, other] : streams_) {
-        if (&other == &seg) {
-          continue;
+        if (&other != &seg) {
+          TrimTail(other, /*threshold=*/1);
         }
-        const uint64_t saved = config_.trim_threshold;
-        config_.trim_threshold = 1;
-        TrimTail(other);
-        config_.trim_threshold = saved;
       }
       h = device_->MemCreate(SimDevice::kGranularity);
     }
@@ -170,111 +131,48 @@ bool ExpandableSegmentsAllocator::Grow(StreamSegment& seg, uint64_t bytes) {
   for (auto& [off, handle] : created) {
     seg.granule_handles.emplace(off, handle);
   }
-
-  // Extend the tail free block or open a new one.
-  const uint64_t old_end = seg.mapped_end;
-  seg.mapped_end += bytes;
-  if (!seg.blocks.empty()) {
-    auto last = std::prev(seg.blocks.end());
-    if (last->second.free && last->second.off + last->second.size == old_end) {
-      seg.free_list.Erase(last->second.size, last->second.off);
-      last->second.size += bytes;
-      seg.free_list.Insert(last->second.size, last->second.off);
-      return true;
-    }
-  }
-  Block block;
-  block.off = old_end;
-  block.size = bytes;
-  block.free = true;
-  seg.blocks.emplace(block.off, block);
-  seg.free_list.Insert(block.size, block.off);
+  arena_.GrowTail(seg.id, bytes);  // extends the tail free block or opens a new one
   return true;
 }
 
-void ExpandableSegmentsAllocator::LargeFree(StreamSegment& seg, uint64_t off) {
-  auto it = seg.blocks.find(off);
-  STALLOC_CHECK(it != seg.blocks.end() && !it->second.free,
-                << "expandable segments: free of unknown offset " << off);
-  it->second.free = true;
-  Coalesce(seg, it);
-  TrimTail(seg);
-}
-
-void ExpandableSegmentsAllocator::Coalesce(StreamSegment& seg,
-                                           std::map<uint64_t, Block>::iterator it) {
-  auto next = std::next(it);
-  if (next != seg.blocks.end() && next->second.free &&
-      it->second.off + it->second.size == next->second.off) {
-    seg.free_list.Erase(next->second.size, next->second.off);
-    it->second.size += next->second.size;
-    seg.blocks.erase(next);
-  }
-  if (it != seg.blocks.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second.free && prev->second.off + prev->second.size == it->second.off) {
-      seg.free_list.Erase(prev->second.size, prev->second.off);
-      prev->second.size += it->second.size;
-      seg.blocks.erase(it);
-      it = prev;
-    }
-  }
-  seg.free_list.Insert(it->second.size, it->second.off);
-}
-
-void ExpandableSegmentsAllocator::TrimTail(StreamSegment& seg) {
-  if (seg.blocks.empty()) {
-    return;
-  }
-  auto last = std::prev(seg.blocks.end());
-  if (!last->second.free || last->second.off + last->second.size != seg.mapped_end) {
-    return;
-  }
-  if (last->second.size < config_.trim_threshold) {
+void ExpandableSegmentsAllocator::TrimTail(StreamSegment& seg, uint64_t threshold) {
+  const uint64_t tail_free = arena_.TailFree(seg.id);
+  if (tail_free == 0 || tail_free < threshold) {
     return;
   }
   // Unmap whole granules above the free block's (granularity-aligned) start.
-  const uint64_t new_end = AlignUp(last->second.off, SimDevice::kGranularity);
-  if (new_end >= seg.mapped_end) {
+  const uint64_t mapped_end = MappedEnd(seg);
+  const uint64_t new_end = AlignUp(mapped_end - tail_free, SimDevice::kGranularity);
+  if (new_end >= mapped_end) {
     return;
   }
-  for (uint64_t off = new_end; off < seg.mapped_end; off += SimDevice::kGranularity) {
+  for (uint64_t off = new_end; off < mapped_end; off += SimDevice::kGranularity) {
     auto hit = seg.granule_handles.find(off);
     STALLOC_CHECK(hit != seg.granule_handles.end());
     STALLOC_CHECK(device_->MemUnmap(seg.va, off, SimDevice::kGranularity) == DeviceStatus::kOk);
     STALLOC_CHECK(device_->MemRelease(hit->second) == DeviceStatus::kOk);
     seg.granule_handles.erase(hit);
   }
-  seg.free_list.Erase(last->second.size, last->second.off);
-  if (last->second.off < new_end) {
-    last->second.size = new_end - last->second.off;
-    seg.free_list.Insert(last->second.size, last->second.off);
-  } else {
-    seg.blocks.erase(last);
-  }
-  seg.mapped_end = new_end;
+  arena_.TrimTail(seg.id, new_end);
 }
 
 void ExpandableSegmentsAllocator::EmptyCache() {
   small_pool_->EmptyCache();
-  const uint64_t saved = config_.trim_threshold;
-  config_.trim_threshold = 1;
   for (auto& [stream, seg] : streams_) {
-    TrimTail(seg);
+    TrimTail(seg, /*threshold=*/1);
   }
-  config_.trim_threshold = saved;
 }
 
 void ExpandableSegmentsAllocator::AppendHeapSegments(
     std::vector<telemetry::HeapSegment>* out) const {
   // Only the mapped prefix of each stream's VA reservation is real reserved memory.
   for (const auto& [stream, seg] : streams_) {
-    if (seg.mapped_end == 0) {
+    if (MappedEnd(seg) == 0) {
       continue;
     }
     telemetry::HeapSegment s;
     s.base = seg.va;
-    s.size = seg.mapped_end;
+    s.size = MappedEnd(seg);
     s.stream = stream;
     s.pool = "expandable";
     out->push_back(std::move(s));

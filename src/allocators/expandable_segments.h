@@ -10,7 +10,8 @@
 // paper's ES throughput regression under recompute churn, §9.2/§9.3), and (2) per-stream
 // isolation: a stream's mapped memory is not reusable by other streams.
 //
-// Small requests (<= 1 MiB) use an embedded classic caching small pool, as in PyTorch.
+// Small requests (<= 1 MiB) use an embedded classic caching small pool, as in PyTorch. Each
+// stream's mapped prefix is one BlockArena segment that grows and trims at its tail.
 
 #ifndef SRC_ALLOCATORS_EXPANDABLE_SEGMENTS_H_
 #define SRC_ALLOCATORS_EXPANDABLE_SEGMENTS_H_
@@ -20,7 +21,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "src/allocators/caching_allocator.h"
@@ -60,40 +60,34 @@ class ExpandableSegmentsAllocator final : public AllocatorBase {
   void DoFree(uint64_t addr, uint64_t size) override;
 
  private:
-  struct Block {
-    uint64_t off = 0;   // offset within the stream's expandable segment
-    uint64_t size = 0;
-    bool free = true;
-  };
-  // Per-stream expandable segment state.
+  // Per-stream expandable segment: a VA reservation whose mapped prefix is the stream's arena
+  // segment (its pool is the stream).
   struct StreamSegment {
     VaPtr va = 0;
     uint64_t va_size = 0;
-    uint64_t mapped_end = 0;  // granularity-aligned mapped frontier
+    BlockArena::SegmentId id = 0;
     std::map<uint64_t, MemHandle> granule_handles;  // offset -> handle (one per granule)
-    std::map<uint64_t, Block> blocks;               // keyed by offset
-    BestFitIndex free_list;
   };
+  // Virtual space: any remainder of at least one 512 B block is worth splitting off.
+  static constexpr uint64_t kMinSplit = 512;
 
   bool IsSmall(uint64_t size) const {
     return AlignUp(std::max(size, uint64_t{512}), 512) <= config_.small_size;
   }
+  uint64_t MappedEnd(const StreamSegment& seg) const { return arena_.segment(seg.id).size; }
   StreamSegment& SegmentFor(StreamId stream);
   std::optional<uint64_t> LargeMalloc(StreamSegment& seg, uint64_t rounded);
-  void LargeFree(StreamSegment& seg, uint64_t off);
   // Grows the mapped frontier by `bytes` (granularity-rounded). Returns false on device OOM.
   bool Grow(StreamSegment& seg, uint64_t bytes);
-  // Unmaps fully-free granules at the mapped frontier down to the start of the tail free block.
-  void TrimTail(StreamSegment& seg);
-  void Coalesce(StreamSegment& seg, std::map<uint64_t, Block>::iterator it);
-  void ReleaseSegment(StreamSegment& seg);
+  // Unmaps fully-free granules at the mapped frontier down to the start of the tail free block,
+  // when that block is at least `threshold` bytes.
+  void TrimTail(StreamSegment& seg, uint64_t threshold);
 
   SimDevice* device_;
-  ExpandableSegmentsConfig config_;
+  const ExpandableSegmentsConfig config_;
   std::unique_ptr<CachingAllocator> small_pool_;
+  BlockArena arena_;
   std::map<StreamId, StreamSegment> streams_;
-  // addr -> owning stream for large blocks (frees carry no stream).
-  std::map<uint64_t, StreamId> block_stream_;
 };
 
 }  // namespace stalloc

@@ -1,7 +1,15 @@
-// BestFitIndex: the indexed free-space structure shared by the caching-style allocators
-// (caching_allocator, gmlake, expandable_segments).
+// BlockArena: the block ledger shared by the caching-style allocators (torch-caching, GMLake,
+// torch-expandable, vmm), and BestFitIndex, the free-space index inside it.
 //
-// A free block is the pair (size, addr). Best-fit selection — smallest sufficient size, then
+// The arena holds address-ordered blocks carved from segments. Every segment belongs to one
+// caller-chosen pool, and each pool's free blocks sit in one BestFitIndex. Taking a block picks
+// the best fit of its pool and splits off the tail; releasing one coalesces it with its free
+// neighbours in the same segment only, so address-adjacent segments never merge. Block records
+// live in a slot pool threaded into per-segment doubly-linked lists in address order (as in
+// upstream PyTorch), with a hash map from address to slot: a release is one hash lookup, a take
+// one index pop plus the lookup of the popped block.
+//
+// BestFitIndex: a free block is the pair (size, addr). Best-fit selection — smallest sufficient size, then
 // lowest address — used to walk one flat ordered set over *all* free blocks; under training
 // workloads thousands of cached blocks share few sizes, so that tree was deep and the
 // lower_bound/insert walks dominated the whole simulator's hot path.
@@ -31,6 +39,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -187,6 +196,86 @@ class BestFitIndex {
   size_t count_ = 0;
   size_t empty_buckets_ = 0;  // kept-alive empties among buckets_
   mutable size_t hot_pos_ = 0;  // last exact-match LowerBound hit (see LowerBound)
+};
+
+class BlockArena {
+ public:
+  using SegmentId = uint32_t;
+  using PoolId = uint32_t;
+
+  struct Segment {
+    uint64_t base = 0;
+    uint64_t size = 0;
+    PoolId pool = 0;
+    bool live = true;  // false once RemoveSegment dropped it; ids are never reused
+    uint64_t free_bytes = 0;
+    uint32_t tail = kNoBlock;  // slot of the highest-addressed block; kNoBlock when empty
+  };
+  struct Released {
+    uint64_t size = 0;  // the released block's own size, before coalescing
+    SegmentId segment = 0;
+  };
+
+  // Adds [base, base + size) to `pool` and takes its first `take` bytes (none when `take` is 0),
+  // splitting as Take does. The rest of the segment is free.
+  SegmentId AddSegment(uint64_t base, uint64_t size, PoolId pool, uint64_t take,
+                       uint64_t min_split);
+  // Takes the best fit for `size` from `pool` — the lowest address among the smallest free blocks
+  // of at least `size` bytes — and splits off its tail when the remainder is >= `min_split`.
+  std::optional<uint64_t> Take(PoolId pool, uint64_t size, uint64_t min_split);
+  // Frees the taken block at `addr` and coalesces it with its free neighbours in its segment.
+  Released Release(uint64_t addr);
+  // Drops a fully-free segment.
+  void RemoveSegment(SegmentId id);
+
+  // Tail operations for segments that grow and shrink at their end (expandable segments).
+  // Appends `bytes` of free space at the segment end, merged into a free tail block.
+  void GrowTail(SegmentId id, uint64_t bytes);
+  // Size of the free block that ends at the segment end, 0 if the tail block is taken or absent.
+  uint64_t TailFree(SegmentId id) const;
+  // Shrinks the segment to `new_size` bytes; the cut must lie inside the free tail block.
+  void TrimTail(SegmentId id, uint64_t new_size);
+
+  const Segment& segment(SegmentId id) const { return segments_[id]; }
+  bool FullyFree(SegmentId id) const {
+    const Segment& seg = segments_[id];
+    return seg.live && seg.free_bytes == seg.size;
+  }
+  // Segment ids handed out so far, removed ones included.
+  size_t num_segments() const { return segments_.size(); }
+
+ private:
+  static constexpr uint32_t kNoBlock = ~uint32_t{0};
+
+  struct Block {
+    uint64_t addr = 0;
+    uint64_t size = 0;
+    bool free = true;
+    SegmentId segment = 0;
+    uint32_t prev = kNoBlock;  // address-ordered neighbours within the segment
+    uint32_t next = kNoBlock;
+  };
+
+  BestFitIndex& Pool(PoolId pool) {
+    if (pool >= pools_.size()) {
+      pools_.resize(pool + 1);
+    }
+    return pools_[pool];
+  }
+  // Links a new block of `size` bytes at `addr` right after `prev` (kNoBlock: an empty segment).
+  uint32_t NewBlock(uint64_t addr, uint64_t size, bool free, SegmentId id, uint32_t prev);
+  void DropBlock(uint32_t slot);
+  uint32_t FindBlock(uint64_t addr) const;
+  // Marks the taken block `slot` as `want` bytes, splitting off a free remainder >= min_split.
+  void Split(uint32_t slot, uint64_t want, uint64_t min_split);
+  // Indexes the free block `slot` after merging it with its free neighbours.
+  void Coalesce(uint32_t slot);
+
+  std::vector<Block> blocks_;  // slot pool; free slots recycled via free_slots_
+  std::vector<uint32_t> free_slots_;
+  std::unordered_map<uint64_t, uint32_t> by_addr_;  // block address -> slot
+  std::vector<Segment> segments_;
+  std::vector<BestFitIndex> pools_;  // indexed by PoolId
 };
 
 }  // namespace stalloc

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -24,19 +23,18 @@ GMLakeAllocator::GMLakeAllocator(SimDevice* device, GMLakeConfig config)
 }
 
 GMLakeAllocator::~GMLakeAllocator() {
-  for (uint32_t seg_id = 0; seg_id < segments_.size(); ++seg_id) {
-    Segment& seg = segments_[seg_id];
-    if (seg.released) {
+  for (BlockArena::SegmentId id = 0; id < arena_.num_segments(); ++id) {
+    const BlockArena::Segment& seg = arena_.segment(id);
+    if (!seg.live) {
       continue;
     }
     uint64_t off = 0;
-    for (const auto& part : seg.handles) {
-      device_->MemUnmap(seg.va, off, part.size);
+    for (const auto& part : backings_[id].handles) {
+      device_->MemUnmap(seg.base, off, part.size);
       device_->MemRelease(part.handle);
       off += part.size;
     }
-    device_->FreeVa(seg.va);
-    seg.released = true;
+    device_->FreeVa(seg.base);
   }
 }
 
@@ -63,16 +61,11 @@ void GMLakeAllocator::DoFree(uint64_t addr, uint64_t size) {
     STALLOC_CHECK(small_pool_->Free(addr));
     return;
   }
-  auto it = blocks_.find(addr);
-  STALLOC_CHECK(it != blocks_.end() && !it->second.free,
-                << "gmlake: free of unknown block " << addr);
-  it->second.free = true;
-  segments_[it->second.segment].free_bytes += it->second.size;
-  Coalesce(it);
+  arena_.Release(addr);
 }
 
 std::optional<uint64_t> GMLakeAllocator::LargeMalloc(uint64_t rounded, StreamId stream) {
-  if (auto addr = AllocFromCache(rounded, stream); addr.has_value()) {
+  if (auto addr = arena_.Take(stream, rounded, MinSplit()); addr.has_value()) {
     return addr;
   }
   if (auto addr = AllocFromNewSegment(rounded, stream); addr.has_value()) {
@@ -92,20 +85,6 @@ std::optional<uint64_t> GMLakeAllocator::LargeMalloc(uint64_t rounded, StreamId 
   return std::nullopt;
 }
 
-std::optional<uint64_t> GMLakeAllocator::AllocFromCache(uint64_t rounded, StreamId stream) {
-  auto best = free_lists_[stream].PopBestFit(rounded);
-  if (!best.has_value()) {
-    return std::nullopt;
-  }
-  const uint64_t addr = best->second;
-  auto bit = blocks_.find(addr);
-  STALLOC_CHECK(bit != blocks_.end() && bit->second.free);
-  bit->second.free = false;
-  segments_[bit->second.segment].free_bytes -= bit->second.size;
-  SplitBlock(bit, rounded);
-  return addr;
-}
-
 std::optional<uint64_t> GMLakeAllocator::AllocFromNewSegment(uint64_t rounded,
                                                              StreamId stream) {
   const uint64_t seg_size = SegmentSizeFor(rounded);
@@ -119,88 +98,59 @@ std::optional<uint64_t> GMLakeAllocator::AllocFromNewSegment(uint64_t rounded,
     return std::nullopt;
   }
   STALLOC_CHECK(device_->MemMap(*va, 0, *handle) == DeviceStatus::kOk);
-
-  Segment seg;
-  seg.va = *va;
-  seg.size = seg_size;
-  seg.stream = stream;
-  seg.handles.push_back(HandlePart{*handle, seg_size});
-  segments_.push_back(std::move(seg));
   reserved_large_ += seg_size;
-  const uint32_t seg_id = static_cast<uint32_t>(segments_.size() - 1);
-
-  Block block;
-  block.addr = *va;
-  block.size = seg_size;
-  block.free = false;
-  block.segment = seg_id;
-  auto [bit, inserted] = blocks_.emplace(block.addr, block);
-  STALLOC_CHECK(inserted);
-  SplitBlock(bit, rounded);
+  AddSegment(*va, seg_size, stream, rounded, Backing{{HandlePart{*handle, seg_size}}, false});
   return *va;
 }
 
-std::vector<uint32_t> GMLakeAllocator::FreeSegments() const {
-  std::vector<uint32_t> out;
-  for (uint32_t seg_id = 0; seg_id < segments_.size(); ++seg_id) {
-    const Segment& seg = segments_[seg_id];
-    if (!seg.released && seg.free_bytes == seg.size) {
-      out.push_back(seg_id);
-    }
-  }
-  return out;
+void GMLakeAllocator::AddSegment(VaPtr va, uint64_t size, StreamId stream, uint64_t rounded,
+                                 Backing backing) {
+  const BlockArena::SegmentId id = arena_.AddSegment(va, size, stream, rounded, MinSplit());
+  STALLOC_CHECK_EQ(id, backings_.size());
+  backings_.push_back(std::move(backing));
 }
 
-std::vector<uint32_t> GMLakeAllocator::FreeSegmentsOfStream(StreamId stream) const {
-  std::vector<uint32_t> out;
-  for (uint32_t seg_id : FreeSegments()) {
-    if (segments_[seg_id].stream == stream) {
-      out.push_back(seg_id);
-    }
-  }
-  return out;
-}
-
-void GMLakeAllocator::DismantleSegment(uint32_t seg_id, bool release_physical) {
-  Segment& seg = segments_[seg_id];
-  STALLOC_CHECK(!seg.released && seg.free_bytes == seg.size);
-  // A fully-free segment is one coalesced free block starting at its base.
-  auto it = blocks_.find(seg.va);
-  STALLOC_CHECK(it != blocks_.end() && it->second.free && it->second.size == seg.size);
-  free_lists_[seg.stream].Erase(it->second.size, it->second.addr);
-  blocks_.erase(it);
+void GMLakeAllocator::DismantleSegment(BlockArena::SegmentId id, bool release_physical) {
+  const BlockArena::Segment& seg = arena_.segment(id);
+  const VaPtr va = seg.base;
+  const uint64_t size = seg.size;
+  arena_.RemoveSegment(id);
   uint64_t off = 0;
-  for (const auto& part : seg.handles) {
-    STALLOC_CHECK(device_->MemUnmap(seg.va, off, part.size) == DeviceStatus::kOk);
+  for (const auto& part : backings_[id].handles) {
+    STALLOC_CHECK(device_->MemUnmap(va, off, part.size) == DeviceStatus::kOk);
     if (release_physical) {
       STALLOC_CHECK(device_->MemRelease(part.handle) == DeviceStatus::kOk);
     }
     off += part.size;
   }
-  STALLOC_CHECK(device_->FreeVa(seg.va) == DeviceStatus::kOk);
+  STALLOC_CHECK(device_->FreeVa(va) == DeviceStatus::kOk);
   if (release_physical) {
-    reserved_large_ -= seg.size;
+    reserved_large_ -= size;
   }
-  seg.released = true;
-  seg.free_bytes = 0;
 }
 
 std::optional<uint64_t> GMLakeAllocator::AllocByStitching(uint64_t rounded, StreamId stream) {
   const uint64_t needed = AlignUp(rounded, SimDevice::kGranularity);
   // Gather fully-free same-stream segments, largest first, until their physical memory covers
   // the request (blocks of other streams may still be in flight on their streams).
-  std::vector<uint32_t> candidates = FreeSegmentsOfStream(stream);
-  std::sort(candidates.begin(), candidates.end(), [&](uint32_t a, uint32_t b) {
-    return segments_[a].size > segments_[b].size;
-  });
-  std::vector<uint32_t> picked;
+  std::vector<BlockArena::SegmentId> candidates;
+  for (BlockArena::SegmentId id = 0; id < arena_.num_segments(); ++id) {
+    if (arena_.FullyFree(id) && arena_.segment(id).pool == stream) {
+      candidates.push_back(id);
+    }
+  }
+  std::sort(candidates.begin(), candidates.end(),
+            [&](BlockArena::SegmentId a, BlockArena::SegmentId b) {
+              return arena_.segment(a).size > arena_.segment(b).size;
+            });
+  std::vector<BlockArena::SegmentId> picked;
   uint64_t total = 0;
-  for (uint32_t seg_id : candidates) {
+  for (BlockArena::SegmentId id : candidates) {
     if (total >= needed) {
       break;
     }
-    picked.push_back(seg_id);
-    total += segments_[seg_id].size;
+    picked.push_back(id);
+    total += arena_.segment(id).size;
   }
   if (total < needed) {
     return std::nullopt;
@@ -209,11 +159,11 @@ std::optional<uint64_t> GMLakeAllocator::AllocByStitching(uint64_t rounded, Stre
   // Unmap the victims (keeping their physical handles) and collect the handles. The physical
   // bytes move into the stitched segment, so reserved_large_ is unchanged.
   std::vector<HandlePart> parts;
-  for (uint32_t seg_id : picked) {
-    for (const auto& part : segments_[seg_id].handles) {
+  for (BlockArena::SegmentId id : picked) {
+    for (const auto& part : backings_[id].handles) {
       parts.push_back(part);
     }
-    DismantleSegment(seg_id, /*release_physical=*/false);
+    DismantleSegment(id, /*release_physical=*/false);
   }
 
   auto va = device_->ReserveVa(total);
@@ -236,73 +186,17 @@ std::optional<uint64_t> GMLakeAllocator::AllocByStitching(uint64_t rounded, Stre
                                   std::move(args));
   }
 
-  Segment seg;
-  seg.va = *va;
-  seg.size = total;
-  seg.handles = std::move(parts);
-  seg.stitched = true;
-  seg.stream = stream;
-  segments_.push_back(std::move(seg));
-  const uint32_t seg_id = static_cast<uint32_t>(segments_.size() - 1);
-
-  Block block;
-  block.addr = *va;
-  block.size = total;
-  block.free = false;
-  block.segment = seg_id;
-  auto [bit, inserted] = blocks_.emplace(block.addr, block);
-  STALLOC_CHECK(inserted);
-  SplitBlock(bit, rounded);
+  AddSegment(*va, total, stream, rounded, Backing{std::move(parts), true});
   return *va;
-}
-
-void GMLakeAllocator::SplitBlock(std::map<uint64_t, Block>::iterator it, uint64_t want) {
-  Block& block = it->second;
-  STALLOC_CHECK_GE(block.size, want);
-  const uint64_t remainder = block.size - want;
-  if (remainder <= config_.small_size) {
-    return;  // keep the PyTorch large-pool rule: only split off > 1 MiB remainders
-  }
-  block.size = want;
-  Block rest;
-  rest.addr = block.addr + want;
-  rest.size = remainder;
-  rest.free = true;
-  rest.segment = block.segment;
-  // The remainder lands immediately after `it` in address order: O(1) hinted insert.
-  blocks_.emplace_hint(std::next(it), rest.addr, rest);
-  segments_[rest.segment].free_bytes += remainder;
-  free_lists_[segments_[rest.segment].stream].Insert(remainder, rest.addr);
-}
-
-void GMLakeAllocator::Coalesce(std::map<uint64_t, Block>::iterator it) {
-  const uint32_t seg_id = it->second.segment;
-  auto& free_list = free_lists_[segments_[seg_id].stream];
-  auto next = std::next(it);
-  if (next != blocks_.end() && next->second.free && next->second.segment == seg_id &&
-      it->second.addr + it->second.size == next->second.addr) {
-    free_list.Erase(next->second.size, next->second.addr);
-    it->second.size += next->second.size;
-    blocks_.erase(next);
-  }
-  if (it != blocks_.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second.free && prev->second.segment == seg_id &&
-        prev->second.addr + prev->second.size == it->second.addr) {
-      free_list.Erase(prev->second.size, prev->second.addr);
-      prev->second.size += it->second.size;
-      blocks_.erase(it);
-      it = prev;
-    }
-  }
-  free_list.Insert(it->second.size, it->second.addr);
 }
 
 uint64_t GMLakeAllocator::ReleaseCachedSegments() {
   uint64_t released = 0;
-  for (uint32_t seg_id : FreeSegments()) {
-    released += segments_[seg_id].size;
-    DismantleSegment(seg_id, /*release_physical=*/true);
+  for (BlockArena::SegmentId id = 0; id < arena_.num_segments(); ++id) {
+    if (arena_.FullyFree(id)) {
+      released += arena_.segment(id).size;
+      DismantleSegment(id, /*release_physical=*/true);
+    }
   }
   return released;
 }
@@ -314,24 +208,23 @@ void GMLakeAllocator::EmptyCache() {
 
 size_t GMLakeAllocator::num_segments() const {
   size_t n = 0;
-  for (const auto& seg : segments_) {
-    if (!seg.released) {
-      ++n;
-    }
+  for (BlockArena::SegmentId id = 0; id < arena_.num_segments(); ++id) {
+    n += arena_.segment(id).live ? 1 : 0;
   }
   return n;
 }
 
 void GMLakeAllocator::AppendHeapSegments(std::vector<telemetry::HeapSegment>* out) const {
-  for (const auto& seg : segments_) {
-    if (seg.released) {
+  for (BlockArena::SegmentId id = 0; id < arena_.num_segments(); ++id) {
+    const BlockArena::Segment& seg = arena_.segment(id);
+    if (!seg.live) {
       continue;
     }
     telemetry::HeapSegment s;
-    s.base = seg.va;
+    s.base = seg.base;
     s.size = seg.size;
-    s.stream = seg.stream;
-    s.pool = seg.stitched ? "stitched" : "pblock";
+    s.stream = static_cast<StreamId>(seg.pool);
+    s.pool = backings_[id].stitched ? "stitched" : "pblock";
     out->push_back(std::move(s));
   }
   small_pool_->AppendHeapSegments(out);

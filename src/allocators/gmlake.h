@@ -7,17 +7,17 @@
 // without copying data, but each stitch costs unmap+map calls; with a low fragLimit threshold and
 // MoE's dynamic sizes this churn is the >50% slowdown the paper reports (§9.2).
 //
-// Stitching applies only to requests >= frag_limit (default 512 MiB, per the paper).
+// Stitching applies only to requests >= frag_limit (default 512 MiB, per the paper). pBlocks and
+// sBlocks are BlockArena segments with one pool per stream, split by the caching allocator's
+// large-pool rule; requests <= small_size go to an embedded caching small pool.
 
 #ifndef SRC_ALLOCATORS_GMLAKE_H_
 #define SRC_ALLOCATORS_GMLAKE_H_
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "src/allocators/caching_allocator.h"
@@ -56,45 +56,33 @@ class GMLakeAllocator final : public AllocatorBase {
     MemHandle handle = 0;
     uint64_t size = 0;
   };
-  struct Segment {  // a pBlock or an sBlock
-    VaPtr va = 0;
-    uint64_t size = 0;
+  // VMM backing of one arena segment — a pBlock or an sBlock — indexed by its segment id. The
+  // segment's pool is its stream.
+  struct Backing {
     std::vector<HandlePart> handles;  // mapped consecutively from offset 0
     bool stitched = false;
-    bool released = false;
-    StreamId stream = kComputeStream;
-    uint64_t free_bytes = 0;
-  };
-  struct Block {
-    uint64_t addr = 0;  // absolute virtual address
-    uint64_t size = 0;
-    bool free = true;
-    uint32_t segment = 0;
   };
   bool IsSmall(uint64_t size) const {
     return AlignUp(std::max(size, uint64_t{512}), 512) <= config_.small_size;
   }
+  // PyTorch's large-pool rule: only remainders above small_size are split off.
+  uint64_t MinSplit() const { return config_.small_size + 1; }
   uint64_t SegmentSizeFor(uint64_t rounded) const;
   std::optional<uint64_t> LargeMalloc(uint64_t rounded, StreamId stream);
-  std::optional<uint64_t> AllocFromCache(uint64_t rounded, StreamId stream);
   std::optional<uint64_t> AllocFromNewSegment(uint64_t rounded, StreamId stream);
   // Stitches fully-free same-stream pBlocks into a new segment holding `rounded`.
   std::optional<uint64_t> AllocByStitching(uint64_t rounded, StreamId stream);
-  void SplitBlock(std::map<uint64_t, Block>::iterator it, uint64_t want);
-  void Coalesce(std::map<uint64_t, Block>::iterator it);
-  // Fully-free, not-released segment ids (optionally restricted to one stream).
-  std::vector<uint32_t> FreeSegments() const;
-  std::vector<uint32_t> FreeSegmentsOfStream(StreamId stream) const;
+  // Adds a mapped segment at `va` to the arena, taking its first `rounded` bytes.
+  void AddSegment(VaPtr va, uint64_t size, StreamId stream, uint64_t rounded, Backing backing);
   // Unmaps a fully-free segment's handles; optionally releases the physical memory.
-  void DismantleSegment(uint32_t seg_id, bool release_physical);
+  void DismantleSegment(BlockArena::SegmentId id, bool release_physical);
   uint64_t ReleaseCachedSegments();
 
   SimDevice* device_;
   GMLakeConfig config_;
   std::unique_ptr<CachingAllocator> small_pool_;
-  std::vector<Segment> segments_;
-  std::map<uint64_t, Block> blocks_;
-  std::map<StreamId, BestFitIndex> free_lists_;
+  BlockArena arena_;
+  std::vector<Backing> backings_;  // parallel to the arena's segment ids
   uint64_t reserved_large_ = 0;  // physical bytes held by large segments
   uint64_t num_stitches_ = 0;
 };

@@ -108,46 +108,40 @@ std::vector<std::string> AllocatorRegistry::Names(bool include_plan_kinds) const
 
 bool ParseAllocatorOption(std::string_view option, AllocatorOptions* options,
                           std::string* error) {
+  auto fail = [error](std::string message) {
+    if (error != nullptr) {
+      *error = std::move(message);
+    }
+    return false;
+  };
   const size_t eq = option.find('=');
   if (eq == std::string_view::npos || eq == 0 || eq + 1 == option.size()) {
-    if (error != nullptr) {
-      *error = "allocator option must be key=value, got '" + std::string(option) + "'";
-    }
-    return false;
+    return fail("allocator option must be key=value, got '" + std::string(option) + "'");
   }
-  const std::string_view key = option.substr(0, eq);
+  const std::string key(option.substr(0, eq));
   const std::string value(option.substr(eq + 1));
+  uint64_t* field = nullptr;
+  if (key == "gmlake.frag_limit") {
+    field = &options->gmlake_frag_limit;
+  } else if (key == "paged.block_bytes") {
+    field = &options->paged_block_bytes;
+  } else if (key == "vmm.granularity") {
+    field = &options->vmm_granularity;
+  } else {
+    return fail("unknown allocator option '" + key + "'");
+  }
   const auto bytes = ParseByteSize(value.c_str());
   if (!bytes.has_value()) {
-    if (error != nullptr) {
-      *error = "allocator option '" + std::string(key) + "': malformed byte size '" + value +
-               "' (want e.g. 65536, 64K, 2MiB)";
-    }
-    return false;
+    return fail("allocator option '" + key + "': malformed byte size '" + value +
+                "' (want e.g. 65536, 64K, 2MiB)");
   }
-  if (key == "gmlake.frag_limit") {
-    options->gmlake_frag_limit = *bytes;
-    return true;
+  if (field == &options->vmm_granularity &&
+      (!IsPowerOfTwo(*bytes) || *bytes % SimDevice::kMinGranularity != 0)) {
+    return fail("vmm.granularity must be a power of two >= " +
+                std::to_string(SimDevice::kMinGranularity) + ", got " + value);
   }
-  if (key == "paged.block_bytes") {
-    options->paged_block_bytes = *bytes;
-    return true;
-  }
-  if (key == "vmm.granularity") {
-    if (!IsPowerOfTwo(*bytes) || *bytes % SimDevice::kMinGranularity != 0) {
-      if (error != nullptr) {
-        *error = "vmm.granularity must be a power of two >= " +
-                 std::to_string(SimDevice::kMinGranularity) + ", got " + value;
-      }
-      return false;
-    }
-    options->vmm_granularity = *bytes;
-    return true;
-  }
-  if (error != nullptr) {
-    *error = "unknown allocator option '" + std::string(key) + "'";
-  }
-  return false;
+  *field = *bytes;
+  return true;
 }
 
 }  // namespace stalloc

@@ -76,10 +76,8 @@ ServeScenario ScenarioByName(const std::string& name) {
   if (name == "rag-long") {
     return RagLongScenario();
   }
-  if (name == "batch-offline") {
-    return BatchOfflineScenario();
-  }
-  STALLOC_CHECK(false, << "unknown serving scenario: " << name);
+  STALLOC_CHECK(name == "batch-offline", << "unknown serving scenario: " << name);
+  return BatchOfflineScenario();
 }
 
 std::vector<std::string> ScenarioNames() { return {"chat", "rag-long", "batch-offline"}; }

@@ -22,12 +22,7 @@ VmmAllocator::VmmAllocator(SimDevice* device, VmmConfig config)
                            : AlignUp(2 * device_->capacity(), config_.granularity);
   va_ = std::make_unique<VaSpace>(device_, va_size, config_.granularity);
   pool_ = std::make_unique<PhysHandlePool>(device_, config_.granularity);
-  Block whole;
-  whole.off = 0;
-  whole.size = va_size;
-  whole.free = true;
-  blocks_.emplace(0, whole);
-  free_list_.Insert(whole.size, whole.off);
+  arena_.AddSegment(va_->base(), va_size, /*pool=*/0, /*take=*/0, SimDevice::kMallocAlign);
   page_refs_.assign(va_->num_pages(), 0);
 }
 
@@ -44,12 +39,7 @@ std::optional<uint64_t> VmmAllocator::DoMalloc(uint64_t size, const RequestConte
   if (IsSmall(size)) {
     return small_pool_->Malloc(size, ctx);
   }
-  const uint64_t rounded = AlignUp(size, SimDevice::kMallocAlign);
-  auto off = LargeMalloc(rounded);
-  if (!off.has_value()) {
-    return std::nullopt;
-  }
-  return va_->base() + *off;
+  return LargeMalloc(AlignUp(size, SimDevice::kMallocAlign));
 }
 
 void VmmAllocator::DoFree(uint64_t addr, uint64_t size) {
@@ -57,44 +47,23 @@ void VmmAllocator::DoFree(uint64_t addr, uint64_t size) {
     STALLOC_CHECK(small_pool_->Free(addr));
     return;
   }
-  const uint64_t off = addr - va_->base();
-  auto it = blocks_.find(off);
-  STALLOC_CHECK(it != blocks_.end() && !it->second.free,
-                << "vmm: free of unknown address " << addr);
   // Pages stay mapped (lazy, as PyTorch keeps segments): idle pages are the remap reserve and
   // the very fuel of remap-based compaction. EmptyCache returns them to the device.
-  AddRefs(it->second.off, it->second.size, -1);
-  it->second.free = true;
-  Coalesce(it);
+  AddRefs(addr - va_->base(), arena_.Release(addr).size, -1);
 }
 
 std::optional<uint64_t> VmmAllocator::LargeMalloc(uint64_t rounded) {
-  auto best = free_list_.PopBestFit(rounded);
-  if (!best.has_value()) {
+  auto addr = arena_.Take(/*pool=*/0, rounded, SimDevice::kMallocAlign);
+  if (!addr.has_value()) {
     // The VA reservation's block map is exhausted: no hole fits. This is the VMM-specific OOM —
     // virtual, not physical.
     return std::nullopt;
   }
-  const uint64_t off = best->second;
-  auto it = blocks_.find(off);
-  STALLOC_CHECK(it != blocks_.end() && it->second.free);
-  it->second.free = false;
-  if (it->second.size - rounded >= SimDevice::kMallocAlign) {
-    Block rest;
-    rest.off = off + rounded;
-    rest.size = it->second.size - rounded;
-    rest.free = true;
-    it->second.size = rounded;
-    blocks_.emplace_hint(std::next(it), rest.off, rest);
-    free_list_.Insert(rest.size, rest.off);
-  }
-  if (!EnsureMapped(off, rounded)) {
-    it = blocks_.find(off);
-    it->second.free = true;
-    Coalesce(it);
+  if (!EnsureMapped(*addr - va_->base(), rounded)) {
+    arena_.Release(*addr);
     return std::nullopt;
   }
-  return off;
+  return addr;
 }
 
 bool VmmAllocator::EnsureMapped(uint64_t off, uint64_t size) {
@@ -181,26 +150,6 @@ void VmmAllocator::AddRefs(uint64_t off, uint64_t size, int delta) {
       ++page_refs_[page];
     }
   }
-}
-
-void VmmAllocator::Coalesce(std::map<uint64_t, Block>::iterator it) {
-  auto next = std::next(it);
-  if (next != blocks_.end() && next->second.free &&
-      it->second.off + it->second.size == next->second.off) {
-    free_list_.Erase(next->second.size, next->second.off);
-    it->second.size += next->second.size;
-    blocks_.erase(next);
-  }
-  if (it != blocks_.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second.free && prev->second.off + prev->second.size == it->second.off) {
-      free_list_.Erase(prev->second.size, prev->second.off);
-      prev->second.size += it->second.size;
-      blocks_.erase(it);
-      it = prev;
-    }
-  }
-  free_list_.Insert(it->second.size, it->second.off);
 }
 
 void VmmAllocator::ReleaseIdlePages() {

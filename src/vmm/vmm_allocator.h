@@ -1,8 +1,9 @@
 // VmmAllocator: a two-level virtual-memory allocator over VaSpace + PhysHandlePool.
 //
-// Level 1 reserves one large VA range up front (VaSpace) and keeps a best-fit block map over it
-// — placement is pure address arithmetic inside the reservation, so virtual fragmentation is
-// the only placement constraint and it is bounded by the reservation size, not by capacity.
+// Level 1 reserves one large VA range up front (VaSpace) and places blocks best-fit inside it,
+// as one BlockArena segment — placement is pure address arithmetic inside the reservation, so
+// virtual fragmentation is the only placement constraint and it is bounded by the reservation
+// size, not by capacity.
 // Level 2 backs only the pages that live blocks actually touch with fixed-granularity physical
 // handles (PhysHandlePool), mapped lazily and reference-counted per page.
 //
@@ -22,7 +23,6 @@
 #define SRC_VMM_VMM_ALLOCATOR_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string_view>
@@ -81,12 +81,6 @@ class VmmAllocator : public AllocatorBase {
   void DoFree(uint64_t addr, uint64_t size) override;
 
  private:
-  struct Block {
-    uint64_t off = 0;
-    uint64_t size = 0;
-    bool free = false;
-  };
-
   bool IsSmall(uint64_t size) const {
     return config_.small_size != 0 && size <= config_.small_size;
   }
@@ -103,7 +97,6 @@ class VmmAllocator : public AllocatorBase {
   // toward low addresses). nullopt if every mapped page is referenced.
   std::optional<uint64_t> FindIdlePage() const;
   void AddRefs(uint64_t off, uint64_t size, int delta);
-  void Coalesce(std::map<uint64_t, Block>::iterator it);
   // Unmaps every refcount-0 mapped page, returning handles to the pool.
   void ReleaseIdlePages();
 
@@ -112,8 +105,7 @@ class VmmAllocator : public AllocatorBase {
   std::unique_ptr<CachingAllocator> small_pool_;  // may be null (small_size == 0)
   std::unique_ptr<VaSpace> va_;
   std::unique_ptr<PhysHandlePool> pool_;
-  std::map<uint64_t, Block> blocks_;  // offset -> block, covering [0, va_size)
-  BestFitIndex free_list_;
+  BlockArena arena_;  // one segment covering the whole reservation
   std::vector<uint32_t> page_refs_;  // per page: live large blocks overlapping it
   VmmStats vmm_stats_;
 };

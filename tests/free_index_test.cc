@@ -1,4 +1,4 @@
-// Coverage for src/allocators/free_index.h and the allocators that moved onto it.
+// Coverage for src/allocators/free_index.{h,cc} and the allocators that moved onto it.
 //
 // The BestFitIndex replaced the flat ordered (size, addr) sets the caching-style allocators
 // searched linearly through node-based trees; its contract is that every selection is
@@ -308,6 +308,72 @@ TEST(BestFitIndex, ManyDistinctSizesCompactWithinBoundAndMatchReference) {
     ASSERT_LE(index.num_size_buckets(), 2 * ref.distinct_sizes() + 64) << "op " << op;
   }
   EXPECT_GE(compactions, 10u);
+}
+
+// --- BlockArena ---
+
+// Coalescing stops at segment boundaries: two segments the device placed back to back stay two
+// free blocks, even though their free ranges touch.
+TEST(BlockArena, AdjacentSegmentsDoNotMerge) {
+  SimDevice dev(64 * MiB);
+  const auto a = dev.DevMalloc(2 * MiB);
+  const auto b = dev.DevMalloc(2 * MiB);
+  ASSERT_TRUE(a.has_value() && b.has_value());
+  ASSERT_EQ(*a + 2 * MiB, *b);
+  BlockArena arena;
+  const BlockArena::SegmentId sa = arena.AddSegment(*a, 2 * MiB, 0, 1 * MiB, 512);
+  const BlockArena::SegmentId sb = arena.AddSegment(*b, 2 * MiB, 0, 1 * MiB, 512);
+  // The tail of `a` and the head of `b` are taken; release them and the free ranges meet.
+  const BlockArena::Released ra = arena.Release(*a);
+  EXPECT_EQ(ra.size, 1 * MiB);
+  EXPECT_EQ(ra.segment, sa);
+  EXPECT_EQ(arena.Release(*b).segment, sb);
+  EXPECT_TRUE(arena.FullyFree(sa));
+  EXPECT_TRUE(arena.FullyFree(sb));
+  EXPECT_FALSE(arena.Take(0, 3 * MiB, 512).has_value());
+  EXPECT_EQ(arena.Take(0, 2 * MiB, 512), *a);
+  EXPECT_EQ(arena.Take(0, 2 * MiB, 512), *b);
+  EXPECT_FALSE(arena.Take(0, 512, 512).has_value());
+  arena.Release(*a);
+  arena.RemoveSegment(sa);
+  EXPECT_FALSE(arena.segment(sa).live);
+  EXPECT_FALSE(arena.Take(0, 512, 512).has_value());
+  arena.Release(*b);
+  EXPECT_EQ(arena.Take(0, 512, 512), *b);
+}
+
+// The split rule is the caller's: a remainder below min_split stays inside the taken block.
+TEST(BlockArena, MinSplitKeepsSmallRemainders) {
+  BlockArena arena;
+  const uint64_t base = 1 * GiB;
+  arena.AddSegment(base, 4 * MiB, 3, 0, 1 * MiB + 1);
+  EXPECT_EQ(arena.Take(3, 3 * MiB, 1 * MiB + 1), base);  // 1 MiB remainder: not split
+  EXPECT_FALSE(arena.Take(3, 512, 512).has_value());
+  EXPECT_EQ(arena.Release(base).size, 4 * MiB);
+  EXPECT_EQ(arena.Take(3, 2 * MiB, 512), base);  // 2 MiB remainder: split
+  EXPECT_EQ(arena.Take(3, 2 * MiB, 512), base + 2 * MiB);
+}
+
+// Tail growth merges into a free tail block; trimming cuts it back.
+TEST(BlockArena, TailGrowsAndTrims) {
+  BlockArena arena;
+  const uint64_t base = 1 * GiB;
+  const BlockArena::SegmentId id = arena.AddSegment(base, 0, 0, 0, 512);
+  EXPECT_EQ(arena.TailFree(id), 0u);
+  arena.GrowTail(id, 2 * MiB);
+  EXPECT_EQ(arena.Take(0, 1 * MiB, 512), base);
+  EXPECT_EQ(arena.TailFree(id), 1 * MiB);
+  arena.GrowTail(id, 2 * MiB);
+  EXPECT_EQ(arena.TailFree(id), 3 * MiB);
+  EXPECT_EQ(arena.segment(id).size, 4 * MiB);
+  arena.TrimTail(id, 2 * MiB);
+  EXPECT_EQ(arena.TailFree(id), 1 * MiB);
+  EXPECT_EQ(arena.segment(id).free_bytes, 1 * MiB);
+  arena.TrimTail(id, 1 * MiB);  // the cut removes the tail block
+  EXPECT_EQ(arena.TailFree(id), 0u);
+  arena.Release(base);
+  EXPECT_TRUE(arena.FullyFree(id));
+  EXPECT_EQ(arena.TailFree(id), 1 * MiB);
 }
 
 // --- pinned placement: the refactored allocators vs. the seed allocators ---

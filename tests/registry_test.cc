@@ -109,6 +109,29 @@ TEST(RegistryTest, GmlakeFragLimitOverridePlumbsThrough) {
   EXPECT_TRUE(alloc->Free(*addr));
 }
 
+// The key is checked before its value, so a misspelled key is reported as such whatever follows
+// the '='.
+TEST(RegistryTest, ParseAllocatorOptionReportsTheFirstFault) {
+  AllocatorOptions options;
+  std::string error;
+  EXPECT_FALSE(ParseAllocatorOption("vmm.small_size=0", &options, &error));
+  EXPECT_EQ(error, "unknown allocator option 'vmm.small_size'");
+  EXPECT_FALSE(ParseAllocatorOption("gmlake.frag_limit=lots", &options, &error));
+  EXPECT_NE(error.find("allocator option 'gmlake.frag_limit': malformed byte size 'lots'"),
+            std::string::npos)
+      << error;
+  EXPECT_FALSE(ParseAllocatorOption("paged.block_bytes", &options, &error));
+  EXPECT_EQ(error, "allocator option must be key=value, got 'paged.block_bytes'");
+  EXPECT_FALSE(ParseAllocatorOption("vmm.granularity=96K", &options, &error));
+  EXPECT_EQ(error, "vmm.granularity must be a power of two >= 65536, got 96K");
+  EXPECT_FALSE(ParseAllocatorOption("vmm.granularity=32K", &options, &error));
+  EXPECT_EQ(options.gmlake_frag_limit, 0u);  // no failed parse wrote a field
+  EXPECT_EQ(options.paged_block_bytes, 0u);
+  EXPECT_EQ(options.vmm_granularity, 0u);
+  EXPECT_TRUE(ParseAllocatorOption("vmm.granularity=128K", &options, &error));
+  EXPECT_EQ(options.vmm_granularity, 128 * KiB);
+}
+
 // Mutating registration runs on a locally constructed registry so the Global() singleton the
 // other tests pin stays untouched.
 TEST(RegistryTest, NewKindsRegisterInOnePlace) {
