@@ -30,7 +30,7 @@ std::optional<uint64_t> AllocatorBase::Malloc(uint64_t size, const RequestContex
     timer.Reset();
   }
   ++stats_.num_mallocs;
-  if (size == 0) {
+  if (size == 0 || size > kMaxRequestSize) {
     ++stats_.num_oom;
     if (telemetry_on) {
       RecordTelemetryOom(size);
@@ -94,8 +94,7 @@ bool AllocatorBase::Free(uint64_t addr) {
   // Exact high-water-mark capture: leaving a new global allocated peak for the first time,
   // snapshot before the ledger shrinks so the frame holds the full peak-resident set. One
   // relaxed armed() load when no heap map was requested; folded away when telemetry is off.
-  if (telemetry_on && !heap_suppressed_ &&
-      (heap_ != nullptr || telemetry::HeapMapRecorder::Global().armed()) &&
+  if (telemetry_on && (heap_ != nullptr || telemetry::HeapMapRecorder::Global().armed()) &&
       stats_.allocated_current == stats_.allocated_peak) {
     MaybeHeapMapPeak();
   }
@@ -208,8 +207,7 @@ void AllocatorBase::RecordTelemetryOom(uint64_t size) {
 
   // The address space at the instant of failure is the heap map's most valuable frame: it
   // shows which blocks pinned the gaps that refused this request.
-  if (!heap_suppressed_ && telemetry::HeapMapRecorder::Global().armed() &&
-      EnsureHeapMapState()->config.on_oom) {
+  if (telemetry::HeapMapRecorder::Global().armed() && EnsureHeapMapState()->config.on_oom) {
     CaptureHeapSnapshot(telemetry::HeapTrigger::kOom, size);
   }
 }
@@ -233,9 +231,6 @@ AllocatorBase::HeapMapState* AllocatorBase::EnsureHeapMapState() {
 }
 
 void AllocatorBase::MaybeHeapMapMalloc(uint64_t addr, const RequestContext& ctx) {
-  if (heap_suppressed_) {
-    return;  // the owning allocator's ledger covers this pool's blocks
-  }
   HeapMapState* hs = EnsureHeapMapState();
   HeapMapState::Tag& tag = hs->tags[addr];  // overwrites a stale tag on address reuse
   tag.phase = ctx.phase;
@@ -302,7 +297,7 @@ void AllocatorBase::CaptureHeapSnapshot(telemetry::HeapTrigger trigger, uint64_t
 
 void AllocatorBase::CaptureHeapSnapshotImpl(telemetry::HeapTrigger trigger,
                                             uint64_t failed_size, bool urgent) {
-  if (!telemetry::Enabled() || heap_suppressed_) {
+  if (!telemetry::Enabled()) {
     return;
   }
   auto& recorder = telemetry::HeapMapRecorder::Global();

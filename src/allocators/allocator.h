@@ -34,6 +34,11 @@ struct RequestContext {
   uint64_t tenant = 0;              // owning job/request id (cluster replay; 0 = unattributed)
 };
 
+// Largest request an allocator accepts: 2^48 B (256 TiB), far above any simulated capacity.
+// Larger requests — and empty ones — fail as an OOM before reaching the policy, whose size
+// rounding would otherwise wrap near 2^64.
+constexpr uint64_t kMaxRequestSize = uint64_t{1} << 48;
+
 struct AllocatorStats {
   uint64_t allocated_current = 0;  // live requested bytes
   uint64_t allocated_peak = 0;     // max allocated (Ma)
@@ -118,16 +123,9 @@ class AllocatorBase : public Allocator {
 
   // Captures a heap-map snapshot of this allocator right now and hands it to the global
   // HeapMapRecorder. No-op unless telemetry is enabled and the recorder is armed (and this
-  // allocator is not suppressed / over its per-allocator snapshot cap). `failed_size` is the
-  // request size for kOom snapshots.
+  // allocator is not over its per-allocator snapshot cap). `failed_size` is the request size
+  // for kOom snapshots.
   void CaptureHeapSnapshot(telemetry::HeapTrigger trigger, uint64_t failed_size = 0);
-
-  // Excludes this allocator from snapshot capture. Owners of nested pools (STAlloc's caching
-  // fallback, GMLake's / expandable's / vmm's small pool) call this on the inner allocator: the
-  // outer live_ ledger already covers every block the inner pool serves, so an inner snapshot
-  // would double-report; the outer AppendHeapSegments delegates to the inner pool for segments
-  // (the VMM additionally reports its own contiguous mapped-page runs as segments).
-  void SuppressHeapSnapshots() { heap_suppressed_ = true; }
 
  protected:
   virtual std::optional<uint64_t> DoMalloc(uint64_t size, const RequestContext& ctx) = 0;
@@ -179,7 +177,6 @@ class AllocatorBase : public Allocator {
   AllocatorStats stats_;
   std::unique_ptr<telemetry::FlightRing> flight_;
   std::unique_ptr<HeapMapState> heap_;
-  bool heap_suppressed_ = false;
   // addr -> requested size of live blocks, used for accounting and overlap detection.
   std::map<uint64_t, uint64_t> live_;
 };

@@ -1,22 +1,16 @@
 #include "src/allocators/caching_allocator.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <utility>
 
-#include "src/common/check.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/telemetry.h"
 #include "src/telemetry/tracer.h"
 
 namespace stalloc {
 
-CachingAllocator::CachingAllocator(SimDevice* device, CachingAllocatorConfig config)
-    : device_(device), config_(config) {
-  STALLOC_CHECK(IsPowerOfTwo(config_.min_block_size));
-}
-
-CachingAllocator::~CachingAllocator() {
+CachingPool::~CachingPool() {
   // Return every segment to the device so a shared SimDevice's accounting stays clean.
   for (BlockArena::SegmentId id = 0; id < arena_.num_segments(); ++id) {
     if (arena_.segment(id).live) {
@@ -25,25 +19,18 @@ CachingAllocator::~CachingAllocator() {
   }
 }
 
-uint64_t CachingAllocator::RoundSize(uint64_t size) const {
-  if (size < config_.min_block_size) {
-    return config_.min_block_size;
+uint64_t CachingPool::SegmentSizeFor(uint64_t rounded) {
+  if (rounded <= kSmallSize) {
+    return kSmallBuffer;
   }
-  return AlignUp(size, config_.min_block_size);
+  if (rounded < kMinLargeAlloc) {
+    return kLargeBuffer;
+  }
+  return AlignUp(rounded, kRoundLarge);
 }
 
-uint64_t CachingAllocator::SegmentSizeFor(uint64_t rounded) const {
-  if (IsSmall(rounded)) {
-    return config_.small_buffer;
-  }
-  if (rounded < config_.min_large_alloc) {
-    return config_.large_buffer;
-  }
-  return AlignUp(rounded, config_.round_large);
-}
-
-std::optional<uint64_t> CachingAllocator::AllocFromNewSegment(uint64_t rounded, bool small,
-                                                              StreamId stream) {
+std::optional<uint64_t> CachingPool::AllocFromNewSegment(uint64_t rounded, bool small,
+                                                         StreamId stream) {
   const uint64_t seg_size = SegmentSizeFor(rounded);
   auto base = device_->DevMalloc(seg_size);
   if (!base.has_value()) {
@@ -61,22 +48,17 @@ std::optional<uint64_t> CachingAllocator::AllocFromNewSegment(uint64_t rounded, 
   return *base;
 }
 
-std::optional<uint64_t> CachingAllocator::DoMalloc(uint64_t size, const RequestContext& ctx) {
+std::optional<uint64_t> CachingPool::Malloc(uint64_t size, StreamId stream) {
   const uint64_t rounded = RoundSize(size);
-  const bool small = IsSmall(rounded);
-  if (auto addr = arena_.Take(PoolFor(small, ctx.stream), rounded, MinSplit(small));
+  const bool small = rounded <= kSmallSize;
+  if (auto addr = arena_.Take(PoolFor(small, stream), rounded, MinSplit(small));
       addr.has_value()) {
     return addr;
   }
-  return AllocFromNewSegment(rounded, small, ctx.stream);
+  return AllocFromNewSegment(rounded, small, stream);
 }
 
-void CachingAllocator::DoFree(uint64_t addr, uint64_t size) {
-  (void)size;
-  arena_.Release(addr);
-}
-
-uint64_t CachingAllocator::ReleaseCachedSegments() {
+uint64_t CachingPool::ReleaseCachedSegments() {
   uint64_t released = 0;
   for (BlockArena::SegmentId id = 0; id < arena_.num_segments(); ++id) {
     if (!arena_.FullyFree(id)) {
@@ -91,7 +73,7 @@ uint64_t CachingAllocator::ReleaseCachedSegments() {
   return released;
 }
 
-void CachingAllocator::EmptyCache() {
+void CachingPool::EmptyCache() {
   const uint64_t released = ReleaseCachedSegments();
   if (telemetry::Enabled()) {
     static telemetry::Counter* empties =
@@ -108,7 +90,7 @@ void CachingAllocator::EmptyCache() {
   }
 }
 
-uint64_t CachingAllocator::cached_free_bytes() const {
+uint64_t CachingPool::cached_free_bytes() const {
   uint64_t total = 0;
   for (BlockArena::SegmentId id = 0; id < arena_.num_segments(); ++id) {
     if (arena_.segment(id).live) {
@@ -118,7 +100,7 @@ uint64_t CachingAllocator::cached_free_bytes() const {
   return total;
 }
 
-void CachingAllocator::AppendHeapSegments(std::vector<telemetry::HeapSegment>* out) const {
+void CachingPool::AppendHeapSegments(std::vector<telemetry::HeapSegment>* out) const {
   for (BlockArena::SegmentId id = 0; id < arena_.num_segments(); ++id) {
     const BlockArena::Segment& seg = arena_.segment(id);
     if (!seg.live) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -14,12 +13,7 @@ namespace stalloc {
 
 ExpandableSegmentsAllocator::ExpandableSegmentsAllocator(SimDevice* device,
                                                          ExpandableSegmentsConfig config)
-    : device_(device), config_(config) {
-  small_pool_ = std::make_unique<CachingAllocator>(device);
-  // Our live_ ledger covers small-pool blocks; the inner pool contributes segments only (see
-  // AppendHeapSegments), never its own snapshots.
-  small_pool_->SuppressHeapSnapshots();
-}
+    : device_(device), config_(config), small_pool_(device) {}
 
 ExpandableSegmentsAllocator::~ExpandableSegmentsAllocator() {
   for (auto& [stream, seg] : streams_) {
@@ -38,8 +32,7 @@ ExpandableSegmentsAllocator::StreamSegment& ExpandableSegmentsAllocator::Segment
     return it->second;
   }
   StreamSegment seg;
-  seg.va_size = config_.va_size != 0 ? AlignUp(config_.va_size, SimDevice::kGranularity)
-                                     : AlignUp(device_->capacity(), SimDevice::kGranularity);
+  seg.va_size = AlignUp(device_->capacity(), SimDevice::kGranularity);
   auto va = device_->ReserveVa(seg.va_size);
   STALLOC_CHECK(va.has_value(), << "VA reservation failed");
   seg.va = *va;
@@ -56,20 +49,20 @@ uint64_t ExpandableSegmentsAllocator::mapped_bytes() const {
 }
 
 uint64_t ExpandableSegmentsAllocator::ReservedBytes() const {
-  return mapped_bytes() + small_pool_->ReservedBytes();
+  return mapped_bytes() + small_pool_.ReservedBytes();
 }
 
 std::optional<uint64_t> ExpandableSegmentsAllocator::DoMalloc(uint64_t size,
                                                               const RequestContext& ctx) {
-  if (IsSmall(size)) {
-    return small_pool_->Malloc(size, ctx);
+  if (CachingPool::IsSmall(size)) {
+    return small_pool_.Malloc(size, ctx.stream);
   }
   return LargeMalloc(SegmentFor(ctx.stream), AlignUp(size, 512));
 }
 
 void ExpandableSegmentsAllocator::DoFree(uint64_t addr, uint64_t size) {
-  if (IsSmall(size)) {
-    STALLOC_CHECK(small_pool_->Free(addr));
+  if (CachingPool::IsSmall(size)) {
+    small_pool_.Free(addr);
     return;
   }
   const BlockArena::Released released = arena_.Release(addr);
@@ -109,7 +102,7 @@ bool ExpandableSegmentsAllocator::Grow(StreamSegment& seg, uint64_t bytes) {
       // Device OOM: let the small pool return cached segments and *other* streams trim, then
       // retry once. The growing segment itself must not be trimmed — its frontier is the very
       // region being extended.
-      small_pool_->EmptyCache();
+      small_pool_.EmptyCache();
       for (auto& [stream, other] : streams_) {
         if (&other != &seg) {
           TrimTail(other, /*threshold=*/1);
@@ -157,7 +150,7 @@ void ExpandableSegmentsAllocator::TrimTail(StreamSegment& seg, uint64_t threshol
 }
 
 void ExpandableSegmentsAllocator::EmptyCache() {
-  small_pool_->EmptyCache();
+  small_pool_.EmptyCache();
   for (auto& [stream, seg] : streams_) {
     TrimTail(seg, /*threshold=*/1);
   }
@@ -177,7 +170,7 @@ void ExpandableSegmentsAllocator::AppendHeapSegments(
     s.pool = "expandable";
     out->push_back(std::move(s));
   }
-  small_pool_->AppendHeapSegments(out);
+  small_pool_.AppendHeapSegments(out);
 }
 
 }  // namespace stalloc

@@ -10,16 +10,15 @@
 // paper's ES throughput regression under recompute churn, §9.2/§9.3), and (2) per-stream
 // isolation: a stream's mapped memory is not reusable by other streams.
 //
-// Small requests (<= 1 MiB) use an embedded classic caching small pool, as in PyTorch. Each
-// stream's mapped prefix is one BlockArena segment that grows and trims at its tail.
+// Small requests (<= 1 MiB) use a classic caching small pool, as in PyTorch. Each stream's
+// mapped prefix is one BlockArena segment that grows and trims at its tail, inside a virtual
+// reservation of the device's capacity.
 
 #ifndef SRC_ALLOCATORS_EXPANDABLE_SEGMENTS_H_
 #define SRC_ALLOCATORS_EXPANDABLE_SEGMENTS_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -30,14 +29,11 @@
 namespace stalloc {
 
 struct ExpandableSegmentsConfig {
-  uint64_t small_size = 1 * MiB;  // boundary below which the classic small pool serves
   // When the free tail of a segment exceeds this, trailing granules are unmapped. PyTorch is
   // lazy: it unmaps only under memory pressure or on empty_cache — hence the "never" default.
   // Pressure-driven trimming still happens regardless (Grow retries after trimming all
   // streams), which is where the paper's ES map/unmap churn comes from on near-full devices.
   uint64_t trim_threshold = ~uint64_t{0};
-  // Size of each stream's virtual reservation. 0 = device capacity (rounded to granularity).
-  uint64_t va_size = 0;
 };
 
 class ExpandableSegmentsAllocator final : public AllocatorBase {
@@ -71,9 +67,6 @@ class ExpandableSegmentsAllocator final : public AllocatorBase {
   // Virtual space: any remainder of at least one 512 B block is worth splitting off.
   static constexpr uint64_t kMinSplit = 512;
 
-  bool IsSmall(uint64_t size) const {
-    return AlignUp(std::max(size, uint64_t{512}), 512) <= config_.small_size;
-  }
   uint64_t MappedEnd(const StreamSegment& seg) const { return arena_.segment(seg.id).size; }
   StreamSegment& SegmentFor(StreamId stream);
   std::optional<uint64_t> LargeMalloc(StreamSegment& seg, uint64_t rounded);
@@ -85,7 +78,7 @@ class ExpandableSegmentsAllocator final : public AllocatorBase {
 
   SimDevice* device_;
   const ExpandableSegmentsConfig config_;
-  std::unique_ptr<CachingAllocator> small_pool_;
+  CachingPool small_pool_;
   BlockArena arena_;
   std::map<StreamId, StreamSegment> streams_;
 };

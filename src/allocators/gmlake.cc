@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -15,12 +14,7 @@
 namespace stalloc {
 
 GMLakeAllocator::GMLakeAllocator(SimDevice* device, GMLakeConfig config)
-    : device_(device), config_(config) {
-  small_pool_ = std::make_unique<CachingAllocator>(device);
-  // Our own live_ ledger already covers small-pool blocks (they enter through our Malloc), so
-  // the inner pool must not emit its own heap snapshots; we delegate to it for segments only.
-  small_pool_->SuppressHeapSnapshots();
-}
+    : device_(device), config_(config), small_pool_(device) {}
 
 GMLakeAllocator::~GMLakeAllocator() {
   for (BlockArena::SegmentId id = 0; id < arena_.num_segments(); ++id) {
@@ -39,33 +33,33 @@ GMLakeAllocator::~GMLakeAllocator() {
 }
 
 uint64_t GMLakeAllocator::ReservedBytes() const {
-  return reserved_large_ + small_pool_->ReservedBytes();
+  return reserved_large_ + small_pool_.ReservedBytes();
 }
 
-uint64_t GMLakeAllocator::SegmentSizeFor(uint64_t rounded) const {
-  if (rounded < config_.min_large_alloc) {
-    return config_.large_buffer;
+uint64_t GMLakeAllocator::SegmentSizeFor(uint64_t rounded) {
+  if (rounded < CachingPool::kMinLargeAlloc) {
+    return CachingPool::kLargeBuffer;
   }
   return AlignUp(rounded, SimDevice::kGranularity);
 }
 
 std::optional<uint64_t> GMLakeAllocator::DoMalloc(uint64_t size, const RequestContext& ctx) {
-  if (IsSmall(size)) {
-    return small_pool_->Malloc(size, ctx);
+  if (CachingPool::IsSmall(size)) {
+    return small_pool_.Malloc(size, ctx.stream);
   }
   return LargeMalloc(AlignUp(size, 512), ctx.stream);
 }
 
 void GMLakeAllocator::DoFree(uint64_t addr, uint64_t size) {
-  if (IsSmall(size)) {
-    STALLOC_CHECK(small_pool_->Free(addr));
+  if (CachingPool::IsSmall(size)) {
+    small_pool_.Free(addr);
     return;
   }
   arena_.Release(addr);
 }
 
 std::optional<uint64_t> GMLakeAllocator::LargeMalloc(uint64_t rounded, StreamId stream) {
-  if (auto addr = arena_.Take(stream, rounded, MinSplit()); addr.has_value()) {
+  if (auto addr = arena_.Take(stream, rounded, kMinSplit); addr.has_value()) {
     return addr;
   }
   if (auto addr = AllocFromNewSegment(rounded, stream); addr.has_value()) {
@@ -105,7 +99,7 @@ std::optional<uint64_t> GMLakeAllocator::AllocFromNewSegment(uint64_t rounded,
 
 void GMLakeAllocator::AddSegment(VaPtr va, uint64_t size, StreamId stream, uint64_t rounded,
                                  Backing backing) {
-  const BlockArena::SegmentId id = arena_.AddSegment(va, size, stream, rounded, MinSplit());
+  const BlockArena::SegmentId id = arena_.AddSegment(va, size, stream, rounded, kMinSplit);
   STALLOC_CHECK_EQ(id, backings_.size());
   backings_.push_back(std::move(backing));
 }
@@ -202,7 +196,7 @@ uint64_t GMLakeAllocator::ReleaseCachedSegments() {
 }
 
 void GMLakeAllocator::EmptyCache() {
-  small_pool_->EmptyCache();
+  small_pool_.EmptyCache();
   ReleaseCachedSegments();
 }
 
@@ -227,7 +221,7 @@ void GMLakeAllocator::AppendHeapSegments(std::vector<telemetry::HeapSegment>* ou
     s.pool = backings_[id].stitched ? "stitched" : "pblock";
     out->push_back(std::move(s));
   }
-  small_pool_->AppendHeapSegments(out);
+  small_pool_.AppendHeapSegments(out);
 }
 
 }  // namespace stalloc

@@ -9,14 +9,12 @@
 //
 // Stitching applies only to requests >= frag_limit (default 512 MiB, per the paper). pBlocks and
 // sBlocks are BlockArena segments with one pool per stream, split by the caching allocator's
-// large-pool rule; requests <= small_size go to an embedded caching small pool.
+// large-pool rule; requests of at most 1 MiB go to a caching small pool.
 
 #ifndef SRC_ALLOCATORS_GMLAKE_H_
 #define SRC_ALLOCATORS_GMLAKE_H_
 
-#include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -27,10 +25,7 @@
 namespace stalloc {
 
 struct GMLakeConfig {
-  uint64_t small_size = 1 * MiB;       // small/large pool boundary
-  uint64_t large_buffer = 20 * MiB;    // default pBlock size for mid-size requests
-  uint64_t min_large_alloc = 10 * MiB;
-  uint64_t frag_limit = 512 * MiB;     // stitching threshold (paper default)
+  uint64_t frag_limit = 512 * MiB;  // stitching threshold (paper default)
 };
 
 class GMLakeAllocator final : public AllocatorBase {
@@ -62,12 +57,9 @@ class GMLakeAllocator final : public AllocatorBase {
     std::vector<HandlePart> handles;  // mapped consecutively from offset 0
     bool stitched = false;
   };
-  bool IsSmall(uint64_t size) const {
-    return AlignUp(std::max(size, uint64_t{512}), 512) <= config_.small_size;
-  }
-  // PyTorch's large-pool rule: only remainders above small_size are split off.
-  uint64_t MinSplit() const { return config_.small_size + 1; }
-  uint64_t SegmentSizeFor(uint64_t rounded) const;
+  // PyTorch's large-pool rule: only remainders above the small-pool boundary are split off.
+  static constexpr uint64_t kMinSplit = CachingPool::kSmallSize + 1;
+  static uint64_t SegmentSizeFor(uint64_t rounded);
   std::optional<uint64_t> LargeMalloc(uint64_t rounded, StreamId stream);
   std::optional<uint64_t> AllocFromNewSegment(uint64_t rounded, StreamId stream);
   // Stitches fully-free same-stream pBlocks into a new segment holding `rounded`.
@@ -80,7 +72,7 @@ class GMLakeAllocator final : public AllocatorBase {
 
   SimDevice* device_;
   GMLakeConfig config_;
-  std::unique_ptr<CachingAllocator> small_pool_;
+  CachingPool small_pool_;
   BlockArena arena_;
   std::vector<Backing> backings_;  // parallel to the arena's segment ids
   uint64_t reserved_large_ = 0;  // physical bytes held by large segments

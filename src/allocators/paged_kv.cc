@@ -1,6 +1,7 @@
 #include "src/allocators/paged_kv.h"
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <vector>
 
@@ -33,14 +34,21 @@ bool PagedKVAllocator::GrowPool() {
     }
     slabs_.emplace(*base, Slab{blocks, blocks});
     for (uint64_t b = 0; b < blocks; ++b) {
-      const uint64_t addr = *base + b * config_.block_bytes;
-      free_blocks_.insert(addr);
-      block_slab_.emplace(addr, *base);
+      free_blocks_.insert(*base + b * config_.block_bytes);
     }
     reserved_ += SlabBytes(blocks);
     return true;
   }
   return false;
+}
+
+std::map<uint64_t, PagedKVAllocator::Slab>::iterator PagedKVAllocator::SlabOf(uint64_t addr) {
+  auto it = slabs_.upper_bound(addr);
+  if (it == slabs_.begin()) {
+    return slabs_.end();
+  }
+  --it;
+  return addr < it->first + it->second.blocks * config_.block_bytes ? it : slabs_.end();
 }
 
 std::optional<uint64_t> PagedKVAllocator::DoMalloc(uint64_t size, const RequestContext& ctx) {
@@ -52,7 +60,7 @@ std::optional<uint64_t> PagedKVAllocator::DoMalloc(uint64_t size, const RequestC
     const auto it = free_blocks_.begin();
     const uint64_t addr = *it;
     free_blocks_.erase(it);
-    --slabs_.at(block_slab_.at(addr)).free;
+    --SlabOf(addr)->second.free;
     return addr;
   }
   // Non-KV-sized request (weights, prefill activations): native passthrough, with one retry
@@ -71,11 +79,10 @@ std::optional<uint64_t> PagedKVAllocator::DoMalloc(uint64_t size, const RequestC
 }
 
 void PagedKVAllocator::DoFree(uint64_t addr, uint64_t size) {
-  auto block = block_slab_.find(addr);
-  if (block != block_slab_.end()) {
+  if (auto slab = SlabOf(addr); slab != slabs_.end()) {
     const bool inserted = free_blocks_.insert(addr).second;
     STALLOC_CHECK(inserted, << "double free of pool block " << addr);
-    ++slabs_.at(block->second).free;
+    ++slab->second.free;
     return;
   }
   auto pass = passthrough_.find(addr);
@@ -95,11 +102,9 @@ void PagedKVAllocator::EmptyCache() {
   }
   for (uint64_t base : releasable) {
     const Slab slab = slabs_.at(base);
-    for (uint64_t b = 0; b < slab.blocks; ++b) {
-      const uint64_t addr = base + b * config_.block_bytes;
-      free_blocks_.erase(addr);
-      block_slab_.erase(addr);
-    }
+    // A fully-free slab's blocks are exactly the free blocks inside its address range.
+    free_blocks_.erase(free_blocks_.lower_bound(base),
+                       free_blocks_.lower_bound(base + slab.blocks * config_.block_bytes));
     device_->DevFree(base);
     reserved_ -= SlabBytes(slab.blocks);
     slabs_.erase(base);

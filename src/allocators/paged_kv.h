@@ -66,6 +66,9 @@ class PagedKVAllocator final : public AllocatorBase {
   // Grows the pool by one slab (shrinking the slab under device pressure); false when even a
   // single block cannot be allocated.
   bool GrowPool();
+  // The slab holding pool block `addr` — the predecessor of `addr` among slab bases, if the
+  // address lies inside it — or slabs_.end() for a passthrough address.
+  std::map<uint64_t, Slab>::iterator SlabOf(uint64_t addr);
   // Device bytes one slab of `blocks` consumes (DevMalloc rounds to kMallocAlign).
   uint64_t SlabBytes(uint64_t blocks) const {
     return AlignUp(blocks * config_.block_bytes, SimDevice::kMallocAlign);
@@ -74,8 +77,7 @@ class PagedKVAllocator final : public AllocatorBase {
   SimDevice* device_;
   PagedKVConfig config_;
   std::map<uint64_t, Slab> slabs_;          // slab base -> slab
-  std::set<uint64_t> free_blocks_;          // free block base addresses (lowest-first reuse)
-  std::map<uint64_t, uint64_t> block_slab_;   // block addr -> owning slab base
+  std::set<uint64_t> free_blocks_;            // free block base addresses (lowest-first reuse)
   std::map<uint64_t, uint64_t> passthrough_;  // direct cudaMalloc allocations: addr -> size
   uint64_t reserved_ = 0;
 };

@@ -169,9 +169,7 @@ SynthesisResult SynthesizePlan(const Trace& trace, const PlanSynthesizerConfig& 
   result.dyn_space = LocateDynamicSpace(trace, result.plan);
   result.stats.num_homolayer_groups = result.dyn_space.group_count();
 
-  if (config.validate) {
-    result.plan.Validate();
-  }
+  result.plan.Validate();  // the stomping sweep
   result.stats.synthesis_ms = timer.ElapsedMillis();
   if (telemetry::Enabled()) {
     static telemetry::Counter* plans =

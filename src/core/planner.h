@@ -27,7 +27,6 @@ struct PlanSynthesizerConfig {
   // The grouped plan wins or ties on homogeneous ranks; greedy recovers the group-granularity
   // loss on ranks with rare oversized transients (LM-head fp32 logits).
   bool enable_greedy_refinement = true;
-  bool validate = true;              // run the stomping sweep on the result
 };
 
 struct PlanStats {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <utility>
 
@@ -22,11 +21,8 @@ STAllocAllocator::STAllocAllocator(SimDevice* device, StaticPlan plan,
     : device_(device),
       plan_(std::move(plan)),
       dyn_space_(std::move(dyn_space)),
-      config_(config) {
-  fallback_ = std::make_unique<CachingAllocator>(device);
-  // Fallback-served blocks are already in our own live_ ledger; the fallback contributes its
-  // segments to our heap snapshots (AppendHeapSegments) but must not snapshot independently.
-  fallback_->SuppressHeapSnapshots();
+      config_(config),
+      fallback_(device) {
   used_.assign(plan_.decisions.size(), false);
 }
 
@@ -55,7 +51,7 @@ bool STAllocAllocator::Init() {
 
 uint64_t STAllocAllocator::ReservedBytes() const {
   const uint64_t pool = pool_base_ != 0 ? plan_.pool_size : 0;
-  return pool + fallback_->ReservedBytes();
+  return pool + fallback_.ReservedBytes();
 }
 
 void STAllocAllocator::EndIteration() {
@@ -82,7 +78,7 @@ std::optional<uint64_t> STAllocAllocator::DoMalloc(uint64_t size, const RequestC
   }
   // Plan mismatch / lack of space / uninitialized pool: the caching fallback keeps training
   // alive (§6, robustness path).
-  auto addr = fallback_->Malloc(size, ctx);
+  auto addr = fallback_.Malloc(size, ctx.stream);
   if (addr.has_value()) {
     breakdown_.fallback_bytes += size;
   }
@@ -97,7 +93,7 @@ std::optional<uint64_t> STAllocAllocator::StaticMalloc(uint64_t size) {
   // Scan a bounded window of pending decisions for an exact size match. Requests normally arrive
   // in plan order, so the first probe hits; the window tolerates benign reordering.
   size_t scanned = 0;
-  for (size_t i = cursor_; i < plan_.decisions.size() && scanned < config_.matcher_window; ++i) {
+  for (size_t i = cursor_; i < plan_.decisions.size() && scanned < kMatcherWindow; ++i) {
     if (used_[i]) {
       continue;
     }
@@ -166,7 +162,7 @@ void STAllocAllocator::DoFree(uint64_t addr, uint64_t size) {
     pool_live_.erase(it);
     return;
   }
-  STALLOC_CHECK(fallback_->Free(addr), << "stalloc: free of unknown address " << addr);
+  fallback_.Free(addr);
 }
 
 void STAllocAllocator::AppendHeapSegments(std::vector<telemetry::HeapSegment>* out) const {
@@ -177,7 +173,7 @@ void STAllocAllocator::AppendHeapSegments(std::vector<telemetry::HeapSegment>* o
     s.pool = "static-pool";
     out->push_back(std::move(s));
   }
-  fallback_->AppendHeapSegments(out);
+  fallback_.AppendHeapSegments(out);
 }
 
 }  // namespace stalloc

@@ -10,14 +10,13 @@
 //   * dynamic requests -> the Dynamic Allocator (§6.2): intersects the group's pre-vetted
 //     Dynamic Reusable Space A_i with the pool's currently free intervals A_a (Eq. 7) and picks
 //     best-fit; on lack of space it falls back ("lack of space" path);
-//   * anything unexpected -> the embedded caching allocator, guaranteeing robustness.
+//   * anything unexpected -> the caching fallback (a CachingPool), guaranteeing robustness.
 
 #ifndef SRC_CORE_STALLOC_ALLOCATOR_H_
 #define SRC_CORE_STALLOC_ALLOCATOR_H_
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -34,9 +33,6 @@ struct STAllocConfig {
   // Fig. 13 ablation: disable reuse of static-pool idle space by dynamic requests ("STAlloc w/o
   // reuse"); dynamic requests then always use the caching fallback.
   bool enable_dynamic_reuse = true;
-  // Static matcher lookahead: how many pending plan decisions to scan for a size match before
-  // declaring a plan mismatch.
-  size_t matcher_window = 64;
 };
 
 // The runtime configuration of the named plan kind: "stalloc-noreuse" is the Fig. 13 ablation
@@ -66,20 +62,23 @@ class STAllocAllocator final : public AllocatorBase {
 
   std::string_view name() const override { return "stalloc"; }
   uint64_t ReservedBytes() const override;
-  void EmptyCache() override { fallback_->EmptyCache(); }
+  void EmptyCache() override { fallback_.EmptyCache(); }
   void AppendHeapSegments(std::vector<telemetry::HeapSegment>* out) const override;
   // Resets the matcher and the per-layer dynamic counters for the next iteration.
   void EndIteration() override;
 
   const STAllocBreakdown& breakdown() const { return breakdown_; }
   uint64_t pool_size() const { return plan_.pool_size; }
-  const CachingAllocator& fallback() const { return *fallback_; }
 
  protected:
   std::optional<uint64_t> DoMalloc(uint64_t size, const RequestContext& ctx) override;
   void DoFree(uint64_t addr, uint64_t size) override;
 
  private:
+  // Static matcher lookahead: how many pending plan decisions to scan for a size match before
+  // declaring a plan mismatch.
+  static constexpr size_t kMatcherWindow = 64;
+
   bool InPool(uint64_t addr) const {
     return pool_base_ != 0 && addr >= pool_base_ && addr < pool_base_ + plan_.pool_size;
   }
@@ -90,7 +89,7 @@ class STAllocAllocator final : public AllocatorBase {
   StaticPlan plan_;
   DynamicReusableSpace dyn_space_;
   STAllocConfig config_;
-  std::unique_ptr<CachingAllocator> fallback_;
+  CachingPool fallback_;
 
   uint64_t pool_base_ = 0;
   // Matcher state: plan decisions are consumed roughly in order; used_ marks out-of-order hits.

@@ -31,7 +31,8 @@ void SimDevice::UpdatePeak() { physical_peak_ = std::max(physical_peak_, physica
 std::optional<DevPtr> SimDevice::DevMalloc(uint64_t size) {
   ++counters_.cuda_malloc;
   Charge(cost_.cuda_malloc_us);
-  if (size == 0) {
+  // A request larger than the device fails before rounding, which could wrap near 2^64.
+  if (size == 0 || size > capacity_) {
     return std::nullopt;
   }
   const uint64_t aligned = AlignUp(size, kMallocAlign);
@@ -67,7 +68,8 @@ DeviceStatus SimDevice::DevFree(DevPtr ptr) {
 std::optional<VaPtr> SimDevice::ReserveVa(uint64_t size) {
   ++counters_.va_reserve;
   Charge(cost_.va_reserve_us);
-  if (size == 0 || size % kMinGranularity != 0) {
+  // The guard gap must fit too; a reservation past the top of the 64-bit space fails.
+  if (size == 0 || size % kMinGranularity != 0 || size > ~uint64_t{0} - kGranularity - next_va_) {
     return std::nullopt;
   }
   const VaPtr va = next_va_;
@@ -99,7 +101,7 @@ std::optional<MemHandle> SimDevice::MemCreate(uint64_t size) {
   if (size == 0 || size % kMinGranularity != 0) {
     return std::nullopt;
   }
-  if (physical_used() + size > capacity_) {
+  if (size > capacity_ - physical_used()) {  // cannot wrap: physical_used() <= capacity_
     return std::nullopt;
   }
   const MemHandle h = next_handle_++;

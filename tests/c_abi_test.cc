@@ -10,8 +10,9 @@
 
 #include <gtest/gtest.h>
 
-#include "src/api/report.h"
+#include "src/allocators/allocator.h"
 #include "src/allocators/registry.h"
+#include "src/api/report.h"
 #include "src/cabi/stalloc_c.h"
 #include "src/common/units.h"
 #include "src/driver/replay.h"
@@ -65,6 +66,42 @@ TEST(CAbi, OomReturnsZeroAndSetsError) {
   EXPECT_EQ(stalloc_malloc(h, 1 * GiB, 0), 0u);
   EXPECT_NE(std::string(stalloc_last_error()), "");
   stalloc_destroy(h);
+}
+
+uint64_t StatsField(stalloc_handle* h, const char* key) {
+  std::vector<char> buf(stalloc_stats_json(h, nullptr, 0) + 1);
+  stalloc_stats_json(h, buf.data(), buf.size());
+  std::optional<Json> doc = Json::Parse(std::string(buf.data()));
+  EXPECT_TRUE(doc.has_value());
+  return doc.has_value() ? doc->Find(key)->AsUint() : 0;
+}
+
+// Sizes whose rounding wraps near 2^64 must fail as an OOM, not abort, through every kind a C
+// client can create — and leave the allocator usable. kMaxRequestSize itself is accepted and
+// reaches the policy, which must refuse it as a plain device OOM.
+TEST(CAbi, HugeSizesFailAsOomThroughEveryKind) {
+  const uint64_t kHuge[] = {~uint64_t{0}, ~uint64_t{0} - 511, uint64_t{1} << 63,
+                            kMaxRequestSize + 1, kMaxRequestSize};
+  for (const auto& entry : AllocatorRegistry::Global().entries()) {
+    if (entry.requires_plan) {
+      continue;
+    }
+    const char* name = entry.name.c_str();
+    stalloc_handle* h = stalloc_create(name, 16 * GiB, nullptr);
+    ASSERT_NE(h, nullptr) << name << ": " << stalloc_last_error();
+    uint64_t ooms = 0;
+    for (const uint64_t size : kHuge) {
+      ASSERT_EQ(stalloc_free(h, 0xdeadbeef), -1);  // leaves a different error message behind
+      EXPECT_EQ(stalloc_malloc(h, size, 0), 0u) << name << " served " << size;
+      EXPECT_EQ(std::string(stalloc_last_error()), "stalloc_malloc: out of memory") << name;
+      EXPECT_EQ(StatsField(h, "num_oom"), ++ooms) << name << " at " << size;
+      const uint64_t a = stalloc_malloc(h, 4 * KiB, 0);
+      EXPECT_NE(a, 0u) << name << " unusable after a " << size << " B request";
+      EXPECT_EQ(stalloc_free(h, a), 0) << name;
+    }
+    EXPECT_EQ(StatsField(h, "live_blocks"), 0u) << name;
+    stalloc_destroy(h);
+  }
 }
 
 TEST(CAbi, StatsJsonIsValidAndSizeQueryable) {

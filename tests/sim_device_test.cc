@@ -100,6 +100,30 @@ TEST(SimDevice, MemCreateCountsAgainstCapacity) {
   EXPECT_EQ(dev.physical_used(), 0u);
 }
 
+// Sizes near 2^64 fail instead of wrapping in the size arithmetic, and leave the device usable.
+TEST(SimDevice, HugeSizesFailWithoutWrapping) {
+  SimDevice dev(1 * GiB);
+  const uint64_t top_granule = AlignDown(~uint64_t{0}, SimDevice::kMinGranularity);
+  auto h = dev.MemCreate(SimDevice::kGranularity);
+  ASSERT_TRUE(h.has_value());
+  EXPECT_FALSE(dev.DevMalloc(~uint64_t{0}).has_value());
+  EXPECT_FALSE(dev.DevMalloc(~uint64_t{0} - 511).has_value());
+  EXPECT_FALSE(dev.MemCreate(top_granule).has_value());
+  EXPECT_FALSE(dev.ReserveVa(top_granule).has_value());
+  EXPECT_EQ(dev.physical_used(), SimDevice::kGranularity);
+  EXPECT_EQ(dev.live_handles(), 1u);
+  EXPECT_EQ(dev.live_reservations(), 0u);
+  auto a = dev.DevMalloc(4 * KiB);
+  auto va = dev.ReserveVa(SimDevice::kGranularity);
+  ASSERT_TRUE(a.has_value());
+  ASSERT_TRUE(va.has_value());
+  EXPECT_EQ(dev.MemMap(*va, 0, *h), DeviceStatus::kOk);
+  EXPECT_EQ(dev.MemUnmap(*va, 0, SimDevice::kGranularity), DeviceStatus::kOk);
+  EXPECT_EQ(dev.MemRelease(*h), DeviceStatus::kOk);
+  EXPECT_EQ(dev.FreeVa(*va), DeviceStatus::kOk);
+  EXPECT_EQ(dev.DevFree(*a), DeviceStatus::kOk);
+}
+
 TEST(SimDevice, MapUnmapLifecycle) {
   SimDevice dev(1 * GiB);
   auto va = dev.ReserveVa(8 * MiB);

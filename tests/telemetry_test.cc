@@ -21,6 +21,7 @@
 #include "src/cluster/cluster_workload.h"
 #include "src/cluster/fleet.h"
 #include "src/common/units.h"
+#include "src/core/stalloc_allocator.h"
 #include "src/gpu/sim_device.h"
 #include "src/telemetry/flight_recorder.h"
 #include "src/telemetry/metrics.h"
@@ -350,30 +351,80 @@ TEST_F(TelemetryTest, FlightRecorderEvictsPastLimit) {
 
 #if STALLOC_TELEMETRY
 
+// Every unplanned kind, plus STAlloc with an empty plan so that every request takes the caching
+// fallback. With requests of at most 1 MiB, GMLake, expandable segments and vmm serve them all
+// from their caching small pool.
+std::unique_ptr<Allocator> MakeCountedKind(const std::string& name, SimDevice* device) {
+  if (name == "stalloc") {
+    auto alloc = std::make_unique<STAllocAllocator>(device, StaticPlan{}, DynamicReusableSpace{});
+    EXPECT_TRUE(alloc->Init());
+    return alloc;
+  }
+  return AllocatorRegistry::Global().Create(name, device);
+}
+
+std::vector<std::string> CountedKinds() {
+  std::vector<std::string> kinds = AllocatorRegistry::Global().Names(/*include_plan_kinds=*/false);
+  kinds.push_back("stalloc");
+  return kinds;
+}
+
 TEST_F(TelemetryTest, LatencyHistogramsCountEveryOp) {
-  telemetry::SetEnabled(true);
-  SimDevice device(64 * MiB);
-  std::unique_ptr<Allocator> alloc = AllocatorRegistry::Global().Create("torch-caching", &device);
-  ASSERT_NE(alloc, nullptr);
+  for (const std::string& kind : CountedKinds()) {
+    SCOPED_TRACE(kind);
+    MetricsRegistry::Global().Reset();
+    telemetry::SetEnabled(true);
+    SimDevice device(64 * MiB);
+    std::unique_ptr<Allocator> alloc = MakeCountedKind(kind, &device);
+    ASSERT_NE(alloc, nullptr);
 
-  constexpr int kOps = 32;
-  std::vector<uint64_t> addrs;
-  for (int i = 0; i < kOps; ++i) {
-    addrs.push_back(alloc->Malloc(4096).value());
-  }
-  for (uint64_t addr : addrs) {
-    ASSERT_TRUE(alloc->Free(addr));
-  }
+    constexpr int kOps = 32;
+    std::vector<uint64_t> addrs;
+    for (int i = 0; i < kOps; ++i) {
+      addrs.push_back(alloc->Malloc(4096).value());
+    }
+    for (uint64_t addr : addrs) {
+      ASSERT_TRUE(alloc->Free(addr));
+    }
+    telemetry::SetEnabled(false);
 
-  // The registry histograms and counters saw exactly the replayed ops.
-  EXPECT_EQ(MetricsRegistry::Global().GetHistogram("alloc.malloc_latency_us")->count(),
-            static_cast<uint64_t>(kOps));
-  EXPECT_EQ(MetricsRegistry::Global().GetHistogram("alloc.free_latency_us")->count(),
-            static_cast<uint64_t>(kOps));
-  EXPECT_EQ(MetricsRegistry::Global().GetCounter("alloc.mallocs")->value(),
-            static_cast<uint64_t>(kOps));
-  EXPECT_EQ(MetricsRegistry::Global().GetCounter("alloc.bytes_allocated")->value(),
-            static_cast<uint64_t>(kOps) * 4096);
+    // The registry histograms and counters saw exactly the replayed ops, each once.
+    EXPECT_EQ(MetricsRegistry::Global().GetHistogram("alloc.malloc_latency_us")->count(),
+              static_cast<uint64_t>(kOps));
+    EXPECT_EQ(MetricsRegistry::Global().GetHistogram("alloc.free_latency_us")->count(),
+              static_cast<uint64_t>(kOps));
+    EXPECT_EQ(MetricsRegistry::Global().GetCounter("alloc.mallocs")->value(),
+              static_cast<uint64_t>(kOps));
+    EXPECT_EQ(MetricsRegistry::Global().GetCounter("alloc.frees")->value(),
+              static_cast<uint64_t>(kOps));
+    EXPECT_EQ(MetricsRegistry::Global().GetCounter("alloc.bytes_allocated")->value(),
+              static_cast<uint64_t>(kOps) * 4096);
+    EXPECT_EQ(MetricsRegistry::Global().GetCounter("alloc.bytes_freed")->value(),
+              static_cast<uint64_t>(kOps) * 4096);
+  }
+}
+
+// A small request that finds the device full files one flight report, under the kind's own name.
+TEST_F(TelemetryTest, SmallRequestOomFilesOneReport) {
+  for (const std::string& kind : CountedKinds()) {
+    SCOPED_TRACE(kind);
+    FlightRecorder::Global().Drain();
+    SimDevice device(8 * MiB);
+    std::unique_ptr<Allocator> alloc = MakeCountedKind(kind, &device);
+    ASSERT_NE(alloc, nullptr);
+    telemetry::SetEnabled(true);
+    int served = 0;
+    while (alloc->Malloc(4096).has_value()) {
+      ASSERT_LT(++served, 4096) << "an 8 MiB device cannot hold this many 4 KiB blocks";
+    }
+    telemetry::SetEnabled(false);
+    const std::vector<telemetry::OomReport> reports = FlightRecorder::Global().Drain();
+    EXPECT_EQ(reports.size(), 1u);
+    if (!reports.empty()) {
+      EXPECT_EQ(reports.back().allocator, alloc->name());
+      EXPECT_EQ(reports.back().num_mallocs, static_cast<uint64_t>(served) + 1);
+    }
+  }
 }
 
 #endif  // STALLOC_TELEMETRY
