@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <utility>
 
 #include "src/common/check.h"
 #include "src/common/stopwatch.h"
+#include "src/common/verify.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/telemetry.h"
 #include "src/telemetry/tracer.h"
@@ -20,6 +22,12 @@ namespace {
 constexpr uint64_t kCounterSampleMask = (1u << 8) - 1;
 
 }  // namespace
+
+AllocatorBase::AllocatorBase() {
+  if (verify::Enabled()) {
+    ordered_ = std::make_unique<std::map<uint64_t, uint64_t>>();
+  }
+}
 
 std::optional<uint64_t> AllocatorBase::Malloc(uint64_t size, const RequestContext& ctx) {
   // Latency measurement is armed only with process telemetry on. Two clock reads per op are
@@ -46,22 +54,13 @@ std::optional<uint64_t> AllocatorBase::Malloc(uint64_t size, const RequestContex
     }
     return std::nullopt;
   }
-  // Memory-stomping detector: the returned block may not overlap any live block.
-  auto next = live_.lower_bound(*addr);
-  if (next != live_.end()) {
-    STALLOC_CHECK(*addr + size <= next->first,
-                  << name() << ": block [" << *addr << ", " << *addr + size
-                  << ") stomps on live block at " << next->first);
+  // Memory-stomping detector: a live address handed out again aborts in every build; a partial
+  // overlap needs the ordered walk of verify mode.
+  const bool fresh = live_.Insert(*addr, size);
+  STALLOC_CHECK(fresh, << name() << ": block at " << *addr << " handed out while still live");
+  if (ordered_ != nullptr) {
+    VerifyNoOverlap(*addr, size);
   }
-  if (next != live_.begin()) {
-    auto prev = std::prev(next);
-    STALLOC_CHECK(prev->first + prev->second <= *addr,
-                  << name() << ": block at " << *addr << " stomped by live block [" << prev->first
-                  << ", " << prev->first + prev->second << ")");
-  }
-  // `next` is exactly the successor of the new address: reuse it as the insertion hint so the
-  // ledger insert costs O(1) instead of a second tree walk.
-  live_.emplace_hint(next, *addr, size);
   stats_.allocated_current += size;
   stats_.allocated_peak = std::max(stats_.allocated_peak, stats_.allocated_current);
   stats_.bytes_allocated_total += size;
@@ -85,12 +84,12 @@ bool AllocatorBase::Free(uint64_t addr) {
   if (telemetry_on) {
     timer.Reset();
   }
-  auto it = live_.find(addr);
-  if (it == live_.end()) {
+  const uint64_t* live = live_.Find(addr);
+  if (live == nullptr) {
     return false;
   }
   ++stats_.num_frees;
-  const uint64_t size = it->second;
+  const uint64_t size = *live;
   // Exact high-water-mark capture: leaving a new global allocated peak for the first time,
   // snapshot before the ledger shrinks so the frame holds the full peak-resident set. One
   // relaxed armed() load when no heap map was requested; folded away when telemetry is off.
@@ -98,7 +97,10 @@ bool AllocatorBase::Free(uint64_t addr) {
       stats_.allocated_current == stats_.allocated_peak) {
     MaybeHeapMapPeak();
   }
-  live_.erase(it);
+  live_.Erase(addr);
+  if (ordered_ != nullptr) {
+    ordered_->erase(addr);
+  }
   stats_.allocated_current -= size;
   stats_.bytes_freed_total += size;
   stats_.live_blocks = live_.size();
@@ -111,6 +113,22 @@ bool AllocatorBase::Free(uint64_t addr) {
     RecordTelemetryOp(telemetry::FlightOp::Kind::kFree, size, timer.ElapsedSeconds() * 1e6);
   }
   return true;
+}
+
+void AllocatorBase::VerifyNoOverlap(uint64_t addr, uint64_t size) {
+  auto next = ordered_->lower_bound(addr);
+  if (next != ordered_->end()) {
+    STALLOC_CHECK(addr + size <= next->first,
+                  << name() << ": block [" << addr << ", " << addr + size
+                  << ") stomps on live block at " << next->first);
+  }
+  if (next != ordered_->begin()) {
+    auto prev = std::prev(next);
+    STALLOC_CHECK(prev->first + prev->second <= addr,
+                  << name() << ": block at " << addr << " stomped by live block [" << prev->first
+                  << ", " << prev->first + prev->second << ")");
+  }
+  ordered_->emplace_hint(next, addr, size);
 }
 
 void AllocatorBase::RecordTelemetryOp(telemetry::FlightOp::Kind kind, uint64_t size,
@@ -213,13 +231,13 @@ void AllocatorBase::RecordTelemetryOom(uint64_t size) {
 }
 
 void AllocatorBase::AppendHeapSegments(std::vector<telemetry::HeapSegment>* out) const {
-  for (const auto& [addr, size] : live_) {
+  live_.ForEach([out](uint64_t addr, uint64_t size) {
     telemetry::HeapSegment seg;
     seg.base = addr;
     seg.size = size;
     seg.pool = "direct";
     out->push_back(std::move(seg));
-  }
+  });
 }
 
 AllocatorBase::HeapMapState* AllocatorBase::EnsureHeapMapState() {
@@ -332,7 +350,7 @@ void AllocatorBase::CaptureHeapSnapshotImpl(telemetry::HeapTrigger trigger,
 
   snap.blocks.reserve(live_.size());
   static const HeapMapState::Tag kUntagged;  // blocks allocated before the recorder was armed
-  for (const auto& [addr, size] : live_) {  // live_ iterates address-sorted
+  live_.ForEach([&](uint64_t addr, uint64_t size) {
     auto tag_it = hs->tags.find(addr);
     const HeapMapState::Tag& tag = tag_it == hs->tags.end() ? kUntagged : tag_it->second;
     telemetry::HeapBlock block;
@@ -344,15 +362,15 @@ void AllocatorBase::CaptureHeapSnapshotImpl(telemetry::HeapTrigger trigger,
     block.dyn = tag.dyn;
     block.tenant = tag.tenant;
     snap.blocks.push_back(std::move(block));
-  }
+  });
+  // The ledger is unordered; frames list blocks by address.
+  std::sort(snap.blocks.begin(), snap.blocks.end(),
+            [](const telemetry::HeapBlock& a, const telemetry::HeapBlock& b) {
+              return a.addr < b.addr;
+            });
 
   telemetry::FinalizeHeapSnapshot(&snap);
   recorder.Record(std::move(snap));
-}
-
-uint64_t AllocatorBase::LiveSize(uint64_t addr) const {
-  auto it = live_.find(addr);
-  return it == live_.end() ? 0 : it->second;
 }
 
 void AllocatorBase::NotePressure() {

@@ -4,8 +4,9 @@
 // routed through the framework, with request context describing the issuing module.
 //
 // AllocatorBase adds uniform accounting (allocated/reserved current & peak → memory efficiency
-// E = Ma/Mr of §2.2) and a memory-stomping detector: no two live blocks may overlap. A stomping
-// bug in any allocator aborts immediately rather than corrupting the "training".
+// E = Ma/Mr of §2.2) and a memory-stomping detector. Handing out a live address twice aborts in
+// every build; in verify mode (src/common/verify.h) an ordered shadow ledger also aborts on any
+// partial overlap between live blocks, rather than letting a bug corrupt the "training".
 
 #ifndef SRC_ALLOCATORS_ALLOCATOR_H_
 #define SRC_ALLOCATORS_ALLOCATOR_H_
@@ -18,6 +19,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/common/addr_map.h"
 #include "src/telemetry/flight_recorder.h"
 #include "src/telemetry/heap_map.h"
 #include "src/trace/event.h"
@@ -96,9 +98,10 @@ class Allocator {
   void SetHeapLabel(std::string label) { heap_label_ = std::move(label); }
   std::string HeapLabel() const { return heap_label_.empty() ? std::string(name()) : heap_label_; }
 
-  // Appends this allocator's reserved address ranges (address-sorted) for heap-map snapshots.
-  // The default treats every live block as its own "direct" reservation — exact for allocators
-  // without caching (native); pooling allocators override to report their real segments.
+  // Appends this allocator's reserved address ranges for heap-map snapshots (the snapshot sorts
+  // them by address). The default treats every live block as its own "direct" reservation —
+  // exact for allocators without caching (native); pooling allocators override to report their
+  // real segments.
   virtual void AppendHeapSegments(std::vector<telemetry::HeapSegment>* /*out*/) const {}
 
  private:
@@ -109,13 +112,14 @@ class Allocator {
 // and DoFree; size bookkeeping and peak tracking happen here.
 class AllocatorBase : public Allocator {
  public:
+  // Reads verify::Enabled() once: an allocator built in verify mode keeps the overlap walk for
+  // its whole life.
+  AllocatorBase();
+
   using Allocator::Malloc;  // keep the single-argument convenience overload visible
   std::optional<uint64_t> Malloc(uint64_t size, const RequestContext& ctx) final;
   bool Free(uint64_t addr) final;
   const AllocatorStats& stats() const final { return stats_; }
-
-  // Live requested size for a given address (0 if unknown). For tests.
-  uint64_t LiveSize(uint64_t addr) const;
 
   // Default segment view: one "direct" reservation per live block. Exact for the native
   // allocator; pooling allocators override with their real segments/slabs/pools.
@@ -143,8 +147,11 @@ class AllocatorBase : public Allocator {
   void RecordTelemetryOp(telemetry::FlightOp::Kind kind, uint64_t size, double latency_us);
   void RecordTelemetryOom(uint64_t size);
 
+  // Verify mode: aborts unless [addr, addr + size) clears every live block, then records it.
+  void VerifyNoOverlap(uint64_t addr, uint64_t size);
+
   // Heap-map capture state: trigger bookkeeping plus the request-context tag for each live
-  // block (live_ itself stays a bare addr->size map — the hot path without heap mapping must
+  // block (live_ itself stays a bare addr->size table — the hot path without heap mapping must
   // not grow). Created lazily on the first op while the HeapMapRecorder is armed; the config
   // is cached at creation, so arm the recorder before the run, not during it.
   struct HeapMapState {
@@ -177,8 +184,11 @@ class AllocatorBase : public Allocator {
   AllocatorStats stats_;
   std::unique_ptr<telemetry::FlightRing> flight_;
   std::unique_ptr<HeapMapState> heap_;
-  // addr -> requested size of live blocks, used for accounting and overlap detection.
-  std::map<uint64_t, uint64_t> live_;
+  // addr -> requested size of live blocks: accounting, unknown-free and duplicate-address
+  // detection.
+  AddrMap<uint64_t> live_;
+  // Verify mode only: the same blocks in address order, for the overlap walk.
+  std::unique_ptr<std::map<uint64_t, uint64_t>> ordered_;
 };
 
 }  // namespace stalloc

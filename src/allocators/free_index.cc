@@ -32,7 +32,7 @@ uint32_t BlockArena::NewBlock(uint64_t addr, uint64_t size, bool free, SegmentId
   } else {
     segments_[id].tail = slot;
   }
-  const bool inserted = by_addr_.emplace(addr, slot).second;
+  const bool inserted = by_addr_.Insert(addr, slot);
   STALLOC_CHECK(inserted, << "block arena: block at " << addr << " already exists");
   return slot;
 }
@@ -47,13 +47,13 @@ void BlockArena::DropBlock(uint32_t slot) {
   } else {
     segments_[b.segment].tail = b.prev;
   }
-  by_addr_.erase(b.addr);
+  by_addr_.Erase(b.addr);
   free_slots_.push_back(slot);
 }
 
 uint32_t BlockArena::FindBlock(uint64_t addr) const {
-  auto it = by_addr_.find(addr);
-  return it == by_addr_.end() ? kNoBlock : it->second;
+  const uint32_t* slot = by_addr_.Find(addr);
+  return slot == nullptr ? kNoBlock : *slot;
 }
 
 BlockArena::SegmentId BlockArena::AddSegment(uint64_t base, uint64_t size, PoolId pool,

@@ -6,8 +6,8 @@
 // the best fit of its pool and splits off the tail; releasing one coalesces it with its free
 // neighbours in the same segment only, so address-adjacent segments never merge. Block records
 // live in a slot pool threaded into per-segment doubly-linked lists in address order (as in
-// upstream PyTorch), with a hash map from address to slot: a release is one hash lookup, a take
-// one index pop plus the lookup of the popped block.
+// upstream PyTorch), with a flat AddrMap from address to slot: a release is one hash probe, a
+// take one index pop plus the probe for the popped block.
 //
 // BestFitIndex: a free block is the pair (size, addr). Best-fit selection — smallest sufficient size, then
 // lowest address — used to walk one flat ordered set over *all* free blocks; under training
@@ -39,10 +39,10 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "src/common/addr_map.h"
 #include "src/common/check.h"
 
 namespace stalloc {
@@ -273,7 +273,7 @@ class BlockArena {
 
   std::vector<Block> blocks_;  // slot pool; free slots recycled via free_slots_
   std::vector<uint32_t> free_slots_;
-  std::unordered_map<uint64_t, uint32_t> by_addr_;  // block address -> slot
+  AddrMap<uint32_t> by_addr_;  // block address -> slot
   std::vector<Segment> segments_;
   std::vector<BestFitIndex> pools_;  // indexed by PoolId
 };

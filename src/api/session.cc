@@ -415,6 +415,13 @@ bool Session::Validate(const ExperimentSpec& spec, std::string* error) {
   if (!spec.device_capacities.empty() && spec.axis != WorkloadAxis::kCluster) {
     return fail("a per-device capacity list only applies to the cluster axis");
   }
+  // SimDevice aborts on a capacity whose classic arena would run past 2^64.
+  const auto bad_capacity = [](uint64_t c) { return c == 0 || c > SimDevice::kMaxCapacity; };
+  if (bad_capacity(spec.options.capacity_bytes) ||
+      std::any_of(spec.device_capacities.begin(), spec.device_capacities.end(), bad_capacity)) {
+    return fail(StrFormat("device capacity must be in [1, %llu] bytes",
+                          static_cast<unsigned long long>(SimDevice::kMaxCapacity)));
+  }
   if (!spec.trace_file.empty() && spec.axis != WorkloadAxis::kTrainRank) {
     return fail("trace-file replay is only supported on the rank axis");
   }

@@ -55,8 +55,9 @@ stalloc_handle* stalloc_create(const char* name, uint64_t capacity_bytes, const 
     SetError("stalloc_create: allocator name is required");
     return nullptr;
   }
-  if (capacity_bytes == 0) {
-    SetError("stalloc_create: capacity must be > 0");
+  if (capacity_bytes == 0 || capacity_bytes > stalloc::SimDevice::kMaxCapacity) {
+    SetError("stalloc_create: capacity must be in [1, " +
+             std::to_string(stalloc::SimDevice::kMaxCapacity) + "] bytes");
     return nullptr;
   }
   stalloc::AllocatorOptions opts;

@@ -37,7 +37,8 @@ typedef struct stalloc_handle stalloc_handle;
 /* Creates allocator `name` (a registry name as printed by `stalloc_run --list-allocs`) over a
  * fresh simulated device of `capacity_bytes`. `options` is a comma-separated key=value list in
  * --alloc-opt syntax ("vmm.granularity=2MiB,gmlake.frag_limit=64M"); NULL or "" means
- * defaults. NULL on failure (unknown allocator, plan-pipeline kind, malformed option). */
+ * defaults. NULL on failure (unknown allocator, plan-pipeline kind, malformed option, a
+ * capacity of 0 or one whose device address range would run past 2^64). */
 STALLOC_C_API stalloc_handle* stalloc_create(const char* name, uint64_t capacity_bytes,
                                              const char* options);
 

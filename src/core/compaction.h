@@ -30,7 +30,8 @@ struct CompactionResult {
 };
 
 // Compacts `plan` by repeated lowest-offset re-placement, processing decisions from the highest
-// addresses down. Stops at a fixed point or after `max_rounds`. The result is validated.
+// addresses down. Stops at a fixed point or after `max_rounds`. In verify mode the result is
+// validated.
 CompactionResult CompactPlan(const StaticPlan& plan, int max_rounds = 16);
 
 }  // namespace stalloc

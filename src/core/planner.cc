@@ -10,6 +10,7 @@
 #include "src/common/stopwatch.h"
 #include "src/common/table.h"
 #include "src/common/units.h"
+#include "src/common/verify.h"
 #include "src/core/phase_group.h"
 #include "src/core/size_group.h"
 #include "src/interval/interval_set.h"
@@ -169,7 +170,9 @@ SynthesisResult SynthesizePlan(const Trace& trace, const PlanSynthesizerConfig& 
   result.dyn_space = LocateDynamicSpace(trace, result.plan);
   result.stats.num_homolayer_groups = result.dyn_space.group_count();
 
-  result.plan.Validate();  // the stomping sweep
+  if (verify::Enabled()) {
+    result.plan.Validate();  // the stomping sweep
+  }
   result.stats.synthesis_ms = timer.ElapsedMillis();
   if (telemetry::Enabled()) {
     static telemetry::Counter* plans =

@@ -19,9 +19,13 @@ constexpr uint64_t kVaBase = 0x0000'A000'0000'0000ull;
 
 }  // namespace
 
+const uint64_t SimDevice::kMaxCapacity = ~uint64_t{0} - kClassicBase;
+
 SimDevice::SimDevice(uint64_t capacity_bytes, DeviceCostModel cost)
     : capacity_(capacity_bytes), cost_(cost) {
   STALLOC_CHECK(capacity_bytes > 0);
+  STALLOC_CHECK_LE(capacity_bytes, kMaxCapacity,
+                   << "device capacity wraps the classic arena past 2^64");
   classic_free_.Insert(kClassicBase, kClassicBase + capacity_);
   next_va_ = kVaBase;
 }
@@ -46,7 +50,7 @@ std::optional<DevPtr> SimDevice::DevMalloc(uint64_t size) {
     return std::nullopt;  // address space fragmented (rare: arena == capacity)
   }
   const DevPtr addr = *fit;
-  classic_allocs_.emplace(addr, aligned);
+  classic_allocs_.Insert(addr, aligned);
   classic_used_ += aligned;
   UpdatePeak();
   return addr;
@@ -55,13 +59,13 @@ std::optional<DevPtr> SimDevice::DevMalloc(uint64_t size) {
 DeviceStatus SimDevice::DevFree(DevPtr ptr) {
   ++counters_.cuda_free;
   Charge(cost_.cuda_free_us);
-  auto it = classic_allocs_.find(ptr);
-  if (it == classic_allocs_.end()) {
+  const uint64_t* size = classic_allocs_.Find(ptr);
+  if (size == nullptr) {
     return DeviceStatus::kInvalidArgument;
   }
-  classic_free_.Insert(ptr, ptr + it->second);
-  classic_used_ -= it->second;
-  classic_allocs_.erase(it);
+  classic_free_.Insert(ptr, ptr + *size);
+  classic_used_ -= *size;
+  classic_allocs_.Erase(ptr);
   return DeviceStatus::kOk;
 }
 

@@ -20,6 +20,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/addr_map.h"
 #include "src/common/units.h"
 #include "src/interval/first_fit_index.h"
 
@@ -80,6 +81,11 @@ class SimDevice {
   static constexpr uint64_t kMinGranularity = 64 * KiB;
   // cudaMalloc alignment.
   static constexpr uint64_t kMallocAlign = 512;
+
+  // Largest capacity the classic arena can hold: the arena starts at a fixed base and must end
+  // at or below 2^64 - 1. Callers with external input (the C ABI, Session::Validate) reject
+  // larger capacities; the constructor aborts on them.
+  static const uint64_t kMaxCapacity;
 
   explicit SimDevice(uint64_t capacity_bytes, DeviceCostModel cost = DeviceCostModel{});
 
@@ -146,7 +152,7 @@ class SimDevice {
 
   // Classic allocator state: free ranges of the classic arena, first-fit indexed.
   FirstFitIndex classic_free_;
-  std::map<DevPtr, uint64_t> classic_allocs_;  // addr -> size
+  AddrMap<uint64_t> classic_allocs_;  // addr -> size
   uint64_t classic_used_ = 0;
 
   // VMM state.

@@ -48,6 +48,24 @@ TEST(CAbi, CreateRejectsBadArguments) {
   EXPECT_EQ(stalloc_create("vmm", 1 * GiB, "vmm.granularity=3MiB"), nullptr);
 }
 
+// A capacity whose device address range would wrap past 2^64 is an error, not an abort inside
+// the device's free-range index; the largest capacity that fits still builds and serves.
+TEST(CAbi, CreateRejectsWrappingCapacity) {
+  for (const char* kind : {"native", "torch-caching"}) {
+    for (const uint64_t capacity : {~uint64_t{0}, SimDevice::kMaxCapacity + 1}) {
+      EXPECT_EQ(stalloc_create(kind, capacity, nullptr), nullptr) << kind;
+      EXPECT_NE(std::string(stalloc_last_error()).find("capacity"), std::string::npos)
+          << stalloc_last_error();
+    }
+    stalloc_handle* h = stalloc_create(kind, SimDevice::kMaxCapacity, nullptr);
+    ASSERT_NE(h, nullptr) << kind << ": " << stalloc_last_error();
+    const uint64_t a = stalloc_malloc(h, 1 * MiB, 0);
+    EXPECT_NE(a, 0u) << kind;
+    EXPECT_EQ(stalloc_free(h, a), 0) << kind;
+    stalloc_destroy(h);
+  }
+}
+
 TEST(CAbi, DoubleFreeReturnsErrorNotAbort) {
   stalloc_handle* h = stalloc_create("torch-caching", 1 * GiB, nullptr);
   ASSERT_NE(h, nullptr);
@@ -56,7 +74,10 @@ TEST(CAbi, DoubleFreeReturnsErrorNotAbort) {
   EXPECT_EQ(stalloc_free(h, a), 0);
   EXPECT_EQ(stalloc_free(h, a), -1) << "second free of the same address must be an error";
   EXPECT_NE(std::string(stalloc_last_error()), "");
-  EXPECT_EQ(stalloc_free(h, 0xdeadbeef), -1);
+  // Stray pointers, the ledger's empty-slot sentinel ~0 included, are unknown addresses too.
+  for (const uint64_t stray : {uint64_t{0}, uint64_t{0xdeadbeef}, ~uint64_t{0}}) {
+    EXPECT_EQ(stalloc_free(h, stray), -1) << stray;
+  }
   stalloc_destroy(h);
 }
 

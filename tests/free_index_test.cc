@@ -37,6 +37,7 @@
 #include "src/trainsim/model_config.h"
 #include "src/trainsim/workload.h"
 #include "src/vmm/vmm_allocator.h"
+#include "tests/support/scoped_verify.h"
 
 namespace stalloc {
 namespace {
@@ -461,16 +462,14 @@ TEST(PinnedPlacement, NativeAndPagedKvAddressDigests) {
   // Multi-stream: every request's KV blocks land on one of four streams, so the per-stream
   // pools of the caching-style kinds all fill.
   const Trace serve = BuildSyntheticTrace({SyntheticMix::kServing, 20000, 5});
-  EXPECT_EQ(PlacementDigest(storm, "native"), 0xac7310b4caf2ca95ull);
-  EXPECT_EQ(PlacementDigest(storm, "paged-kv"), 0xdb98a3cd0da53261ull);
-  EXPECT_EQ(PlacementDigest(train, "native"), 0xce4dfc4b016e7e92ull);
-  EXPECT_EQ(PlacementDigest(train, "paged-kv"), 0xe520557d0358578aull);
   struct Pin {
     const Trace* trace;
     const char* kind;
     uint64_t digest;
   };
   const Pin pins[] = {
+      {&storm, "native", 0xac7310b4caf2ca95ull},         {&storm, "paged-kv", 0xdb98a3cd0da53261ull},
+      {&train, "native", 0xce4dfc4b016e7e92ull},         {&train, "paged-kv", 0xe520557d0358578aull},
       {&storm, "torch-caching", 0xa75a2d449ce887e5ull},  {&storm, "torch-expandable", 0x8806a9b2187eba5dull},
       {&storm, "gmlake", 0x712bfe7c9b475315ull},         {&storm, "vmm", 0x3ce33436db50d89dull},
       {&train, "torch-caching", 0x03ab7391d7391d36ull},  {&train, "torch-expandable", 0x4ebb3e7a5fa9d1c6ull},
@@ -478,9 +477,13 @@ TEST(PinnedPlacement, NativeAndPagedKvAddressDigests) {
       {&serve, "torch-caching", 0x5b652db81f9ecb15ull},  {&serve, "torch-expandable", 0xb50e05010d0649e1ull},
       {&serve, "gmlake", 0x09815bfbe5b842edull},         {&serve, "vmm", 0x51e21913d6adb735ull},
   };
-  for (const Pin& pin : pins) {
-    const uint64_t got = PlacementDigest(*pin.trace, pin.kind);
-    EXPECT_EQ(got, pin.digest) << pin.kind;
+  // Verify mode adds checks, never decisions: every digest holds with it on and off.
+  for (const bool verify : {true, false}) {
+    ScopedVerify mode(verify);
+    for (const Pin& pin : pins) {
+      const uint64_t got = PlacementDigest(*pin.trace, pin.kind);
+      EXPECT_EQ(got, pin.digest) << pin.kind << " verify " << verify;
+    }
   }
 }
 

@@ -19,10 +19,12 @@
 #include "src/cluster/fleet.h"
 #include "src/common/table.h"
 #include "src/common/units.h"
+#include "src/gpu/sim_device.h"
 #include "src/servesim/request_gen.h"
 #include "src/trace/synthetic.h"
 #include "src/trainsim/model_config.h"
 #include "src/trainsim/workload.h"
+#include "tests/support/scoped_verify.h"
 
 namespace stalloc {
 namespace {
@@ -325,6 +327,23 @@ TEST(Session, ValidateRejectsBadSpecs) {
     e.kv_budget_bytes = KvBlockBytes(ModelByName("gpt2"), e);
   }));
 
+  // A capacity whose device address range would run past 2^64 (SimDevice aborts on it), on
+  // the shared capacity and in a cluster's per-device list.
+  spec = ExperimentSpec{};
+  spec.options.capacity_bytes = ~uint64_t{0};
+  EXPECT_FALSE(Session::Validate(spec, &error));
+  EXPECT_NE(error.find("device capacity"), std::string::npos) << error;
+  spec.options.capacity_bytes = 0;
+  EXPECT_FALSE(Session::Validate(spec, &error));
+  spec.options.capacity_bytes = SimDevice::kMaxCapacity;
+  EXPECT_TRUE(Session::Validate(spec, &error)) << error;
+  spec = ExperimentSpec{};
+  spec.axis = WorkloadAxis::kCluster;
+  spec.devices = 2;
+  spec.device_capacities = {16 * GiB, SimDevice::kMaxCapacity + 1};
+  EXPECT_FALSE(Session::Validate(spec, &error));
+  EXPECT_NE(error.find("device capacity"), std::string::npos) << error;
+
   // And the defaults are valid for every axis.
   for (WorkloadAxis axis : AllWorkloadAxes()) {
     spec = ExperimentSpec{};
@@ -417,7 +436,7 @@ uint64_t Fnv1a(uint64_t hash, const std::string& bytes) {
 // trace), job, serve and cluster, baseline and plan kinds, ok and infeasible — to one digest
 // over each record's JSON (host time removed) and its Summary(). Any change to what a run
 // computes or reports moves the digest.
-TEST(Session, PinnedOutcomeDigestCoversEveryAxis) {
+std::string PinnedOutcomeDigest() {
   Session session;
   uint64_t digest = 14695981039346656037ull;
   int runs = 0;
@@ -499,7 +518,15 @@ TEST(Session, PinnedOutcomeDigestCoversEveryAxis) {
   }
 
   EXPECT_EQ(runs, 18);
-  EXPECT_EQ(StrFormat("%016llx", static_cast<unsigned long long>(digest)), "54eb9b7b2fd17d65");
+  return StrFormat("%016llx", static_cast<unsigned long long>(digest));
+}
+
+// Verify mode adds checks, never decisions: the digest holds with it on and off.
+TEST(Session, PinnedOutcomeDigestCoversEveryAxis) {
+  for (const bool verify : {true, false}) {
+    ScopedVerify mode(verify);
+    EXPECT_EQ(PinnedOutcomeDigest(), "54eb9b7b2fd17d65") << "verify " << verify;
+  }
 }
 
 TEST(Session, AxisNameRoundTrip) {

@@ -22,6 +22,7 @@
 #include "src/common/flags.h"
 #include "src/common/table.h"
 #include "src/common/units.h"
+#include "src/common/verify.h"
 #include "src/servesim/request_gen.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/telemetry.h"
@@ -119,7 +120,7 @@ int main(int argc, char** argv) {
   std::vector<uint64_t> capacities = {spec.options.capacity_bytes};
   uint64_t kv_budget = spec.engine.kv_budget_bytes;
   bool list_allocs = false, list_axes = false, list_models = false, list_scenarios = false,
-       list_policies = false;
+       list_policies = false, verify_mode = false;
 
   FlagParser flags("stalloc_run",
                    "Execute any ExperimentSpec — one training rank, a pipeline job, a serving "
@@ -179,6 +180,8 @@ int main(int argc, char** argv) {
             "heap-timeline viewer (snapshots also land in --json as heap_timeline)");
   flags.Add("--heapmap-every", &heapmap_every, "N",
             "also snapshot every N allocator ops (default: phase/peak/OOM triggers only)");
+  flags.AddFlag("--verify", &verify_mode,
+                "verify mode: overlap walk per malloc and a sweep per synthesized plan");
   flags.AddFlag("--list-allocs", &list_allocs, "list registered allocators and exit");
   flags.AddFlag("--list-axes", &list_axes, "list workload axes and exit");
   flags.AddFlag("--list-models", &list_models, "list model presets and exit");
@@ -302,6 +305,9 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  if (verify_mode) {
+    verify::SetEnabled(true);
+  }
   // Telemetry is off (and the hot paths untouched) unless an export target asks for it.
   if (!trace_path.empty() || !metrics_path.empty() || !heapmap_path.empty()) {
     if (trace_buffer > 0) {
