@@ -506,47 +506,53 @@ TEST(PinnedPlacement, TightCapacityAddressDigests) {
   const Trace storm = BuildStormTrace(10000, 42);
   const Trace serve = BuildSyntheticTrace({SyntheticMix::kServing, 20000, 5});
   constexpr uint64_t kStormCapacity = 11800 * MiB;
-  {
-    SimDevice dev(kStormCapacity);
-    CachingAllocator alloc(&dev);
-    const TightRun run = ReplayTight(storm, &alloc);
-    // The replay never empties the cache, so every cudaFree is a release-and-retry after a
-    // failed segment malloc.
-    EXPECT_EQ(dev.counters().cuda_free, 15u);
-    EXPECT_EQ(run.digest, 0x09d4be44fe4e3f4eull);
-    EXPECT_TRUE(run.oom);
-    EXPECT_EQ(run.failed_event, 9684u);
-  }
-  {
-    SimDevice dev(kStormCapacity);
-    GMLakeConfig config;
-    config.frag_limit = 16 * MiB;  // the storm's largest requests are 32 MiB
-    GMLakeAllocator alloc(&dev, config);
-    const TightRun run = ReplayTight(storm, &alloc);
-    EXPECT_EQ(alloc.num_stitches(), 6u);
-    EXPECT_EQ(run.digest, 0x35121b311c7b7225ull);
-    EXPECT_TRUE(run.oom);
-    EXPECT_EQ(run.failed_event, 9978u);
-  }
-  {
-    SimDevice dev(kStormCapacity);
-    VmmAllocator alloc(&dev);
-    const TightRun run = ReplayTight(storm, &alloc);
-    // Remapping moves physical handles, never addresses: the digest is the unconstrained one.
-    EXPECT_EQ(alloc.vmm_stats().remap_events, 15u);
-    EXPECT_EQ(alloc.vmm_stats().pages_remapped, 111u);
-    EXPECT_EQ(run.digest, 0x3ce33436db50d89dull);
-    EXPECT_FALSE(run.oom);
-  }
-  {
-    SimDevice dev(850 * MiB);
-    ExpandableSegmentsAllocator alloc(&dev);
-    const TightRun run = ReplayTight(serve, &alloc);
-    // The default trim threshold never trims on free, and a completed replay never rolled a
-    // failed growth back: every unmap is a cross-stream trim under growth pressure.
-    ASSERT_FALSE(run.oom);
-    EXPECT_EQ(dev.counters().mem_unmap, 23u);
-    EXPECT_EQ(run.digest, 0x7ca084eb4394a01dull);
+  // Verify mode adds checks, never decisions: the pressure paths place identically with it
+  // on and off.
+  for (const bool verify : {true, false}) {
+    ScopedVerify mode(verify);
+    SCOPED_TRACE(verify ? "verify on" : "verify off");
+    {
+      SimDevice dev(kStormCapacity);
+      CachingAllocator alloc(&dev);
+      const TightRun run = ReplayTight(storm, &alloc);
+      // The replay never empties the cache, so every cudaFree is a release-and-retry after a
+      // failed segment malloc.
+      EXPECT_EQ(dev.counters().cuda_free, 15u);
+      EXPECT_EQ(run.digest, 0x09d4be44fe4e3f4eull);
+      EXPECT_TRUE(run.oom);
+      EXPECT_EQ(run.failed_event, 9684u);
+    }
+    {
+      SimDevice dev(kStormCapacity);
+      GMLakeConfig config;
+      config.frag_limit = 16 * MiB;  // the storm's largest requests are 32 MiB
+      GMLakeAllocator alloc(&dev, config);
+      const TightRun run = ReplayTight(storm, &alloc);
+      EXPECT_EQ(alloc.num_stitches(), 6u);
+      EXPECT_EQ(run.digest, 0x35121b311c7b7225ull);
+      EXPECT_TRUE(run.oom);
+      EXPECT_EQ(run.failed_event, 9978u);
+    }
+    {
+      SimDevice dev(kStormCapacity);
+      VmmAllocator alloc(&dev);
+      const TightRun run = ReplayTight(storm, &alloc);
+      // Remapping moves physical handles, never addresses: the digest is the unconstrained one.
+      EXPECT_EQ(alloc.vmm_stats().remap_events, 15u);
+      EXPECT_EQ(alloc.vmm_stats().pages_remapped, 111u);
+      EXPECT_EQ(run.digest, 0x3ce33436db50d89dull);
+      EXPECT_FALSE(run.oom);
+    }
+    {
+      SimDevice dev(850 * MiB);
+      ExpandableSegmentsAllocator alloc(&dev);
+      const TightRun run = ReplayTight(serve, &alloc);
+      // The default trim threshold never trims on free, and a completed replay never rolled a
+      // failed growth back: every unmap is a cross-stream trim under growth pressure.
+      ASSERT_FALSE(run.oom);
+      EXPECT_EQ(dev.counters().mem_unmap, 23u);
+      EXPECT_EQ(run.digest, 0x7ca084eb4394a01dull);
+    }
   }
 }
 
