@@ -135,6 +135,46 @@ TEST(FusePlans, PreservesItemCountAndIds) {
   ExpectNoConflicts(fused);
 }
 
+// Pins FusePlans' placements on seeded random pairs of packed plans whose lifespans partly
+// overlap, so both the gap-insertion scan and the stacking fallback run against non-trivial
+// blocked sets. Every fused (id, addr) and footprint folds into one FNV-1a-64 digest.
+TEST(FusePlans, PinnedRandomPairsDigest) {
+  auto mix = [](uint64_t h, uint64_t value) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (value >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+    return h;
+  };
+  uint64_t digest = 14695981039346656037ull;
+  Rng rng(2024);
+  for (int pair = 0; pair < 200; ++pair) {
+    std::vector<MemoryEvent> a_events;
+    std::vector<MemoryEvent> b_events;
+    const uint64_t na = 1 + rng.NextBelow(40);
+    const uint64_t nb = 1 + rng.NextBelow(40);
+    for (uint64_t i = 0; i < na; ++i) {
+      const LogicalTime ts = rng.NextBelow(60);
+      a_events.push_back(
+          Ev(i, 100 + rng.NextBelow(4096), ts, ts + 1 + rng.NextBelow(40), 0, 1));
+    }
+    for (uint64_t i = 0; i < nb; ++i) {
+      const LogicalTime ts = 30 + rng.NextBelow(60);
+      b_events.push_back(
+          Ev(1000 + i, 100 + rng.NextBelow(4096), ts, ts + 1 + rng.NextBelow(40), 1, 2));
+    }
+    const LocalPlan fused = FusePlans(PackGroup(a_events, 0, 1), PackGroup(b_events, 1, 2));
+    ASSERT_EQ(fused.items.size(), na + nb);
+    ExpectNoConflicts(fused);
+    for (const PlanDecision& d : fused.items) {
+      digest = mix(digest, d.event.id);
+      digest = mix(digest, d.addr);
+    }
+    digest = mix(digest, fused.footprint);
+  }
+  EXPECT_EQ(digest, 0x395506f69d5f32ecull);
+}
+
 TEST(BuildPhaseGroups, GroupsByPhasePair) {
   std::vector<MemoryEvent> events = {
       Ev(0, 512, 0, 10, 0, 1), Ev(1, 512, 1, 9, 0, 1),   // group (0,1)

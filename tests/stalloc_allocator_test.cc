@@ -11,8 +11,11 @@
 #include "src/core/planner.h"
 #include "src/core/profiler.h"
 #include "src/driver/replay.h"
+#include "src/replay/replay_engine.h"
 #include "src/trainsim/model_config.h"
+#include "src/trainsim/train_config.h"
 #include "src/trainsim/workload.h"
+#include "tests/support/scoped_verify.h"
 
 namespace stalloc {
 namespace {
@@ -238,6 +241,80 @@ INSTANTIATE_TEST_SUITE_P(Models, STAllocEndToEndTest,
                            }
                            return name;
                          });
+
+// Pins STAlloc's runtime on Fig. 8 cells (80 GiB, profiled at seed 1001, replayed at seed 2002):
+// the placement digest of every malloc and free, Mr, and the path counters. The last case
+// replays the rank-0 plan on rank 1, so static hits, plan mismatches, dynamic reuse and the
+// lack-of-space fallback all run. Verify mode adds checks, never decisions: every pin holds with
+// it on and off.
+TEST(STAllocAllocator, PinnedPlacementDigests) {
+  struct Cell {
+    const char* model;
+    ParallelConfig parallel;
+    uint64_t micro_batch;
+  };
+  const Cell gpt2 = {"gpt2", {/*tp=*/1, /*pp=*/2, /*dp=*/4, /*ep=*/1, /*vpp=*/1}, 64};
+  const Cell qwen = {"qwen1.5-moe", {/*tp=*/1, /*pp=*/2, /*dp=*/4, /*ep=*/4, /*vpp=*/1}, 8};
+  auto builder = [](const Cell& cell, int rank) {
+    TrainConfig train;
+    train.parallel = cell.parallel;
+    train.num_microbatches = 8;
+    train = ApplyConfigTag(train, "N");
+    train.micro_batch_size = cell.micro_batch;
+    train.rank = rank;
+    return WorkloadBuilder(ModelByName(cell.model), train);
+  };
+  auto plan_of = [](const WorkloadBuilder& workload) {
+    const ProfileResult profile = ProfileWorkload(workload, 80 * GiB, /*iteration_seed=*/1001);
+    EXPECT_TRUE(profile.feasible);
+    return SynthesizePlan(profile.trace);
+  };
+  const SynthesisResult gpt2_plan = plan_of(builder(gpt2, 0));
+  const SynthesisResult qwen_plan = plan_of(builder(qwen, 0));
+  const Trace gpt2_run = builder(gpt2, 0).Build(2002);
+  const Trace qwen_run = builder(qwen, 0).Build(2002);
+  const Trace qwen_rank1_run = builder(qwen, 1).Build(2002);
+
+  struct Pin {
+    const char* name;
+    const SynthesisResult* plan;
+    const Trace* run;
+    const char* kind;
+    uint64_t digest;
+    uint64_t reserved_peak;
+    STAllocBreakdown counts;  // the four path counters only
+  };
+  const Pin pins[] = {
+      {"gpt2 rank0", &gpt2_plan, &gpt2_run, "stalloc", 0xaa8cdae5fb189ddeull, 59068484096ull,
+       {2501, 0, 0, 0}},
+      {"qwen rank0", &qwen_plan, &qwen_run, "stalloc", 0xc2237e22f2d94bb2ull, 64582124032ull,
+       {2369, 0, 2670, 7410}},
+      {"qwen rank0 noreuse", &qwen_plan, &qwen_run, "stalloc-noreuse", 0x585d95ea056c8eeeull,
+       64582124032ull, {2369, 0, 0, 10080}},
+      {"qwen rank0 plan on rank1", &qwen_plan, &qwen_rank1_run, "stalloc", 0xcb840ecaed9169caull,
+       81210442240ull, {2183, 210, 2640, 7440}},
+  };
+  for (const bool verify : {true, false}) {
+    ScopedVerify mode(verify);
+    for (const Pin& pin : pins) {
+      SCOPED_TRACE(std::string(pin.name) + (verify ? " verify on" : " verify off"));
+      SimDevice dev(80 * GiB);
+      STAllocAllocator alloc(&dev, pin.plan->plan, pin.plan->dyn_space,
+                             STAllocConfigFor(pin.kind));
+      ASSERT_TRUE(alloc.Init());
+      PlacementDigestObserver digest;
+      const ReplayResult r = ReplayTrace(*pin.run, &alloc, &digest);
+      const STAllocBreakdown& bd = alloc.breakdown();
+      EXPECT_FALSE(r.oom);
+      EXPECT_EQ(digest.digest(), pin.digest);
+      EXPECT_EQ(r.reserved_peak, pin.reserved_peak);
+      EXPECT_EQ(bd.static_hits, pin.counts.static_hits);
+      EXPECT_EQ(bd.static_mismatches, pin.counts.static_mismatches);
+      EXPECT_EQ(bd.dynamic_reuse_hits, pin.counts.dynamic_reuse_hits);
+      EXPECT_EQ(bd.dynamic_fallbacks, pin.counts.dynamic_fallbacks);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace stalloc
