@@ -36,7 +36,8 @@ struct RequestContext {
   uint64_t tenant = 0;              // owning job/request id (cluster replay; 0 = unattributed)
 };
 
-// Largest request an allocator accepts: 2^48 B (256 TiB), far above any simulated capacity.
+// Largest request an allocator accepts: 2^48 B (256 TiB), far above the largest simulated
+// capacity (SimDevice::kMaxCapacity, 1 TiB).
 // Larger requests — and empty ones — fail as an OOM before reaching the policy, whose size
 // rounding would otherwise wrap near 2^64.
 constexpr uint64_t kMaxRequestSize = uint64_t{1} << 48;

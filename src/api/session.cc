@@ -415,7 +415,7 @@ bool Session::Validate(const ExperimentSpec& spec, std::string* error) {
   if (!spec.device_capacities.empty() && spec.axis != WorkloadAxis::kCluster) {
     return fail("a per-device capacity list only applies to the cluster axis");
   }
-  // SimDevice aborts on a capacity whose classic arena would run past 2^64.
+  // SimDevice aborts on a capacity above SimDevice::kMaxCapacity.
   const auto bad_capacity = [](uint64_t c) { return c == 0 || c > SimDevice::kMaxCapacity; };
   if (bad_capacity(spec.options.capacity_bytes) ||
       std::any_of(spec.device_capacities.begin(), spec.device_capacities.end(), bad_capacity)) {

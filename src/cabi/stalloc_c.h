@@ -38,7 +38,7 @@ typedef struct stalloc_handle stalloc_handle;
  * fresh simulated device of `capacity_bytes`. `options` is a comma-separated key=value list in
  * --alloc-opt syntax ("vmm.granularity=2MiB,gmlake.frag_limit=64M"); NULL or "" means
  * defaults. NULL on failure (unknown allocator, plan-pipeline kind, malformed option, a
- * capacity of 0 or one whose device address range would run past 2^64). */
+ * capacity of 0 or above 2^40 bytes, SimDevice::kMaxCapacity). */
 STALLOC_C_API stalloc_handle* stalloc_create(const char* name, uint64_t capacity_bytes,
                                              const char* options);
 

@@ -11,8 +11,10 @@ namespace stalloc {
 
 uint64_t DynamicReusableSpace::TotalReusableBytes() const {
   uint64_t total = 0;
-  for (const auto& [key, set] : regions) {
-    total += set.TotalLength();
+  for (const auto& [key, region] : regions) {
+    for (const Interval& iv : region) {
+      total += iv.length();
+    }
   }
   return total;
 }
@@ -31,7 +33,7 @@ DynamicReusableSpace LocateDynamicSpace(const Trace& trace, const StaticPlan& pl
     const LayerId ls = c.EventLs(id);
     const LayerId le = c.EventLe(id);
     STALLOC_CHECK(ls != kInvalidLayer && le != kInvalidLayer);
-    space.regions.emplace(std::make_pair(ls, le), IntervalSet{});
+    space.regions.emplace(std::make_pair(ls, le), std::vector<Interval>{});
     space.expected_le[ls].push_back(le);
   }
   if (space.regions.empty()) {
@@ -47,8 +49,9 @@ DynamicReusableSpace LocateDynamicSpace(const Trace& trace, const StaticPlan& pl
   std::sort(decisions.begin(), decisions.end(),
             [](const PlanDecision* a, const PlanDecision* b) { return a->event.ts < b->event.ts; });
 
-  // Per window: the occupied (addr, end) pairs, sorted, then one walk emits the gaps of
-  // [0, pool_size) in ascending order.
+  // Per window: the occupied (addr, end) pairs, sorted, then one walk appends the gaps of
+  // [0, pool_size) in ascending order. Every decision has padded_size > 0, so no two gaps touch
+  // and the region is a sorted interval vector.
   std::vector<std::pair<uint64_t, uint64_t>> occupied;
   occupied.reserve(decisions.size());
   for (auto& [key, region] : space.regions) {
@@ -74,10 +77,14 @@ DynamicReusableSpace LocateDynamicSpace(const Trace& trace, const StaticPlan& pl
       if (cursor >= plan.pool_size) {
         break;
       }
-      region.Insert(cursor, std::min(lo, plan.pool_size));  // no-op unless a gap precedes lo
+      if (cursor < lo) {
+        region.push_back(Interval{cursor, std::min(lo, plan.pool_size)});
+      }
       cursor = std::max(cursor, hi);
     }
-    region.Insert(cursor, plan.pool_size);
+    if (cursor < plan.pool_size) {
+      region.push_back(Interval{cursor, plan.pool_size});
+    }
   }
   return space;
 }

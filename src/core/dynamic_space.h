@@ -16,14 +16,15 @@
 #include <vector>
 
 #include "src/core/plan.h"
-#include "src/interval/interval_set.h"
+#include "src/interval/interval.h"
 #include "src/trace/trace.h"
 
 namespace stalloc {
 
 struct DynamicReusableSpace {
-  // HomoLayer group (ls, le) -> address ranges of the static pool idle during T(ls, le).
-  std::map<std::pair<LayerId, LayerId>, IntervalSet> regions;
+  // HomoLayer group (ls, le) -> address ranges of the static pool idle during T(ls, le), as a
+  // sorted interval vector (src/interval/interval.h) within [0, pool_size).
+  std::map<std::pair<LayerId, LayerId>, std::vector<Interval>> regions;
   // Matcher table from the profile: for each alloc layer ls, the free layers (le) of its dynamic
   // requests in arrival order. The runtime uses (ls, arrival index) to pick the group.
   std::map<LayerId, std::vector<LayerId>> expected_le;

@@ -8,7 +8,7 @@
 
 #include "src/common/check.h"
 #include "src/common/units.h"
-#include "src/interval/interval_set.h"
+#include "src/interval/interval.h"
 
 namespace stalloc {
 
@@ -174,19 +174,20 @@ LocalPlan FusePlans(const LocalPlan& a, const LocalPlan& b) {
   std::vector<bool> placed(pending.size(), false);
 
   // Per pending item, the union of address ranges blocked by time-conflicting items of the
-  // larger plan. Updated as small items are placed. Makes each fit test O(log n).
-  std::vector<IntervalSet> blocked(pending.size());
+  // larger plan, as a sorted interval vector. Updated as small items are placed. Makes each fit
+  // test O(log n).
+  std::vector<std::vector<Interval>> blocked(pending.size());
   for (size_t i = 0; i < pending.size(); ++i) {
     for (const auto& it : big.items) {
       if (TimeOverlap(it.event, pending[i].event)) {
-        blocked[i].Insert(it.addr, it.end_addr());
+        InsertMerged(&blocked[i], it.addr, it.end_addr());
       }
     }
   }
   auto note_placement = [&](const PlanDecision& d) {
     for (size_t i = 0; i < pending.size(); ++i) {
       if (!placed[i] && TimeOverlap(d.event, pending[i].event)) {
-        blocked[i].Insert(d.addr, d.end_addr());
+        InsertMerged(&blocked[i], d.addr, d.end_addr());
       }
     }
   };
@@ -214,7 +215,7 @@ LocalPlan FusePlans(const LocalPlan& a, const LocalPlan& b) {
       if (addr + d.padded_size > fused.footprint) {
         continue;  // would extend the footprint; defer to the stacking fallback
       }
-      if (blocked[i].Intersects(addr, addr + d.padded_size)) {
+      if (OverlapsAny(blocked[i], addr, addr + d.padded_size)) {
         continue;
       }
       d.addr = addr;
@@ -247,7 +248,7 @@ LocalPlan FusePlans(const LocalPlan& a, const LocalPlan& b) {
     PlanDecision d = pending[i];
     // Find the lowest gap of `padded_size` in blocked[i].
     uint64_t cursor = 0;
-    for (const auto& iv : blocked[i].ToVector()) {
+    for (const auto& iv : blocked[i]) {
       if (iv.hi <= cursor) {
         continue;
       }

@@ -50,7 +50,7 @@ void WritePlanCsv(const StaticPlan& plan, const DynamicReusableSpace& space, std
   os << "# pool," << plan.pool_size << "," << plan.lower_bound << "\n";
   for (const auto& [key, region] : space.regions) {
     os << "# region," << key.first << "," << key.second;
-    for (const auto& iv : region.ToVector()) {
+    for (const auto& iv : region) {
       os << "," << iv.lo << "," << iv.hi;
     }
     os << "\n";
@@ -106,16 +106,25 @@ bool ReadPlanCsv(std::istream& is, LoadedPlan* out, PlanIoError* err) {
             !Parse(fields[2], &le)) {
           return fail("malformed region row: " + line);
         }
-        IntervalSet set;
+        // Intervals ascend and stay inside the pool (its row comes first); touching ones merge.
+        std::vector<Interval> region;
         for (size_t i = 3; i + 1 < fields.size(); i += 2) {
           uint64_t lo = 0;
           uint64_t hi = 0;
           if (!Parse(fields[i], &lo) || !Parse(fields[i + 1], &hi) || lo >= hi) {
             return fail("malformed region interval: " + line);
           }
-          set.Insert(lo, hi);
+          if (!region.empty() && lo < region.back().hi) {
+            return fail("region intervals unsorted or overlapping: " + line);
+          }
+          if (hi > out->plan.pool_size) {
+            return fail("region interval ends past the pool size: " + line);
+          }
+          InsertMerged(&region, lo, hi);
         }
-        out->space.regions.emplace(std::make_pair(ls, le), std::move(set));
+        if (!out->space.regions.emplace(std::make_pair(ls, le), std::move(region)).second) {
+          return fail("duplicate region row: " + line);
+        }
       } else if (fields[0] == "expected_le") {
         LayerId ls = 0;
         if (fields.size() < 2 || !Parse(fields[1], &ls)) {

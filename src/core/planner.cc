@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,7 +14,7 @@
 #include "src/common/verify.h"
 #include "src/core/phase_group.h"
 #include "src/core/size_group.h"
-#include "src/interval/interval_set.h"
+#include "src/interval/first_fit_index.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/telemetry.h"
 #include "src/telemetry/tracer.h"
@@ -23,8 +24,8 @@ namespace stalloc {
 namespace {
 
 // Lifetime-aware greedy first-fit: replay the event stream in time order, placing each
-// allocation at the lowest free offset and returning it on free. O(N log N) via IntervalSet.
-// Produces a valid plan whose pool equals the highest offset ever used.
+// allocation at the lowest free offset and returning it on free. Produces a valid plan whose pool
+// equals the highest offset ever used.
 StaticPlan GreedyFirstFitPlan(const std::vector<MemoryEvent>& static_events) {
   std::vector<LogicalTime> ts(static_events.size()), te(static_events.size());
   for (size_t i = 0; i < static_events.size(); ++i) {
@@ -35,7 +36,7 @@ StaticPlan GreedyFirstFitPlan(const std::vector<MemoryEvent>& static_events) {
   StaticPlan plan;
   plan.decisions.resize(static_events.size());
   // Free space: one unbounded span; the pool is the high-water mark.
-  IntervalSet free_space;
+  FirstFitIndex free_space;
   constexpr uint64_t kUnbounded = ~uint64_t{0} >> 1;
   free_space.Insert(0, kUnbounded);
   uint64_t high_water = 0;
@@ -44,10 +45,9 @@ StaticPlan GreedyFirstFitPlan(const std::vector<MemoryEvent>& static_events) {
     if ((ref & 1) == 0) {
       d.event = static_events[ref >> 1];
       d.padded_size = AlignUp(std::max<uint64_t>(d.event.size, 1), kPlanAlign);
-      auto fit = free_space.FirstFit(d.padded_size);
-      STALLOC_CHECK(fit.has_value());
-      d.addr = fit->lo;
-      free_space.Erase(d.addr, d.addr + d.padded_size);
+      const std::optional<uint64_t> addr = free_space.TakeFirstFit(d.padded_size);
+      STALLOC_CHECK(addr.has_value());
+      d.addr = *addr;
       high_water = std::max(high_water, d.end_addr());
     } else {
       free_space.Insert(d.addr, d.addr + d.padded_size);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <limits>
 #include <optional>
 #include <utility>
 
@@ -35,7 +37,6 @@ STAllocAllocator::~STAllocAllocator() {
 bool STAllocAllocator::Init() {
   if (plan_.pool_size == 0) {
     pool_base_ = 0;
-    available_.Clear();
     return true;
   }
   auto base = device_->DevMalloc(plan_.pool_size);
@@ -43,8 +44,6 @@ bool STAllocAllocator::Init() {
     return false;
   }
   pool_base_ = *base;
-  available_.Clear();
-  available_.Insert(0, plan_.pool_size);
   NotePressure();
   return true;
 }
@@ -103,13 +102,19 @@ std::optional<uint64_t> STAllocAllocator::StaticMalloc(uint64_t size) {
     }
     const PlanDecision& d = plan_.decisions[i];
     // The plan guarantees no conflict with other *planned* requests, but an earlier mismatch may
-    // have left the range occupied (its twin went to the fallback). Guard anyway.
-    if (!available_.Covers(d.addr, d.addr + d.padded_size)) {
+    // have left the range occupied (its twin went to the fallback). Guard anyway: a non-empty
+    // range must lie in the pool, the live block below must end at or before it and the one
+    // above must start at or after its end.
+    const uint64_t end = d.addr + d.padded_size;
+    const auto next = pool_live_.lower_bound(d.addr);
+    const bool below_clear =
+        next == pool_live_.begin() || std::prev(next)->first + std::prev(next)->second <= d.addr;
+    const bool above_clear = next == pool_live_.end() || next->first >= end;
+    if (end != d.addr && !(end <= plan_.pool_size && below_clear && above_clear)) {
       continue;
     }
     used_[i] = true;
-    available_.Erase(d.addr, d.addr + d.padded_size);
-    pool_live_.emplace(d.addr, d.padded_size);
+    pool_live_.emplace_hint(next, d.addr, d.padded_size);
     ++breakdown_.static_hits;
     breakdown_.static_bytes += size;
     return pool_base_ + d.addr;
@@ -137,15 +142,38 @@ std::optional<uint64_t> STAllocAllocator::DynamicMalloc(uint64_t size, const Req
     return std::nullopt;
   }
 
-  // A_c = A_a intersect A_i (Eq. 7), then best fit.
+  // Best fit over A_c = A_a intersect A_i (Eq. 7): within each region interval, the gaps between
+  // live pool blocks are the candidates. Smallest gap that fits wins, the lowest on ties; an
+  // exact fit ends the search.
   const uint64_t padded = AlignUp(std::max<uint64_t>(size, 1), kPlanAlign);
-  const IntervalSet candidates = available_.Intersect(region_it->second);
-  auto fit = candidates.BestFit(padded);
-  if (!fit.has_value()) {
+  std::optional<uint64_t> best;
+  uint64_t best_len = std::numeric_limits<uint64_t>::max();
+  auto consider = [&](uint64_t lo, uint64_t hi) {  // a no-op once an exact fit is found
+    if (hi > lo && hi - lo >= padded && hi - lo < best_len) {
+      best = lo;
+      best_len = hi - lo;
+    }
+  };
+  for (const Interval& iv : region_it->second) {
+    if (best_len == padded) {
+      break;
+    }
+    const uint64_t region_hi = std::min(iv.hi, plan_.pool_size);
+    auto it = pool_live_.lower_bound(iv.lo);
+    uint64_t cursor = iv.lo;
+    if (it != pool_live_.begin()) {
+      cursor = std::max(cursor, std::prev(it)->first + std::prev(it)->second);
+    }
+    for (; it != pool_live_.end() && it->first < region_hi && best_len != padded; ++it) {
+      consider(cursor, it->first);
+      cursor = it->first + it->second;
+    }
+    consider(cursor, region_hi);
+  }
+  if (!best.has_value()) {
     return std::nullopt;
   }
-  const uint64_t addr = fit->lo;
-  available_.Erase(addr, addr + padded);
+  const uint64_t addr = *best;
   pool_live_.emplace(addr, padded);
   ++breakdown_.dynamic_reuse_hits;
   breakdown_.dynamic_reuse_bytes += size;
@@ -158,7 +186,6 @@ void STAllocAllocator::DoFree(uint64_t addr, uint64_t size) {
     const uint64_t rel = addr - pool_base_;
     auto it = pool_live_.find(rel);
     STALLOC_CHECK(it != pool_live_.end(), << "stalloc: free of unknown pool offset " << rel);
-    available_.Insert(rel, rel + it->second);
     pool_live_.erase(it);
     return;
   }

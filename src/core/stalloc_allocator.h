@@ -7,9 +7,9 @@
 //   * static requests -> the Static Allocator (§6.1): pre-planned addresses served in plan
 //     order with O(1) lookup; a size mismatch against the plan falls through to the caching
 //     allocator ("plan mismatch" path in Fig. 5);
-//   * dynamic requests -> the Dynamic Allocator (§6.2): intersects the group's pre-vetted
-//     Dynamic Reusable Space A_i with the pool's currently free intervals A_a (Eq. 7) and picks
-//     best-fit; on lack of space it falls back ("lack of space" path);
+//   * dynamic requests -> the Dynamic Allocator (§6.2): best fit among the pool's currently free
+//     intervals A_a inside the group's pre-vetted Dynamic Reusable Space A_i (Eq. 7); on lack of
+//     space it falls back ("lack of space" path);
 //   * anything unexpected -> the caching fallback (a CachingPool), guaranteeing robustness.
 
 #ifndef SRC_CORE_STALLOC_ALLOCATOR_H_
@@ -25,7 +25,6 @@
 #include "src/core/dynamic_space.h"
 #include "src/core/plan.h"
 #include "src/gpu/sim_device.h"
-#include "src/interval/interval_set.h"
 
 namespace stalloc {
 
@@ -95,9 +94,8 @@ class STAllocAllocator final : public AllocatorBase {
   // Matcher state: plan decisions are consumed roughly in order; used_ marks out-of-order hits.
   size_t cursor_ = 0;
   std::vector<bool> used_;
-  // Currently free intervals of the static pool (A_a of §6.2), pool-relative.
-  IntervalSet available_;
-  // Live blocks inside the pool: pool-relative addr -> padded size.
+  // Live blocks inside the pool: pool-relative addr -> padded size. Their complement in
+  // [0, pool_size) is the pool's free space (A_a of §6.2).
   std::map<uint64_t, uint64_t> pool_live_;
   // Dynamic matcher: arrival counter per alloc-layer (resets each iteration).
   std::map<LayerId, size_t> layer_counters_;

@@ -19,13 +19,11 @@ constexpr uint64_t kVaBase = 0x0000'A000'0000'0000ull;
 
 }  // namespace
 
-const uint64_t SimDevice::kMaxCapacity = ~uint64_t{0} - kClassicBase;
-
 SimDevice::SimDevice(uint64_t capacity_bytes, DeviceCostModel cost)
     : capacity_(capacity_bytes), cost_(cost) {
   STALLOC_CHECK(capacity_bytes > 0);
   STALLOC_CHECK_LE(capacity_bytes, kMaxCapacity,
-                   << "device capacity wraps the classic arena past 2^64");
+                   << "device capacity above SimDevice::kMaxCapacity");
   classic_free_.Insert(kClassicBase, kClassicBase + capacity_);
   next_va_ = kVaBase;
 }

@@ -82,10 +82,11 @@ class SimDevice {
   // cudaMalloc alignment.
   static constexpr uint64_t kMallocAlign = 512;
 
-  // Largest capacity the classic arena can hold: the arena starts at a fixed base and must end
-  // at or below 2^64 - 1. Callers with external input (the C ABI, Session::Validate) reject
-  // larger capacities; the constructor aborts on them.
-  static const uint64_t kMaxCapacity;
+  // Largest simulated capacity, 2^40 B (1 TiB). Every allocator kind works up to it, including
+  // the ones that size a virtual reservation or a per-page table from the capacity (vmm,
+  // torch-expandable). Callers with external input (the C ABI, Session::Validate) reject larger
+  // capacities; the constructor aborts on them.
+  static constexpr uint64_t kMaxCapacity = uint64_t{1} << 40;
 
   explicit SimDevice(uint64_t capacity_bytes, DeviceCostModel cost = DeviceCostModel{});
 

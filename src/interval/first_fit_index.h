@@ -1,8 +1,9 @@
-// FirstFitIndex: the free ranges of a first-fit arena (SimDevice's classic cudaMalloc arena),
-// indexed so the lowest-addressed range that fits is found without walking every free range.
+// FirstFitIndex: the free ranges of a first-fit arena (SimDevice's classic cudaMalloc arena, and
+// the planner's greedy first-fit plan), indexed so the lowest-addressed range that fits is found
+// without walking every free range.
 //
-// IntervalSet::FirstFit scans ranges in address order until one is long enough, which is linear
-// in the number of free ranges and was the whole cost of a DevMalloc on fragmented arenas. Here
+// A linear first fit scans ranges in address order until one is long enough, which is linear in
+// the number of free ranges and was the whole cost of a DevMalloc on fragmented arenas. Here
 // every free range also sits in a size class, ⌊log2(length)⌋, each class ordered by address.
 // For a request of `size` in class c:
 //   * every range in a class above c is at least 2^(c+1) > size bytes long, so all of them fit,
@@ -12,7 +13,7 @@
 //   * ranges in class c itself may or may not fit, so class c is scanned in address order, but
 //     only below the candidate from the classes above: a fitting range there is lower than it.
 // The range picked is therefore exactly the lowest-addressed range with length >= size, the one
-// IntervalSet::FirstFit returns. A running total makes total() O(1), and largest() reads only
+// the linear scan returns. A running total makes total() O(1), and largest() reads only
 // the top non-empty class.
 
 #ifndef SRC_INTERVAL_FIRST_FIT_INDEX_H_

@@ -26,9 +26,7 @@ struct Fixture {
     plan.pool_size = 8 * MiB;
     plan.lower_bound = 1 * MiB;
 
-    IntervalSet region;
-    region.Insert(1 * MiB, 5 * MiB);
-    space.regions.emplace(std::make_pair(0, 1), region);
+    space.regions.emplace(std::make_pair(0, 1), std::vector<Interval>{{1 * MiB, 5 * MiB}});
     space.expected_le[0] = {1, 1, 1, 1, 1, 1, 1, 1};
   }
 
@@ -127,10 +125,7 @@ TEST(DynamicAllocator, ExhaustedArrivalTableFallsBack) {
 TEST(DynamicAllocator, BestFitPrefersTighterInterval) {
   Fixture f;
   // Two disjoint reusable windows: 3 MiB and 1 MiB. A 1 MiB request must take the tighter one.
-  IntervalSet region;
-  region.Insert(1 * MiB, 4 * MiB);
-  region.Insert(5 * MiB, 6 * MiB);
-  f.space.regions[{0, 1}] = region;
+  f.space.regions[{0, 1}] = {{1 * MiB, 4 * MiB}, {5 * MiB, 6 * MiB}};
   STAllocAllocator alloc(&f.dev, f.plan, f.space);
   ASSERT_TRUE(alloc.Init());
   auto a = alloc.Malloc(1 * MiB, f.Dyn());

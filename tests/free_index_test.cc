@@ -441,7 +441,7 @@ TEST(PinnedPlacement, TrainingTraceMatchesSeedAllocators) {
 // SimDevice::DevMalloc's first-fit address for every request and `paged-kv` carves its slabs out
 // of the same arena, so their Mr is address-blind. Pin their full placement sequence instead —
 // every (event, address, size) folded into a PlacementDigestObserver digest — recorded from the
-// linear IntervalSet::FirstFit arena that the indexed first-fit arena replaced. The caching-style
+// linear first-fit arena that the indexed first-fit arena replaced. The caching-style
 // kinds (torch-caching, torch-expandable, gmlake, vmm) are pinned the same way, recorded from
 // the allocators that each kept their own block map, before they moved onto one BlockArena.
 uint64_t PlacementDigest(const Trace& trace, const std::string& kind) {

@@ -72,7 +72,7 @@ TEST(MoeStress, DynamicRegionsShrinkGracefullyUnderTinyPool) {
 
   // Clamp every reusable region to zero: dynamic requests have nowhere to go in the pool.
   for (auto& [key, region] : synthesis.dyn_space.regions) {
-    region.Clear();
+    region.clear();
   }
   SimDevice dev(kCapacity);
   STAllocAllocator alloc(&dev, synthesis.plan, synthesis.dyn_space);

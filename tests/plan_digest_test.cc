@@ -48,7 +48,7 @@ uint64_t HashSynthesis(uint64_t h, const SynthesisResult& r) {
   for (const auto& [key, region] : r.dyn_space.regions) {
     h = Fnv1a(h, static_cast<uint64_t>(key.first));
     h = Fnv1a(h, static_cast<uint64_t>(key.second));
-    for (const auto& iv : region.ToVector()) {
+    for (const auto& iv : region) {
       h = Fnv1a(h, iv.lo);
       h = Fnv1a(h, iv.hi);
     }

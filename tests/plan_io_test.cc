@@ -4,6 +4,7 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/core/planner.h"
 #include "src/trainsim/model_config.h"
@@ -107,7 +108,7 @@ TEST(PlanIo, ReadsHandWrittenPlan) {
   ASSERT_TRUE(ReadPlanCsv(ss, &out, &err)) << err.ToString();
   EXPECT_EQ(out.plan.pool_size, 1024u);
   ASSERT_EQ(out.plan.decisions.size(), 2u);
-  EXPECT_EQ(out.space.regions.at({0, 1}).TotalLength(), 768u);
+  EXPECT_EQ(out.space.regions.at({0, 1}), (std::vector<Interval>{{0, 512}, {768, 1024}}));
   EXPECT_EQ(out.space.expected_le.at(0).size(), 2u);
 }
 
@@ -132,6 +133,34 @@ TEST(PlanIo, NonNumericFieldsAreErrors) {
   ExpectRejected(SmallPlanCsv() + "2,0,512,1,0,5,0,0,0,-1,-1,-1\n");    // negative stream
   ExpectRejected(SmallPlanCsv() + "99999999999999999999,0,512,1,9,10,0,0,0,-1,-1,0\n");  // > 2^64
   ExpectRejected(SmallPlanCsv() + "2,0,512,1,9,10,0,0,0,-1,-1, 0\n");  // stray space
+}
+
+TEST(PlanIo, BadRegionRowsAreErrors) {
+  const std::string good_row = "# region,0,1,0,512,768,1024";
+  for (const std::string row : {"# region,0,1,768,1024,0,512",   // unsorted
+                                "# region,0,1,0,512,256,768",    // overlapping
+                                "# region,0,1,0,512,768,2048"}) {  // ends past the pool
+    std::string csv = SmallPlanCsv();
+    csv.replace(csv.find(good_row), good_row.size(), row);
+    EXPECT_EQ(ExpectRejected(csv).line, 3u) << row;
+  }
+  // A second row for the same (ls, le) group.
+  std::string csv = SmallPlanCsv();
+  csv.insert(csv.find("# expected_le"), "# region,0,1,0,256\n");
+  const PlanIoError err = ExpectRejected(csv);
+  EXPECT_EQ(err.line, 4u);
+  EXPECT_NE(err.message.find("duplicate region"), std::string::npos) << err.message;
+}
+
+TEST(PlanIo, AdjacentRegionIntervalsMerge) {
+  std::string csv = SmallPlanCsv();
+  const std::string good_row = "# region,0,1,0,512,768,1024";
+  csv.replace(csv.find(good_row), good_row.size(), "# region,0,1,0,256,256,512,768,1024");
+  std::stringstream ss(csv);
+  LoadedPlan out;
+  PlanIoError err;
+  ASSERT_TRUE(ReadPlanCsv(ss, &out, &err)) << err.ToString();
+  EXPECT_EQ(out.space.regions.at({0, 1}), (std::vector<Interval>{{0, 512}, {768, 1024}}));
 }
 
 TEST(PlanIo, ShortRowsAndBadHeadersAreErrors) {

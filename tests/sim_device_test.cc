@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <vector>
@@ -10,7 +11,6 @@
 
 #include "src/common/rng.h"
 #include "src/common/units.h"
-#include "src/interval/interval_set.h"
 
 namespace stalloc {
 namespace {
@@ -188,13 +188,13 @@ TEST(SimDevice, ClassicAndVmmShareCapacity) {
   EXPECT_TRUE(dev.MemCreate(6 * MiB).has_value());
 }
 
-// The classic arena as it was before it was indexed: one IntervalSet of free ranges searched by
-// its linear FirstFit, the shared physical budget check, and the address -> size ledger. The
-// indexed arena must reproduce every decision of this reference.
+// The classic arena as it was before it was indexed: an address-ordered map of free ranges
+// searched linearly for the first fit, the shared physical budget check, and the address -> size
+// ledger. The indexed arena must reproduce every decision of this reference.
 class LinearArenaReference {
  public:
   LinearArenaReference(uint64_t base, uint64_t capacity) : capacity_(capacity) {
-    free_.Insert(base, base + capacity);
+    free_.emplace(base, base + capacity);
   }
 
   std::optional<uint64_t> Malloc(uint64_t size) {
@@ -205,14 +205,20 @@ class LinearArenaReference {
     if (used_ + aligned > capacity_) {
       return std::nullopt;
     }
-    const std::optional<Interval> fit = free_.FirstFit(aligned);
-    if (!fit.has_value()) {
+    auto fit = std::find_if(free_.begin(), free_.end(),
+                            [&](const auto& range) { return range.second - range.first >= aligned; });
+    if (fit == free_.end()) {
       return std::nullopt;
     }
-    free_.Erase(fit->lo, fit->lo + aligned);
-    allocs_.emplace(fit->lo, aligned);
+    const uint64_t addr = fit->first;
+    const uint64_t end = fit->second;
+    free_.erase(fit);
+    if (addr + aligned < end) {
+      free_.emplace(addr + aligned, end);
+    }
+    allocs_.emplace(addr, aligned);
     used_ += aligned;
-    return fit->lo;
+    return addr;
   }
 
   DeviceStatus Free(uint64_t ptr) {
@@ -220,19 +226,45 @@ class LinearArenaReference {
     if (it == allocs_.end()) {
       return DeviceStatus::kInvalidArgument;
     }
-    free_.Insert(ptr, ptr + it->second);
+    uint64_t lo = ptr;
+    uint64_t hi = ptr + it->second;
     used_ -= it->second;
     allocs_.erase(it);
+    auto next = free_.lower_bound(lo);
+    if (next != free_.end() && next->first == hi) {
+      hi = next->second;
+      next = free_.erase(next);
+    }
+    if (next != free_.begin() && std::prev(next)->second == lo) {
+      lo = std::prev(next)->first;
+      free_.erase(std::prev(next));
+    }
+    free_.emplace(lo, hi);
     return DeviceStatus::kOk;
   }
 
   uint64_t used() const { return used_; }
-  const IntervalSet& free_ranges() const { return free_; }
+  // Free ranges, start -> end: disjoint and non-adjacent.
+  const std::map<uint64_t, uint64_t>& free_ranges() const { return free_; }
+  uint64_t free_total() const {
+    uint64_t total = 0;
+    for (const auto& [lo, hi] : free_) {
+      total += hi - lo;
+    }
+    return total;
+  }
+  uint64_t largest_free() const {
+    uint64_t largest = 0;
+    for (const auto& [lo, hi] : free_) {
+      largest = std::max(largest, hi - lo);
+    }
+    return largest;
+  }
 
  private:
   uint64_t capacity_;
   uint64_t used_ = 0;
-  IntervalSet free_;
+  std::map<uint64_t, uint64_t> free_;
   std::map<uint64_t, uint64_t> allocs_;
 };
 
@@ -254,7 +286,7 @@ TEST(SimDevice, IndexedArenaMatchesLinearFirstFitReference) {
     const uint64_t dice = rng.NextBelow(100);
     if (filling ? dice < 80 : dice < 15) {
       uint64_t size = 0;
-      const std::vector<Interval> holes = ref.free_ranges().ToVector();
+      const std::map<uint64_t, uint64_t>& holes = ref.free_ranges();
       if (dice < 40) {
         // Around a class boundary 2^k: one size class below, on, or above it.
         const uint64_t pow = uint64_t{1} << rng.NextInRange(9, 24);
@@ -262,7 +294,8 @@ TEST(SimDevice, IndexedArenaMatchesLinearFirstFitReference) {
         const uint64_t d = deltas[rng.NextBelow(6)];
         size = rng.NextBelow(2) == 0 ? pow + d : pow - std::min(d, pow - 1);
       } else if (dice < 60 && !holes.empty()) {
-        size = holes[rng.NextBelow(holes.size())].length();  // an exact fit
+        const auto hole = std::next(holes.begin(), rng.NextBelow(holes.size()));
+        size = hole->second - hole->first;  // an exact fit
         ++exact_fits;
       } else {
         size = rng.NextInRange(1, 2 * MiB);
@@ -282,9 +315,9 @@ TEST(SimDevice, IndexedArenaMatchesLinearFirstFitReference) {
       const uint64_t ptr = live[pick];
       live[pick] = live.back();
       live.pop_back();
-      const size_t ranges_before = ref.free_ranges().interval_count();
+      const size_t ranges_before = ref.free_ranges().size();
       ASSERT_EQ(dev.DevFree(ptr), ref.Free(ptr)) << "op " << op;
-      if (ref.free_ranges().interval_count() + 1 == ranges_before) {
+      if (ref.free_ranges().size() + 1 == ranges_before) {
         ++two_sided_merges;
       }
       if (ref.used() < kCapacity / 3) {
@@ -298,8 +331,8 @@ TEST(SimDevice, IndexedArenaMatchesLinearFirstFitReference) {
       }
       ASSERT_EQ(dev.DevFree(ptr), ref.Free(ptr)) << "op " << op;
     }
-    ASSERT_EQ(dev.classic_free_total(), ref.free_ranges().TotalLength()) << "op " << op;
-    ASSERT_EQ(dev.classic_largest_free(), ref.free_ranges().MaxIntervalLength()) << "op " << op;
+    ASSERT_EQ(dev.classic_free_total(), ref.free_total()) << "op " << op;
+    ASSERT_EQ(dev.classic_largest_free(), ref.largest_free()) << "op " << op;
     ASSERT_EQ(dev.classic_used(), ref.used()) << "op " << op;
   }
   // The walk must actually have reached every path it claims to cover.

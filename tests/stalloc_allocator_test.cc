@@ -139,9 +139,8 @@ TEST(STAllocAllocator, DynamicReuseServesFromPool) {
   DynamicReusableSpace space;
   LayerId ls = 0;
   LayerId le = 1;
-  IntervalSet region;
-  region.Insert(0, 3 * MiB);  // whole pool reusable for this group
-  space.regions.emplace(std::make_pair(ls, le), region);
+  // The whole pool is reusable for this group.
+  space.regions.emplace(std::make_pair(ls, le), std::vector<Interval>{{0, 3 * MiB}});
   space.expected_le[ls] = {le};
 
   SimDevice dev(kCapacity);
@@ -175,9 +174,7 @@ TEST(STAllocAllocator, DynamicWithoutRegionFallsBack) {
 TEST(STAllocAllocator, NoReuseAblationAlwaysFallsBack) {
   StaticPlan plan = TinyPlan();
   DynamicReusableSpace space;
-  IntervalSet region;
-  region.Insert(0, 3 * MiB);
-  space.regions.emplace(std::make_pair(0, 1), region);
+  space.regions.emplace(std::make_pair(0, 1), std::vector<Interval>{{0, 3 * MiB}});
   space.expected_le[0] = {1};
 
   STAllocConfig config;
