@@ -1,9 +1,10 @@
 // NativeAllocator: pass-through to the device's cudaMalloc/cudaFree.
 //
-// This is what the Allocation Profiler runs under (§8): memory is allocated exactly as required,
-// "almost entirely obviating memory fragmentation", at the cost of a native API call per request.
-// If a configuration OOMs under the native allocator, its theoretical demand exceeds capacity and
-// no allocator can run it.
+// This is the allocation the Allocation Profiler models (§8): memory is allocated exactly as
+// required, "almost entirely obviating memory fragmentation", at the cost of a native API call
+// per request. If a configuration OOMs under the native allocator, its theoretical demand
+// exceeds capacity and no allocator can run it. The profiler reproduces this allocator's
+// placements and call counts in its own sweep (src/core/profiler.h); here it is a replay kind.
 
 #ifndef SRC_ALLOCATORS_NATIVE_ALLOCATOR_H_
 #define SRC_ALLOCATORS_NATIVE_ALLOCATOR_H_

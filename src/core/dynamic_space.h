@@ -35,8 +35,9 @@ struct DynamicReusableSpace {
 };
 
 // Computes the reusable space for every HomoLayer group in a sealed `trace` against `plan`.
-// Complexity: one op-order walk, an O(D log D) sort of the plan's D decisions, then a per-group
-// scan of time-overlapping decisions (§7.1).
+// Complexity: one op-order walk, then a sweep of the G group windows in end order over a segment
+// tree of the plan's D decisions: O((D + G·r) log D), where r is the number of idle address
+// atoms a window leaves (§7.1).
 DynamicReusableSpace LocateDynamicSpace(const Trace& trace, const StaticPlan& plan);
 
 }  // namespace stalloc

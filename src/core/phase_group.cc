@@ -8,6 +8,7 @@
 
 #include "src/common/check.h"
 #include "src/common/units.h"
+#include "src/common/verify.h"
 #include "src/interval/interval.h"
 
 namespace stalloc {
@@ -18,27 +19,27 @@ bool TimeOverlap(const MemoryEvent& a, const MemoryEvent& b) {
   return a.ts < b.te && b.ts < a.te;
 }
 
-// Lowest offset >= `from` where `event` fits without conflicting (time && address) with any item
-// already in `items`. Scans the address-sorted gaps between time-conflicting items.
-uint64_t FirstFitOffset(const std::vector<PlanDecision>& items, const MemoryEvent& event,
-                        uint64_t padded, uint64_t from) {
-  std::vector<std::pair<uint64_t, uint64_t>> conflicting;
-  conflicting.reserve(items.size());
-  for (const auto& it : items) {
-    if (TimeOverlap(it.event, event)) {
-      conflicting.emplace_back(it.addr, it.end_addr());
+// A placed item as the packing sweep sees it: its address range and lifespan.
+struct Placed {
+  uint64_t lo = 0;
+  uint64_t hi = 0;
+  LogicalTime ts = 0;
+  LogicalTime te = 0;
+};
+
+// Lowest offset where an item of `padded` bytes live [ts, te) fits without conflicting (time &&
+// address) with any item in `live`, which is sorted by (lo, hi). Walks the gaps between the
+// time-conflicting items in address order and stops at the first gap that fits.
+uint64_t FirstFitOffset(const std::vector<Placed>& live, LogicalTime ts, LogicalTime te,
+                        uint64_t padded) {
+  uint64_t cursor = 0;
+  for (const Placed& p : live) {
+    if (p.lo >= cursor + padded) {
+      break;  // the gap before this item, and so before every later one, is big enough
     }
-  }
-  std::sort(conflicting.begin(), conflicting.end());
-  uint64_t cursor = from;
-  for (const auto& [lo, hi] : conflicting) {
-    if (hi <= cursor) {
-      continue;
+    if (p.ts < te && ts < p.te && p.hi > cursor) {
+      cursor = p.hi;
     }
-    if (lo >= cursor + padded) {
-      break;  // gap before this item is big enough
-    }
-    cursor = hi;
   }
   return cursor;
 }
@@ -64,24 +65,73 @@ double LocalPlan::Tmp() const {
 
 namespace {
 
-// First-fit packing of `events` in the given order.
-LocalPlan PackInOrder(const std::vector<MemoryEvent>& events, PhaseId ps, PhaseId pe) {
+// First-fit packing of `events` in the given order. Placed items sit in an address-ordered
+// index; an item leaves it once no later event can overlap it in time: it ends at or before
+// every later start, or starts at or after every later end. In arrival order that drops each
+// item as the sweep passes its end, so the index holds only the items live at the current start,
+// and the largest padded total it reaches is the group's peak live padded bytes. `peak_live`,
+// when given, receives that total; it is the peak only for events in arrival order.
+LocalPlan PackInOrder(const std::vector<MemoryEvent>& events, PhaseId ps, PhaseId pe,
+                      uint64_t* peak_live = nullptr) {
+  // Per position k, the earliest start and the latest end among events[k..].
+  const size_t n = events.size();
+  std::vector<LogicalTime> later_ts(n), later_te(n);
+  for (size_t k = n; k-- > 0;) {
+    later_ts[k] = k + 1 < n ? std::min(events[k].ts, later_ts[k + 1]) : events[k].ts;
+    later_te[k] = k + 1 < n ? std::max(events[k].te, later_te[k + 1]) : events[k].te;
+  }
+
   LocalPlan plan;
   plan.ps = ps;
   plan.pe = pe;
   plan.ts = events.front().ts;
   plan.te = events.front().te;
-  plan.items.reserve(events.size());
-  for (const auto& e : events) {
+  plan.items.reserve(n);
+  std::vector<Placed> live;
+  // Bounds over `live` that tell when some item may have become unreachable.
+  LogicalTime live_min_te = ~LogicalTime{0};
+  LogicalTime live_max_ts = 0;
+  uint64_t live_bytes = 0;
+  uint64_t peak = 0;
+  for (size_t k = 0; k < n; ++k) {
+    const MemoryEvent& e = events[k];
     STALLOC_DCHECK(e.ts < e.te, << "event " << e.id << " has an empty lifespan");
+    if (live_min_te <= later_ts[k] || live_max_ts >= later_te[k]) {
+      live.erase(std::remove_if(live.begin(), live.end(),
+                                [&](const Placed& p) {
+                                  return p.te <= later_ts[k] || p.ts >= later_te[k];
+                                }),
+                 live.end());
+      live_min_te = ~LogicalTime{0};
+      live_max_ts = 0;
+      live_bytes = 0;
+      for (const Placed& p : live) {
+        live_min_te = std::min(live_min_te, p.te);
+        live_max_ts = std::max(live_max_ts, p.ts);
+        live_bytes += p.hi - p.lo;
+      }
+    }
     PlanDecision d;
     d.event = e;
-    d.padded_size = AlignUp(std::max<uint64_t>(e.size, 1), kPlanAlign);
-    d.addr = FirstFitOffset(plan.items, e, d.padded_size, 0);
+    d.padded_size = PlanPaddedSize(e.size);
+    d.addr = FirstFitOffset(live, e.ts, e.te, d.padded_size);
+    const Placed placed{d.addr, d.end_addr(), e.ts, e.te};
+    live.insert(std::upper_bound(live.begin(), live.end(), placed,
+                                 [](const Placed& x, const Placed& y) {
+                                   return x.lo != y.lo ? x.lo < y.lo : x.hi < y.hi;
+                                 }),
+                placed);
+    live_min_te = std::min(live_min_te, e.te);
+    live_max_ts = std::max(live_max_ts, e.ts);
+    live_bytes += d.padded_size;
+    peak = std::max(peak, live_bytes);
     plan.footprint = std::max(plan.footprint, d.end_addr());
     plan.ts = std::min(plan.ts, e.ts);
     plan.te = std::max(plan.te, e.te);
     plan.items.push_back(d);
+  }
+  if (peak_live != nullptr) {
+    *peak_live = peak;
   }
   return plan;
 }
@@ -100,12 +150,14 @@ LocalPlan PackGroup(std::vector<MemoryEvent> events, PhaseId ps, PhaseId pe,
     }
     return a.size > b.size;  // larger first at equal start: denser packing
   });
-  LocalPlan best = PackInOrder(events, ps, pe);
-
   // No order packs below the group's peak live padded bytes (the items live at any one tick
   // pairwise overlap in time), and a later order replaces `best` only when strictly smaller.
   // Once `best` sits on that floor, the remaining orders cannot change the result.
-  const uint64_t floor = StaticPlan::PeakPaddedBytes(best.items);
+  uint64_t floor = 0;
+  LocalPlan best = PackInOrder(events, ps, pe, &floor);
+  if (verify::Enabled()) {
+    STALLOC_CHECK_EQ(floor, StaticPlan::PeakPaddedBytes(best.items));
+  }
   auto at_floor = [&](uint64_t orders_left) {
     if (best.footprint != floor) {
       return false;
@@ -361,6 +413,9 @@ std::vector<LocalPlan> BuildPhaseGroups(const std::vector<MemoryEvent>& static_e
           plans[i] = std::move(fused);
           dead[j] = true;
           fused_any = true;
+          if (work != nullptr) {
+            ++work->fusions;
+          }
           break;
         }
       }

@@ -36,8 +36,10 @@ struct LocalPlan {
   bool empty() const { return items.empty(); }
 };
 
-// Synthesis work skipped because it provably could not change the result (telemetry only).
+// Work counters of phase-group synthesis: the accepted fusions, and the work skipped because
+// it provably could not change the result (telemetry only).
 struct PhaseGroupWork {
+  uint64_t fusions = 0;             // fusions accepted
   uint64_t pack_orders_pruned = 0;  // packing orders not tried: the group already hit its floor
   uint64_t fusions_screened = 0;    // FusePlans calls skipped: the TMP bound cannot win
 };
@@ -58,7 +60,8 @@ LocalPlan FusePlans(const LocalPlan& a, const LocalPlan& b);
 // Groups static events by (ps, pe), packs each group, then runs fusion passes: a fusion of
 // adjacent groups is kept only when the fused TMP exceeds the weighted average of the originals.
 // `enable_fusion` off reproduces the ablation in docs/ARCHITECTURE.md. `work`, when given,
-// accumulates the packing orders and fusion attempts skipped by the exact bounds.
+// accumulates the accepted fusions and the packing orders and fusion attempts skipped by the
+// exact bounds.
 std::vector<LocalPlan> BuildPhaseGroups(const std::vector<MemoryEvent>& static_events,
                                         bool enable_fusion = true,
                                         PhaseGroupWork* work = nullptr);

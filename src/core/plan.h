@@ -7,10 +7,12 @@
 #ifndef SRC_CORE_PLAN_H_
 #define SRC_CORE_PLAN_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "src/common/units.h"
 #include "src/trace/trace.h"
 
 namespace stalloc {
@@ -51,6 +53,11 @@ std::vector<uint64_t> OrderDecisionOps(const std::vector<PlanDecision>& decision
 
 // Planning alignment: all planned addresses and padded sizes are multiples of this.
 inline constexpr uint64_t kPlanAlign = 512;
+
+// The planned footprint of a request of `size` bytes (an empty request still takes one unit).
+inline uint64_t PlanPaddedSize(uint64_t size) {
+  return AlignUp(std::max<uint64_t>(size, 1), kPlanAlign);
+}
 
 }  // namespace stalloc
 

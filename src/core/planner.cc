@@ -23,44 +23,37 @@ namespace stalloc {
 
 namespace {
 
-// Lifetime-aware greedy first-fit: replay the event stream in time order, placing each
+// Lifetime-aware greedy first-fit: replay the static events in op order, placing each
 // allocation at the lowest free offset and returning it on free. Produces a valid plan whose pool
-// equals the highest offset ever used.
-StaticPlan GreedyFirstFitPlan(const std::vector<MemoryEvent>& static_events) {
-  std::vector<LogicalTime> ts(static_events.size()), te(static_events.size());
-  for (size_t i = 0; i < static_events.size(); ++i) {
-    ts[i] = static_events[i].ts;
-    te[i] = static_events[i].te;
-  }
-
+// equals the highest offset ever used. `arrival` maps a static event id to its place among the
+// static mallocs in op order, which is where its decision lands.
+StaticPlan GreedyFirstFitPlan(const TraceCursor& c, const std::vector<uint64_t>& arrival,
+                              size_t num_static) {
   StaticPlan plan;
-  plan.decisions.resize(static_events.size());
+  plan.decisions.resize(num_static);
   // Free space: one unbounded span; the pool is the high-water mark.
   FirstFitIndex free_space;
   constexpr uint64_t kUnbounded = ~uint64_t{0} >> 1;
   free_space.Insert(0, kUnbounded);
   uint64_t high_water = 0;
-  for (const uint64_t ref : OrderOps(ts, te, nullptr)) {  // frees first at equal tick
-    PlanDecision& d = plan.decisions[ref >> 1];
-    if ((ref & 1) == 0) {
-      d.event = static_events[ref >> 1];
-      d.padded_size = AlignUp(std::max<uint64_t>(d.event.size, 1), kPlanAlign);
+  for (uint64_t i = 0; i < c.num_ops(); ++i) {  // frees first at equal tick
+    const uint64_t id = c.OpEventId(i);
+    if (c.EventDyn(id)) {
+      continue;
+    }
+    PlanDecision& d = plan.decisions[arrival[id]];
+    if (!c.OpIsFree(i)) {
+      d.event = c.Event(id);
+      d.padded_size = PlanPaddedSize(d.event.size);
       const std::optional<uint64_t> addr = free_space.TakeFirstFit(d.padded_size);
       STALLOC_CHECK(addr.has_value());
       d.addr = *addr;
       high_water = std::max(high_water, d.end_addr());
     } else {
-      free_space.Insert(d.addr, d.addr + d.padded_size);
+      free_space.Insert(d.addr, d.end_addr());
     }
   }
   plan.pool_size = high_water;
-  std::sort(plan.decisions.begin(), plan.decisions.end(),
-            [](const PlanDecision& a, const PlanDecision& b) {
-              if (a.event.ts != b.event.ts) {
-                return a.event.ts < b.event.ts;
-              }
-              return a.event.id < b.event.id;
-            });
   return plan;
 }
 
@@ -89,35 +82,47 @@ SynthesisResult SynthesizePlan(const Trace& trace, const PlanSynthesizerConfig& 
   telemetry::ScopedSpan span(telemetry::kCatPlanner, "plan");
   SynthesisResult result;
   PhaseGroupWork work;
+  uint64_t greedy_refinements_skipped = 0;  // greedy plans not built: grouped plan on its floor
 
   // 1. Partition by dynamicity (§5: M_s and M_d).
+  const TraceCursor c = trace.Cursor();
   std::vector<MemoryEvent> static_events;
-  for (uint64_t id = 0; id < trace.size(); ++id) {
-    if ((trace.flags()[id] & 1) != 0) {
+  for (uint64_t id = 0; id < c.num_events(); ++id) {
+    if (c.EventDyn(id)) {
       ++result.stats.num_dynamic_events;
     } else {
-      static_events.push_back(trace.Event(id));
+      static_events.push_back(c.Event(id));
       ++result.stats.num_static_events;
     }
   }
 
   if (!static_events.empty()) {
-    // 2. Temporal grouping + fusion.
-    const size_t raw_groups = [&] {
-      // Count the pre-fusion groups for the fusion statistic.
-      std::vector<std::pair<PhaseId, PhaseId>> keys;
-      keys.reserve(static_events.size());
-      for (const auto& e : static_events) {
-        keys.emplace_back(e.ps, e.pe);
+    // One walk of the op order restricted to the static events — the order OrderOps gives
+    // them: by time, frees first, then by id — ranks each malloc, which is where its decision
+    // sits in a plan sorted by (ts, id), and finds the peak live padded bytes, the lower bound.
+    std::vector<uint64_t> arrival(c.num_events());
+    uint64_t next_arrival = 0;
+    uint64_t live = 0;
+    for (uint64_t i = 0; i < c.num_ops(); ++i) {
+      const uint64_t id = c.OpEventId(i);
+      if (c.EventDyn(id)) {
+        continue;
       }
-      std::sort(keys.begin(), keys.end());
-      keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-      return keys.size();
-    }();
+      const uint64_t padded = PlanPaddedSize(c.EventSize(id));
+      if (c.OpIsFree(i)) {
+        live -= padded;
+      } else {
+        arrival[id] = next_arrival++;
+        live += padded;
+        result.plan.lower_bound = std::max(result.plan.lower_bound, live);
+      }
+    }
+
+    // 2. Temporal grouping + fusion.
     std::vector<LocalPlan> phase_plans =
         BuildPhaseGroups(static_events, config.enable_fusion, &work);
     result.stats.num_phase_groups = phase_plans.size();
-    result.stats.num_fusions = raw_groups - phase_plans.size();
+    result.stats.num_fusions = work.fusions;
 
     // 3. Spatial grouping: each phase plan becomes a unified request m_g.
     std::vector<GroupRequest> requests;
@@ -125,7 +130,7 @@ SynthesisResult SynthesizePlan(const Trace& trace, const PlanSynthesizerConfig& 
     for (size_t i = 0; i < phase_plans.size(); ++i) {
       GroupRequest r;
       r.plan_index = i;
-      r.size = AlignUp(std::max<uint64_t>(phase_plans[i].footprint, 1), kPlanAlign);
+      r.size = PlanPaddedSize(phase_plans[i].footprint);
       r.ts = phase_plans[i].ts;
       r.te = phase_plans[i].te;
       requests.push_back(r);
@@ -133,30 +138,27 @@ SynthesisResult SynthesizePlan(const Trace& trace, const PlanSynthesizerConfig& 
     GlobalLayout layout = PlanGlobally(requests, config.enable_gap_insertion);
     result.stats.num_layers = layout.layers.size();
 
-    // 4. Expand to absolute addresses.
+    // 4. Expand to absolute addresses, each decision at its arrival rank.
     auto& decisions = result.plan.decisions;
+    decisions.resize(static_events.size());
     for (size_t i = 0; i < requests.size(); ++i) {
       const uint64_t base = layout.request_addr[i];
       for (const auto& item : phase_plans[requests[i].plan_index].items) {
-        PlanDecision d = item;
+        PlanDecision& d = decisions[arrival[item.event.id]];
+        d = item;
         d.addr = base + item.addr;
-        decisions.push_back(d);
       }
     }
-    std::sort(decisions.begin(), decisions.end(), [](const PlanDecision& a, const PlanDecision& b) {
-      if (a.event.ts != b.event.ts) {
-        return a.event.ts < b.event.ts;
-      }
-      return a.event.id < b.event.id;
-    });
     result.plan.pool_size = layout.pool_size;
-    result.plan.lower_bound = StaticPlan::PeakPaddedBytes(decisions);
 
     // Plan post-selection (see PlanSynthesizerConfig): keep the tighter of the grouped plan and
-    // the greedy first-fit plan.
+    // the greedy first-fit plan. Greedy pads as the grouped plan does, so it never reserves less
+    // than the same peak live padded bytes: against a grouped plan on that floor it cannot win.
     if (config.enable_greedy_refinement) {
-      StaticPlan greedy = GreedyFirstFitPlan(static_events);
-      if (greedy.pool_size < result.plan.pool_size) {
+      if (result.plan.pool_size == result.plan.lower_bound) {
+        ++greedy_refinements_skipped;
+      } else if (StaticPlan greedy = GreedyFirstFitPlan(c, arrival, static_events.size());
+                 greedy.pool_size < result.plan.pool_size) {
         greedy.lower_bound = result.plan.lower_bound;
         result.plan = std::move(greedy);
         result.stats.used_greedy_refinement = true;
@@ -184,6 +186,9 @@ SynthesisResult SynthesizePlan(const Trace& trace, const PlanSynthesizerConfig& 
     static telemetry::Counter* fusions_screened =
         telemetry::MetricsRegistry::Global().GetCounter("planner.fusions_screened");
     fusions_screened->Add(work.fusions_screened);
+    static telemetry::Counter* greedy_skipped =
+        telemetry::MetricsRegistry::Global().GetCounter("planner.greedy_refinements_skipped");
+    greedy_skipped->Add(greedy_refinements_skipped);
     static telemetry::Histogram* ms_hist = telemetry::MetricsRegistry::Global().GetHistogram(
         "planner.synthesis_ms", {0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000});
     ms_hist->Record(result.stats.synthesis_ms);
@@ -192,6 +197,7 @@ SynthesisResult SynthesizePlan(const Trace& trace, const PlanSynthesizerConfig& 
     span.Arg("pool_size", result.stats.pool_size);
     span.Arg("pack_orders_pruned", work.pack_orders_pruned);
     span.Arg("fusions_screened", work.fusions_screened);
+    span.Arg("greedy_refinements_skipped", greedy_refinements_skipped);
   }
   return result;
 }

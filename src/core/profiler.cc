@@ -1,11 +1,15 @@
 #include "src/core/profiler.h"
 
 #include <cstdint>
-#include <unordered_map>
+#include <optional>
 #include <utility>
+#include <vector>
 
-#include "src/allocators/native_allocator.h"
+#include "src/allocators/allocator.h"
+#include "src/common/check.h"
 #include "src/common/stopwatch.h"
+#include "src/common/units.h"
+#include "src/interval/first_fit_index.h"
 #include "src/telemetry/tracer.h"
 #include "src/trace/trace_stats.h"
 
@@ -23,39 +27,53 @@ ProfileResult ProfileWorkload(const WorkloadBuilder& workload, uint64_t capacity
 ProfileResult ProfileTrace(Trace trace, uint64_t capacity_bytes) {
   Stopwatch timer;
   telemetry::ScopedSpan span(telemetry::kCatSession, "profile");
+  STALLOC_CHECK(capacity_bytes > 0);
+  STALLOC_CHECK_LE(capacity_bytes, SimDevice::kMaxCapacity,
+                   << "device capacity above SimDevice::kMaxCapacity");
   ProfileResult result;
   result.trace = std::move(trace);
 
-  SimDevice device(capacity_bytes);
-  NativeAllocator native(&device);
-  std::unordered_map<uint64_t, uint64_t> addr_of;  // event id -> address
-  result.feasible = true;
+  // The device arena [0, capacity) under cudaMalloc's lowest-address first fit. Nothing but the
+  // profiled requests lives on it, so a request fails exactly when no free range fits it.
+  FirstFitIndex arena;
+  arena.Insert(0, capacity_bytes);
+  constexpr uint64_t kUnplaced = ~uint64_t{0};
   const TraceCursor c = result.trace.Cursor();
+  std::vector<uint64_t> addr_of(c.num_events(), kUnplaced);  // event id -> address
+  uint64_t mallocs = 0;  // DevMalloc calls, the failing one included
+  uint64_t frees = 0;    // DevFree calls
+  result.feasible = true;
   for (uint64_t i = 0; i < c.num_ops(); ++i) {
     const uint64_t id = c.OpEventId(i);
-    if (!c.OpIsFree(i)) {
-      RequestContext ctx;
-      ctx.dyn = c.EventDyn(id);
-      ctx.layer = c.EventLs(id);
-      ctx.phase = c.EventPs(id);
-      ctx.stream = c.EventStream(id);
-      auto addr = native.Malloc(c.EventSize(id), ctx);
-      if (!addr.has_value()) {
-        result.feasible = false;
-        break;
+    const uint64_t size = c.EventSize(id);
+    if (c.OpIsFree(i)) {
+      if (addr_of[id] != kUnplaced) {
+        arena.Insert(addr_of[id], addr_of[id] + AlignUp(size, SimDevice::kMallocAlign));
+        ++frees;
       }
-      addr_of.emplace(id, *addr);
-    } else {
-      auto it = addr_of.find(id);
-      if (it != addr_of.end()) {
-        native.Free(it->second);
-        addr_of.erase(it);
+      continue;
+    }
+    // A request the allocator interface refuses never reaches the device.
+    std::optional<uint64_t> addr;
+    if (size != 0 && size <= kMaxRequestSize) {
+      ++mallocs;
+      // A request larger than the device fails before rounding, which could wrap near 2^64.
+      if (size <= capacity_bytes) {
+        addr = arena.TakeFirstFit(AlignUp(size, SimDevice::kMallocAlign));
       }
     }
+    if (!addr.has_value()) {
+      result.feasible = false;
+      break;
+    }
+    addr_of[id] = *addr;
   }
   result.peak_allocated = PeakAllocated(result.trace);
-  result.native_api_calls = device.counters().cuda_malloc + device.counters().cuda_free;
-  result.native_api_cost_us = device.counters().total_cost_us;
+  result.native_api_calls = mallocs + frees;
+  // Whole-microsecond call costs sum exactly in a double, so this is the per-call ledger's total.
+  const DeviceCostModel cost;
+  result.native_api_cost_us = static_cast<double>(mallocs) * cost.cuda_malloc_us +
+                              static_cast<double>(frees) * cost.cuda_free_us;
   result.wall_ms = timer.ElapsedMillis();
   span.Arg("ops", static_cast<unsigned long long>(c.num_ops()));
   span.Arg("feasible", result.feasible);

@@ -145,7 +145,7 @@ std::optional<uint64_t> STAllocAllocator::DynamicMalloc(uint64_t size, const Req
   // Best fit over A_c = A_a intersect A_i (Eq. 7): within each region interval, the gaps between
   // live pool blocks are the candidates. Smallest gap that fits wins, the lowest on ties; an
   // exact fit ends the search.
-  const uint64_t padded = AlignUp(std::max<uint64_t>(size, 1), kPlanAlign);
+  const uint64_t padded = PlanPaddedSize(size);
   std::optional<uint64_t> best;
   uint64_t best_len = std::numeric_limits<uint64_t>::max();
   auto consider = [&](uint64_t lo, uint64_t hi) {  // a no-op once an exact fit is found

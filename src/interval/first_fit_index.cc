@@ -24,27 +24,51 @@ void FirstFitIndex::Unclassify(uint64_t lo, uint64_t hi) {
   }
 }
 
+void FirstFitIndex::Reclassify(uint64_t lo, uint64_t hi, uint64_t new_lo, uint64_t new_hi) {
+  const int k = ClassOf(hi - lo);
+  auto node = classes_[k].extract(Range{lo, hi});
+  if (classes_[k].empty()) {
+    nonempty_classes_ &= ~(uint64_t{1} << k);
+  }
+  node.value() = Range{new_lo, new_hi};
+  const int new_k = ClassOf(new_hi - new_lo);
+  classes_[new_k].insert(std::move(node));
+  nonempty_classes_ |= uint64_t{1} << new_k;
+}
+
+void FirstFitIndex::MoveStart(std::map<uint64_t, uint64_t>::iterator it, uint64_t new_lo) {
+  const auto hint = std::next(it);
+  auto node = spans_.extract(it);
+  node.key() = new_lo;
+  spans_.insert(hint, std::move(node));
+}
+
 void FirstFitIndex::Insert(uint64_t lo, uint64_t hi) {
   STALLOC_DCHECK(lo < hi, << "first-fit index: empty range [" << lo << ", " << hi << ")");
   total_ += hi - lo;
   auto next = spans_.lower_bound(lo);
   STALLOC_DCHECK(next == spans_.end() || next->first >= hi,
                  << "first-fit index: [" << lo << ", " << hi << ") overlaps a free range");
-  if (next != spans_.end() && next->first == hi) {
-    Unclassify(next->first, next->second);
-    hi = next->second;
-    next = spans_.erase(next);
-  }
+  const bool join_next = next != spans_.end() && next->first == hi;
   if (next != spans_.begin()) {
     auto prev = std::prev(next);
     STALLOC_DCHECK(prev->second <= lo,
                    << "first-fit index: [" << lo << ", " << hi << ") overlaps a free range");
-    if (prev->second == lo) {
-      Unclassify(prev->first, prev->second);
+    if (prev->second == lo) {  // extend the lower neighbour in place
+      if (join_next) {
+        Unclassify(next->first, next->second);
+        hi = next->second;
+        spans_.erase(next);
+      }
+      Reclassify(prev->first, prev->second, prev->first, hi);
       prev->second = hi;
-      Classify(prev->first, hi);
       return;
     }
+  }
+  if (join_next) {  // the upper neighbour now starts at lo; its nodes are reused
+    Reclassify(next->first, next->second, lo, next->second);
+    MoveStart(next, lo);
+    return;
   }
   spans_.emplace_hint(next, lo, hi);
   Classify(lo, hi);
@@ -75,11 +99,12 @@ std::optional<uint64_t> FirstFitIndex::TakeFirstFit(uint64_t size) {
   }
   auto it = spans_.find(best);
   const uint64_t hi = it->second;
-  Unclassify(best, hi);
-  it = spans_.erase(it);
-  if (best + size < hi) {  // the remainder stays free, in place
-    spans_.emplace_hint(it, best + size, hi);
-    Classify(best + size, hi);
+  if (best + size < hi) {  // the remainder stays free, in place, in the same nodes
+    Reclassify(best, hi, best + size, hi);
+    MoveStart(it, best + size);
+  } else {
+    Unclassify(best, hi);
+    spans_.erase(it);
   }
   total_ -= size;
   return best;

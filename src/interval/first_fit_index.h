@@ -50,6 +50,11 @@ class FirstFitIndex {
   // Add / remove [lo, hi) in its size class, keeping nonempty_classes_ in step.
   void Classify(uint64_t lo, uint64_t hi);
   void Unclassify(uint64_t lo, uint64_t hi);
+  // Moves range [lo, hi) to [new_lo, new_hi) in the size classes, reusing its set node.
+  void Reclassify(uint64_t lo, uint64_t hi, uint64_t new_lo, uint64_t new_hi);
+  // Re-keys the span at `it` to start at `new_lo`, reusing its node; `new_lo` must keep the
+  // span's place in address order.
+  void MoveStart(std::map<uint64_t, uint64_t>::iterator it, uint64_t new_lo);
 
   std::map<uint64_t, uint64_t> spans_;  // every free range, start -> end; disjoint, non-adjacent
   std::array<std::set<Range>, 64> classes_;  // the same ranges by ⌊log2(length)⌋, address order

@@ -241,6 +241,58 @@ TEST(PackGroupDiff, FloorPrunesBothLaterOrders) {
   EXPECT_EQ(work.pack_orders_pruned, 2u);
 }
 
+// Lifespans are half-open: an item ending at tick t frees its range for an item starting at t.
+// The arrival-order sweep drops the first item exactly there, so the second lands on it.
+TEST(PackGroupDiff, EndEqualToALaterStartFreesTheRange) {
+  const auto events = Group({{4, 0, 5}, {4, 5, 9}, {2, 2, 5}, {2, 5, 7}});
+  const LocalPlan want = RefPackGroup(events, 0, 1);
+  const LocalPlan got = PackGroup(events, 0, 1);
+  ExpectSamePlan(got, want);
+  // Arrival order: [0, 5) at 0, [2, 5) above it, then both items starting at 5 reuse the bottom.
+  ASSERT_EQ(got.items.size(), 4u);
+  EXPECT_EQ(got.items[2].event.id, 1u);
+  EXPECT_EQ(got.items[2].addr, 0u);
+  EXPECT_EQ(got.items[3].addr, 4 * kPlanAlign);
+  EXPECT_EQ(got.footprint, 6 * kPlanAlign);
+}
+
+// Items arriving on one tick are placed larger first, and none of them may displace another.
+TEST(PackGroupDiff, EqualStartsWithDifferentSizes) {
+  const auto events = Group({{1, 3, 9}, {3, 3, 5}, {2, 3, 7}, {2, 5, 9}, {1, 7, 9}});
+  const LocalPlan want = RefPackGroup(events, 0, 1);
+  const LocalPlan got = PackGroup(events, 0, 1);
+  ExpectSamePlan(got, want);
+  ASSERT_EQ(got.items.size(), 5u);
+  EXPECT_EQ(got.items[0].padded_size, 3 * kPlanAlign);
+  EXPECT_EQ(got.items[0].addr, 0u);
+  EXPECT_EQ(got.items[1].addr, 3 * kPlanAlign);
+  EXPECT_EQ(got.items[2].addr, 5 * kPlanAlign);
+}
+
+// Small integer ticks make touching lifespans and shared starts and ends common. The sweep must
+// match the reference on every group, and each of the three orders must win somewhere.
+TEST(PackGroupDiff, DenseTiesMatchTheReference) {
+  int wins[4] = {0, 0, 0, 0};
+  for (uint64_t seed = 1; seed <= 400; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    Rng rng(seed);
+    std::vector<std::vector<uint64_t>> rows;
+    const int n = 2 + static_cast<int>(rng.NextBelow(9));
+    for (int i = 0; i < n; ++i) {
+      const uint64_t ts = rng.NextBelow(8);
+      rows.push_back({1 + rng.NextBelow(4), ts, ts + 1 + rng.NextBelow(6)});
+    }
+    const auto events = Group(rows);
+    int winner = 0;
+    const LocalPlan want = RefPackGroup(events, 0, 1, &winner);
+    ++wins[winner];
+    ExpectSamePlan(PackGroup(events, 0, 1), want);
+  }
+  EXPECT_GT(wins[1], 0);
+  EXPECT_GT(wins[2], 0);
+  EXPECT_GT(wins[3], 0);
+}
+
 // Two single-event groups in adjacent phases whose fused TMP sits within 1e-12 of the
 // weighted average: just below (rejected) and just above (accepted). Neither may be screened.
 constexpr uint64_t kUnits = 2'000'000;  // a ~1 GB block, in kPlanAlign units

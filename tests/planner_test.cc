@@ -117,6 +117,7 @@ TEST(Planner, CountsPrunedWorkWhenTelemetryIsOn) {
   telemetry::Counter* plans = registry.GetCounter("planner.plans_synthesized");
   telemetry::Counter* pruned = registry.GetCounter("planner.pack_orders_pruned");
   telemetry::Counter* screened = registry.GetCounter("planner.fusions_screened");
+  telemetry::Counter* greedy_skipped = registry.GetCounter("planner.greedy_refinements_skipped");
   TrainConfig c = SmallConfig();
   c.opt.recompute = RecomputeMode::kFull;
   const Trace trace = WorkloadBuilder(Gpt2_345M(), c).Build(1);
@@ -124,9 +125,14 @@ TEST(Planner, CountsPrunedWorkWhenTelemetryIsOn) {
   const uint64_t plans_before = plans->value();
   const uint64_t pruned_before = pruned->value();
   const uint64_t screened_before = screened->value();
-  SynthesizePlan(trace);
+  const uint64_t greedy_skipped_before = greedy_skipped->value();
+  const SynthesisResult off = SynthesizePlan(trace);
   EXPECT_EQ(plans->value(), plans_before);
   EXPECT_EQ(pruned->value(), pruned_before);
+  EXPECT_EQ(greedy_skipped->value(), greedy_skipped_before);
+  // The grouped plan sits on its peak-live floor, so greedy refinement is skipped.
+  ASSERT_EQ(off.plan.pool_size, off.plan.lower_bound);
+  EXPECT_FALSE(off.stats.used_greedy_refinement);
 
   telemetry::SetEnabled(true);
   SynthesizePlan(trace);
@@ -134,6 +140,7 @@ TEST(Planner, CountsPrunedWorkWhenTelemetryIsOn) {
   EXPECT_EQ(plans->value(), plans_before + 1);
   EXPECT_GT(pruned->value(), pruned_before);
   EXPECT_GT(screened->value(), screened_before);
+  EXPECT_EQ(greedy_skipped->value(), greedy_skipped_before + 1);
 }
 #endif
 
