@@ -14,11 +14,13 @@
 #include "src/allocators/expandable_segments.h"
 #include "src/allocators/gmlake.h"
 #include "src/allocators/native_allocator.h"
+#include "src/common/rng.h"
 #include "src/common/units.h"
 #include "src/core/planner.h"
 #include "src/core/profiler.h"
 #include "src/core/stalloc_allocator.h"
 #include "src/driver/replay.h"
+#include "src/interval/first_fit_index.h"
 #include "src/trainsim/model_config.h"
 #include "src/trainsim/workload.h"
 
@@ -77,6 +79,39 @@ void BM_Native(benchmark::State& state) {
   StormBody(state, alloc);
 }
 BENCHMARK(BM_Native);
+
+// SimDevice's first-fit arena index holding range(0) free ranges, 512 B to 32 KiB long with
+// 512 B gaps, below one 1 GiB free tail (a fragmented cudaMalloc arena). Each iteration takes a
+// request and frees it again, so the index is the same before every take. range(1): 0 = a
+// random size up to 32 KiB (the first fit lies among the lowest ranges), 1 = 32.5 KiB, which
+// only the tail fits (the search passes every other range).
+void BM_FirstFitIndexTake(benchmark::State& state) {
+  const auto num_ranges = static_cast<uint64_t>(state.range(0));
+  const bool deep = state.range(1) == 1;
+  FirstFitIndex index;
+  Rng rng(11);
+  uint64_t lo = 0;
+  for (uint64_t k = 0; k < num_ranges; ++k) {
+    const uint64_t length = rng.NextInRange(1, 64) * 512;
+    index.Insert(lo, lo + length);
+    lo += length + 512;
+  }
+  index.Insert(lo, lo + GiB);
+  std::vector<uint64_t> sizes(4096);
+  for (uint64_t& size : sizes) {
+    size = deep ? 65 * 512 : rng.NextInRange(1, 64) * 512;
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    const uint64_t size = sizes[i++ & (sizes.size() - 1)];
+    const std::optional<uint64_t> addr = index.TakeFirstFit(size);
+    benchmark::DoNotOptimize(addr);
+    index.Insert(*addr, *addr + size);
+  }
+}
+BENCHMARK(BM_FirstFitIndexTake)
+    ->ArgsProduct({{1000, 100000}, {0, 1}})
+    ->ArgNames({"ranges", "deep"});
 
 // STAlloc hot path: replay a planned iteration; each benchmark iteration is one malloc+free of
 // a planned request served from the static pool.

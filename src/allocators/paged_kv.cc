@@ -1,5 +1,7 @@
 #include "src/allocators/paged_kv.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -20,9 +22,7 @@ PagedKVAllocator::~PagedKVAllocator() {
   for (const auto& [base, slab] : slabs_) {
     device_->DevFree(base);
   }
-  for (const auto& [addr, size] : passthrough_) {
-    device_->DevFree(addr);
-  }
+  passthrough_.ForEach([this](uint64_t addr, uint64_t) { device_->DevFree(addr); });
 }
 
 bool PagedKVAllocator::GrowPool() {
@@ -44,11 +44,11 @@ bool PagedKVAllocator::GrowPool() {
 
 std::map<uint64_t, PagedKVAllocator::Slab>::iterator PagedKVAllocator::SlabOf(uint64_t addr) {
   auto it = slabs_.upper_bound(addr);
-  if (it == slabs_.begin()) {
-    return slabs_.end();
-  }
+  STALLOC_CHECK(it != slabs_.begin(), << "paged-kv free of unknown pool block " << addr);
   --it;
-  return addr < it->first + it->second.blocks * config_.block_bytes ? it : slabs_.end();
+  STALLOC_CHECK_LT(addr, it->first + it->second.blocks * config_.block_bytes,
+                   << "paged-kv free of unknown pool block " << addr);
+  return it;
 }
 
 std::optional<uint64_t> PagedKVAllocator::DoMalloc(uint64_t size, const RequestContext& ctx) {
@@ -73,24 +73,26 @@ std::optional<uint64_t> PagedKVAllocator::DoMalloc(uint64_t size, const RequestC
       return std::nullopt;
     }
   }
-  passthrough_.emplace(*addr, size);
+  passthrough_.Insert(*addr, size);
   reserved_ += AlignUp(size, SimDevice::kMallocAlign);
   return addr;
 }
 
 void PagedKVAllocator::DoFree(uint64_t addr, uint64_t size) {
-  if (auto slab = SlabOf(addr); slab != slabs_.end()) {
+  // The request size routes a free exactly as it routed the malloc.
+  if (size <= config_.block_bytes) {
+    const auto slab = SlabOf(addr);
     const bool inserted = free_blocks_.insert(addr).second;
     STALLOC_CHECK(inserted, << "double free of pool block " << addr);
     ++slab->second.free;
     return;
   }
-  auto pass = passthrough_.find(addr);
-  STALLOC_CHECK(pass != passthrough_.end(), << "paged-kv free of unknown address " << addr);
-  STALLOC_CHECK_EQ(pass->second, size);
+  const uint64_t* recorded = passthrough_.Find(addr);
+  STALLOC_CHECK(recorded != nullptr, << "paged-kv free of unknown address " << addr);
+  STALLOC_CHECK_EQ(*recorded, size);
   device_->DevFree(addr);
   reserved_ -= AlignUp(size, SimDevice::kMallocAlign);
-  passthrough_.erase(pass);
+  passthrough_.Erase(addr);
 }
 
 void PagedKVAllocator::EmptyCache() {
@@ -119,13 +121,19 @@ void PagedKVAllocator::AppendHeapSegments(std::vector<telemetry::HeapSegment>* o
     s.pool = "slab";
     out->push_back(std::move(s));
   }
-  for (const auto& [addr, size] : passthrough_) {
+  // The passthrough table is unordered; direct segments are reported by address.
+  const size_t first_direct = out->size();
+  passthrough_.ForEach([out](uint64_t addr, uint64_t size) {
     telemetry::HeapSegment s;
     s.base = addr;
     s.size = AlignUp(size, SimDevice::kMallocAlign);
     s.pool = "direct";
     out->push_back(std::move(s));
-  }
+  });
+  std::sort(out->begin() + static_cast<ptrdiff_t>(first_direct), out->end(),
+            [](const telemetry::HeapSegment& a, const telemetry::HeapSegment& b) {
+              return a.base < b.base;
+            });
 }
 
 }  // namespace stalloc

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "src/allocators/allocator.h"
+#include "src/common/addr_map.h"
 #include "src/common/units.h"
 #include "src/gpu/sim_device.h"
 
@@ -66,8 +67,7 @@ class PagedKVAllocator final : public AllocatorBase {
   // Grows the pool by one slab (shrinking the slab under device pressure); false when even a
   // single block cannot be allocated.
   bool GrowPool();
-  // The slab holding pool block `addr` — the predecessor of `addr` among slab bases, if the
-  // address lies inside it — or slabs_.end() for a passthrough address.
+  // The slab holding pool block `addr`: the predecessor of `addr` among slab bases.
   std::map<uint64_t, Slab>::iterator SlabOf(uint64_t addr);
   // Device bytes one slab of `blocks` consumes (DevMalloc rounds to kMallocAlign).
   uint64_t SlabBytes(uint64_t blocks) const {
@@ -78,7 +78,7 @@ class PagedKVAllocator final : public AllocatorBase {
   PagedKVConfig config_;
   std::map<uint64_t, Slab> slabs_;          // slab base -> slab
   std::set<uint64_t> free_blocks_;            // free block base addresses (lowest-first reuse)
-  std::map<uint64_t, uint64_t> passthrough_;  // direct cudaMalloc allocations: addr -> size
+  AddrMap<uint64_t> passthrough_;             // direct cudaMalloc allocations: addr -> size
   uint64_t reserved_ = 0;
 };
 

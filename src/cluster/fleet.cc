@@ -481,8 +481,9 @@ class ClusterSim {
     d.last_util_time = t;
   }
 
-  // Sampled for every device in every decision window: both readers are O(1) or read only the
-  // arena index's top size class, never a walk over all free ranges.
+  // Sampled for every device in every decision window: the free total is O(1), and the largest
+  // free range reads only the arena index's chunk summary (one entry per chunk of up to 128 free
+  // ranges), never a walk over all free ranges.
   static double CurrentFrag(const DeviceState& d) {
     const uint64_t free_total = d.device->classic_free_total();
     if (free_total == 0) {

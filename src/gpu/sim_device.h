@@ -121,7 +121,8 @@ class SimDevice {
   // allocators leave the classic arena untouched (their fragmentation is internal to handles),
   // so these report the arena as fully free under expandable-segments/GMLake tenants. Both are
   // cheap enough to sample every scheduling window: the total is kept running, and the largest
-  // region is read from the arena index's top size class only.
+  // region is the maximum of the arena index's chunk summary (one entry per chunk of up to 128
+  // free ranges).
   uint64_t classic_free_total() const { return classic_free_.total(); }
   uint64_t classic_largest_free() const { return classic_free_.largest(); }
   uint64_t physical_peak() const { return physical_peak_; }

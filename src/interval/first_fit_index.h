@@ -1,35 +1,44 @@
-// FirstFitIndex: the free ranges of a first-fit arena (SimDevice's classic cudaMalloc arena, and
-// the planner's greedy first-fit plan), indexed so the lowest-addressed range that fits is found
-// without walking every free range.
+// FirstFitIndex: the free ranges of a first-fit arena (SimDevice's classic cudaMalloc arena, the
+// profiler's one-pass placement and the planner's greedy first-fit plan), indexed so the
+// lowest-addressed range that fits is found without walking every free range.
 //
-// A linear first fit scans ranges in address order until one is long enough, which is linear in
-// the number of free ranges and was the whole cost of a DevMalloc on fragmented arenas. Here
-// every free range also sits in a size class, ⌊log2(length)⌋, each class ordered by address.
-// For a request of `size` in class c:
-//   * every range in a class above c is at least 2^(c+1) > size bytes long, so all of them fit,
-//     and the lowest-addressed of them is the smallest class minimum — one O(1) read per
-//     non-empty class;
-//   * no range in a class below c fits (shorter than 2^c <= size);
-//   * ranges in class c itself may or may not fit, so class c is scanned in address order, but
-//     only below the candidate from the classes above: a fitting range there is lower than it.
-// The range picked is therefore exactly the lowest-addressed range with length >= size, the one
-// the linear scan returns. A running total makes total() O(1), and largest() reads only
-// the top non-empty class.
+// The free ranges, disjoint and non-adjacent, sit in one address-ordered sequence cut into
+// chunks of at most kChunkRanges ranges. Two flat summary arrays hold each chunk's lowest start
+// and its longest range. With n free ranges and m <= n chunks:
+//   * TakeFirstFit(size) scans the chunk summary for the first chunk whose longest range is
+//     >= size, and that chunk for its first such range: O(m + kChunkRanges) reads of contiguous
+//     memory. Every range skipped is shorter than size, so the range found is exactly the
+//     lowest-addressed one with length >= size, the one a linear address-order scan returns;
+//   * Insert(lo, hi) is a binary search of the chunk starts, then of one chunk, then an in-chunk
+//     insert, or a merge with the free neighbour on either side (the upper neighbour may open
+//     the next chunk): O(log n + kChunkRanges). A chunk that would pass kChunkRanges is first
+//     split in half, and a chunk left empty is removed, so chunks hold 1..kChunkRanges ranges;
+//     both shift the summaries after it (O(m)), once per ~kChunkRanges / 2 new ranges;
+//   * a chunk's longest range is re-read only when the range that was its longest shrinks or
+//     leaves it (O(kChunkRanges));
+//   * total() is a running sum, O(1); largest() is the maximum of the chunk summary, O(m).
+// In verify mode (src/common/verify.h, read at construction) every op checks that the range it
+// touched is disjoint from, and not adjacent to, its neighbours and that the summaries of every
+// chunk it changed are exact; a split or a removal also walks every chunk (order, chunk sizes,
+// summaries, total()).
 
 #ifndef SRC_INTERVAL_FIRST_FIT_INDEX_H_
 #define SRC_INTERVAL_FIRST_FIT_INDEX_H_
 
-#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <optional>
-#include <set>
-#include <utility>
+#include <vector>
+
+#include "src/common/verify.h"
 
 namespace stalloc {
 
 class FirstFitIndex {
  public:
+  // Most free ranges one chunk holds.
+  static constexpr size_t kChunkRanges = 128;
+
   // Adds the free range [lo, hi) (lo < hi), coalescing it with a free neighbour on either side.
   // The range must not overlap a range already free.
   void Insert(uint64_t lo, uint64_t hi);
@@ -43,23 +52,38 @@ class FirstFitIndex {
   // Length of the largest free range (0 when none).
   uint64_t largest() const;
 
+  // Number of chunks: rises only on a split, falls only on a removal.
+  size_t num_chunks() const { return chunks_.size(); }
+
  private:
-  using Range = std::pair<uint64_t, uint64_t>;  // [first, second)
+  struct Range {
+    uint64_t lo;
+    uint64_t hi;
+    uint64_t length() const { return hi - lo; }
+  };
+  using Chunk = std::vector<Range>;
 
-  static int ClassOf(uint64_t len) { return 63 - __builtin_clzll(len); }
-  // Add / remove [lo, hi) in its size class, keeping nonempty_classes_ in step.
-  void Classify(uint64_t lo, uint64_t hi);
-  void Unclassify(uint64_t lo, uint64_t hi);
-  // Moves range [lo, hi) to [new_lo, new_hi) in the size classes, reusing its set node.
-  void Reclassify(uint64_t lo, uint64_t hi, uint64_t new_lo, uint64_t new_hi);
-  // Re-keys the span at `it` to start at `new_lo`, reusing its node; `new_lo` must keep the
-  // span's place in address order.
-  void MoveStart(std::map<uint64_t, uint64_t>::iterator it, uint64_t new_lo);
+  // Re-reads chunk c's lowest start and longest range from its ranges.
+  void Resummarize(size_t c);
+  // Chunk c's range that was `old_length` long shrank or left it: re-read the chunk's start,
+  // and its longest range if that range was its longest.
+  void AfterShrink(size_t c, uint64_t old_length);
+  // Removes chunk c, which must be empty.
+  void RemoveChunk(size_t c);
+  // Cuts full chunk c in half; the upper half becomes chunk c + 1.
+  void SplitChunk(size_t c);
 
-  std::map<uint64_t, uint64_t> spans_;  // every free range, start -> end; disjoint, non-adjacent
-  std::array<std::set<Range>, 64> classes_;  // the same ranges by ⌊log2(length)⌋, address order
-  uint64_t nonempty_classes_ = 0;            // bit k set iff classes_[k] is non-empty
+  // Verify-mode checks: range i of chunk c against its neighbours (across chunk edges too) and
+  // chunk c's summaries; one chunk's summaries; and a walk of every chunk.
+  void VerifyAround(size_t c, size_t i) const;
+  void VerifyChunkSummary(size_t c) const;
+  void VerifyAll() const;
+
+  std::vector<Chunk> chunks_;        // address order; each holds 1..kChunkRanges ranges
+  std::vector<uint64_t> chunk_lo_;   // chunks_[c].front().lo
+  std::vector<uint64_t> chunk_max_;  // longest range length in chunks_[c]
   uint64_t total_ = 0;
+  bool verify_ = verify::Enabled();
 };
 
 }  // namespace stalloc

@@ -127,10 +127,10 @@ std::optional<MemHandle> VmmAllocator::AcquireUnderPressure(bool* remapped) {
 }
 
 std::optional<uint64_t> VmmAllocator::FindIdlePage() const {
-  const auto& table = va_->page_table();
-  for (auto it = table.rbegin(); it != table.rend(); ++it) {
-    if (page_refs_[it->first] == 0) {
-      return it->first;
+  for (uint64_t page = va_->end_mapped(); page > va_->first_mapped();) {
+    --page;
+    if (va_->IsMapped(page) && page_refs_[page] == 0) {
+      return page;
     }
   }
   return std::nullopt;
@@ -150,15 +150,12 @@ void VmmAllocator::AddRefs(uint64_t off, uint64_t size, int delta) {
 }
 
 void VmmAllocator::ReleaseIdlePages() {
-  std::vector<uint64_t> idle;
-  for (const auto& [page, handle] : va_->page_table()) {
-    if (page_refs_[page] == 0) {
-      idle.push_back(page);
+  // Unmapping only narrows [first_mapped, end_mapped), and never past a page still to visit.
+  for (uint64_t page = va_->first_mapped(); page < va_->end_mapped(); ++page) {
+    if (va_->IsMapped(page) && page_refs_[page] == 0) {
+      pool_->Release(va_->UnmapPage(page));
+      ++vmm_stats_.unmap_calls;
     }
-  }
-  for (const uint64_t page : idle) {
-    pool_->Release(va_->UnmapPage(page));
-    ++vmm_stats_.unmap_calls;
   }
 }
 
@@ -173,19 +170,18 @@ void VmmAllocator::EmptyCache() {
 void VmmAllocator::AppendHeapSegments(std::vector<telemetry::HeapSegment>* out) const {
   // Contiguous mapped-page runs are the reserved memory; unmapped holes in the reservation cost
   // nothing physical and do not appear.
-  const auto& table = va_->page_table();
-  auto it = table.begin();
-  while (it != table.end()) {
-    const uint64_t start = it->first;
-    uint64_t end = start + 1;
-    ++it;
-    while (it != table.end() && it->first == end) {
-      ++end;
-      ++it;
+  for (uint64_t page = va_->first_mapped(); page < va_->end_mapped();) {
+    if (!va_->IsMapped(page)) {
+      ++page;
+      continue;
+    }
+    const uint64_t start = page;
+    while (page < va_->end_mapped() && va_->IsMapped(page)) {
+      ++page;
     }
     telemetry::HeapSegment s;
     s.base = va_->base() + start * config_.granularity;
-    s.size = (end - start) * config_.granularity;
+    s.size = (page - start) * config_.granularity;
     s.stream = kComputeStream;
     s.pool = "vmm";
     out->push_back(std::move(s));

@@ -2,8 +2,10 @@
 // remap-based compaction decisions, the granularity trade-off, and fleet determinism with the
 // vmm kind plugged into the sharded cluster.
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -12,6 +14,7 @@
 #include "src/cluster/cluster_workload.h"
 #include "src/cluster/fleet.h"
 #include "src/cluster/scheduler.h"
+#include "src/common/rng.h"
 #include "src/common/units.h"
 #include "src/driver/replay.h"
 #include "src/gpu/sim_device.h"
@@ -193,6 +196,152 @@ TEST(VmmAllocator, HeapSegmentsCoverContiguousMappedRuns) {
   EXPECT_EQ(segments[0].base, alloc.va_space().base());
   EXPECT_EQ(segments[0].size, 4 * kPage);
   ASSERT_TRUE(alloc.Free(*a) && alloc.Free(*b));
+}
+
+// The page policy of a VmmAllocator without a small pool, replayed on a std::set of mapped
+// pages: a malloc references its pages and maps each unmapped one from the handle cache, else a
+// fresh handle while the device has room, else by stealing the highest mapped page no live
+// block references; a free only drops references; EmptyCache unmaps every unreferenced page and
+// returns every cached handle to the device.
+class PagePolicyReference {
+ public:
+  PagePolicyReference(uint64_t num_pages, uint64_t device_pages)
+      : refs_(num_pages, 0), device_pages_(device_pages) {}
+
+  void Malloc(uint64_t first, uint64_t last) {
+    for (uint64_t page = first; page <= last; ++page) {
+      ++refs_[page];
+    }
+    for (uint64_t page = first; page <= last; ++page) {
+      if (mapped_.count(page) != 0) {
+        continue;
+      }
+      if (cached_ > 0) {
+        --cached_;
+      } else if (mapped_.size() + cached_ == device_pages_) {
+        auto idle = mapped_.rbegin();
+        while (refs_[*idle] != 0) {
+          ++idle;
+        }
+        mapped_.erase(*idle);
+        ++steals_;
+      }
+      mapped_.insert(page);
+    }
+  }
+  void Free(uint64_t first, uint64_t last) {
+    for (uint64_t page = first; page <= last; ++page) {
+      --refs_[page];
+    }
+  }
+  void EmptyCache() {
+    for (auto it = mapped_.begin(); it != mapped_.end();) {
+      it = refs_[*it] == 0 ? mapped_.erase(it) : std::next(it);
+    }
+    cached_ = 0;
+  }
+  // Pages some live block references.
+  uint64_t referenced() const {
+    return static_cast<uint64_t>(
+        std::count_if(refs_.begin(), refs_.end(), [](uint32_t r) { return r != 0; }));
+  }
+  const std::set<uint64_t>& mapped() const { return mapped_; }
+  uint64_t steals() const { return steals_; }
+
+ private:
+  std::vector<uint32_t> refs_;
+  std::set<uint64_t> mapped_;
+  uint64_t cached_ = 0;
+  uint64_t device_pages_;
+  uint64_t steals_ = 0;
+};
+
+// Random malloc/free/EmptyCache through VmmAllocator on a device of 64 pages, at the default
+// 2 MiB and the minimum 64 KiB granularity. Live blocks never reference more pages than the
+// device holds, so every malloc the VA reservation places succeeds, lazily mapped pages pile
+// up past capacity and the remap path runs. After every op, IsMapped on every page,
+// mapped_bytes() and the "vmm" heap segments (maximal runs of mapped pages) must match the
+// reference page set.
+TEST(VmmAllocator, PageTableMatchesReferencePageSet) {
+  for (const uint64_t granularity : {SimDevice::kGranularity, SimDevice::kMinGranularity}) {
+    SCOPED_TRACE(granularity);
+    constexpr uint64_t kDevicePages = 64;
+    SimDevice dev(kDevicePages * granularity);
+    VmmConfig config = NoSmallPool();
+    config.granularity = granularity;
+    VmmAllocator alloc(&dev, config);
+    const VaSpace& va = alloc.va_space();
+    PagePolicyReference ref(va.num_pages(), kDevicePages);
+    Rng rng(granularity);
+    struct Live {
+      uint64_t addr, first, last;
+    };
+    std::vector<Live> live;
+    auto pages_of = [&](uint64_t addr, uint64_t size) {
+      const uint64_t rounded = AlignUp(size, SimDevice::kMallocAlign);
+      return std::pair<uint64_t, uint64_t>{va.PageOf(addr - va.base()),
+                                           va.PageOf(addr - va.base() + rounded - 1)};
+    };
+    auto free_random = [&] {
+      const size_t pick = rng.NextBelow(live.size());
+      ASSERT_TRUE(alloc.Free(live[pick].addr));
+      ref.Free(live[pick].first, live[pick].last);
+      live[pick] = live.back();
+      live.pop_back();
+    };
+    uint64_t empty_caches = 0;
+    for (int op = 0; op < 4000; ++op) {
+      const uint64_t dice = rng.NextBelow(100);
+      if (dice < 55) {
+        const uint64_t size = rng.NextInRange(1, 6 * granularity);
+        // A block spans at most size / granularity + 2 pages; free until that surely fits.
+        while (!live.empty() && ref.referenced() + size / granularity + 2 > kDevicePages) {
+          free_random();
+        }
+        const std::optional<uint64_t> addr = alloc.Malloc(size);
+        if (addr.has_value()) {  // nullopt only when no VA hole fits: nothing is mapped
+          const auto [first, last] = pages_of(*addr, size);
+          ref.Malloc(first, last);
+          live.push_back(Live{*addr, first, last});
+        }
+      } else if (dice < 97 && !live.empty()) {
+        free_random();
+      } else {
+        alloc.EmptyCache();
+        ref.EmptyCache();
+        ++empty_caches;
+      }
+      ASSERT_FALSE(HasFatalFailure());
+      for (uint64_t page = 0; page < va.num_pages(); ++page) {
+        ASSERT_EQ(va.IsMapped(page), ref.mapped().count(page) != 0)
+            << "op " << op << " page " << page;
+      }
+      ASSERT_EQ(va.mapped_bytes(), ref.mapped().size() * granularity) << "op " << op;
+      std::vector<telemetry::HeapSegment> segments;
+      alloc.AppendHeapSegments(&segments);
+      std::vector<std::pair<uint64_t, uint64_t>> runs;  // (base, size) of each mapped run
+      for (const uint64_t page : ref.mapped()) {
+        const uint64_t base = va.base() + page * granularity;
+        if (!runs.empty() && runs.back().first + runs.back().second == base) {
+          runs.back().second += granularity;
+        } else {
+          runs.emplace_back(base, granularity);
+        }
+      }
+      ASSERT_EQ(segments.size(), runs.size()) << "op " << op;
+      for (size_t k = 0; k < runs.size(); ++k) {
+        ASSERT_EQ(segments[k].pool, "vmm");
+        ASSERT_EQ(std::make_pair(segments[k].base, segments[k].size), runs[k]) << "op " << op;
+      }
+    }
+    // Both pressure paths ran: idle pages were stolen and remapped, and released wholesale.
+    EXPECT_GT(ref.steals(), 0u);
+    EXPECT_EQ(alloc.vmm_stats().pages_remapped, ref.steals());
+    EXPECT_GT(empty_caches, 0u);
+    while (!live.empty()) {
+      free_random();
+    }
+  }
 }
 
 // --- granularity trade-off: huge pages cost Mr, small granules cost map calls ---
