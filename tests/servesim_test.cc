@@ -14,6 +14,7 @@
 #include "src/trace/trace_io.h"
 #include "src/trace/trace_stats.h"
 #include "src/trainsim/model_config.h"
+#include "tests/support/trace_digest.h"
 
 namespace stalloc {
 namespace {
@@ -85,6 +86,41 @@ TEST(Engine, TraceIsByteIdenticalPerSeed) {
     ServeTraceResult c = BuildServeTrace(model, scenario, EngineConfig{}, 100);
     EXPECT_NE(CsvOf(a.trace), CsvOf(c.trace)) << name;
   }
+}
+
+// Pinned builder output: every column plus the phase and layer tables of one full day per
+// preset, and of the two paths that close KV early (preemption under a tight budget, and the
+// max_steps valve that closes whatever is still open). A seed repeating is not enough: these
+// pins move if a change to the builder renumbers, re-times or re-labels any event.
+TEST(Engine, PinnedTraceColumnDigests) {
+  const ModelConfig model = ModelByName("gpt2");
+  struct Case {
+    ServeScenario scenario;
+    EngineConfig engine;
+    uint64_t digest;
+  };
+  EngineConfig tight;
+  tight.kv_budget_bytes = 1 * GiB;
+  EngineConfig valve;
+  valve.max_steps = 40;
+  const Case cases[] = {
+      {ChatScenario(), EngineConfig{}, 0x3716042e00f9a0caull},
+      {RagLongScenario(), EngineConfig{}, 0x5c209af19e363d91ull},
+      {BatchOfflineScenario(), EngineConfig{}, 0x2859c3106607e39dull},
+      {BatchOfflineScenario(), tight, 0xbb7dd51f495bfd27ull},
+      {ChatScenario(), valve, 0xc61530618db05e59ull},
+  };
+  for (const Case& c : cases) {
+    const ServeTraceResult r = BuildServeTrace(model, c.scenario, c.engine, 2002);
+    EXPECT_EQ(TraceColumnsDigest(r.trace), c.digest)
+        << c.scenario.name << " budget=" << c.engine.kv_budget_bytes
+        << " max_steps=" << c.engine.max_steps << ": 0x" << std::hex
+        << TraceColumnsDigest(r.trace);
+  }
+  // The last two cases reach the paths they are there for.
+  EXPECT_GT(BuildServeTrace(model, BatchOfflineScenario(), tight, 2002).stats.preemptions, 0u);
+  const ServeSimStats cut = BuildServeTrace(model, ChatScenario(), valve, 2002).stats;
+  EXPECT_LT(cut.completed + cut.rejected, cut.num_requests);
 }
 
 TEST(Engine, TracesValidateAcrossPresets) {

@@ -12,6 +12,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -27,6 +28,7 @@
 #include "src/trace/trace_v2.h"
 #include "src/trainsim/model_config.h"
 #include "src/trainsim/workload.h"
+#include "tests/support/trace_digest.h"
 
 namespace stalloc {
 namespace {
@@ -154,6 +156,28 @@ TEST(TraceViewReplayTest, SyntheticMixesReplayIdenticallyFromView) {
     EXPECT_EQ(owned_digest, view_digest) << SyntheticMixName(mix);
     view.Close();
     std::remove(path.c_str());
+  }
+}
+
+// Pinned builder output: every column plus the phase and layer tables of BuildStormTrace and of
+// each synthetic mix. These move if a builder renumbers, re-times or re-labels any event.
+TEST(TraceViewReplayTest, PinnedBuilderColumnDigests) {
+  const Trace storm = BuildStormTrace(10000, 42);
+  EXPECT_EQ(TraceColumnsDigest(storm), 0x3251d92f09ca6cabull)
+      << "BuildStormTrace(10000, 42): 0x" << std::hex << TraceColumnsDigest(storm);
+  const std::pair<SyntheticMix, uint64_t> mixes[] = {
+      {SyntheticMix::kStorm, 0x75031c28ffcf614aull},
+      {SyntheticMix::kTraining, 0xc1fdcf2808df945aull},
+      {SyntheticMix::kServing, 0x24dea3b847fdd2ecull},
+  };
+  for (const auto& [mix, digest] : mixes) {
+    SyntheticSpec spec;
+    spec.mix = mix;
+    spec.num_ops = 20000;
+    spec.seed = 7;
+    const Trace trace = BuildSyntheticTrace(spec);
+    EXPECT_EQ(TraceColumnsDigest(trace), digest)
+        << SyntheticMixName(mix) << ": 0x" << std::hex << TraceColumnsDigest(trace);
   }
 }
 
