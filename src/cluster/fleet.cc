@@ -932,7 +932,11 @@ std::string ClusterResult::Summary() const {
 namespace {
 
 // FNV-1a 64-bit over a canonical field walk. Doubles are hashed by bit pattern, so the digest
-// detects any FP divergence, not just "visibly different" values.
+// detects any FP divergence, not just "visibly different" values. The offset basis below,
+// 1469598103934665603, is not FNV-1a's standard 14695981039346656037 (the one
+// PlacementDigestObserver uses): it is one digit short. It stays, because every pinned cluster
+// digest depends on it: the golden d6986ffe96219217 in the tests and CI's d16a7e567c65d3b4 and
+// 67562a2eefc01221.
 class ResultHasher {
  public:
   void Mix(uint64_t v) {

@@ -27,7 +27,7 @@ struct RunningReq {
   ServeRequest req;
   uint32_t generated = 0;     // output tokens produced so far
   uint32_t context = 0;       // tokens currently resident in KV
-  std::vector<size_t> kv;     // open KV-block events (indices into the event buffer)
+  std::vector<uint64_t> kv;   // ids of its open KV-block events
   bool was_preempted = false;
 };
 
@@ -92,26 +92,16 @@ ServeTraceResult BuildServeTrace(const ModelConfig& model, const ServeScenario& 
   const LayerId decode_layer = trace.AddLayer(LayerInfo{"decode-act", 0, 0});
 
   LogicalTime tick = 0;
-  std::vector<MemoryEvent> events;  // te == 0 means still open
-  auto open_event = [&](uint64_t size, bool dyn, LayerId layer, PhaseId phase) -> size_t {
-    MemoryEvent e;
-    e.size = size;
-    e.ts = tick++;
-    e.ps = phase;
-    e.dyn = dyn;
-    e.ls = layer;
-    e.le = layer;
-    events.push_back(e);
-    return events.size() - 1;
+  auto open_event = [&](uint64_t size, bool dyn, LayerId layer, PhaseId phase) {
+    return trace.OpenEvent(size, tick++, phase, layer, dyn, kComputeStream);
   };
-  auto close_event = [&](size_t idx, PhaseId phase) {
-    STALLOC_DCHECK(events[idx].te == 0);
-    events[idx].te = tick;
-    events[idx].pe = phase;
+  // Every event is freed by the layer that allocated it.
+  auto close_event = [&](uint64_t id, PhaseId phase) {
+    trace.CloseEvent(id, tick, phase, trace.ls()[id]);
   };
 
   // Persistent fp16 weights in an init phase (closed after the last step).
-  std::vector<size_t> weight_events;
+  std::vector<uint64_t> weight_events;
   PhaseId init_phase = kInvalidPhase;
   if (engine.emit_weights) {
     init_phase = trace.AddPhase(PhaseInfo{PhaseKind::kIterInit, -1, -1, tick, 0});
@@ -139,8 +129,8 @@ ServeTraceResult BuildServeTrace(const ModelConfig& model, const ServeScenario& 
     return (tokens + engine.kv_block_tokens - 1) / engine.kv_block_tokens;
   };
   auto release_kv = [&](RunningReq& r, PhaseId phase) {
-    for (size_t idx : r.kv) {
-      close_event(idx, phase);
+    for (uint64_t id : r.kv) {
+      close_event(id, phase);
     }
     kv_in_use -= static_cast<uint64_t>(r.kv.size()) * block_bytes;
     r.kv.clear();
@@ -153,7 +143,7 @@ ServeTraceResult BuildServeTrace(const ModelConfig& model, const ServeScenario& 
     const PhaseId phase = trace.AddPhase(
         PhaseInfo{PhaseKind::kForward, static_cast<int32_t>(step), -1, tick, 0});
     last_phase = phase;
-    std::vector<size_t> step_transients;
+    std::vector<uint64_t> step_transients;
 
     // --- admission: continuous batching fills the batch while KV fits ---
     while (!waiting.empty() && static_cast<int>(running.size()) < engine.max_batch &&
@@ -211,10 +201,8 @@ ServeTraceResult BuildServeTrace(const ModelConfig& model, const ServeScenario& 
       }
 
       // --- decode: one token per running request; grow KV across block boundaries ---
-      const size_t decode_act =
-          open_event(static_cast<uint64_t>(running.size()) * act_per_token, true, decode_layer,
-                     phase);
-      step_transients.push_back(decode_act);
+      step_transients.push_back(open_event(
+          static_cast<uint64_t>(running.size()) * act_per_token, true, decode_layer, phase));
       for (RunningReq& r : running) {
         ++r.generated;
         ++r.context;
@@ -242,8 +230,8 @@ ServeTraceResult BuildServeTrace(const ModelConfig& model, const ServeScenario& 
       }
     }
 
-    for (size_t idx : step_transients) {
-      close_event(idx, phase);
+    for (uint64_t id : step_transients) {
+      close_event(id, phase);
     }
     ++tick;
     trace.MutablePhase(phase).end = tick;
@@ -254,17 +242,13 @@ ServeTraceResult BuildServeTrace(const ModelConfig& model, const ServeScenario& 
   for (RunningReq& r : running) {
     release_kv(r, last_phase);
   }
-  for (size_t idx : weight_events) {
-    close_event(idx, last_phase == kInvalidPhase ? init_phase : last_phase);
+  for (uint64_t id : weight_events) {
+    close_event(id, last_phase == kInvalidPhase ? init_phase : last_phase);
   }
   ++tick;
 
   for (LayerId layer : {kv_layer, prefill_layer, decode_layer}) {
     trace.MutableLayer(layer).end = tick;
-  }
-  for (MemoryEvent& e : events) {
-    STALLOC_CHECK(e.te != 0, << "unclosed serving event at ts=" << e.ts);
-    trace.AddEvent(e);
   }
   trace.Validate();
   return out;

@@ -12,58 +12,64 @@
 
 namespace stalloc {
 
-Trace BuildStormTrace(uint64_t num_events, uint64_t seed) {
-  uint64_t s = seed != 0 ? seed : 1;
-  auto rnd = [&s]() {
+namespace {
+
+struct XorShift {
+  uint64_t s;
+  explicit XorShift(uint64_t seed) : s(seed != 0 ? seed : 1) {}
+  uint64_t operator()() {
     s ^= s << 13;
     s ^= s >> 7;
     s ^= s << 17;
     return s;
-  };
+  }
+};
 
+// The storm request sizes: a small pool (<= 1 MiB) and a large pool.
+std::vector<uint64_t> StormPalette() {
   std::vector<uint64_t> palette;
   for (uint64_t k = 1; k <= 8; ++k) {
-    palette.push_back(k * 64 * KiB);  // small pool (<= 1 MiB)
+    palette.push_back(k * 64 * KiB);
   }
   for (uint64_t mib : {2, 3, 4, 6, 8, 12, 16, 20, 24, 32}) {
-    palette.push_back(mib * MiB);  // large pool
+    palette.push_back(mib * MiB);
   }
+  return palette;
+}
 
+}  // namespace
+
+Trace BuildStormTrace(uint64_t num_events, uint64_t seed) {
+  XorShift rnd(seed);
+  const std::vector<uint64_t> palette = StormPalette();
   constexpr uint64_t kTargetLive = 1500;
-  std::vector<MemoryEvent> events;
-  events.reserve(num_events);
-  std::vector<size_t> open;  // indices of events not yet given a free tick
+  Trace trace;
+  trace.set_name("storm");
+  std::vector<uint64_t> open;  // ids of events not yet closed
   LogicalTime t = 0;
-  while (events.size() < num_events) {
+  while (trace.size() < num_events) {
     const bool do_malloc = open.size() < 64 || rnd() % (2 * kTargetLive) >= open.size();
     if (do_malloc) {
-      MemoryEvent e;
-      e.size = palette[rnd() % palette.size()];
-      e.ts = t++;
-      e.te = e.ts + 1;  // patched when the free is drawn
-      open.push_back(events.size());
-      events.push_back(e);
+      const uint64_t size = palette[rnd() % palette.size()];
+      open.push_back(
+          trace.OpenEvent(size, t++, kInvalidPhase, kInvalidLayer, false, kComputeStream));
     } else {
       const size_t pick = rnd() % open.size();
-      events[open[pick]].te = t++;
+      trace.CloseEvent(open[pick], t++, kInvalidPhase, kInvalidLayer);
       open[pick] = open.back();
       open.pop_back();
     }
   }
-  for (size_t ev : open) {
-    events[ev].te = t++;
-  }
-  Trace trace;
-  trace.set_name("storm");
-  for (const MemoryEvent& e : events) {
-    trace.AddEvent(e);
+  for (uint64_t id : open) {
+    trace.CloseEvent(id, t++, kInvalidPhase, kInvalidLayer);
   }
   trace.Validate();
   return trace;
 }
 
 // ---------------------------------------------------------------------------
-// Parameterized mixes: one generator core, two back ends.
+// Parameterized mixes: one generator per mix, templated over the sink it opens and closes
+// events in — a Trace or a TraceV2StreamWriter, which share those calls.
 // ---------------------------------------------------------------------------
 
 const char* SyntheticMixName(SyntheticMix mix) {
@@ -93,120 +99,20 @@ bool ParseSyntheticMix(const std::string& name, SyntheticMix* out) {
 
 namespace {
 
-// Back-end interface the mix generators emit through. One virtual call per op is irrelevant
-// next to the I/O the v2 back end does, and it keeps the two paths provably in lockstep.
-class Emitter {
- public:
-  virtual ~Emitter() = default;
-  virtual PhaseId Phase(const PhaseInfo& info) = 0;
-  virtual LayerId Layer(const LayerInfo& info) = 0;
-  virtual void PatchPhaseEnd(PhaseId id, LogicalTime end) = 0;
-  virtual void PatchLayerEnd(LayerId id, LogicalTime end) = 0;
-  virtual uint64_t Open(uint64_t size, LogicalTime ts, PhaseId ps, LayerId ls, bool dyn,
-                        StreamId stream) = 0;
-  virtual void Close(uint64_t id, LogicalTime te, PhaseId pe, LayerId le) = 0;
-};
-
-// Buffers events (Trace::AddEvent needs the complete event, te included) and assembles the
-// trace once generation ends. Ids are assignment order — identical to the v2 back end's.
-class TraceEmitter : public Emitter {
- public:
-  explicit TraceEmitter(std::string name) { trace_.set_name(std::move(name)); }
-
-  PhaseId Phase(const PhaseInfo& info) override { return trace_.AddPhase(info); }
-  LayerId Layer(const LayerInfo& info) override { return trace_.AddLayer(info); }
-  void PatchPhaseEnd(PhaseId id, LogicalTime end) override { trace_.MutablePhase(id).end = end; }
-  void PatchLayerEnd(LayerId id, LogicalTime end) override { trace_.MutableLayer(id).end = end; }
-
-  uint64_t Open(uint64_t size, LogicalTime ts, PhaseId ps, LayerId ls, bool dyn,
-                StreamId stream) override {
-    MemoryEvent e;
-    e.size = size;
-    e.ts = ts;
-    e.te = ts + 1;  // patched on Close
-    e.ps = ps;
-    e.ls = ls;
-    e.dyn = dyn;
-    e.stream = stream;
-    events_.push_back(e);
-    return events_.size() - 1;
-  }
-
-  void Close(uint64_t id, LogicalTime te, PhaseId pe, LayerId le) override {
-    MemoryEvent& e = events_[id];
-    e.te = te;
-    e.pe = pe;
-    e.le = le;
-  }
-
-  Trace Take() {
-    for (const MemoryEvent& e : events_) {
-      trace_.AddEvent(e);
-    }
-    events_.clear();
-    trace_.Validate();
-    return std::move(trace_);
-  }
-
- private:
-  Trace trace_;
-  std::vector<MemoryEvent> events_;
-};
-
-class V2Emitter : public Emitter {
- public:
-  explicit V2Emitter(TraceV2StreamWriter* writer) : writer_(writer) {}
-
-  PhaseId Phase(const PhaseInfo& info) override { return writer_->AddPhase(info); }
-  LayerId Layer(const LayerInfo& info) override { return writer_->AddLayer(info); }
-  void PatchPhaseEnd(PhaseId id, LogicalTime end) override {
-    writer_->MutablePhase(id).end = end;
-  }
-  void PatchLayerEnd(LayerId id, LogicalTime end) override {
-    writer_->MutableLayer(id).end = end;
-  }
-  uint64_t Open(uint64_t size, LogicalTime ts, PhaseId ps, LayerId ls, bool dyn,
-                StreamId stream) override {
-    return writer_->OpenEvent(size, ts, ps, ls, dyn, stream);
-  }
-  void Close(uint64_t id, LogicalTime te, PhaseId pe, LayerId le) override {
-    writer_->CloseEvent(id, te, pe, le);
-  }
-
- private:
-  TraceV2StreamWriter* writer_;
-};
-
 uint64_t NumEventsFor(const SyntheticSpec& spec) {
   return spec.num_ops / 2 > 0 ? spec.num_ops / 2 : 1;
 }
-
-struct XorShift {
-  uint64_t s;
-  explicit XorShift(uint64_t seed) : s(seed != 0 ? seed : 1) {}
-  uint64_t operator()() {
-    s ^= s << 13;
-    s ^= s >> 7;
-    s ^= s << 17;
-    return s;
-  }
-};
 
 // Budget identity used by every mix: with M = num mallocs and one op per tick,
 //   ops_remaining == open_blocks + 2 * (M - mallocs_used)
 // holds throughout, so draining whenever mallocs are exhausted lands exactly on the op budget.
 
 // Cache storm, op-budgeted: same steering policy as BuildStormTrace, but parameterized on the
-// total op count and emitted through the shared back ends.
-void GenStorm(uint64_t num_events, uint64_t seed, Emitter* em) {
+// total op count.
+template <typename Sink>
+void GenStorm(uint64_t num_events, uint64_t seed, Sink* sink) {
   XorShift rnd(seed);
-  std::vector<uint64_t> palette;
-  for (uint64_t k = 1; k <= 8; ++k) {
-    palette.push_back(k * 64 * KiB);
-  }
-  for (uint64_t mib : {2, 3, 4, 6, 8, 12, 16, 20, 24, 32}) {
-    palette.push_back(mib * MiB);
-  }
+  const std::vector<uint64_t> palette = StormPalette();
 
   constexpr uint64_t kTargetLive = 1500;
   std::vector<uint64_t> open;  // event ids not yet closed
@@ -223,11 +129,12 @@ void GenStorm(uint64_t num_events, uint64_t seed, Emitter* em) {
     }
     if (do_malloc) {
       const uint64_t size = palette[rnd() % palette.size()];
-      open.push_back(em->Open(size, t++, kInvalidPhase, kInvalidLayer, false, kComputeStream));
+      open.push_back(
+          sink->OpenEvent(size, t++, kInvalidPhase, kInvalidLayer, false, kComputeStream));
       ++mallocs_used;
     } else {
       const size_t pick = rnd() % open.size();
-      em->Close(open[pick], t++, kInvalidPhase, kInvalidLayer);
+      sink->CloseEvent(open[pick], t++, kInvalidPhase, kInvalidLayer);
       open[pick] = open.back();
       open.pop_back();
     }
@@ -240,7 +147,8 @@ void GenStorm(uint64_t num_events, uint64_t seed, Emitter* em) {
 // 6th activation is a dynamic (expert) event bound to its microbatch's layer. When the malloc
 // budget runs out the generator drains all live blocks in LIFO order under a final phase, so
 // weights are freed last — the persistent/scoped/transient census of a real iteration.
-void GenTraining(uint64_t num_events, uint64_t seed, Emitter* em) {
+template <typename Sink>
+void GenTraining(uint64_t num_events, uint64_t seed, Sink* sink) {
   XorShift rnd(seed);
   const uint64_t weight_sizes[] = {4 * MiB, 8 * MiB, 16 * MiB, 64 * MiB};
   const uint64_t act_sizes[] = {512 * KiB, 1 * MiB, 2 * MiB, 4 * MiB, 8 * MiB};
@@ -278,15 +186,15 @@ void GenTraining(uint64_t num_events, uint64_t seed, Emitter* em) {
 
   auto switch_phase = [&](PhaseKind kind, int microbatch, LogicalTime t) {
     if (cur_phase != kInvalidPhase) {
-      em->PatchPhaseEnd(cur_phase, t);
+      sink->MutablePhase(cur_phase).end = t;
     }
-    cur_phase = em->Phase({kind, microbatch, -1, t, t + 1});
+    cur_phase = sink->AddPhase({kind, microbatch, -1, t, t + 1});
   };
 
   for (LogicalTime t = 0; t < total_ops; ++t) {
     const bool can_malloc = mallocs_used < num_events;
     if (pending_close) {
-      em->Close(pending_id, t, cur_phase, kInvalidLayer);
+      sink->CloseEvent(pending_id, t, cur_phase, kInvalidLayer);
       pending_close = false;
       continue;
     }
@@ -300,8 +208,8 @@ void GenTraining(uint64_t num_events, uint64_t seed, Emitter* em) {
           }
           if (weight_ids.size() < num_weights && can_malloc) {
             const uint64_t size = weight_sizes[rnd() % 4];
-            weight_ids.push_back(em->Open(size, t, cur_phase, kInvalidLayer, false,
-                                          kComputeStream));
+            weight_ids.push_back(
+                sink->OpenEvent(size, t, cur_phase, kInvalidLayer, false, kComputeStream));
             ++mallocs_used;
             emitted = true;
           } else if (!can_malloc) {
@@ -309,7 +217,7 @@ void GenTraining(uint64_t num_events, uint64_t seed, Emitter* em) {
           } else {
             state = kFwd;
             switch_phase(PhaseKind::kForward, mb, t);
-            cur_layer = em->Layer({"mb" + std::to_string(mb), t, t + 1});
+            cur_layer = sink->AddLayer({"mb" + std::to_string(mb), t, t + 1});
             acts_opened = 0;
           }
           break;
@@ -322,7 +230,7 @@ void GenTraining(uint64_t num_events, uint64_t seed, Emitter* em) {
             const StreamId stream = acts_opened % 5 == 4 ? kP2pStream : kComputeStream;
             const uint64_t size = act_sizes[rnd() % 5];
             const uint64_t id =
-                em->Open(size, t, cur_phase, dyn ? cur_layer : kInvalidLayer, dyn, stream);
+                sink->OpenEvent(size, t, cur_phase, dyn ? cur_layer : kInvalidLayer, dyn, stream);
             act_stack.push_back({id, dyn ? cur_layer : kInvalidLayer});
             ++mallocs_used;
             ++acts_opened;
@@ -338,8 +246,8 @@ void GenTraining(uint64_t num_events, uint64_t seed, Emitter* em) {
         case kBwd: {
           if (acts_closed < kActsPerMb) {
             if (acts_closed % 3 == 2 && !bwd_transient_done && can_malloc) {
-              pending_id = em->Open(tmp_sizes[rnd() % 3], t, cur_phase, kInvalidLayer, false,
-                                    kComputeStream);
+              pending_id = sink->OpenEvent(tmp_sizes[rnd() % 3], t, cur_phase, kInvalidLayer,
+                                           false, kComputeStream);
               ++mallocs_used;
               pending_close = true;
               bwd_transient_done = true;
@@ -347,13 +255,13 @@ void GenTraining(uint64_t num_events, uint64_t seed, Emitter* em) {
             } else {
               const OpenRec rec = act_stack.back();
               act_stack.pop_back();
-              em->Close(rec.id, t, cur_phase, rec.layer);
+              sink->CloseEvent(rec.id, t, cur_phase, rec.layer);
               ++acts_closed;
               bwd_transient_done = false;
               emitted = true;
             }
           } else {
-            em->PatchLayerEnd(cur_layer, t);
+            sink->MutableLayer(cur_layer).end = t;
             ++mb;
             if (mb % kMbPerIter == 0) {
               state = kOptim;
@@ -362,7 +270,7 @@ void GenTraining(uint64_t num_events, uint64_t seed, Emitter* em) {
             } else {
               state = kFwd;
               switch_phase(PhaseKind::kForward, mb, t);
-              cur_layer = em->Layer({"mb" + std::to_string(mb), t, t + 1});
+              cur_layer = sink->AddLayer({"mb" + std::to_string(mb), t, t + 1});
               acts_opened = 0;
             }
           }
@@ -372,8 +280,8 @@ void GenTraining(uint64_t num_events, uint64_t seed, Emitter* em) {
           if (!can_malloc) {
             state = kDrain;
           } else if (optim_opened < kOptimPairs) {
-            pending_id = em->Open(tmp_sizes[rnd() % 3], t, cur_phase, kInvalidLayer, false,
-                                  kDpCommStream);
+            pending_id = sink->OpenEvent(tmp_sizes[rnd() % 3], t, cur_phase, kInvalidLayer,
+                                         false, kDpCommStream);
             ++mallocs_used;
             pending_close = true;
             ++optim_opened;
@@ -381,7 +289,7 @@ void GenTraining(uint64_t num_events, uint64_t seed, Emitter* em) {
           } else {
             state = kFwd;
             switch_phase(PhaseKind::kForward, mb, t);
-            cur_layer = em->Layer({"mb" + std::to_string(mb), t, t + 1});
+            cur_layer = sink->AddLayer({"mb" + std::to_string(mb), t, t + 1});
             acts_opened = 0;
           }
           break;
@@ -393,10 +301,10 @@ void GenTraining(uint64_t num_events, uint64_t seed, Emitter* em) {
           if (!act_stack.empty()) {
             const OpenRec rec = act_stack.back();
             act_stack.pop_back();
-            em->Close(rec.id, t, cur_phase, rec.layer);
+            sink->CloseEvent(rec.id, t, cur_phase, rec.layer);
           } else {
             STALLOC_CHECK(!weight_ids.empty(), << "training drain with nothing open");
-            em->Close(weight_ids.back(), t, cur_phase, kInvalidLayer);
+            sink->CloseEvent(weight_ids.back(), t, cur_phase, kInvalidLayer);
             weight_ids.pop_back();
           }
           emitted = true;
@@ -406,10 +314,10 @@ void GenTraining(uint64_t num_events, uint64_t seed, Emitter* em) {
     }
   }
   if (cur_phase != kInvalidPhase) {
-    em->PatchPhaseEnd(cur_phase, total_ops);
+    sink->MutablePhase(cur_phase).end = total_ops;
   }
   if (cur_layer != kInvalidLayer) {
-    em->PatchLayerEnd(cur_layer, total_ops);
+    sink->MutableLayer(cur_layer).end = total_ops;
   }
 }
 
@@ -418,7 +326,8 @@ void GenTraining(uint64_t num_events, uint64_t seed, Emitter* em) {
 // pending-free queue spreads that burst over consecutive ticks, one op per tick). Bursty
 // arrivals and whole-sequence frees are the fragmentation pattern paged serving allocators
 // are built around.
-void GenServing(uint64_t num_events, uint64_t seed, Emitter* em) {
+template <typename Sink>
+void GenServing(uint64_t num_events, uint64_t seed, Sink* sink) {
   XorShift rnd(seed);
   const uint64_t block_sizes[] = {64 * KiB, 128 * KiB, 256 * KiB, 512 * KiB, 2 * MiB};
   constexpr uint64_t kTargetRequests = 192;
@@ -449,7 +358,7 @@ void GenServing(uint64_t num_events, uint64_t seed, Emitter* em) {
       if (pending_head == pending.size()) {
         complete(0);  // budget exhausted with only in-flight requests: retire the oldest
       }
-      em->Close(pending[pending_head++], t, kInvalidPhase, kInvalidLayer);
+      sink->CloseEvent(pending[pending_head++], t, kInvalidPhase, kInvalidLayer);
       if (pending_head == pending.size()) {
         pending.clear();
         pending_head = 0;
@@ -470,7 +379,7 @@ void GenServing(uint64_t num_events, uint64_t seed, Emitter* em) {
     }
     const uint64_t size = block_sizes[rnd() % 5];
     active[idx].blocks.push_back(
-        em->Open(size, t, kInvalidPhase, kInvalidLayer, false, active[idx].stream));
+        sink->OpenEvent(size, t, kInvalidPhase, kInvalidLayer, false, active[idx].stream));
     ++mallocs_used;
     if (active[idx].blocks.size() >= active[idx].target_len) {
       complete(idx);
@@ -478,17 +387,18 @@ void GenServing(uint64_t num_events, uint64_t seed, Emitter* em) {
   }
 }
 
-void GenerateInto(const SyntheticSpec& spec, Emitter* em) {
+template <typename Sink>
+void GenerateInto(const SyntheticSpec& spec, Sink* sink) {
   const uint64_t num_events = NumEventsFor(spec);
   switch (spec.mix) {
     case SyntheticMix::kStorm:
-      GenStorm(num_events, spec.seed, em);
+      GenStorm(num_events, spec.seed, sink);
       break;
     case SyntheticMix::kTraining:
-      GenTraining(num_events, spec.seed, em);
+      GenTraining(num_events, spec.seed, sink);
       break;
     case SyntheticMix::kServing:
-      GenServing(num_events, spec.seed, em);
+      GenServing(num_events, spec.seed, sink);
       break;
   }
 }
@@ -496,9 +406,11 @@ void GenerateInto(const SyntheticSpec& spec, Emitter* em) {
 }  // namespace
 
 Trace BuildSyntheticTrace(const SyntheticSpec& spec) {
-  TraceEmitter em(SyntheticMixName(spec.mix));
-  GenerateInto(spec, &em);
-  return em.Take();
+  Trace trace;
+  trace.set_name(SyntheticMixName(spec.mix));
+  GenerateInto(spec, &trace);
+  trace.Validate();
+  return trace;
 }
 
 bool GenerateSyntheticV2File(const SyntheticSpec& spec, const std::string& path) {
@@ -506,8 +418,7 @@ bool GenerateSyntheticV2File(const SyntheticSpec& spec, const std::string& path)
   if (!writer.ok()) {
     return false;
   }
-  V2Emitter em(&writer);
-  GenerateInto(spec, &em);
+  GenerateInto(spec, &writer);
   return writer.Finish();
 }
 

@@ -4,12 +4,12 @@
 // Two families live here:
 //   * BuildStormTrace — the original cache-storm generator, kept byte-stable (recorded perf
 //     baselines and pinned-placement tests depend on its exact output).
-//   * SyntheticSpec mixes — parameterized by total op count, emitted through one shared
-//     generator core with two back ends: BuildSyntheticTrace materializes an owned Trace,
-//     GenerateSyntheticV2File streams straight to a columnar v2 file through
-//     TraceV2StreamWriter without ever holding the events in memory. Both back ends consume
-//     the identical op sequence, so converting the owned trace with WriteTraceV2File yields a
-//     byte-identical file — the property the round-trip tests pin.
+//   * SyntheticSpec mixes — parameterized by total op count. One generator per mix opens and
+//     closes events in a sink: BuildSyntheticTrace passes an owned Trace,
+//     GenerateSyntheticV2File a TraceV2StreamWriter that streams straight to a columnar v2 file
+//     without ever holding the events in memory. Both sinks take the identical calls, so
+//     converting the owned trace with WriteTraceV2File yields a byte-identical file — the
+//     property the round-trip tests pin.
 
 #ifndef SRC_TRACE_SYNTHETIC_H_
 #define SRC_TRACE_SYNTHETIC_H_

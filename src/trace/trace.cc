@@ -128,21 +128,36 @@ LayerId Trace::AddLayer(LayerInfo info) {
   return static_cast<LayerId>(layers_.size() - 1);
 }
 
-uint64_t Trace::AddEvent(const MemoryEvent& event) {
-  STALLOC_CHECK(!sealed_, << "AddEvent on a sealed trace");
-  STALLOC_CHECK(event.ts < event.te, << "event must have positive lifespan: ts=" << event.ts
-                                     << " te=" << event.te);
-  end_time_ = std::max(end_time_, event.te);
-  ts_.push_back(event.ts);
-  te_.push_back(event.te);
-  size_.push_back(event.size);
-  ps_.push_back(event.ps);
-  pe_.push_back(event.pe);
-  ls_.push_back(event.ls);
-  le_.push_back(event.le);
-  flags_.push_back(event.dyn ? 1 : 0);
-  stream_.push_back(event.stream);
+uint64_t Trace::OpenEvent(uint64_t size, LogicalTime ts, PhaseId ps, LayerId ls, bool dyn,
+                          StreamId stream) {
+  STALLOC_CHECK(!sealed_, << "OpenEvent on a sealed trace");
+  ts_.push_back(ts);
+  te_.push_back(0);
+  size_.push_back(size);
+  ps_.push_back(ps);
+  pe_.push_back(kInvalidPhase);
+  ls_.push_back(ls);
+  le_.push_back(kInvalidLayer);
+  flags_.push_back(dyn ? 1 : 0);
+  stream_.push_back(stream);
   return ts_.size() - 1;
+}
+
+void Trace::CloseEvent(uint64_t id, LogicalTime te, PhaseId pe, LayerId le) {
+  STALLOC_CHECK(id < ts_.size() && te_[id] == 0,
+                << "CloseEvent on event " << id << ", which is not open");
+  STALLOC_CHECK(ts_[id] < te, << "event must have positive lifespan: ts=" << ts_[id]
+                              << " te=" << te);
+  end_time_ = std::max(end_time_, te);
+  te_[id] = te;
+  pe_[id] = pe;
+  le_[id] = le;
+}
+
+uint64_t Trace::AddEvent(const MemoryEvent& event) {
+  const uint64_t id = OpenEvent(event.size, event.ts, event.ps, event.ls, event.dyn, event.stream);
+  CloseEvent(id, event.te, event.pe, event.le);
+  return id;
 }
 
 PhaseInfo& Trace::MutablePhase(PhaseId id) {
@@ -227,10 +242,13 @@ bool Trace::Valid(std::string* error) {
     }
     return false;
   };
-  // AddEvent already enforces ts < te and assigns dense ids.
+  // CloseEvent already enforces ts < te, and OpenEvent assigns dense ids.
   const int32_t np = static_cast<int32_t>(phases_.size());
   const int32_t nl = static_cast<int32_t>(layers_.size());
   for (size_t i = 0; i < ts_.size(); ++i) {
+    if (te_[i] == 0) {
+      return fail("event " + std::to_string(i) + " was opened but never closed");
+    }
     if (size_[i] == 0) {
       return fail("zero-size event " + std::to_string(i));
     }

@@ -3,10 +3,11 @@
 //
 // A Trace stores its events in the columns a v2 trace file holds (src/trace/trace_v2.h): one
 // array per MemoryEvent field, indexed by event id, plus the op_time/op_ref columns that order
-// every malloc and free for replay. Builders append events and then seal the trace once with
-// Validate() (or Valid() for external input), which checks it and builds the op columns. A
-// sealed trace gains no more events. TraceCursor is the one read-only view over these columns;
-// an owned Trace and an mmap'd TraceView both hand it out.
+// every malloc and free for replay. Builders open each event at its malloc and close it at its
+// free, the protocol TraceV2StreamWriter shares, so one generator can feed either. They then
+// seal the trace once with Validate() (or Valid() for external input), which checks it and
+// builds the op columns. A sealed trace gains no more events. TraceCursor is the one read-only
+// view over these columns; an owned Trace and an mmap'd TraceView both hand it out.
 
 #ifndef SRC_TRACE_TRACE_H_
 #define SRC_TRACE_TRACE_H_
@@ -125,22 +126,29 @@ class Trace {
   // A sealed copy of `source`'s columns. The op order is copied, not rebuilt.
   explicit Trace(const TraceCursor& source);
 
-  // --- construction (used by the profiler / workload simulator) ---
+  // --- construction (used by the trace builders and readers) ---
   PhaseId AddPhase(PhaseInfo info);
   LayerId AddLayer(LayerInfo info);
-  // Appends an event; assigns and returns its id (event.id is ignored). Events must satisfy
-  // ts < te, and the trace must not be sealed yet.
+  // Opens an event at its malloc tick `ts` and returns its id: dense, in open order. The trace
+  // must not be sealed yet.
+  uint64_t OpenEvent(uint64_t size, LogicalTime ts, PhaseId ps, LayerId ls, bool dyn,
+                     StreamId stream);
+  // Closes event `id` at its free tick `te`. Aborts unless the event is open and te > ts.
+  void CloseEvent(uint64_t id, LogicalTime te, PhaseId pe, LayerId le);
+  // Opens and closes an event at once (event.id is ignored); returns its id. For builders that
+  // know the free tick when they add the event and number events in another order than their
+  // mallocs (trainsim numbers them in free order).
   uint64_t AddEvent(const MemoryEvent& event);
   void set_name(std::string name) { name_ = std::move(name); }
   // Builders patch phase/layer windows as emission proceeds.
   PhaseInfo& MutablePhase(PhaseId id);
   LayerInfo& MutableLayer(LayerId id);
 
-  // Seals the trace: checks its consistency (positive sizes, valid phase and layer references),
-  // then orders every op into the op columns. Validate() aborts on a violation. Valid() is the
-  // variant for data read from disk: it returns false and fills `error` (may be null) with the
-  // first violation, leaving the trace unsealed. Both re-check a sealed trace without
-  // rebuilding its op columns.
+  // Seals the trace: checks its consistency (every event closed, positive sizes, valid phase
+  // and layer references), then orders every op into the op columns. Validate() aborts on a
+  // violation. Valid() is the variant for data read from disk: it returns false and fills
+  // `error` (may be null) with the first violation, leaving the trace unsealed. Both re-check a
+  // sealed trace without rebuilding its op columns.
   void Validate();
   bool Valid(std::string* error);
   bool sealed() const { return sealed_; }
@@ -197,7 +205,7 @@ class Trace {
   std::vector<LayerInfo> layers_;
   LogicalTime end_time_ = 0;
   bool sealed_ = false;
-  std::vector<uint64_t> ts_, te_, size_;
+  std::vector<uint64_t> ts_, te_, size_;  // te_ is 0 while the event is open
   std::vector<int32_t> ps_, pe_, ls_, le_;
   std::vector<uint8_t> flags_, stream_;
   std::vector<uint64_t> op_time_, op_ref_;

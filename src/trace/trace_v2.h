@@ -71,7 +71,8 @@ struct TraceV2Layout {
 // opened in strictly op-sorted order and closed the same way; the writer enforces the op
 // comparator incrementally. Memory stays O(chunk) for the streamed open-order columns plus
 // 16 bytes/event for the close-order columns (te/pe/le), which arrive in close order but are
-// stored in event-id order.
+// stored in event-id order. Its AddPhase/AddLayer/MutablePhase/MutableLayer/OpenEvent/
+// CloseEvent calls are Trace's, so the synthetic generators feed either one.
 //
 // API misuse (out-of-order ops, unclosed events, id reuse) is a programmer error and aborts via
 // STALLOC_CHECK; I/O failures (disk full, unwritable path) surface through ok()/Finish().
@@ -88,7 +89,7 @@ class TraceV2StreamWriter {
 
   PhaseId AddPhase(PhaseInfo info);
   LayerId AddLayer(LayerInfo info);
-  // Builders patch phase/layer windows as emission proceeds (same contract as Trace).
+  // Builders patch phase/layer windows as emission proceeds.
   PhaseInfo& MutablePhase(PhaseId id);
   LayerInfo& MutableLayer(LayerId id);
 

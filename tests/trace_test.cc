@@ -107,6 +107,61 @@ TEST(TraceDeathTest, AddEventRejectsEmptyLifespan) {
   EXPECT_DEATH(t.AddEvent(e), "positive lifespan");
 }
 
+TEST(TraceDeathTest, CloseEventOnAClosedOrUnknownEventDies) {
+  Trace t;
+  const uint64_t id = t.OpenEvent(512, 1, kInvalidPhase, kInvalidLayer, false, kComputeStream);
+  t.CloseEvent(id, 2, kInvalidPhase, kInvalidLayer);
+  EXPECT_DEATH(t.CloseEvent(id, 3, kInvalidPhase, kInvalidLayer), "event 0, which is not open");
+  EXPECT_DEATH(t.CloseEvent(1, 3, kInvalidPhase, kInvalidLayer), "event 1, which is not open");
+}
+
+TEST(TraceDeathTest, CloseEventRejectsEmptyOrNegativeLifespan) {
+  Trace t;
+  const uint64_t id = t.OpenEvent(512, 5, kInvalidPhase, kInvalidLayer, false, kComputeStream);
+  EXPECT_DEATH(t.CloseEvent(id, 5, kInvalidPhase, kInvalidLayer), "positive lifespan");
+  EXPECT_DEATH(t.CloseEvent(id, 4, kInvalidPhase, kInvalidLayer), "positive lifespan");
+}
+
+TEST(TraceDeathTest, OpenEventAfterSealDies) {
+  Trace t = MakeSimpleTrace();
+  EXPECT_DEATH(t.OpenEvent(512, 1, kInvalidPhase, kInvalidLayer, false, kComputeStream),
+               "sealed trace");
+}
+
+TEST(Trace, OpenedAndClosedEventsMatchAddEvent) {
+  Trace opened;
+  const uint64_t a = opened.OpenEvent(4096, 0, kInvalidPhase, kInvalidLayer, false, kP2pStream);
+  const uint64_t b = opened.OpenEvent(512, 1, kInvalidPhase, kInvalidLayer, false, kComputeStream);
+  opened.CloseEvent(b, 2, kInvalidPhase, kInvalidLayer);
+  opened.CloseEvent(a, 3, kInvalidPhase, kInvalidLayer);
+  opened.Validate();
+  EXPECT_EQ(a, 0u);
+  EXPECT_EQ(b, 1u);
+  EXPECT_EQ(opened.end_time(), 3u);
+  const MemoryEvent first = opened.Event(0);
+  EXPECT_EQ(first.size, 4096u);
+  EXPECT_EQ(first.ts, 0u);
+  EXPECT_EQ(first.te, 3u);
+  EXPECT_EQ(first.stream, kP2pStream);
+  EXPECT_EQ(opened.Event(1).te, 2u);
+}
+
+TEST(Trace, ValidRejectsAnOpenEventAndLeavesTraceUnsealed) {
+  Trace t;
+  t.OpenEvent(512, 1, kInvalidPhase, kInvalidLayer, false, kComputeStream);
+  const uint64_t left_open =
+      t.OpenEvent(256, 2, kInvalidPhase, kInvalidLayer, false, kComputeStream);
+  t.CloseEvent(0, 3, kInvalidPhase, kInvalidLayer);
+  std::string error;
+  EXPECT_FALSE(t.Valid(&error));
+  EXPECT_EQ(error, "event " + std::to_string(left_open) + " was opened but never closed");
+  EXPECT_FALSE(t.sealed());
+  // Closing it makes the same trace valid.
+  t.CloseEvent(left_open, 4, kInvalidPhase, kInvalidLayer);
+  EXPECT_TRUE(t.Valid(&error)) << error;
+  EXPECT_TRUE(t.sealed());
+}
+
 TEST(TraceDeathTest, AddEventAfterSealDies) {
   Trace t = MakeSimpleTrace();
   MemoryEvent e;
