@@ -124,14 +124,18 @@ void BlockArena::Coalesce(uint32_t slot) {
   // List neighbours are contiguous: blocks tile their segment.
   const uint32_t next = blocks_[slot].next;
   if (next != kNoBlock && blocks_[next].free) {
-    STALLOC_DCHECK_EQ(blocks_[slot].addr + blocks_[slot].size, blocks_[next].addr);
+    if (verify_) {
+      STALLOC_CHECK_EQ(blocks_[slot].addr + blocks_[slot].size, blocks_[next].addr);
+    }
     free_list.Erase(blocks_[next].size, blocks_[next].addr);
     blocks_[slot].size += blocks_[next].size;
     DropBlock(next);
   }
   const uint32_t prev = blocks_[slot].prev;
   if (prev != kNoBlock && blocks_[prev].free) {
-    STALLOC_DCHECK_EQ(blocks_[prev].addr + blocks_[prev].size, blocks_[slot].addr);
+    if (verify_) {
+      STALLOC_CHECK_EQ(blocks_[prev].addr + blocks_[prev].size, blocks_[slot].addr);
+    }
     free_list.Erase(blocks_[prev].size, blocks_[prev].addr);
     blocks_[prev].size += blocks_[slot].size;
     DropBlock(slot);

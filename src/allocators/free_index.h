@@ -44,6 +44,7 @@
 
 #include "src/common/addr_map.h"
 #include "src/common/check.h"
+#include "src/common/verify.h"
 
 namespace stalloc {
 
@@ -276,6 +277,9 @@ class BlockArena {
   AddrMap<uint32_t> by_addr_;  // block address -> slot
   std::vector<Segment> segments_;
   std::vector<BestFitIndex> pools_;  // indexed by PoolId
+  // Verify mode (src/common/verify.h), read at construction: Coalesce checks that the list
+  // neighbours it merges are contiguous.
+  bool verify_ = verify::Enabled();
 };
 
 }  // namespace stalloc

@@ -58,21 +58,23 @@ class AddrMap {
 
   // Removes `key`; returns false if it was absent.
   bool Erase(uint64_t key) {
-    size_t hole = Locate(key);
+    const size_t hole = Locate(key);
     if (hole == kNotFound) {
       return false;
     }
-    // Backward shift: walk the rest of the probe run and pull each entry back into the hole
-    // unless that would move it before its home slot. Distances are taken modulo the slot
-    // count, so runs that wrap past the end of the array shift like any other.
-    for (size_t j = (hole + 1) & mask_; slots_[j].key != kEmptyKey; j = (j + 1) & mask_) {
-      if (((j - Home(slots_[j].key)) & mask_) >= ((j - hole) & mask_)) {
-        slots_[hole] = slots_[j];
-        hole = j;
-      }
+    EraseSlot(hole);
+    return true;
+  }
+
+  // Removes `key` and stores its value in *value; returns false, with *value unchanged, if it
+  // was absent.
+  bool Erase(uint64_t key, V* value) {
+    const size_t hole = Locate(key);
+    if (hole == kNotFound) {
+      return false;
     }
-    slots_[hole].key = kEmptyKey;
-    --size_;
+    *value = slots_[hole].value;
+    EraseSlot(hole);
     return true;
   }
 
@@ -111,6 +113,21 @@ class AddrMap {
         return kNotFound;
       }
     }
+  }
+
+  // Backward shift: walk the rest of the probe run after the emptied slot `hole` and pull each
+  // entry back into the hole unless that would move it before its home slot. Distances are
+  // taken modulo the slot count, so runs that wrap past the end of the array shift like any
+  // other.
+  void EraseSlot(size_t hole) {
+    for (size_t j = (hole + 1) & mask_; slots_[j].key != kEmptyKey; j = (j + 1) & mask_) {
+      if (((j - Home(slots_[j].key)) & mask_) >= ((j - hole) & mask_)) {
+        slots_[hole] = slots_[j];
+        hole = j;
+      }
+    }
+    slots_[hole].key = kEmptyKey;
+    --size_;
   }
 
   void Grow() {

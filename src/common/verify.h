@@ -5,7 +5,8 @@
 //   * AllocatorBase's ordered overlap walk over every live block (memory stomping);
 //   * StaticPlan::Validate on every synthesized or compacted plan;
 //   * FirstFitIndex's chunk invariants: the touched range against its neighbours and its
-//     chunk's summaries after every op, and a walk of every chunk on a split or removal.
+//     chunk's summaries after every op, and a walk of every chunk on a split or removal;
+//   * BlockArena's contiguity of the list neighbours each Coalesce merges.
 // The flag defaults to the STALLOC_VERIFY CMake option (OFF) and is flipped at run time by
 // SetEnabled (`stalloc_run --verify`; every ctest binary links an object that turns it on).
 // Consumers read it once when they are built or start a unit of work — an allocator or an

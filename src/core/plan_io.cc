@@ -106,6 +106,9 @@ bool ReadPlanCsv(std::istream& is, LoadedPlan* out, PlanIoError* err) {
             !Parse(fields[2], &le)) {
           return fail("malformed region row: " + line);
         }
+        if (ls < 0 || le < 0) {
+          return fail("negative layer id in region row: " + line);
+        }
         // Intervals ascend and stay inside the pool (its row comes first); touching ones merge.
         std::vector<Interval> region;
         for (size_t i = 3; i + 1 < fields.size(); i += 2) {
@@ -130,11 +133,17 @@ bool ReadPlanCsv(std::istream& is, LoadedPlan* out, PlanIoError* err) {
         if (fields.size() < 2 || !Parse(fields[1], &ls)) {
           return fail("malformed expected_le row: " + line);
         }
+        if (ls < 0) {
+          return fail("negative layer id in expected_le row: " + line);
+        }
         auto& les = out->space.expected_le[ls];
         for (size_t i = 2; i < fields.size(); ++i) {
           LayerId le = 0;
           if (!Parse(fields[i], &le)) {
             return fail("malformed expected_le row: " + line);
+          }
+          if (le < 0) {
+            return fail("negative layer id in expected_le row: " + line);
           }
           les.push_back(le);
         }

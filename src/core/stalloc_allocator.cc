@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <iterator>
 #include <limits>
 #include <optional>
 #include <utility>
@@ -11,6 +10,13 @@
 #include "src/common/units.h"
 
 namespace stalloc {
+
+namespace {
+
+// A layer id as a layer-table key: its 32 bits, so no id collides with AddrMap's empty key.
+uint64_t LayerKey(LayerId layer) { return static_cast<uint32_t>(layer); }
+
+}  // namespace
 
 STAllocConfig STAllocConfigFor(std::string_view allocator) {
   STAllocConfig config;
@@ -26,6 +32,18 @@ STAllocAllocator::STAllocAllocator(SimDevice* device, StaticPlan plan,
       config_(config),
       fallback_(device) {
   used_.assign(plan_.decisions.size(), false);
+  // One slot and one flat row per expected_le row: memory is bounded by the plan's rows, not by
+  // its largest layer id.
+  row_start_.push_back(0);
+  for (const auto& [ls, les] : dyn_space_.expected_le) {
+    layer_slot_.Insert(LayerKey(ls), static_cast<uint32_t>(row_start_.size() - 1));
+    for (LayerId le : les) {
+      const auto it = dyn_space_.regions.find({ls, le});
+      group_regions_.push_back(it == dyn_space_.regions.end() ? nullptr : &it->second);
+    }
+    row_start_.push_back(group_regions_.size());
+  }
+  layer_counters_.assign(row_start_.size() - 1, 0);
 }
 
 STAllocAllocator::~STAllocAllocator() {
@@ -44,6 +62,7 @@ bool STAllocAllocator::Init() {
     return false;
   }
   pool_base_ = *base;
+  pool_free_.Insert(0, plan_.pool_size);
   NotePressure();
   return true;
 }
@@ -56,7 +75,7 @@ uint64_t STAllocAllocator::ReservedBytes() const {
 void STAllocAllocator::EndIteration() {
   cursor_ = 0;
   std::fill(used_.begin(), used_.end(), false);
-  layer_counters_.clear();
+  std::fill(layer_counters_.begin(), layer_counters_.end(), 0);
 }
 
 std::optional<uint64_t> STAllocAllocator::DoMalloc(uint64_t size, const RequestContext& ctx) {
@@ -102,19 +121,13 @@ std::optional<uint64_t> STAllocAllocator::StaticMalloc(uint64_t size) {
     }
     const PlanDecision& d = plan_.decisions[i];
     // The plan guarantees no conflict with other *planned* requests, but an earlier mismatch may
-    // have left the range occupied (its twin went to the fallback). Guard anyway: a non-empty
-    // range must lie in the pool, the live block below must end at or before it and the one
-    // above must start at or after its end.
-    const uint64_t end = d.addr + d.padded_size;
-    const auto next = pool_live_.lower_bound(d.addr);
-    const bool below_clear =
-        next == pool_live_.begin() || std::prev(next)->first + std::prev(next)->second <= d.addr;
-    const bool above_clear = next == pool_live_.end() || next->first >= end;
-    if (end != d.addr && !(end <= plan_.pool_size && below_clear && above_clear)) {
+    // have left the range occupied (its twin went to the fallback). Guard anyway: the range is
+    // carved only if one free range of the pool covers it.
+    if (!pool_free_.TakeRange(d.addr, d.addr + d.padded_size)) {
       continue;
     }
     used_[i] = true;
-    pool_live_.emplace_hint(next, d.addr, d.padded_size);
+    pool_live_.Insert(d.addr, d.padded_size);
     ++breakdown_.static_hits;
     breakdown_.static_bytes += size;
     return pool_base_ + d.addr;
@@ -128,53 +141,43 @@ std::optional<uint64_t> STAllocAllocator::DynamicMalloc(uint64_t size, const Req
   }
   // Identify the HomoLayer group (ls, le): ls is the current layer; le comes from the profile's
   // arrival-order table for that layer.
-  auto table_it = dyn_space_.expected_le.find(ctx.layer);
-  if (table_it == dyn_space_.expected_le.end()) {
+  const uint32_t* slot = layer_slot_.Find(LayerKey(ctx.layer));
+  if (slot == nullptr) {
     return std::nullopt;
   }
-  const size_t k = layer_counters_[ctx.layer]++;
-  if (k >= table_it->second.size()) {
+  const uint64_t k = layer_counters_[*slot]++;
+  if (k >= row_start_[*slot + 1] - row_start_[*slot]) {
     return std::nullopt;  // more dynamic requests than profiled for this layer
   }
-  const LayerId le = table_it->second[k];
-  auto region_it = dyn_space_.regions.find({ctx.layer, le});
-  if (region_it == dyn_space_.regions.end()) {
+  const std::vector<Interval>* region = group_regions_[row_start_[*slot] + k];
+  if (region == nullptr) {
     return std::nullopt;
   }
 
-  // Best fit over A_c = A_a intersect A_i (Eq. 7): within each region interval, the gaps between
-  // live pool blocks are the candidates. Smallest gap that fits wins, the lowest on ties; an
-  // exact fit ends the search.
+  // Best fit over A_c = A_a intersect A_i (Eq. 7): the free pool ranges clipped to each region
+  // interval are the candidates. Smallest one that fits wins, the lowest on ties; an exact fit
+  // ends the search.
   const uint64_t padded = PlanPaddedSize(size);
   std::optional<uint64_t> best;
   uint64_t best_len = std::numeric_limits<uint64_t>::max();
-  auto consider = [&](uint64_t lo, uint64_t hi) {  // a no-op once an exact fit is found
-    if (hi > lo && hi - lo >= padded && hi - lo < best_len) {
+  auto consider = [&](uint64_t lo, uint64_t hi) {
+    if (hi - lo < best_len) {
       best = lo;
       best_len = hi - lo;
     }
   };
-  for (const Interval& iv : region_it->second) {
-    if (best_len == padded) {
+  for (const Interval& iv : *region) {
+    if (pool_free_.ForEachFitIn(iv.lo, iv.hi, padded, consider)) {
       break;
     }
-    const uint64_t region_hi = std::min(iv.hi, plan_.pool_size);
-    auto it = pool_live_.lower_bound(iv.lo);
-    uint64_t cursor = iv.lo;
-    if (it != pool_live_.begin()) {
-      cursor = std::max(cursor, std::prev(it)->first + std::prev(it)->second);
-    }
-    for (; it != pool_live_.end() && it->first < region_hi && best_len != padded; ++it) {
-      consider(cursor, it->first);
-      cursor = it->first + it->second;
-    }
-    consider(cursor, region_hi);
   }
   if (!best.has_value()) {
     return std::nullopt;
   }
   const uint64_t addr = *best;
-  pool_live_.emplace(addr, padded);
+  const bool carved = pool_free_.TakeRange(addr, addr + padded);
+  STALLOC_CHECK(carved, << "stalloc: best fit " << addr << " is not free");
+  pool_live_.Insert(addr, padded);
   ++breakdown_.dynamic_reuse_hits;
   breakdown_.dynamic_reuse_bytes += size;
   return pool_base_ + addr;
@@ -184,9 +187,10 @@ void STAllocAllocator::DoFree(uint64_t addr, uint64_t size) {
   (void)size;
   if (InPool(addr)) {
     const uint64_t rel = addr - pool_base_;
-    auto it = pool_live_.find(rel);
-    STALLOC_CHECK(it != pool_live_.end(), << "stalloc: free of unknown pool offset " << rel);
-    pool_live_.erase(it);
+    uint64_t padded = 0;
+    const bool known = pool_live_.Erase(rel, &padded);
+    STALLOC_CHECK(known, << "stalloc: free of unknown pool offset " << rel);
+    pool_free_.Insert(rel, rel + padded);
     return;
   }
   fallback_.Free(addr);

@@ -11,20 +11,30 @@
 //     intervals A_a inside the group's pre-vetted Dynamic Reusable Space A_i (Eq. 7); on lack of
 //     space it falls back ("lack of space" path);
 //   * anything unexpected -> the caching fallback (a CachingPool), guaranteeing robustness.
+//
+// The pool's free space A_a is held as it is: a FirstFitIndex over [0, pool_size) that every
+// pool malloc carves from and every pool free returns to, next to a hash map from pool offset
+// to padded size. A static hit carves its planned range only if one free range covers it (an
+// earlier mismatch may have left it occupied); a dynamic request walks the free ranges clipped
+// to each interval of A_i. The group (ls, le) of a dynamic request is resolved with one hash
+// lookup: at construction every alloc layer's expected_le row becomes a flat row of region
+// pointers, indexed by the layer's arrival counter.
 
 #ifndef SRC_CORE_STALLOC_ALLOCATOR_H_
 #define SRC_CORE_STALLOC_ALLOCATOR_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string_view>
 #include <vector>
 
 #include "src/allocators/caching_allocator.h"
+#include "src/common/addr_map.h"
 #include "src/core/dynamic_space.h"
 #include "src/core/plan.h"
 #include "src/gpu/sim_device.h"
+#include "src/interval/first_fit_index.h"
 
 namespace stalloc {
 
@@ -94,11 +104,19 @@ class STAllocAllocator final : public AllocatorBase {
   // Matcher state: plan decisions are consumed roughly in order; used_ marks out-of-order hits.
   size_t cursor_ = 0;
   std::vector<bool> used_;
-  // Live blocks inside the pool: pool-relative addr -> padded size. Their complement in
-  // [0, pool_size) is the pool's free space (A_a of §6.2).
-  std::map<uint64_t, uint64_t> pool_live_;
-  // Dynamic matcher: arrival counter per alloc-layer (resets each iteration).
-  std::map<LayerId, size_t> layer_counters_;
+  // The pool's free space (A_a of §6.2), pool-relative, and its live blocks: pool-relative addr
+  // -> padded size. Together they tile [0, pool_size).
+  FirstFitIndex pool_free_;
+  AddrMap<uint64_t> pool_live_;
+  // Dynamic matcher, resolved from dyn_space_ at construction. Alloc layer ls (keyed by its 32
+  // bits) owns slot s = layer_slot_[ls]; its k-th dynamic request of an iteration belongs to the
+  // group whose region is group_regions_[row_start_[s] + k] (nullptr when the plan has no region
+  // row for it), for k < row_start_[s + 1] - row_start_[s]. layer_counters_[s] counts the
+  // layer's dynamic requests this iteration.
+  AddrMap<uint32_t> layer_slot_;
+  std::vector<size_t> row_start_;
+  std::vector<const std::vector<Interval>*> group_regions_;
+  std::vector<uint64_t> layer_counters_;
 
   STAllocBreakdown breakdown_;
 };

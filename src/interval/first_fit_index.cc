@@ -180,6 +180,75 @@ std::optional<uint64_t> FirstFitIndex::TakeFirstFit(uint64_t size) {
   return addr;
 }
 
+bool FirstFitIndex::TakeRange(uint64_t lo, uint64_t hi) {
+  if (lo >= hi || chunks_.empty() || lo < chunk_lo_[0]) {
+    return false;
+  }
+  // Range i of chunk c is the last one starting at or below lo: the only one that can cover it.
+  size_t c = ChunkAtOrBelow(lo);
+  size_t i = static_cast<size_t>(
+                 std::upper_bound(chunks_[c].begin(), chunks_[c].end(), lo,
+                                  [](uint64_t key, const Range& r) { return key < r.lo; }) -
+                 chunks_[c].begin()) -
+             1;
+  Range& r = chunks_[c][i];
+  if (r.hi < hi) {
+    return false;
+  }
+  const uint64_t length = r.length();
+  total_ -= hi - lo;
+  if (r.lo < lo && hi < r.hi) {  // a middle carve: [r.lo, lo) stays, [hi, r.hi) follows it
+    const bool split = chunks_[c].size() == kChunkRanges;
+    if (split) {
+      SplitChunk(c);  // invalidates `r`
+      if (i >= kChunkRanges / 2) {
+        i -= kChunkRanges / 2;
+        ++c;
+      }
+    }
+    Chunk& chunk = chunks_[c];
+    const uint64_t upper_hi = chunk[i].hi;
+    chunk[i].hi = lo;
+    chunk.insert(chunk.begin() + static_cast<ptrdiff_t>(i + 1), Range{hi, upper_hi});
+    AfterShrink(c, length);
+    if (verify_) {
+      if (split) {
+        VerifyAll();
+      } else {
+        VerifyAround(c, i);
+        VerifyAround(c, i + 1);
+      }
+    }
+    return true;
+  }
+  if (r.lo < lo || hi < r.hi) {  // one end goes; the rest stays free, in place
+    if (r.lo == lo) {
+      r.lo = hi;
+    } else {
+      r.hi = lo;
+    }
+    AfterShrink(c, length);
+    if (verify_) {
+      VerifyAround(c, i);
+    }
+    return true;
+  }
+  Chunk& chunk = chunks_[c];  // the whole range goes
+  chunk.erase(chunk.begin() + static_cast<ptrdiff_t>(i));
+  if (chunk.empty()) {
+    RemoveChunk(c);
+    if (verify_) {
+      VerifyAll();
+    }
+    return true;
+  }
+  AfterShrink(c, length);
+  if (verify_) {
+    VerifyAround(c, std::min(i, chunk.size() - 1));
+  }
+  return true;
+}
+
 uint64_t FirstFitIndex::largest() const {
   return chunk_max_.empty() ? 0 : *std::max_element(chunk_max_.begin(), chunk_max_.end());
 }

@@ -1,6 +1,6 @@
-// FirstFitIndex: the free ranges of a first-fit arena (SimDevice's classic cudaMalloc arena, the
-// profiler's one-pass placement and the planner's greedy first-fit plan), indexed so the
-// lowest-addressed range that fits is found without walking every free range.
+// FirstFitIndex: the free ranges of an arena (SimDevice's classic cudaMalloc arena, the
+// profiler's one-pass placement, the planner's greedy first-fit plan and STAlloc's static pool),
+// indexed so the lowest-addressed range that fits is found without walking every free range.
 //
 // The free ranges, disjoint and non-adjacent, sit in one address-ordered sequence cut into
 // chunks of at most kChunkRanges ranges. Two flat summary arrays hold each chunk's lowest start
@@ -16,6 +16,12 @@
 //     both shift the summaries after it (O(m)), once per ~kChunkRanges / 2 new ranges;
 //   * a chunk's longest range is re-read only when the range that was its longest shrinks or
 //     leaves it (O(kChunkRanges));
+//   * TakeRange(lo, hi) carves an exact range: the same two binary searches as Insert, then a
+//     shrink of the one free range that covers it, or its split in two (O(log n + kChunkRanges),
+//     and O(m) when the split fills a chunk that must itself split);
+//   * ForEachFitIn(lo, hi, size, f) walks the free ranges clipped to [lo, hi) in address order,
+//     from the two binary searches on, skipping every chunk whose longest range is shorter than
+//     size, and stops after a clipped range exactly size long;
 //   * total() is a running sum, O(1); largest() is the maximum of the chunk summary, O(m).
 // In verify mode (src/common/verify.h, read at construction) every op checks that the range it
 // touched is disjoint from, and not adjacent to, its neighbours and that the summaries of every
@@ -25,6 +31,7 @@
 #ifndef SRC_INTERVAL_FIRST_FIT_INDEX_H_
 #define SRC_INTERVAL_FIRST_FIT_INDEX_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -47,6 +54,16 @@ class FirstFitIndex {
   // long and returns their address; nullopt, with nothing changed, when no range fits.
   std::optional<uint64_t> TakeFirstFit(uint64_t size);
 
+  // Carves exactly [lo, hi) out of the free space. Returns false, with nothing changed, unless
+  // lo < hi and one free range covers [lo, hi).
+  bool TakeRange(uint64_t lo, uint64_t hi);
+
+  // Calls f(a, b) for each free range clipped to [lo, hi), as [a, b), that is at least `size`
+  // (> 0) bytes long, in address order. Stops after the first one exactly `size` long and then
+  // returns true; returns false when the walk ran to hi.
+  template <typename F>
+  bool ForEachFitIn(uint64_t lo, uint64_t hi, uint64_t size, F&& f) const;
+
   // Total free bytes.
   uint64_t total() const { return total_; }
   // Length of the largest free range (0 when none).
@@ -63,6 +80,12 @@ class FirstFitIndex {
   };
   using Chunk = std::vector<Range>;
 
+  // The chunk holding the last range that starts at or below `addr` (chunk 0 when `addr`
+  // precedes every range); the index must not be empty.
+  size_t ChunkAtOrBelow(uint64_t addr) const {
+    const auto after = std::upper_bound(chunk_lo_.begin(), chunk_lo_.end(), addr);
+    return after == chunk_lo_.begin() ? 0 : static_cast<size_t>(after - chunk_lo_.begin()) - 1;
+  }
   // Re-reads chunk c's lowest start and longest range from its ranges.
   void Resummarize(size_t c);
   // Chunk c's range that was `old_length` long shrank or left it: re-read the chunk's start,
@@ -85,6 +108,36 @@ class FirstFitIndex {
   uint64_t total_ = 0;
   bool verify_ = verify::Enabled();
 };
+
+template <typename F>
+bool FirstFitIndex::ForEachFitIn(uint64_t lo, uint64_t hi, uint64_t size, F&& f) const {
+  if (lo >= hi || chunks_.empty()) {
+    return false;
+  }
+  // Start at the first range ending above lo: in lo's chunk, or the first range of a later one.
+  size_t c = ChunkAtOrBelow(lo);
+  size_t i = static_cast<size_t>(
+      std::upper_bound(chunks_[c].begin(), chunks_[c].end(), lo,
+                       [](uint64_t key, const Range& r) { return key < r.hi; }) -
+      chunks_[c].begin());
+  for (; c < chunks_.size() && chunk_lo_[c] < hi; ++c, i = 0) {
+    if (chunk_max_[c] < size) {
+      continue;  // every clipped range in it is shorter still
+    }
+    const Chunk& chunk = chunks_[c];
+    for (; i < chunk.size() && chunk[i].lo < hi; ++i) {
+      const uint64_t a = std::max(chunk[i].lo, lo);
+      const uint64_t b = std::min(chunk[i].hi, hi);
+      if (b - a >= size) {
+        f(a, b);
+        if (b - a == size) {
+          return true;
+        }
+      }
+    }
+  }
+  return false;
+}
 
 }  // namespace stalloc
 

@@ -56,7 +56,13 @@ void RunDifferential(uint64_t seed, int ops, KeyFn next_key) {
       keys.push_back(key);
     } else if (roll < 90) {
       const uint64_t key = keys[rng.NextBelow(keys.size())];
-      ASSERT_EQ(map.Erase(key), ref.erase(key) == 1) << "op " << op << " key " << key;
+      auto it = ref.find(key);
+      uint64_t removed = 0;
+      ASSERT_EQ(map.Erase(key, &removed), it != ref.end()) << "op " << op << " key " << key;
+      if (it != ref.end()) {
+        ASSERT_EQ(removed, it->second) << "op " << op << " key " << key;
+        ref.erase(it);
+      }
     } else {
       const uint64_t key = rng.NextBelow(2) == 0 ? keys[rng.NextBelow(keys.size())] : next_key(rng);
       const uint64_t* got = map.Find(key);

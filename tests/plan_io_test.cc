@@ -152,6 +152,26 @@ TEST(PlanIo, BadRegionRowsAreErrors) {
   EXPECT_NE(err.message.find("duplicate region"), std::string::npos) << err.message;
 }
 
+// Group rows name real layers: a negative ls or le in a region or expected_le row is an error
+// with its line. (Decision rows keep -1 for events outside any layer.)
+TEST(PlanIo, NegativeLayerIdsInGroupRowsAreErrors) {
+  struct Case {
+    const char* find;
+    const char* replace;
+    uint64_t line;
+  };
+  for (const Case& c : {Case{"# region,0,1,", "# region,-1,1,", 3},
+                        Case{"# region,0,1,", "# region,0,-2147483648,", 3},
+                        Case{"# expected_le,0,1,1", "# expected_le,-3,1,1", 4},
+                        Case{"# expected_le,0,1,1", "# expected_le,0,1,-1", 4}}) {
+    std::string csv = SmallPlanCsv();
+    csv.replace(csv.find(c.find), std::string(c.find).size(), c.replace);
+    const PlanIoError err = ExpectRejected(csv);
+    EXPECT_EQ(err.line, c.line) << c.replace;
+    EXPECT_NE(err.message.find("negative layer id"), std::string::npos) << err.message;
+  }
+}
+
 TEST(PlanIo, AdjacentRegionIntervalsMerge) {
   std::string csv = SmallPlanCsv();
   const std::string good_row = "# region,0,1,0,512,768,1024";

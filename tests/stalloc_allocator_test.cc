@@ -2,16 +2,23 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <limits>
+#include <map>
+#include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/common/rng.h"
 #include "src/common/units.h"
 #include "src/core/planner.h"
 #include "src/core/profiler.h"
 #include "src/driver/replay.h"
 #include "src/replay/replay_engine.h"
+#include "src/telemetry/heap_map.h"
 #include "src/trainsim/model_config.h"
 #include "src/trainsim/train_config.h"
 #include "src/trainsim/workload.h"
@@ -190,6 +197,280 @@ TEST(STAllocAllocator, NoReuseAblationAlwaysFallsBack) {
   EXPECT_EQ(alloc.breakdown().dynamic_reuse_hits, 0u);
   EXPECT_EQ(alloc.breakdown().dynamic_fallbacks, 1u);
   EXPECT_TRUE(alloc.Free(*x));
+}
+
+// Layer ids as large as int32 allows, and negative ones, in a hand-built space: the layer table
+// holds one row per expected_le row, so such ids cost nothing, and a layer without a row falls
+// back.
+TEST(STAllocAllocator, HostileLayerIdsCostOneRowEach) {
+  constexpr LayerId kHigh = std::numeric_limits<LayerId>::max() - 1;
+  constexpr LayerId kLow = std::numeric_limits<LayerId>::min();
+  DynamicReusableSpace space;
+  space.regions.emplace(std::make_pair(kHigh, kHigh), std::vector<Interval>{{1 * MiB, 3 * MiB}});
+  space.regions.emplace(std::make_pair(kLow, 0), std::vector<Interval>{{0, 1 * MiB}});
+  space.expected_le[kHigh] = {kHigh};
+  space.expected_le[kLow] = {0};
+
+  SimDevice dev(kCapacity);
+  STAllocAllocator alloc(&dev, TinyPlan(), space);
+  ASSERT_TRUE(alloc.Init());
+  RequestContext ctx;
+  ctx.dyn = true;
+  ctx.layer = kHigh;
+  const auto high = alloc.Malloc(512 * KiB, ctx);
+  ctx.layer = kLow;
+  const auto low = alloc.Malloc(512 * KiB, ctx);
+  ASSERT_TRUE(high.has_value() && low.has_value());
+  EXPECT_EQ(*high - *low, 1 * MiB);  // the lowest fit of each group's region
+  EXPECT_EQ(alloc.breakdown().dynamic_reuse_hits, 2u);
+  for (const LayerId layer : {LayerId{5}, kHigh - 1, kInvalidLayer, kHigh}) {
+    ctx.layer = layer;  // no row; an invalid layer; a row already used up this iteration
+    const auto x = alloc.Malloc(512 * KiB, ctx);
+    ASSERT_TRUE(x.has_value()) << layer;
+    EXPECT_TRUE(alloc.Free(*x));
+  }
+  EXPECT_EQ(alloc.breakdown().dynamic_reuse_hits, 2u);
+  EXPECT_EQ(alloc.breakdown().dynamic_fallbacks, 4u);
+  EXPECT_TRUE(alloc.Free(*high));
+  EXPECT_TRUE(alloc.Free(*low));
+  alloc.EndIteration();  // the row is served again
+  ctx.layer = kHigh;
+  const auto again = alloc.Malloc(512 * KiB, ctx);
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(*again, *high);
+  EXPECT_TRUE(alloc.Free(*again));
+}
+
+// STAlloc's pool logic on an ordered map of live pool blocks, as the runtime kept it before it
+// held the pool's free ranges: the static matcher with its conflict guard (the live block below
+// must end at or before the planned range, the one above start at or after its end) and the
+// Eq. 7 best fit as a walk of the gaps between live blocks. Offsets are pool-relative; nullopt
+// sends the request to the fallback.
+class LiveMapOracle {
+ public:
+  LiveMapOracle(const StaticPlan& plan, const DynamicReusableSpace& space)
+      : plan_(plan), space_(space), used_(plan.decisions.size(), false) {}
+
+  std::optional<uint64_t> Static(uint64_t size) {
+    while (cursor_ < used_.size() && used_[cursor_]) {
+      ++cursor_;
+    }
+    size_t scanned = 0;
+    for (size_t i = cursor_; i < plan_.decisions.size() && scanned < 64; ++i) {
+      if (used_[i]) {
+        continue;
+      }
+      ++scanned;
+      const PlanDecision& d = plan_.decisions[i];
+      if (d.event.size != size) {
+        continue;
+      }
+      const uint64_t end = d.addr + d.padded_size;
+      const auto next = live_.lower_bound(d.addr);
+      const bool below_clear =
+          next == live_.begin() || std::prev(next)->first + std::prev(next)->second <= d.addr;
+      const bool above_clear = next == live_.end() || next->first >= end;
+      if (!(end <= plan_.pool_size && below_clear && above_clear)) {
+        continue;
+      }
+      used_[i] = true;
+      live_.emplace_hint(next, d.addr, d.padded_size);
+      return d.addr;
+    }
+    return std::nullopt;
+  }
+
+  std::optional<uint64_t> Dynamic(uint64_t size, LayerId layer) {
+    if (layer == kInvalidLayer) {
+      return std::nullopt;
+    }
+    const auto table = space_.expected_le.find(layer);
+    if (table == space_.expected_le.end()) {
+      return std::nullopt;
+    }
+    const size_t k = counters_[layer]++;
+    if (k >= table->second.size()) {
+      return std::nullopt;
+    }
+    const auto region = space_.regions.find({layer, table->second[k]});
+    if (region == space_.regions.end()) {
+      return std::nullopt;
+    }
+    const uint64_t padded = PlanPaddedSize(size);
+    std::optional<uint64_t> best;
+    uint64_t best_len = std::numeric_limits<uint64_t>::max();
+    auto consider = [&](uint64_t lo, uint64_t hi) {
+      if (hi > lo && hi - lo >= padded && hi - lo < best_len) {
+        best = lo;
+        best_len = hi - lo;
+      }
+    };
+    for (const Interval& iv : region->second) {
+      if (best_len == padded) {
+        break;
+      }
+      const uint64_t region_hi = std::min(iv.hi, plan_.pool_size);
+      auto it = live_.lower_bound(iv.lo);
+      uint64_t cursor = iv.lo;
+      if (it != live_.begin()) {
+        cursor = std::max(cursor, std::prev(it)->first + std::prev(it)->second);
+      }
+      for (; it != live_.end() && it->first < region_hi && best_len != padded; ++it) {
+        consider(cursor, it->first);
+        cursor = it->first + it->second;
+      }
+      consider(cursor, region_hi);
+    }
+    if (best.has_value()) {
+      live_.emplace(*best, padded);
+    }
+    return best;
+  }
+
+  void Free(uint64_t offset) { ASSERT_EQ(live_.erase(offset), 1u) << offset; }
+
+  void EndIteration() {
+    cursor_ = 0;
+    std::fill(used_.begin(), used_.end(), false);
+    counters_.clear();
+  }
+
+ private:
+  const StaticPlan& plan_;
+  const DynamicReusableSpace& space_;
+  size_t cursor_ = 0;
+  std::vector<bool> used_;
+  std::map<uint64_t, uint64_t> live_;
+  std::map<LayerId, size_t> counters_;
+};
+
+struct DifferentialCounts {
+  uint64_t static_hits = 0;
+  uint64_t static_misses = 0;
+  uint64_t dynamic_hits = 0;
+  uint64_t dynamic_misses = 0;
+};
+
+// One seeded stream against the oracle: a random plan over a 64 MiB pool whose decisions may
+// overlap (so the conflict guard rejects some hits), random regions and expected_le rows over
+// eight layers (some groups without a region), then static mallocs (mostly the sizes the
+// matcher expects next), dynamic mallocs, random frees and iteration ends. Every malloc must land
+// where the oracle puts it: at the same pool offset, or outside the pool when the oracle falls
+// back.
+void RunAgainstOracle(uint64_t seed, DifferentialCounts* counts) {
+  Rng rng(seed);
+  constexpr uint64_t kPool = 64 * MiB;
+  constexpr LayerId kLayers = 8;
+  StaticPlan plan;
+  plan.pool_size = kPool;
+  for (uint64_t id = 0; id < 400; ++id) {
+    PlanDecision d;
+    d.event.id = id;
+    d.event.size = rng.NextInRange(1, 16) * 64 * KiB - rng.NextBelow(2) * 100;
+    d.event.ts = id;
+    d.event.te = id + 1;
+    d.padded_size = PlanPaddedSize(d.event.size) + rng.NextBelow(3) * 512;
+    d.addr = rng.NextBelow((kPool - d.padded_size) / 512 + 1) * 512;
+    plan.decisions.push_back(d);
+  }
+  DynamicReusableSpace space;
+  for (LayerId ls = 0; ls < kLayers; ++ls) {
+    for (LayerId le = ls; le < kLayers; ++le) {
+      if (rng.NextBelow(4) == 0) {
+        continue;  // no region for this group
+      }
+      std::vector<Interval> region;
+      uint64_t lo = rng.NextBelow(8) * MiB;
+      while (lo < kPool) {
+        const uint64_t hi = std::min(kPool, lo + rng.NextInRange(1, 32) * 256 * KiB);
+        InsertMerged(&region, lo, hi);
+        lo = hi + rng.NextBelow(4) * 512 * KiB;  // sometimes touching, merged
+      }
+      space.regions.emplace(std::make_pair(ls, le), std::move(region));
+    }
+    std::vector<LayerId>& row = space.expected_le[ls];
+    for (uint64_t k = rng.NextBelow(40); k > 0; --k) {
+      row.push_back(static_cast<LayerId>(rng.NextInRange(static_cast<uint64_t>(ls), kLayers - 1)));
+    }
+  }
+
+  SimDevice dev(kCapacity);
+  STAllocAllocator alloc(&dev, plan, space);
+  ASSERT_TRUE(alloc.Init());
+  std::vector<telemetry::HeapSegment> segments;
+  alloc.AppendHeapSegments(&segments);
+  ASSERT_FALSE(segments.empty());
+  const uint64_t base = segments.front().base;
+  ASSERT_EQ(segments.front().size, kPool);
+  LiveMapOracle oracle(plan, space);
+  std::vector<uint64_t> live;
+  size_t next_static = 0;  // the decision the plan expects next, roughly
+
+  for (uint64_t step = 0; step < 20000; ++step) {
+    const uint64_t dice = rng.NextBelow(100);
+    if (dice < 40 || (dice < 90 && live.size() < 8)) {
+      const bool dyn = dice % 2 == 0;
+      RequestContext ctx;
+      ctx.dyn = dyn;
+      uint64_t size = 0;
+      std::optional<uint64_t> want;
+      if (dyn) {
+        ctx.layer = static_cast<LayerId>(rng.NextBelow(kLayers + 2)) - 1;  // -1 .. kLayers
+        size = rng.NextInRange(1, 4 * MiB);
+        want = oracle.Dynamic(size, ctx.layer);
+      } else {
+        const uint64_t pick = rng.NextBelow(10) < 8 ? next_static++ : rng.NextBelow(400);
+        size = plan.decisions[pick % plan.decisions.size()].event.size;
+        want = oracle.Static(size);
+      }
+      const std::optional<uint64_t> got = alloc.Malloc(size, ctx);
+      ASSERT_TRUE(got.has_value()) << step;
+      if (want.has_value()) {
+        ASSERT_EQ(*got, base + *want) << (dyn ? "dynamic" : "static") << " malloc " << step;
+      } else {
+        ASSERT_TRUE(*got < base || *got >= base + kPool) << step;
+      }
+      uint64_t& tally = dyn ? (want ? counts->dynamic_hits : counts->dynamic_misses)
+                            : (want ? counts->static_hits : counts->static_misses);
+      ++tally;
+      live.push_back(*got);
+    } else if (dice < 98 && !live.empty()) {
+      const size_t pick = rng.NextBelow(live.size());
+      const uint64_t addr = live[pick];
+      live[pick] = live.back();
+      live.pop_back();
+      ASSERT_TRUE(alloc.Free(addr));
+      if (addr >= base && addr < base + kPool) {
+        oracle.Free(addr - base);
+      }
+    } else {
+      alloc.EndIteration();
+      oracle.EndIteration();
+      next_static = 0;
+    }
+  }
+  for (const uint64_t addr : live) {
+    ASSERT_TRUE(alloc.Free(addr));
+  }
+}
+
+TEST(STAllocAllocator, MatchesLiveMapOracleOnRandomStreams) {
+  DifferentialCounts counts;
+  for (const bool verify : {true, false}) {
+    ScopedVerify mode(verify);
+    for (const uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + (verify ? " verify on" : " verify off"));
+      RunAgainstOracle(seed, &counts);
+      if (HasFatalFailure()) {
+        return;
+      }
+    }
+  }
+  // Every path ran: hits and fallbacks on both sides.
+  EXPECT_GT(counts.static_hits, 0u);
+  EXPECT_GT(counts.static_misses, 0u);
+  EXPECT_GT(counts.dynamic_hits, 0u);
+  EXPECT_GT(counts.dynamic_misses, 0u);
 }
 
 // End-to-end: profile -> plan -> replay on dense and MoE workloads; static hit rate must be
