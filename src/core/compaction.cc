@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "src/common/check.h"
 #include "src/common/stopwatch.h"
 #include "src/common/verify.h"
+#include "src/interval/interval.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/telemetry.h"
 #include "src/telemetry/tracer.h"
@@ -36,29 +36,6 @@ std::vector<std::vector<uint32_t>> BuildConflicts(const std::vector<PlanDecision
   return conflicts;
 }
 
-// Lowest offset where decision `idx` fits against its (already-placed) conflicts.
-uint64_t LowestOffset(const std::vector<PlanDecision>& decisions,
-                      const std::vector<uint32_t>& conflicts, uint32_t idx) {
-  std::vector<std::pair<uint64_t, uint64_t>> blocked;
-  blocked.reserve(conflicts.size());
-  for (uint32_t other : conflicts) {
-    blocked.emplace_back(decisions[other].addr, decisions[other].end_addr());
-  }
-  std::sort(blocked.begin(), blocked.end());
-  uint64_t cursor = 0;
-  const uint64_t size = decisions[idx].padded_size;
-  for (const auto& [lo, hi] : blocked) {
-    if (hi <= cursor) {
-      continue;
-    }
-    if (lo >= cursor + size) {
-      break;
-    }
-    cursor = hi;
-  }
-  return cursor;
-}
-
 }  // namespace
 
 CompactionResult CompactPlan(const StaticPlan& plan, int max_rounds) {
@@ -78,6 +55,7 @@ CompactionResult CompactPlan(const StaticPlan& plan, int max_rounds) {
   for (uint32_t i = 0; i < order.size(); ++i) {
     order[i] = i;
   }
+  std::vector<Interval> blocked;  // one decision's placed conflicts, ascending by lo
   bool improved = true;
   while (improved && result.rounds < max_rounds) {
     improved = false;
@@ -87,7 +65,13 @@ CompactionResult CompactPlan(const StaticPlan& plan, int max_rounds) {
       return decisions[a].end_addr() > decisions[b].end_addr();
     });
     for (uint32_t idx : order) {
-      const uint64_t best = LowestOffset(decisions, conflicts[idx], idx);
+      blocked.clear();
+      for (uint32_t other : conflicts[idx]) {
+        blocked.push_back({decisions[other].addr, decisions[other].end_addr()});
+      }
+      std::sort(blocked.begin(), blocked.end(),
+                [](const Interval& x, const Interval& y) { return x.lo < y.lo; });
+      const uint64_t best = LowestFit(blocked, decisions[idx].padded_size);
       if (best < decisions[idx].addr) {
         decisions[idx].addr = best;
         ++result.moves;

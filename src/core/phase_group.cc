@@ -13,39 +13,6 @@
 
 namespace stalloc {
 
-namespace {
-
-bool TimeOverlap(const MemoryEvent& a, const MemoryEvent& b) {
-  return a.ts < b.te && b.ts < a.te;
-}
-
-// A placed item as the packing sweep sees it: its address range and lifespan.
-struct Placed {
-  uint64_t lo = 0;
-  uint64_t hi = 0;
-  LogicalTime ts = 0;
-  LogicalTime te = 0;
-};
-
-// Lowest offset where an item of `padded` bytes live [ts, te) fits without conflicting (time &&
-// address) with any item in `live`, which is sorted by (lo, hi). Walks the gaps between the
-// time-conflicting items in address order and stops at the first gap that fits.
-uint64_t FirstFitOffset(const std::vector<Placed>& live, LogicalTime ts, LogicalTime te,
-                        uint64_t padded) {
-  uint64_t cursor = 0;
-  for (const Placed& p : live) {
-    if (p.lo >= cursor + padded) {
-      break;  // the gap before this item, and so before every later one, is big enough
-    }
-    if (p.ts < te && ts < p.te && p.hi > cursor) {
-      cursor = p.hi;
-    }
-  }
-  return cursor;
-}
-
-}  // namespace
-
 double LocalPlan::TmpNumerator() const {
   double num = 0;
   for (const auto& d : items) {
@@ -64,6 +31,14 @@ double LocalPlan::Tmp() const {
 }
 
 namespace {
+
+// A placed item as the packing sweep sees it: its address range and lifespan.
+struct Placed {
+  uint64_t lo = 0;
+  uint64_t hi = 0;
+  LogicalTime ts = 0;
+  LogicalTime te = 0;
+};
 
 // First-fit packing of `events` in the given order. Placed items sit in an address-ordered
 // index; an item leaves it once no later event can overlap it in time: it ends at or before
@@ -114,7 +89,9 @@ LocalPlan PackInOrder(const std::vector<MemoryEvent>& events, PhaseId ps, PhaseI
     PlanDecision d;
     d.event = e;
     d.padded_size = PlanPaddedSize(e.size);
-    d.addr = FirstFitOffset(live, e.ts, e.te, d.padded_size);
+    // The lowest gap between the items of `live` (sorted by (lo, hi)) that conflict in time.
+    d.addr = LowestFit(live, d.padded_size,
+                       [&](const Placed& p) { return p.ts < e.te && e.ts < p.te; });
     const Placed placed{d.addr, d.end_addr(), e.ts, e.te};
     live.insert(std::upper_bound(live.begin(), live.end(), placed,
                                  [](const Placed& x, const Placed& y) {
@@ -231,14 +208,14 @@ LocalPlan FusePlans(const LocalPlan& a, const LocalPlan& b) {
   std::vector<std::vector<Interval>> blocked(pending.size());
   for (size_t i = 0; i < pending.size(); ++i) {
     for (const auto& it : big.items) {
-      if (TimeOverlap(it.event, pending[i].event)) {
+      if (it.event.OverlapsInTime(pending[i].event)) {
         InsertMerged(&blocked[i], it.addr, it.end_addr());
       }
     }
   }
   auto note_placement = [&](const PlanDecision& d) {
     for (size_t i = 0; i < pending.size(); ++i) {
-      if (!placed[i] && TimeOverlap(d.event, pending[i].event)) {
+      if (!placed[i] && d.event.OverlapsInTime(pending[i].event)) {
         InsertMerged(&blocked[i], d.addr, d.end_addr());
       }
     }
@@ -298,18 +275,7 @@ LocalPlan FusePlans(const LocalPlan& a, const LocalPlan& b) {
       continue;
     }
     PlanDecision d = pending[i];
-    // Find the lowest gap of `padded_size` in blocked[i].
-    uint64_t cursor = 0;
-    for (const auto& iv : blocked[i]) {
-      if (iv.hi <= cursor) {
-        continue;
-      }
-      if (iv.lo >= cursor + d.padded_size) {
-        break;
-      }
-      cursor = iv.hi;
-    }
-    d.addr = cursor;
+    d.addr = LowestFit(blocked[i], d.padded_size);
     fused.items.push_back(d);
     fused.footprint = std::max(fused.footprint, d.end_addr());
     placed[i] = true;

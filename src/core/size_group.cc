@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/common/check.h"
+#include "src/interval/interval.h"
 
 namespace stalloc {
 
@@ -20,27 +21,19 @@ std::optional<uint64_t> FitInLayer(const MemoryLayer& layer, LogicalTime ts, Log
   if (height > layer.size) {
     return std::nullopt;
   }
-  std::vector<std::pair<uint64_t, uint64_t>> conflicting;  // (off, off+height)
+  std::vector<Interval> conflicting;
   for (const auto& o : layer.occupants) {
     if (o.ts < te && ts < o.te) {
-      conflicting.emplace_back(o.off, o.off + o.height);
+      conflicting.push_back({o.off, o.off + o.height});
     }
   }
-  std::sort(conflicting.begin(), conflicting.end());
-  uint64_t cursor = 0;
-  for (const auto& [lo, hi] : conflicting) {
-    if (hi <= cursor) {
-      continue;
-    }
-    if (lo >= cursor + height) {
-      break;
-    }
-    cursor = hi;
-  }
-  if (cursor + height > layer.size) {
+  std::sort(conflicting.begin(), conflicting.end(),
+            [](const Interval& x, const Interval& y) { return x.lo < y.lo; });
+  const uint64_t off = LowestFit(conflicting, height);
+  if (off + height > layer.size) {
     return std::nullopt;
   }
-  return cursor;
+  return off;
 }
 
 }  // namespace
