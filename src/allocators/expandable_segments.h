@@ -49,7 +49,6 @@ class ExpandableSegmentsAllocator final : public AllocatorBase {
 
   // Introspection for tests: mapped bytes across all stream segments.
   uint64_t mapped_bytes() const;
-  size_t num_stream_segments() const { return streams_.size(); }
 
  protected:
   std::optional<uint64_t> DoMalloc(uint64_t size, const RequestContext& ctx) override;

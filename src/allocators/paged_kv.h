@@ -51,7 +51,6 @@ class PagedKVAllocator final : public AllocatorBase {
 
   // Introspection for tests.
   size_t num_slabs() const { return slabs_.size(); }
-  size_t free_blocks() const { return free_blocks_.size(); }
   uint64_t block_bytes() const { return config_.block_bytes; }
 
  protected:

@@ -73,7 +73,6 @@ class Json {
   bool IsObject() const { return type_ == Type::kObject; }
   bool IsArray() const { return type_ == Type::kArray; }
   bool IsNull() const { return type_ == Type::kNull; }
-  bool IsBool() const { return type_ == Type::kBool; }
   bool IsString() const { return type_ == Type::kString; }
   bool IsNumber() const {
     return type_ == Type::kInt || type_ == Type::kUint || type_ == Type::kDouble;

@@ -67,7 +67,6 @@ class STAllocAllocator final : public AllocatorBase {
 
   // Reserves the static pool. Returns false when the device cannot provide it (theoretical OOM).
   bool Init();
-  bool initialized() const { return pool_base_ != 0; }
 
   std::string_view name() const override { return "stalloc"; }
   uint64_t ReservedBytes() const override;

@@ -127,11 +127,8 @@ class SimDevice {
   uint64_t classic_largest_free() const { return classic_free_.largest(); }
   uint64_t physical_peak() const { return physical_peak_; }
   uint64_t classic_used() const { return classic_used_; }
-  uint64_t handle_used() const { return handle_used_; }
   const DeviceApiCounters& counters() const { return counters_; }
-  DeviceApiCounters& mutable_counters() { return counters_; }
   const DeviceCostModel& cost_model() const { return cost_; }
-  void set_cost_model(const DeviceCostModel& cost) { cost_ = cost; }
 
   // Number of live classic allocations / handles / reservations (leak checks in tests).
   size_t live_classic_allocs() const { return classic_allocs_.size(); }

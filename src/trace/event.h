@@ -76,7 +76,6 @@ struct MemoryEvent {
   LayerId le = kInvalidLayer;  // module issuing the free (dynamic events only)
   StreamId stream = kComputeStream;  // issuing CUDA stream
 
-  LogicalTime lifespan() const { return te - ts; }
   bool OverlapsInTime(const MemoryEvent& other) const { return ts < other.te && other.ts < te; }
 };
 
@@ -86,8 +85,6 @@ enum class LifespanClass : uint8_t {
   kScoped,      // allocated in one phase, freed in a different later phase
   kTransient,   // allocated and freed within the same phase
 };
-
-const char* LifespanClassName(LifespanClass c);
 
 }  // namespace stalloc
 

@@ -24,18 +24,6 @@ const char* PhaseKindName(PhaseKind kind) {
   return "?";
 }
 
-const char* LifespanClassName(LifespanClass c) {
-  switch (c) {
-    case LifespanClass::kPersistent:
-      return "persistent";
-    case LifespanClass::kScoped:
-      return "scoped";
-    case LifespanClass::kTransient:
-      return "transient";
-  }
-  return "?";
-}
-
 std::string PhaseInfo::ToString() const {
   std::string out = PhaseKindName(kind);
   if (microbatch >= 0) {

@@ -105,8 +105,6 @@ class TraceV2StreamWriter {
   // declared events must have been opened and closed. Returns false on I/O failure.
   bool Finish();
 
-  uint64_t num_opened() const { return num_opened_; }
-
  private:
   template <typename T>
   struct ColumnStream {

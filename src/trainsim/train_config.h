@@ -17,9 +17,6 @@ struct ParallelConfig {
   int dp = 1;          // data parallel degree
   int ep = 1;          // expert parallel degree (MoE)
   int vpp_chunks = 1;  // virtual-pipeline model chunks per rank (1 = plain 1F1B)
-
-  int world_size() const { return tp * pp * dp; }
-  bool UsesVirtualPipeline() const { return vpp_chunks > 1; }
 };
 
 enum class RecomputeMode : uint8_t {

@@ -685,9 +685,4 @@ MemoryEstimate WorkloadBuilder::Estimate() const {
   return est;
 }
 
-Trace BuildWorkloadTrace(const ModelConfig& model, const TrainConfig& config,
-                         uint64_t iteration_seed) {
-  return WorkloadBuilder(model, config).Build(iteration_seed);
-}
-
 }  // namespace stalloc

@@ -68,10 +68,6 @@ class WorkloadBuilder {
   TrainConfig config_;
 };
 
-// Convenience: builds the trace for (model, config) in one call.
-Trace BuildWorkloadTrace(const ModelConfig& model, const TrainConfig& config,
-                         uint64_t iteration_seed);
-
 }  // namespace stalloc
 
 #endif  // SRC_TRAINSIM_WORKLOAD_H_

@@ -45,7 +45,6 @@ class PhysHandlePool {
   // cuMemRelease every cached handle back to the device. Returns bytes released.
   uint64_t Trim();
 
-  uint64_t cached_handles() const { return cache_.size(); }
   uint64_t cached_bytes() const { return cache_.size() * granularity_; }
   const PhysHandlePoolStats& stats() const { return stats_; }
 

@@ -46,7 +46,6 @@ class VaSpace {
     STALLOC_DCHECK_LT(page, num_pages());
     return pages_[page] != kNoHandle;
   }
-  uint64_t mapped_pages() const { return mapped_; }
   uint64_t mapped_bytes() const { return mapped_ * granularity_; }
   // The lowest mapped page and one past the highest; equal (both 0) when nothing is mapped.
   uint64_t first_mapped() const { return first_mapped_; }
