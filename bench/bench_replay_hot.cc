@@ -12,12 +12,13 @@
 //   * storm — a synthetic cache storm, ~100k ops by default: ~1.5k concurrently-live blocks
 //     drawn from a few dozen recurring sizes (the size-distribution shape of §2.3, Fig. 3),
 //     freed in random order. This keeps the caching-style free lists deep, which is exactly the
-//     path the size-bucketed BestFitIndex replaced the flat ordered-set search on. The storm has
-//     no phase structure, so the plan-pipeline (STAlloc) kinds sit this one out.
+//     path the size-bucketed BestFitIndex replaced the flat ordered-set search on. The
+//     plan-pipeline (STAlloc) kinds sit this one out: the stream measures the unplanned kinds.
 //   * train — the gpt2 1F1B iteration replayed back-to-back until ~100k ops, for every
 //     registered kind (STAlloc plans come from the usual profile-seed pipeline).
 //   * file — optional (--trace FILE): replay a trace from disk; columnar v2 files replay
-//     straight from the mmap'd view, csv/bin traces are read and replayed owned.
+//     straight from the mmap'd view, csv/bin traces are read and replayed owned. The plan kinds
+//     plan the file as its own profile, phase structure or not.
 //
 // Timing wraps the whole ReplayTrace call (engine + driver bookkeeping), best of --repeats
 // fresh-allocator runs — directly comparable across revisions of the replay/allocator stack.
@@ -59,7 +60,7 @@ constexpr uint64_t kMillionOps = 1000000;
 
 struct HotResult {
   std::string allocator;
-  bool skipped = false;  // kind not runnable on this stream (STAlloc on the unphased storm)
+  bool skipped = false;  // kind not runnable on this stream (STAlloc on an infeasible profile)
   bool oom = false;
   uint64_t ops = 0;
   double best_wall_seconds = 0;
@@ -381,7 +382,7 @@ int main(int argc, char** argv) {
     }
     const TraceCursor file = use_view ? file_view.Cursor() : file_trace.Cursor();
     runs.push_back(RunStream("file", use_view ? " (mmap'd v2 view)" : "", file, 1, repeats,
-                             /*include_stalloc=*/!file.phases().empty(), sink));
+                             /*include_stalloc=*/true, sink));
   }
 
   Json streams = Json::Array();

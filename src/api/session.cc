@@ -495,13 +495,11 @@ RunRecord Session::RunOne(const ExperimentSpec& spec, const std::string& allocat
     case WorkloadAxis::kTrainRank: {
       ExperimentResult r;
       if (replay_.valid()) {
-        // The trace is its own profile. Lifespan classification (and therefore the whole plan)
-        // keys on phase structure; a phaseless op stream cannot be planned. Only the plan
-        // kinds copy the columns (for synthesis); the replay itself runs off the cursor.
-        r = RunOnDevice(replay_, allocator, options, [&] {
-          return replay_.phases().empty() ? ProfileResult{}
-                                          : ProfileTrace(Trace(replay_), options.capacity_bytes);
-        });
+        // The trace is its own profile, phase structure or not: a phaseless op stream plans
+        // as one phase group, as stalloc_plan plans it. Only the plan kinds copy the columns
+        // (for synthesis); the replay itself runs off the cursor.
+        r = RunOnDevice(replay_, allocator, options,
+                        [&] { return ProfileTrace(Trace(replay_), options.capacity_bytes); });
       } else {
         STALLOC_CHECK(spec.trace_file.empty(),
                       << "spec.trace_file is set but no trace was preloaded; tools must open "

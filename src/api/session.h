@@ -42,10 +42,10 @@ class Session {
 
   // Preloads a replay trace for kTrainRank specs: subsequent rank-axis runs replay it instead
   // of building the simulated workload. Baseline kinds replay it straight off the cursor; the
-  // plan kinds treat it as its own profile (the self-plan upper bound), and a trace with no
-  // phase structure cannot be planned, so they come back infeasible. The session borrows the
-  // sealed trace or the view — it must outlive every run. Pass nullptr to clear. The view form
-  // replays straight from the mmap'd columnar file.
+  // plan kinds treat it as its own profile (the self-plan upper bound), with or without phase
+  // structure: a phaseless trace plans as one phase group. The session borrows the sealed trace
+  // or the view — it must outlive every run. Pass nullptr to clear. The view form replays
+  // straight from the mmap'd columnar file.
   void SetReplayTrace(const Trace* trace);
   void SetReplayTrace(const TraceView* view);
 
