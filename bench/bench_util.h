@@ -4,9 +4,6 @@
 #define BENCH_BENCH_UTIL_H_
 
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -22,33 +19,6 @@ namespace stalloc {
 inline constexpr uint64_t kA800Capacity = 80ull * GiB;
 inline constexpr uint64_t kH200Capacity = 141ull * GiB;
 inline constexpr uint64_t kMI210Capacity = 64ull * GiB;
-
-// Reads one "VmXXX:  <kB> kB" field out of /proc/self/status. Returns 0 when the field (or the
-// file) is unavailable, e.g. on non-Linux hosts — callers treat 0 as "not measured".
-inline uint64_t ProcStatusBytes(const char* field) {
-  std::FILE* f = std::fopen("/proc/self/status", "r");
-  if (f == nullptr) {
-    return 0;
-  }
-  const size_t field_len = std::strlen(field);
-  char line[256];
-  uint64_t bytes = 0;
-  while (std::fgets(line, sizeof(line), f) != nullptr) {
-    if (std::strncmp(line, field, field_len) == 0 && line[field_len] == ':') {
-      bytes = std::strtoull(line + field_len + 1, nullptr, 10) * 1024;  // field is in KiB
-      break;
-    }
-  }
-  std::fclose(f);
-  return bytes;
-}
-
-// Current resident set size of this process, in bytes (0 if unavailable).
-inline uint64_t CurrentRssBytes() { return ProcStatusBytes("VmRSS"); }
-
-// Peak resident set size since process start, in bytes (0 if unavailable). Monotone: a
-// measurement phase that should show a *low* peak must run before any high-water phase.
-inline uint64_t PeakRssBytes() { return ProcStatusBytes("VmHWM"); }
 
 // The pipeline ranks whose memory behaviour bounds the job: the first stage carries the deepest
 // 1F1B in-flight activation stack, the last stage carries the vocabulary-sized logits tensors.

@@ -93,11 +93,11 @@ Json VmmJson(const VmmRun& run) {
 // spacetime layout a copy-based defragmenter would have to compact at runtime.
 class PlacementCapture : public ReplayObserver {
  public:
-  void AfterMalloc(ReplayEngine& /*engine*/, const ReplayOpView& op, uint64_t addr) override {
+  void AfterMalloc(ReplayEngine& engine, const ReplayOpView& op, uint64_t addr) override {
     PlanDecision d;
-    d.event = *op.event;
+    d.event = engine.source(op.source).trace.Event(op.event_id);
     d.addr = addr;
-    d.padded_size = AlignUp(op.event->size, kPlanAlign);
+    d.padded_size = AlignUp(op.size, kPlanAlign);
     decisions_.push_back(d);
   }
 
@@ -301,6 +301,6 @@ int main(int argc, char** argv) {
   sink.Meta("remap_wins", remap_wins_somewhere);
   const int status = sink.Finish();
   // No scenario where remapping beats copying (or an OOM under the thin cushion) would
-  // invalidate the subsystem's premise: fail loudly, like bench_replay_hot's digest checks.
+  // invalidate the subsystem's premise: fail loudly.
   return (remap_wins_somewhere && !any_failure) ? status : 1;
 }

@@ -38,7 +38,6 @@ ReplayResult ReplayTrace(const TraceCursor& trace, Allocator* alloc, ReplayObser
   result.reserved_peak = alloc->stats().reserved_peak;
   result.memory_efficiency = alloc->stats().MemoryEfficiency();
   result.replay_wall_seconds = run.wall_seconds;
-  result.replay_ops_per_sec = run.OpsPerSec();
   return result;
 }
 

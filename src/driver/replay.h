@@ -27,7 +27,6 @@ struct ReplayResult {
   uint64_t reserved_peak = 0;   // Mr
   double memory_efficiency = 1.0;
   double replay_wall_seconds = 0;  // host time inside the replay engine
-  double replay_ops_per_sec = 0;   // simulator throughput of this replay
 
   std::string ToString() const;
 };

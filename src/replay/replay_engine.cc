@@ -112,17 +112,17 @@ ReplayEngine::OpOutcome ReplayEngine::ApplyOp(size_t sid, uint64_t op_idx) {
   const TraceCursor tc = sources_[sid].spec.trace;
   const bool is_free = tc.OpIsFree(op_idx);
   const uint64_t eid = tc.OpEventId(op_idx);
+  const uint64_t size = tc.EventSize(eid);
 
   ReplayOpView view;
-  MemoryEvent gathered;  // observer-visible event; only materialized when someone listens
   const bool observed = observer_ != nullptr;
   if (observed) {
-    gathered = tc.Event(eid);
     view.source = sid;
     view.tenant = tenant;
     view.time = now_;
     view.kind = is_free ? TraceOp::Kind::kFree : TraceOp::Kind::kMalloc;
-    view.event = &gathered;
+    view.event_id = eid;
+    view.size = size;
     view.alloc = alloc;
     observer_->BeforeOp(*this, view);
   }
@@ -130,7 +130,6 @@ ReplayEngine::OpOutcome ReplayEngine::ApplyOp(size_t sid, uint64_t op_idx) {
   if (!is_free) {
     ++sources_[sid].progress.num_mallocs;
     ++result_.num_mallocs;
-    const uint64_t size = tc.EventSize(eid);
     RequestContext ctx;
     ctx.dyn = tc.EventDyn(eid);
     ctx.phase = tc.EventPs(eid);
@@ -187,7 +186,7 @@ ReplayEngine::OpOutcome ReplayEngine::ApplyOp(size_t sid, uint64_t op_idx) {
     if (addr != kNoAddr) {
       sr.spec.alloc->Free(addr);
       sr.addr_of[eid] = kNoAddr;
-      sr.progress.live_bytes -= tc.EventSize(eid);
+      sr.progress.live_bytes -= size;
       ++sr.progress.num_frees;
       ++result_.num_frees;
       if (observed) {
@@ -351,18 +350,18 @@ void PlacementDigestObserver::AfterMalloc(ReplayEngine& engine, const ReplayOpVi
                                           uint64_t addr) {
   (void)engine;
   Mix(0x4d);  // 'M'
-  Mix(op.event->id);
+  Mix(op.event_id);
   Mix(addr);
-  Mix(op.event->size);
+  Mix(op.size);
 }
 
 void PlacementDigestObserver::AfterFree(ReplayEngine& engine, const ReplayOpView& op,
                                         uint64_t addr) {
   (void)engine;
   Mix(0x46);  // 'F'
-  Mix(op.event->id);
+  Mix(op.event_id);
   Mix(addr);
-  Mix(op.event->size);
+  Mix(op.size);
 }
 
 }  // namespace stalloc

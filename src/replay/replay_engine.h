@@ -65,21 +65,18 @@ struct ReplayEngineResult {
   uint64_t ops_replayed = 0;
   uint64_t end_time = 0;            // engine clock when the stream drained
   double wall_seconds = 0;          // host time spent inside Run()
-
-  double OpsPerSec() const {
-    return wall_seconds > 0 ? static_cast<double>(ops_replayed) / wall_seconds : 0.0;
-  }
 };
 
-// The view of one op handed to observers. `event` is only valid for the duration of the
-// callback: it points at an event gathered from the columns into engine-owned storage that the
-// next op overwrites. Copy it if you keep it.
+// The view of one op handed to observers: the event's id and requested size, no other column.
+// An observer that needs the whole event gathers it from its source's cursor:
+// `engine.source(op.source).trace.Event(op.event_id)`.
 struct ReplayOpView {
   size_t source = 0;
   uint64_t tenant = 0;
   uint64_t time = 0;  // global tick
   TraceOp::Kind kind = TraceOp::Kind::kMalloc;
-  const MemoryEvent* event = nullptr;
+  uint64_t event_id = 0;
+  uint64_t size = 0;  // requested bytes
   Allocator* alloc = nullptr;
 };
 

@@ -12,6 +12,8 @@
 //     torch-expandable, gmlake and vmm — on the storm, training and multi-stream serve traces,
 //     and once each at a capacity tight enough to run the kind's pressure path — must equal
 //     those recorded while each allocator still kept its own block map.
+// A last table pins Mr and E of every registry kind, STAlloc included, over two longer streams:
+// a 50k-event storm, and a training iteration replayed back-to-back into one allocator.
 
 #include <cstdint>
 #include <map>
@@ -29,7 +31,11 @@
 #include "src/allocators/free_index.h"
 #include "src/allocators/gmlake.h"
 #include "src/allocators/registry.h"
+#include "src/common/table.h"
 #include "src/common/units.h"
+#include "src/core/planner.h"
+#include "src/core/profiler.h"
+#include "src/core/stalloc_allocator.h"
 #include "src/driver/replay.h"
 #include "src/gpu/sim_device.h"
 #include "src/replay/replay_engine.h"
@@ -553,6 +559,73 @@ TEST(PinnedPlacement, TightCapacityAddressDigests) {
       EXPECT_EQ(dev.counters().mem_unmap, 23u);
       EXPECT_EQ(run.digest, 0x7ca084eb4394a01dull);
     }
+  }
+}
+
+// A fresh allocator of registry kind `kind`; the plan kinds plan `trace` as their own profile.
+std::unique_ptr<Allocator> CreateKind(const Trace& trace, const std::string& kind,
+                                      SimDevice* dev) {
+  if (!AllocatorRegistry::Global().Find(kind)->requires_plan) {
+    return AllocatorRegistry::Global().Create(kind, dev);
+  }
+  const ProfileResult profile = ProfileTrace(trace, dev->capacity());
+  EXPECT_TRUE(profile.feasible) << kind;
+  SynthesisResult synthesis = SynthesizePlan(profile.trace);
+  auto alloc = std::make_unique<STAllocAllocator>(dev, std::move(synthesis.plan),
+                                                  std::move(synthesis.dyn_space),
+                                                  STAllocConfigFor(kind));
+  EXPECT_TRUE(alloc->Init()) << kind;
+  return alloc;
+}
+
+// Mr and E per registry kind, recorded at commit 65a463e: the 50k-event storm through the six
+// unplanned kinds, and the gpt2 pp2 iteration (16 microbatches of 4) replayed 10 times
+// back-to-back into one allocator, caches kept across iterations as in training, through all
+// eight. E is compared at the 12 significant digits it was recorded with.
+TEST(PinnedPlacement, BackToBackStreamPeaks) {
+  const Trace storm = BuildStormTrace(50000, 42);
+  TrainConfig config;
+  config.parallel.pp = 2;
+  config.num_microbatches = 16;
+  config.micro_batch_size = 4;
+  const Trace train = WorkloadBuilder(Gpt2_345M(), config).Build(2);
+  ASSERT_EQ(train.size(), 4917u);
+  struct Pin {
+    const Trace* trace;
+    const char* kind;
+    int iterations;
+    uint64_t reserved_peak;
+    const char* efficiency;
+  };
+  const Pin pins[] = {
+      {&storm, "native", 1, 12524716032ull, "1"},
+      {&storm, "torch-caching", 1, 13205766144ull, "0.948427822773"},
+      {&storm, "torch-expandable", 1, 13216251904ull, "0.947675341162"},
+      {&storm, "gmlake", 1, 13205766144ull, "0.948427822773"},
+      {&storm, "paged-kv", 1, 13891534848ull, "0.901607789855"},
+      {&storm, "vmm", 1, 13157531648ull, "0.951904686006"},
+      {&train, "native", 10, 7108921856ull, "0.999999963989"},
+      {&train, "torch-caching", 10, 7992246272ull, "0.889477295627"},
+      {&train, "torch-expandable", 10, 7117733888ull, "0.998761925054"},
+      {&train, "gmlake", 10, 7992246272ull, "0.889477295627"},
+      {&train, "stalloc", 10, 7108921856ull, "0.999999963989"},
+      {&train, "stalloc-noreuse", 10, 7108921856ull, "0.999999963989"},
+      {&train, "paged-kv", 10, 7344015360ull, "0.967988389392"},
+      {&train, "vmm", 10, 7109345280ull, "0.999940405201"},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(StrFormat("%s x%d", pin.kind, pin.iterations));
+    SimDevice dev(64ull * GiB);
+    const std::unique_ptr<Allocator> alloc = CreateKind(*pin.trace, pin.kind, &dev);
+    uint64_t ops = 0;
+    for (int i = 0; i < pin.iterations; ++i) {
+      const ReplayResult r = ReplayTrace(*pin.trace, alloc.get());
+      ASSERT_FALSE(r.oom);
+      ops += r.num_mallocs + r.num_frees;
+    }
+    EXPECT_EQ(ops, 2 * pin.trace->size() * static_cast<uint64_t>(pin.iterations));
+    EXPECT_EQ(alloc->stats().reserved_peak, pin.reserved_peak);
+    EXPECT_EQ(StrFormat("%.12g", alloc->stats().MemoryEfficiency()), pin.efficiency);
   }
 }
 

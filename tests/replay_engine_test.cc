@@ -47,7 +47,7 @@ class OpRecorder : public ReplayObserver {
     uint64_t event_id;
   };
   void BeforeOp(ReplayEngine&, const ReplayOpView& op) override {
-    seen.push_back({op.source, op.time, op.kind, op.event->id});
+    seen.push_back({op.source, op.time, op.kind, op.event_id});
   }
   std::vector<Seen> seen;
 };

@@ -44,11 +44,11 @@ class CountingObserver final : public ReplayObserver {
  public:
   void AfterMalloc(ReplayEngine&, const ReplayOpView& op, uint64_t) override {
     ++mallocs;
-    malloc_bytes += op.event->size;
+    malloc_bytes += op.size;
   }
   void AfterFree(ReplayEngine&, const ReplayOpView& op, uint64_t) override {
     ++frees;
-    free_bytes += op.event->size;
+    free_bytes += op.size;
   }
   OomAction OnOom(ReplayEngine&, const ReplayOpView&) override {
     ++ooms;

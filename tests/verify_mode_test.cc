@@ -4,6 +4,7 @@
 // flag once, when it is built; and that verify mode changes no result.
 
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -25,6 +26,7 @@
 #include "src/gpu/sim_device.h"
 #include "src/replay/replay_engine.h"
 #include "src/trace/synthetic.h"
+#include "src/trace/trace_v2.h"
 #include "src/trainsim/model_config.h"
 #include "src/trainsim/workload.h"
 #include "tests/support/scoped_verify.h"
@@ -158,23 +160,37 @@ TEST(VerifyMode, PostSynthesisSweepKillsACorruptedPlan) {
   }
 }
 
-// The million-op storm's torch-caching placement digest — the one bench_replay_hot and the
-// repository benchmark pin — with the overlap walk on and off.
+// The million-op storm at seed 42, streamed to a v2 file as stalloc_trace_gen and perfbench's
+// storm-1m write it: the file's size, and its torch-caching placement digest (the one storm-1m
+// prints for its view and owned replays) from the mapped file and from the materialized trace,
+// with the overlap walk on and off.
 TEST(VerifyMode, StormDigestIsIdenticalInBothModes) {
   SyntheticSpec spec;
   spec.mix = SyntheticMix::kStorm;
   spec.num_ops = 1000000;
   spec.seed = 42;
-  const Trace storm = BuildSyntheticTrace(spec);
+  const std::string path = ::testing::TempDir() + "/verify_mode_storm_1m.v2";
+  ASSERT_TRUE(GenerateSyntheticV2File(spec, path));
+  TraceView view;
+  TraceIoError err;
+  ASSERT_TRUE(view.Open(path, &err)) << err.message;
+  EXPECT_EQ(view.file_bytes(), 37000149u);
+  const Trace owned = view.Materialize();
   for (const bool verify : {true, false}) {
     ScopedVerify mode(verify);
-    SimDevice device(64 * GiB);
-    std::unique_ptr<Allocator> alloc =
-        AllocatorRegistry::Global().Create("torch-caching", &device);
-    PlacementDigestObserver digest;
-    ASSERT_FALSE(ReplayTrace(storm, alloc.get(), &digest).oom);
-    EXPECT_EQ(digest.digest(), 0x14d0361cebe77331ull) << "verify " << verify;
+    for (const bool mapped : {true, false}) {
+      SimDevice device(64 * GiB);
+      std::unique_ptr<Allocator> alloc =
+          AllocatorRegistry::Global().Create("torch-caching", &device);
+      PlacementDigestObserver digest;
+      ASSERT_FALSE(
+          ReplayTrace(mapped ? view.Cursor() : owned.Cursor(), alloc.get(), &digest).oom);
+      EXPECT_EQ(digest.digest(), 0x14d0361cebe77331ull)
+          << "verify " << verify << (mapped ? ", mapped" : ", owned");
+    }
   }
+  view.Close();
+  std::remove(path.c_str());
 }
 
 }  // namespace

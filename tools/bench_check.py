@@ -2,12 +2,14 @@
 """bench_check: guard the committed perf-trajectory files against regressions.
 
 Compares a freshly produced bench JSON (e.g. /tmp/cluster.json from CI) against the committed
-baseline (e.g. BENCH_cluster.json). Two classes of keys:
+baseline (BENCH_cluster.json or BENCH_vmm.json). Replay throughput is not guarded here: the
+repository benchmark (perfbench/, workload storm-1m, traced replay.ns_per_op.<kind>) measures
+it. Two classes of keys:
 
   * volatile keys — wall-clock and derived throughput numbers (wall_seconds, ops_per_sec,
     speedup, best_wall_seconds, *_latency_us, *_ms — including the per-phase timing keys
-    profile_ms/plan_ms/replay_ms/report_ms/total_ms that RunRecord "phases" blocks and
-    bench_replay_hot results carry). These legitimately wobble run to run, so
+    profile_ms/plan_ms/replay_ms/report_ms/total_ms that RunRecord "phases" blocks carry).
+    These legitimately wobble run to run, so
     they are compared by relative threshold (default 20%), and only in the slow direction:
     a fresh run that is FASTER than the baseline never fails. Time-like keys whose baseline is
     below --min-seconds (default 0.5) are skipped entirely — sub-second cells are dominated by
